@@ -1,4 +1,4 @@
-"""Exact joint Gaussian likelihood of correlated noisy measurements and the
+"""Exact Gaussian likelihood of correlated noisy measurements and the
 Bayesian posterior over the output-map parameter.
 
 Process noise makes successive measurements dependent, so the likelihood of a
@@ -6,10 +6,13 @@ dataset is a single multivariate Gaussian over the stacked outputs.  Its mean
 stacks the noise-free responses ybar(0 .. N-1) and its covariance is
 M Sigma_W M^T + Sigma_E with M the block lower-triangular impulse map from
 stacked process noise to stacked outputs (first block row zero).
+`log_likelihood` factors that dense covariance and is the reference; the
+posterior evaluates the same density at many parameters with a Kalman
+filter (`_BatchLikelihood`), in O(N) instead of O(N^3) per parameter.
 
 All likelihood arithmetic stays in log space; the posterior normalizer is a
 plain uniform Monte Carlo estimate over the prior support whose standard
-error is reported alongside the value.
+error and relative error are reported alongside the value.
 """
 
 from __future__ import annotations
@@ -103,73 +106,64 @@ def log_likelihood(theta, data: DataSet, model: ParametricLti) -> float:
 
 
 class _BatchLikelihood:
-    """Vectorized log likelihood over many parameter values.
+    """Log likelihood of one record at many parameters, by a Kalman filter.
 
-    The output map is affine in theta, so the blocks of M split into a
-    constant part plus a linear combination of per-coordinate parts; the
-    batch assembles covariances in chunks and runs batched Cholesky.
+    The prediction-error decomposition sums log N(v(t); 0, S(t)) over the
+    innovations v(t) = y(t) - C x(t|t-1), S(t) = C P(t|t-1) C' + Sigma_e;
+    x(0) = x0 is known, so P(0|-1) = 0 as in the first block row of `build_M`.
+    All parameters of a call share one pass over the record, the batch on
+    the last axis: states (n, B), covariances (n*n, B), innovations (p, B).
+    Time is O(N n^3) per parameter and memory does not grow with N.
     """
 
     def __init__(self, model: ParametricLti, data: DataSet):
-        self.model = model
-        self.data = data
-        n_exp = data.n_exp
-        self.n_exp = n_exp
-        self.y = data.outputs.reshape(-1)
-        u = data.inputs
-        self.xbar = mean_trajectory(model, data.x0, u)[:n_exp]
-        n = model.n
-        # A^k G and A^k columns reused by every theta.
-        self.akg = []
-        Ak = np.eye(n)
-        for _ in range(max(n_exp - 1, 0)):
-            self.akg.append(Ak @ model.G)
-            Ak = model.A @ Ak
-        self.sigma_w = model.Sigma_w
-        self.sigma_e_big = np.kron(np.eye(n_exp), model.Sigma_e)
+        self.model, self.y, self.x0 = model, data.outputs, data.x0
+        self.drive = data.inputs @ model.B.T
+        # Row-major vec(A P A') = kron(A, A) vec(P).
+        self.AA = np.kron(model.A, model.A)
+        self.Q = (model.G @ model.Sigma_w @ model.G.T).reshape(-1, 1)
+        self.c_basis = np.reshape(model.C_basis, (model.d, model.p, model.n))
 
-    def __call__(self, thetas: np.ndarray, chunk: int = 256) -> np.ndarray:
+    def __call__(self, thetas: np.ndarray) -> np.ndarray:
         model = self.model
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        B = thetas.shape[0]
-        p, q, n_exp = model.p, model.q, self.n_exp
-        out = np.empty(B)
-        for start in range(0, B, chunk):
-            ts = thetas[start:start + chunk]
-            nb = ts.shape[0]
-            # C(theta) for the whole chunk: (nb, p, n)
-            cmats = model.C0[None, :, :] + np.einsum(
-                "bd,dpn->bpn", ts, np.stack(model.C_basis)) \
-                if model.d else np.broadcast_to(model.C0, (nb,) + model.C0.shape)
-            means = np.einsum("bpn,tn->btp", cmats, self.xbar).reshape(nb, -1)
-            resid = self.y[None, :] - means
-
-            cov = np.broadcast_to(self.sigma_e_big,
-                                  (nb,) + self.sigma_e_big.shape).copy()
-            if n_exp > 1:
-                # blocks[k] = C(theta) A^k G, shape (nb, k_max, p, q)
-                blocks = np.einsum("bpn,knq->bkpq", cmats, np.stack(self.akg))
-                M = np.zeros((nb, p * n_exp, q * n_exp))
-                for r in range(1, n_exp):
-                    for col in range(r):
-                        M[:, r * p:(r + 1) * p, col * q:(col + 1) * q] = \
-                            blocks[:, r - col - 1]
-                sw = np.kron(np.eye(n_exp), self.sigma_w)
-                cov += M @ sw @ np.swapaxes(M, 1, 2)
-            cov = 0.5 * (cov + np.swapaxes(cov, 1, 2))
-            try:
-                L = np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(
-                    "covariance factorization failed inside a likelihood "
-                    f"batch: {exc}") from exc
-            half = np.linalg.solve(L, resid[:, :, None])[:, :, 0]
-            logdet = 2.0 * np.log(
-                np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-            k = resid.shape[1]
-            out[start:start + chunk] = -0.5 * (
-                (half * half).sum(axis=1) + logdet + k * _LOG_2PI)
-        return out
+        nb, n, p, n_exp = thetas.shape[0], model.n, model.p, self.y.shape[0]
+        C = model.C0[:, :, None] + np.einsum("dpn,bd->pnb", self.c_basis,
+                                             thetas)
+        x = np.repeat(self.x0[:, None], nb, axis=1)
+        P = np.zeros((n * n, nb))
+        total = np.zeros(nb)
+        for t in range(n_exp):
+            CP = np.einsum("pib,ijb->pjb", C, P.reshape(n, n, nb))
+            S = np.einsum("pjb,qjb->pqb", CP, C) + model.Sigma_e[:, :, None]
+            v = self.y[t][:, None] - np.einsum("pnb,nb->pb", C, x)
+            if p == 1:
+                s = S[0, 0]
+                if not np.all(s > 0.0):
+                    raise ValueError("innovation variance is not positive "
+                                     f"inside a likelihood batch at step {t}")
+                total += np.log(s) + v[0] * v[0] / s
+                gain = CP[0] / s
+                x += gain * v[0]
+                P -= (gain[:, None] * CP[0][None]).reshape(n * n, nb)
+            else:
+                try:
+                    L = np.linalg.cholesky(np.moveaxis(S, 2, 0))
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError("innovation covariance factorization "
+                                     "failed inside a likelihood batch at "
+                                     f"step {t}: {exc}") from exc
+                # With W = L^-1 C P: gain * v = W' white, gain * C P = W' W.
+                white = np.linalg.solve(L, v.T[:, :, None])[:, :, 0]
+                W = np.linalg.solve(L, np.moveaxis(CP, 2, 0))
+                total += (2.0 * np.log(np.diagonal(L, axis1=1, axis2=2))
+                          + white * white).sum(axis=1)
+                x += np.einsum("bpn,bp->nb", W, white)
+                P -= np.einsum("bpi,bpj->ijb", W, W).reshape(n * n, nb)
+            if t + 1 < n_exp:
+                x = model.A @ x + self.drive[t][:, None]
+                P = self.AA @ P + self.Q
+        return -0.5 * (total + n_exp * p * _LOG_2PI)
 
 
 @dataclass(frozen=True)
@@ -217,13 +211,17 @@ class PriorSpec:
 
 @dataclass
 class PosteriorDensity:
-    """Unnormalized log posterior plus a Monte Carlo normalizer estimate."""
+    """Unnormalized log posterior plus a Monte Carlo normalizer estimate.
+
+    `z_rel_error` = `z_std_error` / `z` stays finite when `z` underflows.
+    """
 
     prior: PriorSpec
     log_unnormalized: Callable
     log_z: float
     z: float
     z_std_error: float
+    z_rel_error: float
     mc_samples: int
 
     def log_density(self, thetas) -> np.ndarray:
@@ -255,7 +253,7 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: PriorSpec,
         # Likelihood identically one: Z = integral of the prior = 1 exactly.
         return PosteriorDensity(prior=prior, log_unnormalized=log_un_prior,
                                 log_z=0.0, z=1.0, z_std_error=0.0,
-                                mc_samples=0)
+                                z_rel_error=0.0, mc_samples=0)
 
     batch = _BatchLikelihood(model, data)
 
@@ -284,7 +282,8 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: PriorSpec,
     vol = prior.volume
     log_z = lmax + np.log(mean_w) + np.log(vol)
     z = float(np.exp(log_z))
-    z_se = vol * np.exp(lmax) * std_w / np.sqrt(mc_samples)
+    # From the weights scaled by exp(-lmax): finite even where z underflows.
+    z_rel = float(std_w / (mean_w * np.sqrt(mc_samples)))
     return PosteriorDensity(prior=prior, log_unnormalized=log_un,
-                            log_z=float(log_z), z=z, z_std_error=float(z_se),
-                            mc_samples=int(mc_samples))
+                            log_z=float(log_z), z=z, z_std_error=z * z_rel,
+                            z_rel_error=z_rel, mc_samples=int(mc_samples))

@@ -226,13 +226,13 @@ def _write_contour(path: Path, post, region: Region, grid: int) -> None:
         return
     xs = np.linspace(region.lower[0], region.upper[0], grid)
     ys = np.linspace(region.lower[1], region.upper[1], grid)
+    dens = post.density(np.column_stack([np.repeat(xs, grid),
+                                         np.tile(ys, grid)]))
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["theta_1", "theta_2", "density"])
-        for x in xs:
-            pts = np.column_stack([np.full(grid, x), ys])
-            dens = post.density(pts)
-            for y, v in zip(ys, dens):
+        for x, row in zip(xs, dens.reshape(grid, grid)):
+            for y, v in zip(ys, row):
                 writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
 
 
@@ -283,6 +283,7 @@ def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
                    "empty": restricted.empty},
         "normalizer": {"log_z": post.log_z, "z": post.z,
                        "std_error": post.z_std_error,
+                       "z_rel_error": post.z_rel_error,
                        "mc_samples": post.mc_samples},
         "decomposition": spec.decomposition.to_json_dict(),
     }

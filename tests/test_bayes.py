@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,6 +149,94 @@ class TestLogLikelihood:
             sb.log_likelihood([1.0, 0.0], data, silent)
 
 
+def _random_model(seed, n, p, q, d, rank_w=None, zero_c0=False):
+    """Stable random model; Sigma_w has rank `rank_w` (full if None)."""
+    gen = np.random.default_rng(seed)
+    A = gen.standard_normal((n, n))
+    A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+    F = gen.standard_normal((q, q if rank_w is None else rank_w))
+    E = gen.standard_normal((p, p))
+    return sb.ParametricLti(
+        A=A, B=gen.standard_normal((n, 1)), G=gen.standard_normal((n, q)),
+        C0=np.zeros((p, n)) if zero_c0 else gen.standard_normal((p, n)),
+        C_basis=tuple(gen.standard_normal((p, n)) for _ in range(d)),
+        Sigma_w=F @ F.T, Sigma_e=E @ E.T + 0.1 * np.eye(p),
+        input_lower=[-1], input_upper=[1])
+
+
+def _record(model, seed, n_exp):
+    gen = np.random.default_rng(seed)
+    return sb.collect_data(model, gen.uniform(-1, 1, model.d),
+                           sb.InputSampler("uniform", low=-1, high=1), n_exp,
+                           gen.uniform(-1, 1, model.n), RngStream(seed))
+
+
+def _assert_matches_oracle(model, data, thetas):
+    vec = _BatchLikelihood(model, data)(thetas)
+    ref = np.array([sb.log_likelihood(t, data, model) for t in thetas])
+    np.testing.assert_allclose(vec, ref, rtol=1e-9, atol=0.0)
+
+
+class TestBatchFilter:
+    """The Kalman batch against the dense joint Gaussian oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [
+        dict(n=3, p=2, q=2, d=2),
+        dict(n=3, p=2, q=3, d=2, rank_w=1),
+        dict(n=3, p=1, q=3, d=2, rank_w=2),
+        dict(n=3, p=1, q=2, d=1),
+        dict(n=2, p=1, q=2, d=2, zero_c0=True),
+        dict(n=3, p=2, q=2, d=0),
+        dict(n=3, p=1, q=1, d=0),
+    ], ids=["general_p2", "singular_w_p2", "singular_w_p1", "c0_p1",
+            "zero_c0", "d0_p2", "d0_p1"])
+    def test_random_models(self, shape, seed):
+        model = _random_model(seed, **shape)
+        data = _record(model, 100 + seed, 15)
+        thetas = np.random.default_rng(200 + seed).uniform(
+            -2, 2, (12, model.d))
+        _assert_matches_oracle(model, data, thetas)
+
+    @pytest.mark.parametrize("n_exp", [1, 2, 50])
+    def test_laguerre(self, model, n_exp):
+        data = sb.collect_data(model, [-0.5, 1.0],
+                               sb.InputSampler("uniform", low=-2, high=2),
+                               n_exp, [0, 0], RngStream(70))
+        thetas = np.random.default_rng(71).uniform(-3, 3, (16, 2))
+        _assert_matches_oracle(model, data, thetas)
+
+    @pytest.mark.parametrize("general", [False, True], ids=["p1", "p2"])
+    def test_zero_noise_raises_without_warning(self, model, general):
+        if general:
+            model = _random_model(3, n=3, p=2, q=2, d=2)
+        silent = model.with_overrides(Sigma_w=np.zeros((model.q, model.q)),
+                                      Sigma_e=np.zeros((model.p, model.p)))
+        data = sb.DataSet(inputs=np.zeros((3, 1)),
+                          outputs=np.ones((3, model.p)), x0=np.zeros(model.n))
+        batch = _BatchLikelihood(silent, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="likelihood batch"):
+                batch(np.ones((4, model.d)))
+
+    def test_peak_memory_independent_of_record_length(self, model):
+        thetas = np.random.default_rng(72).uniform(-3, 3, (4096, 2))
+        peaks = {}
+        for n_exp in (50, 400):
+            data = sb.collect_data(model, [-0.5, 1.0],
+                                   sb.InputSampler("uniform", low=-2, high=2),
+                                   n_exp, [0, 0], RngStream(73))
+            batch = _BatchLikelihood(model, data)
+            tracemalloc.start()
+            try:
+                batch(thetas)
+                peaks[n_exp] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] <= 1.25 * peaks[50]
+
+
 class TestPosterior:
     def test_no_data_returns_prior(self, model):
         prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
@@ -167,6 +258,7 @@ class TestPosterior:
         integral = 16.0 * vals.mean()
         se = 16.0 * vals.std(ddof=1) / np.sqrt(vals.size)
         z_rel = post.z_std_error / post.z
+        assert post.z_rel_error == pytest.approx(z_rel, rel=1e-12)
         assert abs(integral - 1.0) <= 3.0 * (se + z_rel)
 
     def test_concentrates_near_truth(self, model):
@@ -213,3 +305,15 @@ class TestPosterior:
         prior = sb.PriorSpec.uniform_box([-1, -1], [1, 1])
         post = sb.posterior(None, model, prior, 1000, RngStream(69))
         assert post.mc_samples == 0
+
+    def test_relative_error_survives_underflow(self, model):
+        # At 450 records z = exp(log_z) underflows to 0 in linear space;
+        # log_z and the relative error come from scaled weights and stay finite.
+        prior = sb.PriorSpec.uniform_box([-10, -10], [10, 10])
+        data = sb.collect_data(model, [-0.5, 1.0],
+                               sb.InputSampler("uniform", low=-2, high=2),
+                               450, [0, 0], RngStream(74))
+        post = sb.posterior(data, model, prior, 64, RngStream(75))
+        assert post.z == 0.0 and post.z_std_error == 0.0
+        assert np.isfinite(post.log_z)
+        assert np.isfinite(post.z_rel_error) and post.z_rel_error >= 0.0

@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 from pathlib import Path
 
@@ -165,6 +166,25 @@ class TestVerify:
         region = report["results"]["region"]
         assert not region["empty"]
         assert region["upper"][0] < 2.0
+
+    def test_contour_rows_and_normalizer_fields(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "o"
+        assert run(["verify", "--config", cfg, "--out", out]) == 0
+        with (out / "posterior_contour.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["theta_1", "theta_2", "density"]
+        grid = BASE_CONFIG["contour_grid"]
+        axis = np.linspace(-2.0, 2.0, grid)
+        values = np.array(rows[1:], dtype=float)
+        # One row per grid point, theta_1 outer and theta_2 inner.
+        assert np.array_equal(values[:, 0], np.repeat(axis, grid))
+        assert np.array_equal(values[:, 1], np.tile(axis, grid))
+        assert np.all(np.isfinite(values[:, 2])) and np.all(values[:, 2] >= 0)
+        norm = json.loads((out / "report.json").read_text())["results"][
+            "normalizer"]
+        assert norm["z_rel_error"] == pytest.approx(
+            norm["std_error"] / norm["z"], rel=1e-12)
 
 
 class TestTable1:
