@@ -26,6 +26,9 @@ from .lti import DataSet, ParametricLti, mean_trajectory
 from .rng import RngStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+# Most parameters per likelihood batch; the bundled configs' normalizers
+# (at most 8192 samples) stay one batch.
+_LIKELIHOOD_CHUNK = 8192
 
 
 def build_M(model: ParametricLti, theta, n_exp: int) -> np.ndarray:
@@ -260,9 +263,11 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: PriorSpec,
     def log_un(thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         out = prior.log_density(thetas)
-        inside = np.isfinite(out)
-        if inside.any():
-            out[inside] += batch(thetas[inside])
+        inside = np.flatnonzero(np.isfinite(out))
+        # Chunks keep the filter's working memory flat in the batch size.
+        for start in range(0, inside.size, _LIKELIHOOD_CHUNK):
+            rows = inside[start:start + _LIKELIHOOD_CHUNK]
+            out[rows] += batch(thetas[rows])
         return out
 
     gen = rng.generator()

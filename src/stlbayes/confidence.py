@@ -118,43 +118,44 @@ def pwa_confidence(post: PosteriorDensity, cells, per_cell_samples: int,
     """Posterior mass of feasible-labeled cells, by per-cell Monte Carlo.
 
     Unknown cells do not enter the point estimate; their mass widens the
-    attached interval [value, value + unknown mass].  Every cell integrates
-    with its own named substream, so the estimate is independent of
-    evaluation order.
+    attached interval [value, value + unknown mass].  Every cell draws its
+    points from its own named substream, so the estimate is independent of
+    evaluation order; the densities of all cells come from one call.
     """
     if per_cell_samples < 1:
         raise ValueError("per_cell_samples must be positive")
+    cells = list(cells)
+    n = int(per_cell_samples)
+    integrated = [idx for idx, cell in enumerate(cells)
+                  if cell.label in (FEASIBLE, UNKNOWN)]
+    dens = None
+    if integrated:
+        # One density call for every cell's points, split back by cell below.
+        pts = np.empty((n * len(integrated), cells[integrated[0]].lower.size))
+        for k, idx in enumerate(integrated):
+            gen = rng.child("cell", idx).generator()
+            pts[k * n:(k + 1) * n] = gen.uniform(
+                cells[idx].lower, cells[idx].upper, (n, pts.shape[1]))
+        dens = post.density(pts)
     value = 0.0
     var_est = 0.0
     unknown_mass = 0.0
-    per_cell = []
-    total = 0
-    for idx, cell in enumerate(cells):
-        record = {
-            "lower": cell.lower.tolist(),
-            "upper": cell.upper.tolist(),
-            "label": cell.label,
-            "mass": 0.0,
-            "std_error": 0.0,
-        }
-        if cell.label in (FEASIBLE, UNKNOWN):
-            gen = rng.child("cell", idx).generator()
-            pts = gen.uniform(cell.lower, cell.upper,
-                              (int(per_cell_samples), cell.lower.shape[0]))
-            dens = post.density(pts)
-            vol = cell.volume
-            mass = vol * float(dens.mean())
-            cell_var = (vol * vol * float(dens.var(ddof=1)) / per_cell_samples
-                        if per_cell_samples > 1 else 0.0)
-            record["mass"] = mass
-            record["std_error"] = math.sqrt(cell_var)
-            total += per_cell_samples
-            if cell.label == FEASIBLE:
-                value += mass
-                var_est += cell_var
-            else:
-                unknown_mass += mass
-        per_cell.append(record)
+    per_cell = [{"lower": cell.lower.tolist(), "upper": cell.upper.tolist(),
+                 "label": cell.label, "mass": 0.0, "std_error": 0.0}
+                for cell in cells]
+    for k, idx in enumerate(integrated):
+        cell, cell_dens = cells[idx], dens[k * n:(k + 1) * n]
+        vol = cell.volume
+        mass = vol * float(cell_dens.mean())
+        cell_var = vol * vol * float(cell_dens.var(ddof=1)) / n if n > 1 else 0.0
+        per_cell[idx]["mass"] = mass
+        per_cell[idx]["std_error"] = math.sqrt(cell_var)
+        if cell.label == FEASIBLE:
+            value += mass
+            var_est += cell_var
+        else:
+            unknown_mass += mass
+    total = n * len(integrated)
     eps, prob = _chebyshev_fields(var_est, epsilon)
     return ConfidenceEstimate(
         value=float(min(max(value, 0.0), 1.0)),

@@ -12,7 +12,9 @@ feasibility checks.  A piecewise-affine relaxation of the noise margin over
 axis-aligned parameter cells turns every leaf margin into a concave
 piecewise-linear function of theta on the cell, so cells can be certified
 feasible (exactly, via vertex evaluation) or infeasible (via an affine upper
-envelope), with "unknown" for the remainder.
+envelope), with "unknown" for the remainder.  `classify_cells` labels all
+cells of a call in one array pass per leaf; a cell is infeasible if any leaf
+certifies it so, else feasible if every leaf does, so leaf order is moot.
 """
 
 from __future__ import annotations
@@ -155,12 +157,9 @@ class _LeafGeometry:
     lo_stack: np.ndarray
     hi_stack: np.ndarray
 
-    def tilde(self, thetas: np.ndarray) -> np.ndarray:
-        return self.v0 + thetas @ self.J.T
-
     def margins(self, thetas: np.ndarray) -> np.ndarray:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        tl = self.tilde(thetas)
+        tl = self.v0 + thetas @ self.J.T
         out = self.offset + tl @ self.a_t
         if self.time > 0:
             f = tl @ self.W
@@ -206,21 +205,25 @@ def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
     for k in range(t - 1, -1, -1):
         W[:, k * model.m:(k + 1) * model.m] = Ak @ model.B
         Ak = model.A @ Ak
-    V = noise_gram(model, t)
+    coeff, power = _noise_coefficient(delta, gamma_form)
+    lo, hi = box.stacked(t)
+    return _LeafGeometry(label=leaf.label, time=t, offset=offset, v0=v0, J=J,
+                         a_t=a_t, W=W, V=noise_gram(model, t),
+                         noise_coeff=coeff, noise_power=power, lo_stack=lo,
+                         hi_stack=hi)
+
+
+def _noise_coefficient(delta: float, gamma_form: str):
+    """(coefficient, power of sigma) of the noise margin for one leaf."""
     if gamma_form == "stddev":
-        coeff, power = gaussian_quantile(delta), 1
-    elif gamma_form == "variance_literal":
+        return gaussian_quantile(delta), 1
+    if gamma_form == "variance_literal":
         arg = np.sqrt(np.pi) * delta
         if not arg < 1.0:
             raise ValueError(
                 "variance_literal margin undefined for delta >= 1/sqrt(pi)")
-        coeff, power = float(erfinv(arg)), 2
-    else:
-        raise ValueError(f"unknown gamma form {gamma_form!r}")
-    lo, hi = box.stacked(t)
-    return _LeafGeometry(label=leaf.label, time=t, offset=offset, v0=v0, J=J,
-                         a_t=a_t, W=W, V=V, noise_coeff=coeff,
-                         noise_power=power, lo_stack=lo, hi_stack=hi)
+        return float(erfinv(arg)), 2
+    raise ValueError(f"unknown gamma form {gamma_form!r}")
 
 
 # --- verification spec ------------------------------------------------------
@@ -360,23 +363,17 @@ def restrict_region(spec: VerificationSpec, region: Region, grid: int = 33,
             full = np.insert(sub, i, v, axis=1)
             return bool(spec.satisfaction_batch(full).any())
 
-        inner, outer = float(hits[:, i].max()), float(region.upper[i])
-        while outer - inner > tol:
-            mid = 0.5 * (inner + outer)
-            if slice_has_hit(mid):
-                inner = mid
-            else:
-                outer = mid
-        upper[i] = outer
+        def bisect(inner: float, outer: float) -> float:
+            while abs(outer - inner) > tol:
+                mid = 0.5 * (inner + outer)
+                if slice_has_hit(mid):
+                    inner = mid
+                else:
+                    outer = mid
+            return outer
 
-        inner, outer = float(hits[:, i].min()), float(region.lower[i])
-        while inner - outer > tol:
-            mid = 0.5 * (inner + outer)
-            if slice_has_hit(mid):
-                inner = mid
-            else:
-                outer = mid
-        lower[i] = outer
+        upper[i] = bisect(float(hits[:, i].max()), float(region.upper[i]))
+        lower[i] = bisect(float(hits[:, i].min()), float(region.lower[i]))
     return Region(lower, upper, empty=False)
 
 
@@ -391,7 +388,7 @@ class ThetaCell:
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float).reshape(-1)
         hi = np.asarray(self.upper, dtype=float).reshape(-1)
-        if lo.shape != hi.shape or np.any(lo > hi):
+        if lo.shape != hi.shape or (lo > hi).any():
             raise ValueError("invalid cell bounds")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -407,10 +404,6 @@ class ThetaCell:
     @property
     def volume(self) -> float:
         return float(np.prod(self.upper - self.lower))
-
-    def vertices(self) -> np.ndarray:
-        cols = [(lo, hi) for lo, hi in zip(self.lower, self.upper)]
-        return np.array(list(itertools.product(*cols)))
 
 
 def pwa_partition(region: Region, per_axis: int) -> list:
@@ -441,60 +434,71 @@ class GammaAffine:
         return self.value0 + float(self.slope @ (theta - self.center))
 
 
-def _gamma_affine_for_geometry(g: _LeafGeometry, cell: ThetaCell):
-    """Affine noise-margin model and remainder bound over one cell.
+def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x[c] for every row c of x (M one matrix or C of them), rounded as
+    each one-row product is, so labels do not depend on batching."""
+    return (M @ x[..., None])[..., 0]
 
-    Smooth branch: first-order expansion at the cell center with the
-    Taylor remainder bounded through the Hessian of sigma (norm at most
+
+def _cell_arrays(lower: np.ndarray, upper: np.ndarray):
+    """Centers (C, d), radius norms (C,) and vertices (C * 2^d, d) of boxes,
+    each box's 2^d vertices in consecutive rows."""
+    d = lower.shape[1]
+    upper_bit = np.array(list(itertools.product((False, True), repeat=d)),
+                         dtype=bool).reshape(2 ** d, d)
+    radii = 0.5 * (upper - lower)
+    return (0.5 * (lower + upper), np.sqrt(_mv(radii[:, None, :], radii)[:, 0]),
+            np.where(upper_bit, upper[:, None], lower[:, None]).reshape(-1, d))
+
+
+def _noise_band(J, v0, V, coeff: float, power: int, centers: np.ndarray,
+                rho: np.ndarray, tl_verts: np.ndarray):
+    """Affine models value0 + slope . (theta - center) within eps of the noise
+    margin coeff * sigma^power, sigma^2 = tilde' V tilde, tilde = v0 + J theta,
+    on each of C cells: arrays (C,), (C, d), (C,); tl_verts is tilde at the
+    vertices in `_cell_arrays` order.
+
+    Smooth branch: first-order expansion at the cell center with the Taylor
+    remainder bounded through the Hessian of sigma (norm at most
     2 lambda_max(Q) / sigma_min on the cell).  Cells whose sigma lower bound
     degenerates (the cone point of the standard deviation) fall back to a
     constant model bracketing gamma by interval bounds on sigma alone.
     """
-    center = cell.center
-    rho = float(np.linalg.norm(cell.radii))
-    if g.time == 0:
-        return GammaAffine(center, 0.0, np.zeros_like(center)), 0.0
-    Q = g.J.T @ g.V @ g.J
-    tilde_c = g.v0 + g.J @ center
-    var_c = float(max(tilde_c @ g.V @ tilde_c, 0.0))
+    Q = J.T @ V @ J
+    lam = float(np.linalg.eigvalsh(Q).max()) if Q.size else 0.0
+    tilde_c = v0 + _mv(J, centers)
+    grad = _mv(J.T, _mv(V, tilde_c))
+    var_c = np.maximum(_mv(_mv(V.T, tilde_c)[:, None, :], tilde_c)[:, 0], 0.0)
 
-    if g.noise_power == 2:
+    if power == 2:
         # Quadratic in theta: exact Hessian 2 J^T V J everywhere.
-        lam = float(np.linalg.eigvalsh(Q).max()) if Q.size else 0.0
-        slope = 2.0 * g.noise_coeff * (g.J.T @ (g.V @ tilde_c))
-        eps = abs(g.noise_coeff) * lam * rho * rho
-        return GammaAffine(center, g.noise_coeff * var_c, slope), eps
+        return coeff * var_c, 2.0 * coeff * grad, abs(coeff) * lam * rho * rho
 
     sigma_c = np.sqrt(var_c)
-    lam = float(np.linalg.eigvalsh(Q).max()) if Q.size else 0.0
+    if lam == 0.0:
+        # Noise variance constant over the cell (always so at time 0).
+        return coeff * sigma_c, np.zeros_like(centers), np.zeros_like(rho)
     lip = np.sqrt(lam)
     sigma_min = sigma_c - lip * rho
-    if lam == 0.0:
-        # Noise variance constant over the cell.
-        return GammaAffine(center, g.noise_coeff * sigma_c,
-                           np.zeros_like(center)), 0.0
 
     # Interval fallback: bracket sigma over the cell directly.  sigma is
     # convex, so its maximum sits at a vertex; the Lipschitz bound gives the
     # minimum.  Sound everywhere, including cells containing the cone point.
-    verts = cell.vertices()
-    tl = g.v0 + verts @ g.J.T
-    sigma_hi = float(np.sqrt(np.clip(
-        np.einsum("bi,ij,bj->b", tl, g.V, tl), 0.0, None)).max())
-    sigma_lo = max(sigma_min, 0.0)
-    mid = 0.5 * g.noise_coeff * (sigma_hi + sigma_lo)
-    eps_flat = 0.5 * abs(g.noise_coeff) * (sigma_hi - sigma_lo)
-    fallback = (GammaAffine(center, mid, np.zeros_like(center)), eps_flat)
+    var_v = np.einsum("bi,ij,bj->b", tl_verts, V, tl_verts)
+    sigma_hi = np.sqrt(np.clip(var_v, 0.0, None)).reshape(rho.size, -1).max(axis=1)
+    sigma_lo = np.maximum(sigma_min, 0.0)
+    mid = 0.5 * coeff * (sigma_hi + sigma_lo)
+    eps_flat = 0.5 * abs(coeff) * (sigma_hi - sigma_lo)
 
-    if sigma_min <= max(1e-12, 1e-6 * lip * rho):
-        return fallback
     # Smooth branch: tangent model with a Hessian-based remainder, valid
-    # because sigma stays bounded away from zero on the cell.
-    slope = g.noise_coeff * (g.J.T @ (g.V @ tilde_c)) / sigma_c
-    eps_smooth = abs(g.noise_coeff) * lam * rho * rho / sigma_min
-    if eps_smooth <= eps_flat:
-        return GammaAffine(center, g.noise_coeff * sigma_c, slope), eps_smooth
-    return fallback
+    # where sigma stays bounded away from zero; elsewhere divide by 1.
+    smooth = sigma_min > np.maximum(1e-12, 1e-6 * lip * rho)
+    eps_smooth = abs(coeff) * lam * rho * rho / np.where(smooth, sigma_min, 1.0)
+    smooth &= eps_smooth <= eps_flat
+    slope = coeff * grad / np.where(smooth, sigma_c, 1.0)[:, None]
+    return (np.where(smooth, coeff * sigma_c, mid),
+            np.where(smooth[:, None], slope, 0.0),
+            np.where(smooth, eps_smooth, eps_flat))
 
 
 def pwa_linearize(model: ParametricLti, cell: ThetaCell, delta: float, t: int,
@@ -516,60 +520,56 @@ def pwa_linearize(model: ParametricLti, cell: ThetaCell, delta: float, t: int,
         J, v0 = tilde_map
         J = np.asarray(J, dtype=float)
         v0 = np.asarray(v0, dtype=float).reshape(-1)
-    if gamma_form == "stddev":
-        coeff, power = gaussian_quantile(delta), 1
-    elif gamma_form == "variance_literal":
-        coeff, power = float(erfinv(np.sqrt(np.pi) * delta)), 2
-    else:
-        raise ValueError(f"unknown gamma form {gamma_form!r}")
-    geom = _LeafGeometry(label="", time=t, offset=0.0, v0=v0, J=J,
-                         a_t=np.zeros(model.n), W=np.zeros((model.n, 0)),
-                         V=noise_gram(model, t), noise_coeff=coeff,
-                         noise_power=power, lo_stack=np.zeros(0),
-                         hi_stack=np.zeros(0))
-    return _gamma_affine_for_geometry(geom, cell)
+    centers, rho, verts = _cell_arrays(cell.lower[None], cell.upper[None])
+    value0, slope, eps = _noise_band(
+        J, v0, noise_gram(model, t), *_noise_coefficient(delta, gamma_form),
+        centers, rho, v0 + verts @ J.T)
+    return GammaAffine(cell.center, float(value0[0]), slope[0]), float(eps[0])
 
 
 def pwa_classify(cell: ThetaCell, spec: VerificationSpec) -> str:
-    """Label a cell feasible, infeasible or unknown.
-
-    After substituting the affine noise model, every leaf margin is concave
-    piecewise-linear in theta on the cell, so the pessimistic margin
-    (gamma_hat - eps) is minimized at a vertex: nonnegative at all vertices
-    certifies the whole cell.  Infeasibility is certified through an affine
-    upper envelope of the optimistic margin (input branch fixed at the cell
-    center) falling below zero at every vertex.
-    """
-    verts = cell.vertices()
-    center = cell.center
-    feasible = True
-    for g in spec._geometry:
-        gaff, eps = _gamma_affine_for_geometry(g, cell)
-        tl_v = g.v0 + verts @ g.J.T
-        base = g.offset + tl_v @ g.a_t
-        gam_v = gaff.value0 + (verts - center) @ gaff.slope
-        if g.time > 0:
-            f_v = tl_v @ g.W
-            input_min = np.minimum(f_v * g.lo_stack, f_v * g.hi_stack).sum(axis=1)
-        else:
-            input_min = np.zeros(verts.shape[0])
-        pess = base + input_min + gam_v - eps
-        if pess.min() < -FEAS_TOL:
-            feasible = False
-            # Affine upper envelope of the optimistic margin: pick the
-            # worst-case input branch at the center and keep it fixed.
-            if g.time > 0:
-                tilde_c = g.v0 + g.J @ center
-                f_c = tilde_c @ g.W
-                u_star = np.where(f_c >= 0.0, g.lo_stack, g.hi_stack)
-                input_ub = (tl_v @ g.W) @ u_star
-            else:
-                input_ub = np.zeros(verts.shape[0])
-            opt_ub = base + input_ub + gam_v + eps
-            if opt_ub.max() < -FEAS_TOL:
-                return INFEASIBLE_LABEL
-    return FEASIBLE if feasible else UNKNOWN
+    """Label one cell feasible, infeasible or unknown (see `classify_cells`)."""
+    return classify_cells([cell], spec)[0].label
 
 
 def classify_cells(cells, spec: VerificationSpec) -> list:
-    return [replace(cell, label=pwa_classify(cell, spec)) for cell in cells]
+    """Copies of `cells` labelled feasible, infeasible or unknown.
+
+    With the affine noise model every leaf margin is concave piecewise-linear
+    in theta on a cell, so the pessimistic margin (gamma_hat - eps) is least
+    at a vertex.  An affine upper envelope of the optimistic margin (input
+    branch fixed at the cell center) bounds it from above.  One array pass
+    per leaf covers all cells: a cell is infeasible if some leaf's envelope
+    is below zero at every vertex, else feasible if every leaf's pessimistic
+    margin is nonnegative at every vertex, else unknown.  The envelope is
+    never below the pessimistic margin, so leaf order does not matter.
+    """
+    cells = list(cells)
+    if not cells:
+        return []
+    centers, rho, verts = _cell_arrays(np.array([c.lower for c in cells]),
+                                       np.array([c.upper for c in cells]))
+    shape = (len(cells), verts.shape[0] // len(cells))  # (cell, vertex) rows
+    from_center = verts.reshape(*shape, centers.shape[1]) - centers[:, None]
+    feasible, infeasible = np.ones(len(cells), bool), np.zeros(len(cells), bool)
+    for g in spec._geometry:
+        tl_v = g.v0 + verts @ g.J.T
+        value0, slope, eps = _noise_band(g.J, g.v0, g.V, g.noise_coeff,
+                                         g.noise_power, centers, rho, tl_v)
+        base = g.offset + tl_v @ g.a_t
+        gam_v = value0[:, None] + _mv(from_center, slope)
+        f_v = tl_v @ g.W
+        input_min = np.minimum(f_v * g.lo_stack, f_v * g.hi_stack).sum(axis=1)
+        # Affine upper envelope of the optimistic margin: pick the worst-case
+        # input branch at the center and keep it fixed.
+        f_c = _mv(g.W.T, g.v0 + _mv(g.J, centers))
+        input_ub = _mv(f_v.reshape(*shape, f_v.shape[1]),
+                       np.where(f_c >= 0.0, g.lo_stack, g.hi_stack))
+        pess = (base + input_min).reshape(shape) + gam_v - eps[:, None]
+        opt_ub = base.reshape(shape) + input_ub + gam_v + eps[:, None]
+        feasible &= pess.min(axis=1) >= -FEAS_TOL
+        infeasible |= opt_ub.max(axis=1) < -FEAS_TOL
+    labels = np.where(infeasible, INFEASIBLE_LABEL,
+                      np.where(feasible, FEASIBLE, UNKNOWN))
+    return [replace(cell, label=str(label))
+            for cell, label in zip(cells, labels)]

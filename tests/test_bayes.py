@@ -236,6 +236,26 @@ class TestBatchFilter:
                 tracemalloc.stop()
         assert peaks[400] <= 1.25 * peaks[50]
 
+    def test_peak_memory_flat_in_batch_size(self, model):
+        # The posterior runs the filter in chunks, so one call on many rows
+        # holds little more than its inputs and outputs.
+        prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
+        data = sb.collect_data(model, [0.3, 0.3],
+                               sb.InputSampler("uniform", low=-2, high=2),
+                               8, [0, 0], RngStream(74))
+        post = sb.posterior(data, model, prior, 1024, RngStream(75))
+        thetas = RngStream(76).generator().uniform(-2, 2, size=(131072, 2))
+        tracemalloc.start()
+        try:
+            dens = post.density(thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        # Chunk boundaries do not change a value.
+        parts = [post.density(t) for t in np.array_split(thetas, 48)]
+        assert np.array_equal(dens, np.concatenate(parts))
+
 
 class TestPosterior:
     def test_no_data_returns_prior(self, model):

@@ -111,6 +111,35 @@ class TestPwaConfidence:
         assert a == b
 
 
+    def test_batched_density_matches_per_cell_loop(self, safety_spec,
+                                                   safety_region):
+        model = safety_spec.model
+        prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
+        data = sb.collect_data(model, [0.3, 0.3],
+                               sb.InputSampler("uniform", low=-2, high=2),
+                               8, [0, 0], RngStream(19))
+        post = sb.posterior(data, model, prior, 1024, RngStream(20))
+        cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
+                                  safety_spec)
+        rng = RngStream(21, ("pwa",))
+        est = sb.pwa_confidence(post, cells, 50, rng)
+        value = 0.0
+        for idx, (cell, record) in enumerate(zip(cells, est.per_cell)):
+            mass = se = 0.0
+            if cell.label != "infeasible":
+                pts = rng.child("cell", idx).generator().uniform(
+                    cell.lower, cell.upper, (50, 2))
+                dens = post.density(pts)
+                mass = cell.volume * float(dens.mean())
+                se = np.sqrt(cell.volume ** 2 * float(dens.var(ddof=1)) / 50)
+            assert (record["label"], record["mass"], record["std_error"]) == \
+                (cell.label, mass, se)
+            if cell.label == "feasible":
+                value += mass
+        assert est.raw_value == value
+        assert est.samples == 50 * sum(c.label != "infeasible" for c in cells)
+
+
 class TestUnderApproximation:
     def test_pwa_below_mc_on_posterior(self, safety_spec, safety_region):
         model = safety_spec.model

@@ -1,4 +1,6 @@
 import itertools
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +221,12 @@ class TestPwaLinearize:
         _, eps2 = sb.pwa_linearize(safety_model, half, 0.01, 3)
         assert eps1 / eps2 >= 3.9
 
+    def test_literal_form_rejects_large_delta(self, safety_model):
+        cell = sb.ThetaCell([0.5, 0.5], [1.0, 1.0])
+        with pytest.raises(ValueError, match="variance_literal"):
+            sb.pwa_linearize(safety_model, cell, 0.6, 3,
+                             gamma_form="variance_literal")
+
     def test_cone_cell_falls_back_to_interval(self, safety_model):
         cell = sb.ThetaCell([-0.2, -0.2], [0.2, 0.2])
         gaff, eps = sb.pwa_linearize(safety_model, cell, 0.01, 3)
@@ -229,26 +237,103 @@ class TestPwaLinearize:
             assert gaff(theta) - eps - 1e-12 <= val <= gaff(theta) + eps + 1e-12
 
 
+CASE_REGION = sb.Region([-3.5, -3.5], [3.5, 3.5])
+
+
+def _counts(cells):
+    labels = [c.label for c in cells]
+    return (labels.count(FEASIBLE), labels.count(INFEASIBLE_LABEL),
+            labels.count(UNKNOWN))
+
+
 class TestPwaClassify:
     def test_feasible_cells_are_sound(self, safety_spec, safety_region):
-        cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
-                                  safety_spec)
-        labels = {c.label for c in cells}
-        assert labels == {FEASIBLE, INFEASIBLE_LABEL, UNKNOWN}
         gen = np.random.default_rng(10)
-        for cell in cells:
-            if cell.label == FEASIBLE:
-                pts = gen.uniform(cell.lower, cell.upper, size=(300, 2))
-                assert safety_spec.satisfaction_batch(pts).all()
+        for per_axis in (16, 64):
+            cells = sb.classify_cells(
+                sb.pwa_partition(safety_region, per_axis), safety_spec)
+            labels = {c.label for c in cells}
+            assert labels == {FEASIBLE, INFEASIBLE_LABEL, UNKNOWN}
+            for cell in cells:
+                if cell.label == FEASIBLE:
+                    pts = gen.uniform(cell.lower, cell.upper, size=(300, 2))
+                    assert safety_spec.satisfaction_batch(pts).all()
 
     def test_infeasible_cells_are_sound(self, safety_spec, safety_region):
         gen = np.random.default_rng(11)
+        for per_axis in (16, 64):
+            cells = sb.classify_cells(
+                sb.pwa_partition(safety_region, per_axis), safety_spec)
+            for cell in cells:
+                if cell.label == INFEASIBLE_LABEL:
+                    pts = gen.uniform(cell.lower, cell.upper, size=(100, 2))
+                    assert not safety_spec.satisfaction_batch(pts).any()
+
+    # Label counts (feasible, infeasible, unknown) of the per-cell loop that
+    # the array pass replaced, on the same partitions.
+    @pytest.mark.parametrize("which, form, per_axis, counts", [
+        ("safety", "stddev", 5, (1, 16, 8)),
+        ("safety", "stddev", 16, (10, 216, 30)),
+        ("safety", "stddev", 64, (326, 3676, 94)),
+        ("case", "stddev", 5, (0, 24, 1)),
+        ("case", "variance_literal", 5, (0, 6, 19)),
+        ("case", "variance_literal", 16, (26, 194, 36)),
+        ("safety", "variance_literal", 16, (126, 72, 58)),
+    ])
+    def test_pinned_label_counts(self, which, form, per_axis, counts,
+                                 safety_spec, case_spec, safety_region):
+        base, region = ((safety_spec, safety_region) if which == "safety"
+                        else (case_spec, CASE_REGION))
+        spec = sb.VerificationSpec(base.model, base.formula, base.delta,
+                                   gamma_form=form)
+        cells = sb.classify_cells(sb.pwa_partition(region, per_axis), spec)
+        assert _counts(cells) == counts
+
+    def test_single_cell_calls_match_batch(self, safety_spec, safety_region):
         cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
                                   safety_spec)
+        assert [sb.pwa_classify(c, safety_spec) for c in cells] == \
+            [c.label for c in cells]
+
+    def test_empty_cell_list(self, safety_spec):
+        assert sb.classify_cells([], safety_spec) == []
+
+    def test_one_parameter_partition(self, safety_model, safety_formula):
+        model = sb.ParametricLti(
+            A=safety_model.A, B=safety_model.B, G=safety_model.G,
+            C0=[[0.0, 0.5]], C_basis=([[1.0, 0.0]],),
+            Sigma_w=safety_model.Sigma_w, Sigma_e=safety_model.Sigma_e,
+            input_lower=safety_model.input_lower,
+            input_upper=safety_model.input_upper)
+        spec = sb.VerificationSpec(model, safety_formula, 0.05)
+        cells = sb.classify_cells(
+            sb.pwa_partition(sb.Region([-2.0], [2.0]), 32), spec)
+        assert len(cells) == 32
+        assert {FEASIBLE, INFEASIBLE_LABEL} <= {c.label for c in cells}
+        gen = np.random.default_rng(12)
         for cell in cells:
-            if cell.label == INFEASIBLE_LABEL:
-                pts = gen.uniform(cell.lower, cell.upper, size=(100, 2))
-                assert not safety_spec.satisfaction_batch(pts).any()
+            sat = spec.satisfaction_batch(
+                gen.uniform(cell.lower, cell.upper, size=(100, 1)))
+            if cell.label == FEASIBLE:
+                assert sat.all()
+            elif cell.label == INFEASIBLE_LABEL:
+                assert not sat.any()
+
+    def test_cone_point_center_without_warning(self, safety_spec):
+        # sigma vanishes at theta = 0 (C0 = 0), while lambda_max(Q) > 0.
+        cells = [sb.ThetaCell([-0.2, -0.2], [0.2, 0.2]),
+                 sb.ThetaCell([0.0, 0.0], [0.0, 0.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            labels = [c.label for c in sb.classify_cells(cells, safety_spec)]
+        assert all(label in (FEASIBLE, INFEASIBLE_LABEL, UNKNOWN)
+                   for label in labels)
+
+    def test_runtime_per_axis_64(self, safety_spec, safety_region):
+        cells = sb.pwa_partition(safety_region, 64)
+        start = time.perf_counter()
+        sb.classify_cells(cells, safety_spec)
+        assert time.perf_counter() - start < 0.5
 
     def test_exterior_point_cell_not_feasible(self, case_spec):
         # A small cell around a parameter outside the feasible set must not
