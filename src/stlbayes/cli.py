@@ -1,9 +1,14 @@
 """Batch front end: config-driven verification, inference and simulation.
 
-Configs are single JSON documents (schema documented in the README).  All
-randomness flows from one seed through named substreams, so a report can be
-reproduced exactly from the config it embeds.  Exit codes: 0 success,
-2 config error, 3 numeric failure.
+Configs are single JSON documents (schema documented in the README).  Every
+value is read through `_field`, and the library constructors that check
+values run inside `_at`, so a config error names the field's dotted path.
+`_problem` checks the whole config and builds the model, spec, region, prior
+and PWA cells before any numeric work; `_estimate` runs posterior, MC and PWA
+on them, once for `verify` and once per parameter and repetition for
+`table1`.  All randomness flows from one seed through named substreams, so
+a report can be reproduced exactly from the config it embeds.  Exit codes:
+0 success, 2 config error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -11,8 +16,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,10 +35,9 @@ from .feasibility import (
     pwa_partition,
     restrict_region,
 )
-from .lti import DataSet, InputSampler, ParametricLti, collect_data, laguerre_model
+from .lti import InputSampler, ParametricLti, collect_data, laguerre_model
 from .rng import RngStream
 from .stl import OutputPredicate, LinearPredicate, StlError, parse_stl
-from .confidence import ConfidenceEstimate
 
 
 class ConfigError(ValueError):
@@ -39,275 +46,317 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _get(cfg: dict, path: str, key: str, default=None, required=False):
-    if key in cfg:
-        return cfg[key]
-    if required:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
-    return default
+@contextmanager
+def _at(path: str):
+    """Turn a ValueError or TypeError (StlError too) into a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
+def _expect(what: str, test):
+    """A field kind: returns the values `test` accepts, rejects the rest."""
+    def kind(value):
+        if not test(value):
+            raise ValueError(f"expected {what}, got {value!r}")
+        return value
+    return kind
+
+
+def _real(v) -> bool:
+    # bool is an int subclass, but no number here.
+    return type(v) is int or type(v) is float and math.isfinite(v)
+
+
+def _vector(n: int):
+    return _expect(f"a list of {n} finite numbers", lambda v: isinstance(
+        v, list) and len(v) == n and all(map(_real, v)))
+
+
+def _choice(*names):
+    return _expect(" or ".join(map(repr, names)), lambda v: v in names)
+
+
+_number = _expect("a finite number", _real)
+_positive = _expect("a number > 0", lambda v: _real(v) and v > 0)
+_fraction = _expect("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1)
+_integer = _expect("an integer", lambda v: type(v) is int)
+_count = _expect("an integer >= 1", lambda v: type(v) is int and v >= 1)
+_flag = _expect("true or false", lambda v: isinstance(v, bool))
+_text = _expect("a string", lambda v: isinstance(v, str))
+_object = _expect("an object", lambda v: isinstance(v, dict))
+_pair = _expect("[lower, upper]", lambda v: isinstance(v, list) and len(v) == 2)
+_METHODS = _choice("mc", "pwa", "both")
+
+
+def _field(cfg: dict, path: str, kind, default=...):
+    """The value at the dotted `path` of `cfg`, checked by `kind`, else
+    `default`; errors name the field's path, or its section's if that is
+    not an object."""
+    section, _, key = path.rpartition(".")
+    node = _field(cfg, section, _object, {}) if section else cfg
+    if key not in node:
+        if default is ...:  # required
+            raise ConfigError(path, "missing required field")
+        return default
+    with _at(path):
+        return kind(node[key])
+
+
+_MATRICES = ("A", "B", "G", "C0", "C_basis", "Sigma_w", "Sigma_e",
+             "input_lower", "input_upper")
+_OVERRIDES = ("Sigma_w", "Sigma_e", "G")  # a preset's, besides input_box
 
 
 def _build_model(cfg: dict) -> ParametricLti:
-    section = _get(cfg, "", "model", required=True)
-    if "preset" in section:
-        if section["preset"] != "laguerre":
-            raise ConfigError("model.preset", f"unknown preset {section['preset']!r}")
-        a = _get(section, "model", "a", required=True)
-        try:
-            model = laguerre_model(float(a))
-        except ValueError as exc:
-            raise ConfigError("model.a", str(exc)) from exc
-    else:
-        try:
-            box = section.get("input_box")
-            model = ParametricLti(
-                A=section["A"], B=section["B"], G=section["G"],
-                C0=section["C0"], C_basis=tuple(section["C_basis"]),
-                Sigma_w=section["Sigma_w"], Sigma_e=section["Sigma_e"],
-                input_lower=box[0] if box else section["input_lower"],
-                input_upper=box[1] if box else section["input_upper"],
-            )
-        except KeyError as exc:
-            raise ConfigError(f"model.{exc.args[0]}", "missing required field")
-        except ValueError as exc:
-            raise ConfigError("model", str(exc)) from exc
-    overrides = {}
-    for key in ("Sigma_w", "Sigma_e", "G"):
-        if key in section and "preset" in section:
-            overrides[key] = np.asarray(section[key], dtype=float)
-    if "input_box" in section and "preset" in section:
-        box = section["input_box"]
-        overrides["input_lower"] = np.asarray(box[0], dtype=float)
-        overrides["input_upper"] = np.asarray(box[1], dtype=float)
-    if overrides:
-        try:
-            model = model.with_overrides(**overrides)
-        except ValueError as exc:
-            raise ConfigError("model", str(exc)) from exc
-    return model
+    section = _field(cfg, "model", _object)
+    preset = "preset" in section
+    given = {key: section[key] for key in (_OVERRIDES if preset else _MATRICES)
+             if key in section}
+    if "input_box" in section:
+        given["input_lower"], given["input_upper"] = _field(
+            cfg, "model.input_box", _pair)
+    if preset:
+        for key in ("input_lower", "input_upper"):
+            if key in section:
+                raise ConfigError(f"model.{key}",
+                                  "a preset takes its inputs from input_box")
+        _field(cfg, "model.preset", _choice("laguerre"))
+        a = _field(cfg, "model.a", _number)
+        with _at("model.a"):
+            model = laguerre_model(a)
+        with _at("model"):
+            return model.with_overrides(**given)
+    missing = [key for key in _MATRICES if key not in given]
+    if missing:
+        raise ConfigError(f"model.{missing[0]}", "missing required field")
+    with _at("model"):
+        return ParametricLti(**given)
 
 
 def _build_predicates(cfg: dict, model: ParametricLti) -> dict:
     table = {}
-    section = _get(cfg, "", "predicates", default={})
-    for name, entry in section.items():
-        offset = _get(entry, f"predicates.{name}", "offset", required=True)
+    for name in _field(cfg, "predicates", _object, {}):
+        if not name.isidentifier():
+            # A formula cannot name it, and a dot would split its path.
+            raise ConfigError("predicates", f"{name!r} is not a predicate name")
+        path = f"predicates.{name}"
+        entry = _field(cfg, path, _object)
+        offset = _field(cfg, f"{path}.offset", _number)
         if "output_gradient" in entry:
-            grad = entry["output_gradient"]
-            if len(grad) != model.p:
-                raise ConfigError(f"predicates.{name}.output_gradient",
-                                  f"expected {model.p} entries, got {len(grad)}")
-            table[name] = OutputPredicate(float(offset), tuple(grad))
+            table[name] = OutputPredicate(offset, tuple(_field(
+                cfg, f"{path}.output_gradient", _vector(model.p))))
         elif "state_gradient" in entry:
-            grad = entry["state_gradient"]
-            if len(grad) != model.n:
-                raise ConfigError(f"predicates.{name}.state_gradient",
-                                  f"expected {model.n} entries, got {len(grad)}")
-            table[name] = LinearPredicate(float(offset), tuple(grad))
+            table[name] = LinearPredicate(offset, tuple(_field(
+                cfg, f"{path}.state_gradient", _vector(model.n))))
         else:
-            raise ConfigError(f"predicates.{name}",
-                              "need output_gradient or state_gradient")
+            raise ConfigError(path, "need output_gradient or state_gradient")
     return table
-
-
-def _build_region(cfg: dict, key: str, d: int, required=True):
-    section = _get(cfg, "", key, required=required)
-    if section is None:
-        return None
-    lower = _get(section, key, "lower", required=True)
-    upper = _get(section, key, "upper", required=True)
-    if len(lower) != d or len(upper) != d:
-        raise ConfigError(key, f"bounds must have {d} coordinates")
-    try:
-        return Region(lower, upper)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from exc
 
 
 def _build_spec(cfg: dict, model: ParametricLti) -> VerificationSpec:
     table = _build_predicates(cfg, model)
-    text = _get(cfg, "", "formula", required=True)
-    try:
+    text = _field(cfg, "formula", _text)
+    with _at("formula"):
         formula = parse_stl(text, table)
-    except StlError as exc:
-        raise ConfigError("formula", str(exc)) from exc
-    delta = float(_get(cfg, "", "delta", required=True))
-    weights_cfg = _get(cfg, "", "weights", default={"mode": "uniform"})
-    try:
-        scheme = WeightScheme(mode=weights_cfg.get("mode", "uniform"),
-                              weights=weights_cfg.get("weights", {}))
-    except ValueError as exc:
-        raise ConfigError("weights", str(exc)) from exc
-    x0 = _get(cfg, "", "x0", default=[0.0] * model.n)
-    box_cfg = _get(cfg, "", "input_box", default=None)
+    with _at("weights"):
+        scheme = WeightScheme(mode=_field(cfg, "weights.mode", _text, "uniform"),
+                              weights=_field(cfg, "weights.weights", _object, {}))
     input_box = None
-    if box_cfg is not None:
-        input_box = InputBox(box_cfg[0], box_cfg[1])
-    try:
+    if "input_box" in cfg:
+        lower, upper = _field(cfg, "input_box", _pair)
+        with _at("input_box"):
+            input_box = InputBox(lower, upper)
+            if input_box.m != model.m:
+                raise ValueError(f"expected {model.m} input coordinates")
+    # The fields are checked at their own paths before the spec is built.
+    with _at("formula"):
         return VerificationSpec(
-            model=model, formula=formula, delta=delta, x0=x0, weights=scheme,
-            input_box=input_box,
-            gamma_form=_get(cfg, "", "gamma_form", default="stddev"),
-            literal_shares=bool(_get(cfg, "", "literal_shares", default=False)),
-        )
-    except (ValueError, StlError) as exc:
-        raise ConfigError("formula", str(exc)) from exc
+            model=model, formula=formula,
+            delta=_field(cfg, "delta", _fraction),
+            x0=_field(cfg, "x0", _vector(model.n), [0.0] * model.n),
+            weights=scheme, input_box=input_box,
+            gamma_form=_field(cfg, "gamma_form",
+                              _choice("stddev", "variance_literal"), "stddev"),
+            literal_shares=_field(cfg, "literal_shares", _flag, False))
 
 
 def _build_prior(cfg: dict, d: int) -> PriorSpec:
-    section = _get(cfg, "", "prior", required=True)
-    kind = _get(section, "prior", "kind", default="uniform_box")
-    if kind != "uniform_box":
-        raise ConfigError("prior.kind", "only uniform_box priors are "
-                                        "configurable from files")
-    lower = _get(section, "prior", "lower", required=True)
-    upper = _get(section, "prior", "upper", required=True)
-    if len(lower) != d or len(upper) != d:
-        raise ConfigError("prior", f"bounds must have {d} coordinates")
-    try:
+    _field(cfg, "prior.kind", _choice("uniform_box"), "uniform_box")
+    lower = _field(cfg, "prior.lower", _vector(d))
+    upper = _field(cfg, "prior.upper", _vector(d))
+    with _at("prior"):
         return PriorSpec.uniform_box(lower, upper)
-    except ValueError as exc:
-        raise ConfigError("prior", str(exc)) from exc
 
 
-def _build_sampler(section: dict, path: str) -> InputSampler:
-    kind = _get(section, path, "kind", default="uniform")
+def _build_region(cfg: dict, prior: PriorSpec) -> Region:
+    d = prior.lower.shape[0]
+    lower = _field(cfg, "theta_region.lower", _vector(d))
+    upper = _field(cfg, "theta_region.upper", _vector(d))
+    with _at("theta_region"):
+        region = Region(lower, upper)
+    if np.any(np.minimum(region.upper, prior.upper)
+              <= np.maximum(region.lower, prior.lower)):
+        raise ConfigError("theta_region", "does not overlap the prior support "
+                                          "with positive volume")
+    return region
+
+
+def _build_sampler(cfg: dict, path: str) -> InputSampler:
+    kind = _field(cfg, f"{path}.kind", _choice("uniform", "gaussian"),
+                  "uniform")
     if kind == "uniform":
-        return InputSampler("uniform", low=float(section.get("low", -1.0)),
-                            high=float(section.get("high", 1.0)))
-    if kind == "gaussian":
-        return InputSampler("gaussian", mean=float(section.get("mean", 0.0)),
-                            std=float(section.get("std", 1.0)))
-    raise ConfigError(f"{path}.kind", f"unknown input distribution {kind!r}")
+        return InputSampler(
+            kind, low=float(_field(cfg, f"{path}.low", _number, -1.0)),
+            high=float(_field(cfg, f"{path}.high", _number, 1.0)))
+    return InputSampler(
+        kind, mean=float(_field(cfg, f"{path}.mean", _number, 0.0)),
+        std=float(_field(cfg, f"{path}.std", _number, 1.0)))
 
 
-def _dataset_from_config(cfg: dict, model: ParametricLti, x0,
-                         rng: RngStream) -> DataSet:
-    section = _get(cfg, "", "data", required=True)
-    theta_true = _get(section, "data", "theta_true", required=True)
-    if len(theta_true) != model.d:
-        raise ConfigError("data.theta_true", f"expected {model.d} coordinates")
-    n_exp = int(_get(section, "data", "n_exp", required=True))
-    if n_exp < 1:
-        raise ConfigError("data.n_exp", "must be at least 1")
-    sampler = _build_sampler(_get(section, "data", "input", default={}),
-                             "data.input")
-    return collect_data(model, theta_true, sampler, n_exp, x0, rng)
+def _build_data(cfg: dict, d: int) -> SimpleNamespace:
+    return SimpleNamespace(theta_true=_field(cfg, "data.theta_true", _vector(d)),
+                           sampler=_build_sampler(cfg, "data.input"),
+                           n_exp=_field(cfg, "data.n_exp", _count))
 
 
-def _confidence_entry(est: ConfidenceEstimate) -> dict:
-    return est.to_json_dict()
+def _build_table1(cfg: dict, d: int) -> SimpleNamespace:
+    thetas = _field(cfg, "table1.theta_true_list", _expect(
+        "a non-empty list", lambda v: isinstance(v, list) and len(v) > 0))
+    for i, theta in enumerate(thetas):
+        with _at(f"table1.theta_true_list[{i}]"):
+            _vector(d)(theta)
+    return SimpleNamespace(thetas=thetas,
+                           reps=_field(cfg, "table1.repetitions", _count),
+                           n_exp=_field(cfg, "table1.n_exp", _count, 50),
+                           sampler=_build_sampler(cfg, "table1.input"))
 
 
-def _mc_sample_count(cfg: dict, post, spec, region, rng) -> int:
-    section = _get(cfg, "", "mc", default={})
-    if "samples" in section:
-        n = int(section["samples"])
-        if n < 1:
-            raise ConfigError("mc.samples", "must be positive")
-        return n
-    if "epsilon" in section and "floor" in section:
-        pilot_n = int(section.get("pilot_samples", 2000))
-        pilot = mc_confidence(post, spec, region, pilot_n, rng.child("pilot"))
-        var_k = pilot.variance_estimate * pilot_n / (region.volume ** 2)
-        return chebyshev_sample_size(float(section["epsilon"]),
-                                     float(section["floor"]), var_k,
-                                     region.volume)
-    return 10000
+def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
+    """Check every config field, then build what all estimates share.
+
+    A malformed field raises ConfigError before any numeric work.  The
+    search `region` is restricted if `restrict_region`; `mc_samples` None
+    means pilot sizing; `cells`, `data` and `table1` may be None.
+    """
+    model = _build_model(cfg)
+    spec = _build_spec(cfg, model)
+    prior = _build_prior(cfg, model.d)
+    method = (_METHODS(method) if method
+              else _field(cfg, "method", _METHODS, "mc"))
+    problem = SimpleNamespace(
+        seed=_field(cfg, "seed", _integer), model=model, spec=spec,
+        prior=prior, region=_build_region(cfg, prior), method=method,
+        mc_samples=_field(cfg, "mc.samples", _count, None),
+        epsilon=_field(cfg, "mc.epsilon", _positive, None),
+        floor=_field(cfg, "mc.floor", _fraction, None),
+        pilot_samples=_field(cfg, "mc.pilot_samples", _count, 2000),
+        per_cell_samples=_field(cfg, "pwa.per_cell_samples", _count, 500),
+        posterior_samples=_field(cfg, "posterior_mc_samples", _count, 4096),
+        contour_grid=_field(cfg, "contour_grid", _count, 61),
+        data=_build_data(cfg, model.d) if "data" in cfg else None,
+        table1=_build_table1(cfg, model.d) if "table1" in cfg else None)
+    if problem.mc_samples is None and None in (problem.epsilon, problem.floor):
+        problem.mc_samples = 10000
+    per_axis = _field(cfg, "pwa.per_axis", _count, 5)
+    grid = _field(cfg, "restrict_grid", _count, 33)
+    if _field(cfg, "restrict_region", _flag, False):
+        problem.region = restrict_region(spec, problem.region, grid=grid)
+    problem.cells = (None if method == "mc" else classify_cells(
+        pwa_partition(problem.region, per_axis), spec))
+    return problem
+
+
+def _estimate(problem: SimpleNamespace, data, stream: RngStream):
+    """Posterior from `data`, then the confidences `problem.method` asks for.
+
+    Returns the posterior and the ConfidenceEstimates by method name, "mc"
+    and "pwa".  Draws from the substreams posterior, mc_size, mc and pwa.
+    """
+    post = posterior(data, problem.model, problem.prior,
+                     problem.posterior_samples, stream.child("posterior"))
+    estimates = {}
+    if problem.method in ("mc", "both"):
+        n, volume = problem.mc_samples, problem.region.volume
+        if n is None:  # Chebyshev sizing from a pilot run's variance
+            pilot = mc_confidence(post, problem.spec, problem.region,
+                                  problem.pilot_samples,
+                                  stream.child("mc_size", "pilot"))
+            n = chebyshev_sample_size(
+                problem.epsilon, problem.floor, pilot.variance_estimate
+                * problem.pilot_samples / volume ** 2, volume)
+        estimates["mc"] = mc_confidence(post, problem.spec, problem.region, n,
+                                        stream.child("mc"),
+                                        epsilon=problem.epsilon)
+    if problem.method in ("pwa", "both"):
+        estimates["pwa"] = pwa_confidence(post, problem.cells,
+                                          problem.per_cell_samples,
+                                          stream.child("pwa"),
+                                          epsilon=problem.epsilon)
+    return post, estimates
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # No indent: json.dumps then uses its C encoder.
+    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header: list, rows) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _write_contour(path: Path, post, region: Region, grid: int) -> None:
-    d = region.lower.shape[0]
-    if d != 2:
+    if region.lower.shape[0] != 2:
         return
     xs = np.linspace(region.lower[0], region.upper[0], grid)
     ys = np.linspace(region.lower[1], region.upper[1], grid)
-    dens = post.density(np.column_stack([np.repeat(xs, grid),
-                                         np.tile(ys, grid)]))
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["theta_1", "theta_2", "density"])
-        for x, row in zip(xs, dens.reshape(grid, grid)):
-            for y, v in zip(ys, row):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+    points = np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
+    table = np.column_stack([points, post.density(points)])
+    _write_csv(path, ["theta_1", "theta_2", "density"],
+               [[repr(float(v)) for v in row] for row in table])
 
 
 def _write_cells(path: Path, cells) -> None:
-    if not cells:
+    if not cells:  # None for method mc
         return
     d = cells[0].lower.shape[0]
     header = ([f"theta_lo_{i+1}" for i in range(d)]
               + [f"theta_hi_{i+1}" for i in range(d)] + ["label"])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for cell in cells:
-            writer.writerow([repr(float(v)) for v in cell.lower]
-                            + [repr(float(v)) for v in cell.upper]
-                            + [cell.label])
+    rows = [[repr(float(v)) for v in (*cell.lower, *cell.upper)] + [cell.label]
+            for cell in cells]
+    _write_csv(path, header, rows)
 
 
 def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
     """Full pipeline: decompose, restrict, infer, estimate confidence."""
-    seed = int(_get(cfg, "", "seed", required=True))
-    root = RngStream(seed)
-    model = _build_model(cfg)
-    spec = _build_spec(cfg, model)
-    region = _build_region(cfg, "theta_region", model.d)
-    prior = _build_prior(cfg, model.d)
-    method = method or _get(cfg, "", "method", default="mc")
-    if method not in ("mc", "pwa", "both"):
-        raise ConfigError("method", f"unknown method {method!r}")
-
-    restricted = region
-    if bool(_get(cfg, "", "restrict_region", default=False)):
-        restricted = restrict_region(
-            spec, region, grid=int(_get(cfg, "", "restrict_grid", default=33)))
-
-    dataset = None
-    if "data" in cfg:
-        dataset = _dataset_from_config(cfg, model, spec.x0, root.child("data"))
+    problem = _problem(cfg, method)
+    root = RngStream(problem.seed)
+    dataset, data = None, problem.data
+    if data is not None:
+        dataset = collect_data(problem.model, data.theta_true, data.sampler,
+                               data.n_exp, problem.spec.x0, root.child("data"))
         dataset.to_csv(out_dir / "dataset.csv")
-
-    post = posterior(dataset, model, prior,
-                     int(_get(cfg, "", "posterior_mc_samples", default=4096)),
-                     root.child("posterior"))
-
-    results: dict = {
-        "region": {"lower": restricted.lower.tolist(),
-                   "upper": restricted.upper.tolist(),
-                   "empty": restricted.empty},
+    post, estimates = _estimate(problem, dataset, root)
+    region = problem.region
+    results = {
+        "region": {"lower": region.lower.tolist(),
+                   "upper": region.upper.tolist(), "empty": region.empty},
         "normalizer": {"log_z": post.log_z, "z": post.z,
                        "std_error": post.z_std_error,
                        "z_rel_error": post.z_rel_error,
                        "mc_samples": post.mc_samples},
-        "decomposition": spec.decomposition.to_json_dict(),
+        "decomposition": problem.spec.decomposition.to_json_dict(),
+        **{name: est.to_json_dict() for name, est in estimates.items()},
     }
-
-    mc_section = _get(cfg, "", "mc", default={})
-    if method in ("mc", "both"):
-        n = _mc_sample_count(cfg, post, spec, restricted, root.child("mc_size"))
-        est = mc_confidence(post, spec, restricted, n, root.child("mc"),
-                            epsilon=mc_section.get("epsilon"))
-        results["mc"] = _confidence_entry(est)
-
-    if method in ("pwa", "both"):
-        pwa_cfg = _get(cfg, "", "pwa", default={})
-        per_axis = int(pwa_cfg.get("per_axis", 5))
-        per_cell = int(pwa_cfg.get("per_cell_samples", 500))
-        cells = classify_cells(pwa_partition(restricted, per_axis), spec)
-        est = pwa_confidence(post, cells, per_cell, root.child("pwa"),
-                             epsilon=mc_section.get("epsilon"))
-        results["pwa"] = _confidence_entry(est)
-        _write_cells(out_dir / "feasible_cells.csv", cells)
-
-    _write_contour(out_dir / "posterior_contour.csv", post, restricted,
-                   int(_get(cfg, "", "contour_grid", default=61)))
-
+    _write_cells(out_dir / "feasible_cells.csv", problem.cells)
+    _write_contour(out_dir / "posterior_contour.csv", post, region,
+                   problem.contour_grid)
     report = {"command": "verify", "config": cfg, "results": results}
     _write_json(out_dir / "report.json", report)
     return report
@@ -315,84 +364,39 @@ def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
 
 def cmd_table1(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
     """Repeated data collection and confidence estimation per true parameter."""
-    seed = int(_get(cfg, "", "seed", required=True))
-    root = RngStream(seed)
-    model = _build_model(cfg)
-    spec = _build_spec(cfg, model)
-    region = _build_region(cfg, "theta_region", model.d)
-    prior = _build_prior(cfg, model.d)
-    section = _get(cfg, "", "table1", required=True)
-    thetas = _get(section, "table1", "theta_true_list", required=True)
-    reps = int(_get(section, "table1", "repetitions", required=True))
-    if reps < 1:
-        raise ConfigError("table1.repetitions", "must be at least 1")
-    n_exp = int(_get(section, "table1", "n_exp", default=50))
-    sampler = _build_sampler(_get(section, "table1", "input", default={}),
-                             "table1.input")
-    method = method or _get(cfg, "", "method", default="mc")
-    if method not in ("mc", "pwa", "both"):
-        raise ConfigError("method", f"unknown method {method!r}")
-    post_samples = int(_get(cfg, "", "posterior_mc_samples", default=4096))
-    mc_n = int(_get(cfg, "", "mc", default={}).get("samples", 10000))
-    pwa_cfg = _get(cfg, "", "pwa", default={})
-
-    cells = None
-    if method in ("pwa", "both"):
-        cells = classify_cells(
-            pwa_partition(region, int(pwa_cfg.get("per_axis", 5))), spec)
-
-    rows = []
-    for ti, theta_true in enumerate(thetas):
-        if len(theta_true) != model.d:
-            raise ConfigError("table1.theta_true_list",
-                              f"entry {ti} must have {model.d} coordinates")
-        per_method: dict = {"mc": [], "pwa": []}
+    _field(cfg, "table1", _object)  # before _problem's numeric work
+    problem = _problem(cfg, method)
+    table1, reps = problem.table1, problem.table1.reps
+    root = RngStream(problem.seed)
+    names = [name for name in ("mc", "pwa") if problem.method in (name, "both")]
+    header = ["theta_true"]
+    for name in names:
+        header += [f"{name}_mean", f"{name}_variance"]
+    rows, records = [], []
+    for ti, theta_true in enumerate(table1.thetas):
+        values: dict = {name: [] for name in names}
         for rep in range(reps):
             stream = root.child("table1", ti, rep)
-            data = collect_data(model, theta_true, sampler, n_exp, spec.x0,
+            data = collect_data(problem.model, theta_true, table1.sampler,
+                                table1.n_exp, problem.spec.x0,
                                 stream.child("data"))
-            post = posterior(data, model, prior, post_samples,
-                             stream.child("posterior"))
-            if method in ("mc", "both"):
-                est = mc_confidence(post, spec, region, mc_n,
-                                    stream.child("mc"))
-                per_method["mc"].append(est.value)
-            if method in ("pwa", "both"):
-                est = pwa_confidence(post, cells,
-                                     int(pwa_cfg.get("per_cell_samples", 500)),
-                                     stream.child("pwa"))
-                per_method["pwa"].append(est.value)
+            for name, est in _estimate(problem, data, stream)[1].items():
+                values[name].append(est.value)
         row = {"theta_true": list(map(float, theta_true)), "repetitions": reps}
-        for name in ("mc", "pwa"):
-            values = per_method[name]
-            if values:
-                arr = np.asarray(values)
-                row[name] = {
-                    "mean": float(arr.mean()),
-                    "variance": float(arr.var(ddof=1)) if reps > 1 else 0.0,
-                    "values": [float(v) for v in arr],
-                }
-                if reps == 1:
-                    row[name]["warning"] = ("variance reported as 0 from a "
-                                            "single repetition")
+        record = [" ".join(map(repr, row["theta_true"]))]
+        for name, vals in values.items():
+            row[name] = {
+                "mean": float(np.mean(vals)),
+                "variance": float(np.var(vals, ddof=1)) if reps > 1 else 0.0,
+                "values": vals,
+            }
+            if reps == 1:
+                row[name]["warning"] = ("variance reported as 0 from a "
+                                        "single repetition")
+            record += [repr(row[name]["mean"]), repr(row[name]["variance"])]
         rows.append(row)
-
-    table_path = out_dir / "table1.csv"
-    with table_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["theta_true"]
-        if method in ("mc", "both"):
-            header += ["mc_mean", "mc_variance"]
-        if method in ("pwa", "both"):
-            header += ["pwa_mean", "pwa_variance"]
-        writer.writerow(header)
-        for row in rows:
-            record = [" ".join(repr(v) for v in row["theta_true"])]
-            if method in ("mc", "both"):
-                record += [repr(row["mc"]["mean"]), repr(row["mc"]["variance"])]
-            if method in ("pwa", "both"):
-                record += [repr(row["pwa"]["mean"]), repr(row["pwa"]["variance"])]
-            writer.writerow(record)
+        records.append(record)
+    _write_csv(out_dir / "table1.csv", header, records)
 
     report = {"command": "table1", "config": cfg, "results": {"rows": rows}}
     _write_json(out_dir / "report.json", report)
@@ -401,11 +405,12 @@ def cmd_table1(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
 
 def cmd_simulate(cfg: dict, out_dir: Path) -> dict:
     """Collect one dataset and write it as CSV and JSON."""
-    seed = int(_get(cfg, "", "seed", required=True))
-    root = RngStream(seed)
+    seed = _field(cfg, "seed", _integer)
     model = _build_model(cfg)
-    x0 = np.asarray(_get(cfg, "", "x0", default=[0.0] * model.n), dtype=float)
-    dataset = _dataset_from_config(cfg, model, x0, root.child("data"))
+    x0 = _field(cfg, "x0", _vector(model.n), [0.0] * model.n)
+    data = _build_data(cfg, model.d)
+    dataset = collect_data(model, data.theta_true, data.sampler, data.n_exp,
+                           x0, RngStream(seed).child("data"))
     dataset.to_csv(out_dir / "dataset.csv")
     dataset.to_json(out_dir / "dataset.json")
     report = {"command": "simulate", "config": cfg,
@@ -434,14 +439,10 @@ def main(argv=None) -> int:
                            default=None, help="override the config method")
     args = parser.parse_args(argv)
 
-    try:
-        cfg = json.loads(Path(args.config).read_text())
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON in {args.config}: {exc}",
-              file=sys.stderr)
+    try:  # unreadable, invalid JSON, or not a JSON object
+        cfg = _object(json.loads(Path(args.config).read_text()))
+    except (OSError, ValueError) as exc:
+        print(f"config error: cannot load {args.config}: {exc}", file=sys.stderr)
         return 2
     if args.seed is not None:
         cfg["seed"] = int(args.seed)

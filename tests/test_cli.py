@@ -1,12 +1,21 @@
+import contextlib
 import copy
 import csv
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stlbayes import cli
 from stlbayes.cli import main
+from stlbayes.confidence import chebyshev_sample_size
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "seed": 4242,
@@ -30,6 +39,21 @@ BASE_CONFIG = {
     "data": {"theta_true": [0.3, 0.3], "n_exp": 6,
              "input": {"kind": "uniform", "low": -2.0, "high": 2.0}},
 }
+
+
+TABLE1 = {"theta_true_list": [[0.3, 0.3]], "repetitions": 2, "n_exp": 5,
+          "input": {"kind": "uniform", "low": -2.0, "high": 2.0}}
+
+
+def mutated(cfg: dict, path: str, value) -> dict:
+    """A copy of `cfg` with the field at the dotted `path` set to `value`."""
+    cfg = copy.deepcopy(cfg)
+    *sections, key = path.split(".")
+    node = cfg
+    for name in sections:
+        node = node[name]
+    node[key] = value
+    return cfg
 
 
 def write_config(tmp_path: Path, cfg: dict, name="config.json") -> Path:
@@ -250,3 +274,193 @@ class TestSimulate:
         path = write_config(tmp_path, cfg)
         assert run(["simulate", "--config", path, "--out", tmp_path / "o"]) == 2
         assert "n_exp" in capsys.readouterr().err
+
+
+class TestTable1Pipeline:
+    def test_restrict_region_matches_explicit_region(self, tmp_path):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["restrict_region"] = True
+        cfg["restrict_grid"] = 17
+        cfg["table1"] = TABLE1
+        path = write_config(tmp_path, cfg)
+        assert run(["verify", "--config", path, "--out", tmp_path / "v"]) == 0
+        region = json.loads((tmp_path / "v" / "report.json").read_text())[
+            "results"]["region"]
+        assert region["upper"][0] < 2.0
+        assert run(["table1", "--config", path, "--out", tmp_path / "a"]) == 0
+        cfg["restrict_region"] = False
+        cfg["theta_region"] = {"lower": region["lower"],
+                               "upper": region["upper"]}
+        path = write_config(tmp_path, cfg, name="explicit.json")
+        assert run(["table1", "--config", path, "--out", tmp_path / "b"]) == 0
+        rows_a, rows_b = (
+            json.loads((tmp_path / d / "report.json").read_text())[
+                "results"]["rows"] for d in ("a", "b"))
+        assert rows_a == rows_b
+        assert (tmp_path / "a" / "table1.csv").read_bytes() == \
+            (tmp_path / "b" / "table1.csv").read_bytes()
+
+    def test_mc_sizing_uses_the_pilot(self, tmp_path, monkeypatch):
+        calls = []
+        real = cli.mc_confidence
+
+        def spy(post, sat, region, n, rng, **kwargs):
+            est = real(post, sat, region, n, rng, **kwargs)
+            calls.append((n, rng.path, region.volume, est))
+            return est
+
+        monkeypatch.setattr(cli, "mc_confidence", spy)
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["method"] = "mc"
+        cfg["mc"] = {"epsilon": 0.02, "floor": 0.9, "pilot_samples": 500}
+        cfg["table1"] = TABLE1
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert run(["table1", "--config", path, "--out", out]) == 0
+        pilots = [c for c in calls if c[1][-1] == "pilot"]
+        finals = [c for c in calls if c[1][-1] != "pilot"]
+        assert len(pilots) == len(finals) == TABLE1["repetitions"]
+        for (pilot_n, _, volume, pilot), (n, _, _, _) in zip(pilots, finals):
+            assert pilot_n == 500
+            assert n == chebyshev_sample_size(
+                0.02, 0.9, pilot.variance_estimate * 500 / volume ** 2, volume)
+            assert n != 10000
+        row = json.loads((out / "report.json").read_text())["results"]["rows"][0]
+        assert row["mc"]["values"] == [est.value for *_, est in finals]
+
+
+class TestReport:
+    def test_report_is_compact_sorted_json(self, tmp_path):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "o"
+        assert run(["verify", "--config", cfg, "--out", out]) == 0
+        text = (out / "report.json").read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.name)
+def test_bundled_config_builds_a_problem(config):
+    """Every bundled config passes the loader, for verify and for table1."""
+    cfg = json.loads(config.read_text())
+    problem = cli._problem(cfg, None)
+    assert problem.spec.leaves() and problem.region.volume > 0
+    assert (problem.cells is None) == (problem.method == "mc")
+    assert (problem.data is None) == ("data" not in cfg)
+    assert (problem.table1 is None) == ("table1" not in cfg)
+
+
+# Each case: command, mutated field, value, the path the error must name.
+# The first block is a probe of the loader that once exited 3 or raised.
+CONFIG_ERRORS = [
+    ("verify", "delta", "x", "delta"),
+    ("verify", "seed", "x", "seed"),
+    ("verify", "mc.samples", "abc", "mc.samples"),
+    ("verify", "input_box", [[0.2], [-0.2]], "input_box"),
+    ("verify", "pwa.per_axis", 0, "pwa.per_axis"),
+    ("verify", "pwa.per_cell_samples", 0, "pwa.per_cell_samples"),
+    ("verify", "posterior_mc_samples", 0, "posterior_mc_samples"),
+    ("verify", "contour_grid", "a", "contour_grid"),
+    ("verify", "data.n_exp", "a", "data.n_exp"),
+    ("verify", "predicates", [1], "predicates"),
+    ("verify", "mc", 5, "mc"),
+    ("verify", "delta", 2, "delta"),
+    ("verify", "x0", [0.0], "x0"),
+    ("verify", "gamma_form", "nope", "gamma_form"),
+    ("verify", "theta_region", {"lower": [3.0, 3.0], "upper": [4.0, 4.0]},
+     "theta_region"),
+    ("verify", "restrict_grid", 0, "restrict_grid"),
+    ("table1", "table1.theta_true_list", 3, "table1.theta_true_list"),
+    ("table1", "table1.repetitions", "x", "table1.repetitions"),
+    ("table1", "table1.n_exp", 0, "table1.n_exp"),
+    ("simulate", "x0", [0.0], "x0"),
+    # Further fields the loader checks at their own paths.
+    ("verify", "mc.pilot_samples", 0, "mc.pilot_samples"),
+    ("verify", "mc.epsilon", 0, "mc.epsilon"),
+    ("verify", "restrict_region", "yes", "restrict_region"),
+    ("verify", "literal_shares", 1, "literal_shares"),
+    ("verify", "model.Sigma_w", [[0.02]], "model"),
+    ("verify", "predicates", {"a.b": {"offset": 1.0, "output_gradient": [1.0]}},
+     "predicates"),
+    ("table1", "table1.theta_true_list", [[0.3, 0.3], [1.0]],
+     "table1.theta_true_list[1]"),
+    ("verify", "model.input_lower", [-1.0], "model.input_lower"),
+]
+
+
+@pytest.mark.parametrize("command,field,value,reported", CONFIG_ERRORS,
+                         ids=[f"{c[0]}-{c[1]}={c[2]!r}" for c in CONFIG_ERRORS])
+def test_malformed_field_exits_2_at_its_path(tmp_path, capsys, command, field,
+                                             value, reported):
+    cfg = mutated(dict(BASE_CONFIG, table1=TABLE1), field, value)
+    path = write_config(tmp_path, cfg)
+    assert run([command, "--config", path, "--out", tmp_path / "o"]) == 2
+    assert f"config error at {reported}:" in capsys.readouterr().err
+
+
+def test_missing_table1_section_before_numeric_work(tmp_path, capsys,
+                                                    monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numeric work before the config check")
+
+    monkeypatch.setattr(cli, "restrict_region", forbidden)
+    monkeypatch.setattr(cli, "classify_cells", forbidden)
+    cfg = dict(BASE_CONFIG, restrict_region=True)
+    path = write_config(tmp_path, cfg)
+    assert run(["table1", "--config", path, "--out", tmp_path / "o"]) == 2
+    assert "config error at table1:" in capsys.readouterr().err
+
+
+def _small(cfg: dict) -> dict:
+    cfg = copy.deepcopy(cfg)
+    cfg.update(mc=dict(cfg["mc"], samples=300), posterior_mc_samples=128,
+               pwa={"per_axis": 3, "per_cell_samples": 20}, contour_grid=5)
+    cfg["data"]["n_exp"] = 5
+    if "table1" in cfg:
+        cfg["table1"].update(theta_true_list=cfg["table1"]["theta_true_list"][:1],
+                             repetitions=2, n_exp=5)
+    return cfg
+
+
+BUNDLED = {p.name: _small(json.loads(p.read_text()))
+           for p in sorted(CONFIG_DIR.glob("*.json"))}
+
+
+def _fields(node: dict, prefix=""):
+    """Dotted paths of every section and field, matrices left out."""
+    for key, value in node.items():
+        if isinstance(value, list) and value and isinstance(value[0], list):
+            continue
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _fields(value, prefix + key + ".")
+
+
+MUTATIONS = [(name, path) for name, cfg in BUNDLED.items()
+             for path in _fields(cfg)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MUTATIONS), st.sampled_from(["x", None, -1, 0, [], {}]))
+def test_one_field_mutation_is_never_a_numeric_failure(target, value):
+    name, field = target
+    cfg = mutated(BUNDLED[name], field, value)
+    commands = ["verify"] + (["table1"] if field.startswith("table1.") else [])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(Path(tmp), cfg)
+        for command in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run([command, "--config", path, "--out", Path(tmp) / "o"])
+            assert code in (0, 2), err.getvalue()
+            if code == 0:
+                continue
+            reported = re.search(r"config error at (\S+):",
+                                 err.getvalue()).group(1)
+            if field == "predicates" and value == {}:
+                # No predicates left: the formula names an unknown one.
+                assert reported == "formula" and "mu1" in err.getvalue()
+            else:
+                assert (reported == field or field.startswith(reported + ".")
+                        or reported.startswith((field + ".", field + "["))), \
+                    err.getvalue()
