@@ -31,6 +31,8 @@ from .confidence import (
     pwa_confidence,
 )
 from .feasibility import (
+    Box,
+    Cells,
     FarkasCertificate,
     InputBox,
     Region,

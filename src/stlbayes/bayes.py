@@ -22,6 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .feasibility import Box
 from .lti import DataSet, ParametricLti, mean_trajectory
 from .rng import RngStream
 
@@ -179,16 +180,15 @@ class PriorSpec:
     density_fn: Optional[Callable] = None
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.upper, dtype=float).reshape(-1)
-        if lo.shape != hi.shape or np.any(lo >= hi):
-            raise ValueError("prior support must be a nondegenerate box")
+        support = Box(self.lower, self.upper)
+        if not support.volume > 0.0:
+            raise ValueError("prior support must have positive volume")
         if self.kind not in ("uniform_box", "tabulated"):
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if self.kind == "tabulated" and self.density_fn is None:
             raise ValueError("tabulated priors need a density evaluator")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "lower", support.lower)
+        object.__setattr__(self, "upper", support.upper)
 
     @staticmethod
     def uniform_box(lower, upper) -> "PriorSpec":
@@ -233,9 +233,6 @@ class PosteriorDensity:
     def density(self, thetas) -> np.ndarray:
         return np.exp(self.log_density(thetas))
 
-    def density_one(self, theta) -> float:
-        return float(self.density(np.asarray(theta, dtype=float).reshape(1, -1))[0])
-
 
 def posterior(data: Optional[DataSet], model: ParametricLti, prior: PriorSpec,
               mc_samples: int, rng: RngStream) -> PosteriorDensity:
@@ -251,10 +248,8 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: PriorSpec,
         raise ValueError("mc_samples must be positive")
 
     if data is None or getattr(data, "n_exp", 0) == 0:
-        def log_un_prior(thetas):
-            return prior.log_density(thetas)
         # Likelihood identically one: Z = integral of the prior = 1 exactly.
-        return PosteriorDensity(prior=prior, log_unnormalized=log_un_prior,
+        return PosteriorDensity(prior=prior, log_unnormalized=prior.log_density,
                                 log_z=0.0, z=1.0, z_std_error=0.0,
                                 z_rel_error=0.0, mc_samples=0)
 

@@ -31,7 +31,6 @@ README for the conservativeness discussion.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -214,8 +213,9 @@ class DecompositionResult:
     def to_json_dict(self) -> dict:
         return {"groups": [g.to_json_dict() for g in self.groups]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+
+class WeightError(ValueError):
+    """An explicit weight vector whose length does not fit its node."""
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,8 @@ class WeightScheme:
 
     ``uniform`` assigns 1/N to the N children of every node.  ``explicit``
     looks up the node's formula-tree path (joined with '/'); nodes without an
-    entry fall back to uniform.  Weights must be nonnegative and sum to one.
+    entry fall back to uniform.  Vectors must be finite, nonnegative and sum
+    to one; their lengths are checked against the nodes in decomposition.
     """
 
     mode: str = "uniform"
@@ -233,6 +234,12 @@ class WeightScheme:
     def __post_init__(self):
         if self.mode not in ("uniform", "explicit"):
             raise ValueError(f"unknown weight mode {self.mode!r}")
+        for key, vector in self.weights.items():
+            w = np.asarray(vector, dtype=float)
+            if (w.ndim != 1 or not np.all(np.isfinite(w) & (w >= 0.0))
+                    or abs(float(w.sum()) - 1.0) > 1e-9):
+                raise ValueError(f"weights at {key!r} must be finite, "
+                                 f"nonnegative and sum to 1, got {vector!r}")
 
     def for_node(self, path: tuple, count: int) -> np.ndarray:
         if count <= 0:
@@ -242,14 +249,9 @@ class WeightScheme:
             if key in self.weights:
                 w = np.asarray(self.weights[key], dtype=float)
                 if w.shape != (count,):
-                    raise ValueError(
+                    raise WeightError(
                         f"weight vector at {key!r} has length {w.size}, "
                         f"expected {count}")
-                if np.any(w < 0.0):
-                    raise ValueError(f"weights at {key!r} must be nonnegative")
-                if abs(float(w.sum()) - 1.0) > 1e-9:
-                    raise ValueError(
-                        f"weights at {key!r} must sum to 1, got {w.sum()!r}")
                 return w
         return np.full(count, 1.0 / count)
 

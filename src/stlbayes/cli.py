@@ -25,11 +25,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from .bayes import PriorSpec, posterior
-from .chance import WeightScheme
+from .chance import WeightError, WeightScheme
 from .confidence import chebyshev_sample_size, mc_confidence, pwa_confidence
 from .feasibility import (
-    InputBox,
-    Region,
+    Box,
+    Cells,
     VerificationSpec,
     classify_cells,
     pwa_partition,
@@ -53,6 +53,8 @@ def _at(path: str):
         yield
     except ConfigError:
         raise
+    except WeightError as exc:  # found in decomposition, under "formula"
+        raise ConfigError("weights.weights", str(exc)) from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -117,8 +119,10 @@ def _build_model(cfg: dict) -> ParametricLti:
     given = {key: section[key] for key in (_OVERRIDES if preset else _MATRICES)
              if key in section}
     if "input_box" in section:
-        given["input_lower"], given["input_upper"] = _field(
-            cfg, "model.input_box", _pair)
+        lower, upper = _field(cfg, "model.input_box", _pair)
+        with _at("model.input_box"):
+            box = Box(lower, upper)
+        given["input_lower"], given["input_upper"] = box.lower, box.upper
     if preset:
         for key in ("input_lower", "input_upper"):
             if key in section:
@@ -162,15 +166,17 @@ def _build_spec(cfg: dict, model: ParametricLti) -> VerificationSpec:
     text = _field(cfg, "formula", _text)
     with _at("formula"):
         formula = parse_stl(text, table)
-    with _at("weights"):
-        scheme = WeightScheme(mode=_field(cfg, "weights.mode", _text, "uniform"),
-                              weights=_field(cfg, "weights.weights", _object, {}))
+    mode = _field(cfg, "weights.mode", _choice("uniform", "explicit"),
+                  "uniform")
+    with _at("weights.weights"):
+        scheme = WeightScheme(mode=mode, weights=_field(
+            cfg, "weights.weights", _object, {}))
     input_box = None
     if "input_box" in cfg:
         lower, upper = _field(cfg, "input_box", _pair)
         with _at("input_box"):
-            input_box = InputBox(lower, upper)
-            if input_box.m != model.m:
+            input_box = Box(lower, upper)
+            if input_box.lower.size != model.m:
                 raise ValueError(f"expected {model.m} input coordinates")
     # The fields are checked at their own paths before the spec is built.
     with _at("formula"):
@@ -192,12 +198,12 @@ def _build_prior(cfg: dict, d: int) -> PriorSpec:
         return PriorSpec.uniform_box(lower, upper)
 
 
-def _build_region(cfg: dict, prior: PriorSpec) -> Region:
+def _build_region(cfg: dict, prior: PriorSpec) -> Box:
     d = prior.lower.shape[0]
     lower = _field(cfg, "theta_region.lower", _vector(d))
     upper = _field(cfg, "theta_region.upper", _vector(d))
     with _at("theta_region"):
-        region = Region(lower, upper)
+        region = Box(lower, upper)
     if np.any(np.minimum(region.upper, prior.upper)
               <= np.maximum(region.lower, prior.lower)):
         raise ConfigError("theta_region", "does not overlap the prior support "
@@ -239,8 +245,9 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     """Check every config field, then build what all estimates share.
 
     A malformed field raises ConfigError before any numeric work.  The
-    search `region` is restricted if `restrict_region`; `mc_samples` None
-    means pilot sizing; `cells`, `data` and `table1` may be None.
+    search `region` is restricted if `restrict_region`, or kept and flagged
+    `region_empty` if no grid point satisfies the property; `mc_samples`
+    None means pilot sizing; `cells`, `data` and `table1` may be None.
     """
     model = _build_model(cfg)
     spec = _build_spec(cfg, model)
@@ -263,8 +270,11 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
         problem.mc_samples = 10000
     per_axis = _field(cfg, "pwa.per_axis", _count, 5)
     grid = _field(cfg, "restrict_grid", _count, 33)
+    restricted = problem.region
     if _field(cfg, "restrict_region", _flag, False):
-        problem.region = restrict_region(spec, problem.region, grid=grid)
+        restricted = restrict_region(spec, problem.region, grid=grid)
+    problem.region_empty = restricted is None
+    problem.region = problem.region if restricted is None else restricted
     problem.cells = (None if method == "mc" else classify_cells(
         pwa_partition(problem.region, per_axis), spec))
     return problem
@@ -311,7 +321,7 @@ def _write_csv(path: Path, header: list, rows) -> None:
         writer.writerows(rows)
 
 
-def _write_contour(path: Path, post, region: Region, grid: int) -> None:
+def _write_contour(path: Path, post, region: Box, grid: int) -> None:
     if region.lower.shape[0] != 2:
         return
     xs = np.linspace(region.lower[0], region.upper[0], grid)
@@ -322,15 +332,15 @@ def _write_contour(path: Path, post, region: Region, grid: int) -> None:
                [[repr(float(v)) for v in row] for row in table])
 
 
-def _write_cells(path: Path, cells) -> None:
-    if not cells:  # None for method mc
+def _write_cells(path: Path, cells: Cells | None) -> None:
+    if cells is None:  # method mc
         return
-    d = cells[0].lower.shape[0]
+    d = cells.lower.shape[1]
     header = ([f"theta_lo_{i+1}" for i in range(d)]
               + [f"theta_hi_{i+1}" for i in range(d)] + ["label"])
-    rows = [[repr(float(v)) for v in (*cell.lower, *cell.upper)] + [cell.label]
-            for cell in cells]
-    _write_csv(path, header, rows)
+    bounds = np.hstack([cells.lower, cells.upper]).tolist()
+    _write_csv(path, header, ([*map(repr, row), label] for row, label
+                              in zip(bounds, cells.label.tolist())))
 
 
 def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
@@ -346,7 +356,8 @@ def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
     region = problem.region
     results = {
         "region": {"lower": region.lower.tolist(),
-                   "upper": region.upper.tolist(), "empty": region.empty},
+                   "upper": region.upper.tolist(),
+                   "empty": problem.region_empty},
         "normalizer": {"log_z": post.log_z, "z": post.z,
                        "std_error": post.z_std_error,
                        "z_rel_error": post.z_rel_error,

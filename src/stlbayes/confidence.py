@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .bayes import PosteriorDensity
-from .feasibility import FEASIBLE, Region, UNKNOWN
+from .feasibility import FEASIBLE, UNKNOWN, Box, Cells
 from .rng import RngStream
 
 
@@ -76,7 +76,7 @@ def _chebyshev_fields(var_est: float, epsilon: Optional[float]):
     return float(epsilon), 1.0 - var_est / (epsilon * epsilon)
 
 
-def mc_confidence(post: PosteriorDensity, sat, region: Region, n: int,
+def mc_confidence(post: PosteriorDensity, sat, region: Box, n: int,
                   rng: RngStream, epsilon: Optional[float] = None
                   ) -> ConfidenceEstimate:
     """Uniform Monte Carlo estimate of the confidence over a region.
@@ -112,9 +112,14 @@ def mc_confidence(post: PosteriorDensity, sat, region: Region, n: int,
     )
 
 
-def pwa_confidence(post: PosteriorDensity, cells, per_cell_samples: int,
-                   rng: RngStream, epsilon: Optional[float] = None
-                   ) -> ConfidenceEstimate:
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right sum, as a loop adds up (np.sum adds pairwise)."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
+def pwa_confidence(post: PosteriorDensity, cells: Cells,
+                   per_cell_samples: int, rng: RngStream,
+                   epsilon: Optional[float] = None) -> ConfidenceEstimate:
     """Posterior mass of feasible-labeled cells, by per-cell Monte Carlo.
 
     Unknown cells do not enter the point estimate; their mass widens the
@@ -124,51 +129,42 @@ def pwa_confidence(post: PosteriorDensity, cells, per_cell_samples: int,
     """
     if per_cell_samples < 1:
         raise ValueError("per_cell_samples must be positive")
-    cells = list(cells)
-    n = int(per_cell_samples)
-    integrated = [idx for idx, cell in enumerate(cells)
-                  if cell.label in (FEASIBLE, UNKNOWN)]
-    dens = None
-    if integrated:
-        # One density call for every cell's points, split back by cell below.
-        pts = np.empty((n * len(integrated), cells[integrated[0]].lower.size))
-        for k, idx in enumerate(integrated):
-            gen = rng.child("cell", idx).generator()
-            pts[k * n:(k + 1) * n] = gen.uniform(
-                cells[idx].lower, cells[idx].upper, (n, pts.shape[1]))
-        dens = post.density(pts)
-    value = 0.0
-    var_est = 0.0
-    unknown_mass = 0.0
-    per_cell = [{"lower": cell.lower.tolist(), "upper": cell.upper.tolist(),
-                 "label": cell.label, "mass": 0.0, "std_error": 0.0}
-                for cell in cells]
-    for k, idx in enumerate(integrated):
-        cell, cell_dens = cells[idx], dens[k * n:(k + 1) * n]
-        vol = cell.volume
-        mass = vol * float(cell_dens.mean())
-        cell_var = vol * vol * float(cell_dens.var(ddof=1)) / n if n > 1 else 0.0
-        per_cell[idx]["mass"] = mass
-        per_cell[idx]["std_error"] = math.sqrt(cell_var)
-        if cell.label == FEASIBLE:
-            value += mass
-            var_est += cell_var
-        else:
-            unknown_mass += mass
-    total = n * len(integrated)
+    n, d = int(per_cell_samples), cells.lower.shape[1]
+    feasible, unknown = cells.label == FEASIBLE, cells.label == UNKNOWN
+    integrated = np.flatnonzero(feasible | unknown)
+    mass, var = np.zeros(len(cells)), np.zeros(len(cells))
+    if integrated.size:
+        pts = np.empty((integrated.size, n, d))
+        for k, idx in enumerate(integrated.tolist()):
+            pts[k] = rng.child("cell", idx).generator().uniform(
+                cells.lower[idx], cells.upper[idx], (n, d))
+        # One density call for every cell's points, split back by cell.
+        dens = post.density(pts.reshape(-1, d)).reshape(-1, n)
+        vol = cells.volume[integrated]
+        mass[integrated] = vol * dens.mean(axis=1)
+        if n > 1:
+            var[integrated] = vol * vol * dens.var(ddof=1, axis=1) / n
+    value, var_est = _running_sum(mass[feasible]), _running_sum(var[feasible])
+    unknown_mass = _running_sum(mass[unknown])
+    per_cell = tuple(
+        {"lower": lower, "upper": upper, "label": label, "mass": m,
+         "std_error": se}
+        for lower, upper, label, m, se in zip(
+            cells.lower.tolist(), cells.upper.tolist(), cells.label.tolist(),
+            mass.tolist(), np.sqrt(var).tolist()))
     eps, prob = _chebyshev_fields(var_est, epsilon)
     return ConfidenceEstimate(
         value=float(min(max(value, 0.0), 1.0)),
         raw_value=value,
         method="pwa",
-        samples=total,
+        samples=n * integrated.size,
         variance_estimate=var_est,
         std_error=math.sqrt(var_est),
         chebyshev_epsilon=eps,
         chebyshev_probability=prob,
         interval=(float(min(max(value, 0.0), 1.0)),
                   float(min(max(value + unknown_mass, 0.0), 1.0))),
-        per_cell=tuple(per_cell),
+        per_cell=per_cell,
     )
 
 

@@ -12,15 +12,15 @@ feasibility checks.  A piecewise-affine relaxation of the noise margin over
 axis-aligned parameter cells turns every leaf margin into a concave
 piecewise-linear function of theta on the cell, so cells can be certified
 feasible (exactly, via vertex evaluation) or infeasible (via an affine upper
-envelope), with "unknown" for the remainder.  `classify_cells` labels all
-cells of a call in one array pass per leaf; a cell is infeasible if any leaf
-certifies it so, else feasible if every leaf does, so leaf order is moot.
+envelope), with "unknown" for the remainder.  A partition is one `Cells`
+value of bound and label arrays, which `classify_cells` labels in one array
+pass per leaf.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,34 +48,77 @@ UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
-class InputBox:
-    """Per-step admissible input range, constant over time."""
+class Box:
+    """Axis-aligned box lower <= x <= upper: a theta search region, a
+    per-step input box, a prior's support, or a PWA cell with its `label`."""
 
     lower: np.ndarray
     upper: np.ndarray
+    label: Optional[str] = None
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.upper, dtype=float).reshape(-1)
+        lo, hi = self._bounds(self.lower), self._bounds(self.upper)
         if lo.shape != hi.shape:
-            raise ValueError("input bounds must have matching shapes")
-        if np.any(lo > hi):
-            raise ValueError("input lower bounds must not exceed upper bounds")
+            raise ValueError("box bounds must have matching shapes")
+        if (lo > hi).any():
+            raise ValueError("box lower bounds must not exceed upper bounds")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    @staticmethod
+    def _bounds(values) -> np.ndarray:
+        return np.asarray(values, dtype=float).reshape(-1)
+
     @property
-    def m(self) -> int:
-        return self.lower.shape[0]
+    def volume(self):
+        """Product of the side lengths; one per cell for `Cells`."""
+        return np.prod(self.upper - self.lower, axis=-1)
+
+    @property
+    def center(self) -> np.ndarray:
+        return 0.5 * (self.lower + self.upper)
 
     def stacked(self, t: int):
+        """Bounds of the inputs u(0) .. u(t-1), stacked."""
         return np.tile(self.lower, t), np.tile(self.upper, t)
 
 
-def worst_case_margin(c: AffineInputConstraint, box: InputBox) -> float:
+@dataclass(frozen=True)
+class Cells(Box):
+    """The C cells of a partition: bounds of shape (C, d), labels of shape
+    (C,), unknown by default; iteration builds one labelled `Box` per cell."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        label = (np.full(len(self), UNKNOWN) if self.label is None
+                 else np.asarray(self.label, dtype=str))
+        if label.shape != (len(self),):
+            raise ValueError("cells need one label each")
+        object.__setattr__(self, "label", label)
+
+    @staticmethod
+    def _bounds(values) -> np.ndarray:
+        bounds = np.asarray(values, dtype=float)
+        if bounds.ndim != 2:
+            raise ValueError("cell bounds must have shape (C, d)")
+        return bounds
+
+    def __len__(self) -> int:
+        return self.lower.shape[0]
+
+    def __iter__(self):
+        for row in zip(self.lower, self.upper, self.label.tolist()):
+            yield Box(*row)
+
+
+InputBox = Region = ThetaCell = Box
+
+
+def worst_case_margin(c: AffineInputConstraint, box: Box) -> float:
     """min over admissible stacked inputs of f.u + b (closed form)."""
-    if box.m != c.m:
-        raise ValueError(f"box has {box.m} input coordinates, constraint has {c.m}")
+    if box.lower.size != c.m:
+        raise ValueError(f"box has {box.lower.size} input coordinates, "
+                         f"constraint has {c.m}")
     if c.time == 0:
         return c.b
     lo, hi = box.stacked(c.time)
@@ -95,7 +138,7 @@ class FarkasCertificate:
         object.__setattr__(self, "P", P)
 
 
-def farkas_feasible(c: AffineInputConstraint, box: InputBox):
+def farkas_feasible(c: AffineInputConstraint, box: Box):
     """Robust feasibility via the Farkas dual of the box-constrained LP.
 
     The input polytope is written D u <= d with interleaved rows
@@ -104,8 +147,9 @@ def farkas_feasible(c: AffineInputConstraint, box: InputBox):
     subject to the equalities is found by the two-phase simplex, so the
     certificate is the optimizer itself.
     """
-    if box.m != c.m:
-        raise ValueError(f"box has {box.m} input coordinates, constraint has {c.m}")
+    if box.lower.size != c.m:
+        raise ValueError(f"box has {box.lower.size} input coordinates, "
+                         f"constraint has {c.m}")
     t = c.time
     if t == 0:
         ok = c.b >= -FEAS_TOL
@@ -173,7 +217,7 @@ class _LeafGeometry:
 
 
 def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
-                   box: InputBox, gamma_form: str) -> _LeafGeometry:
+                   box: Box, gamma_form: str) -> _LeafGeometry:
     pred = leaf.predicate
     threshold = leaf.threshold
     sign = 1.0
@@ -238,7 +282,7 @@ class VerificationSpec:
 
     def __init__(self, model: ParametricLti, formula: Formula, delta: float,
                  x0=None, weights: Optional[WeightScheme] = None, t0: int = 0,
-                 input_box: Optional[InputBox] = None,
+                 input_box: Optional[Box] = None,
                  gamma_form: str = "stddev", literal_shares: bool = False):
         self.model = model
         self.formula = formula
@@ -250,7 +294,7 @@ class VerificationSpec:
         if self.x0.shape != (model.n,):
             raise ValueError(f"x0 must have length {model.n}")
         self.input_box = (input_box if input_box is not None
-                          else InputBox(model.input_lower, model.input_upper))
+                          else Box(model.input_lower, model.input_upper))
         self.gamma_form = gamma_form
         self.literal_shares = bool(literal_shares)
         self.decomposition: DecompositionResult = decompose(
@@ -292,60 +336,40 @@ class VerificationSpec:
                 break
         return ok.astype(np.uint8)
 
-    def satisfaction(self, theta) -> int:
-        return int(self.satisfaction_batch(np.asarray(theta, dtype=float)
-                                           .reshape(1, -1))[0])
-
 
 def satisfaction_fn(theta, spec: VerificationSpec) -> int:
     """Indicator that every decomposed constraint holds robustly at theta."""
-    return spec.satisfaction(theta)
+    return int(spec.satisfaction_batch(np.reshape(theta, (1, -1)))[0])
 
 
 # --- search-region restriction ----------------------------------------------
 
-@dataclass(frozen=True)
-class Region:
-    lower: np.ndarray
-    upper: np.ndarray
-    empty: bool = False
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.upper, dtype=float).reshape(-1)
-        if lo.shape != hi.shape or np.any(lo > hi):
-            raise ValueError("invalid region bounds")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
+def _mesh(axes) -> np.ndarray:
+    """Rows of the Cartesian product of `axes`, the last axis fastest."""
+    return np.column_stack([m.ravel()
+                            for m in np.meshgrid(*axes, indexing="ij")])
 
 
 def _grid(lower, upper, per_axis):
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(lower, upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return _mesh([np.linspace(lo, hi, per_axis)
+                  for lo, hi in zip(lower, upper)])
 
 
-def restrict_region(spec: VerificationSpec, region: Region, grid: int = 33,
-                    rel_tol: float = 1e-2) -> Region:
+def restrict_region(spec: VerificationSpec, region: Box, grid: int = 33,
+                    rel_tol: float = 1e-2) -> Optional[Box]:
     """Shrink a parameter box toward the set where satisfaction can hold.
 
     Probes satisfaction on deterministic grids: per coordinate, bisect the
     outermost slice that still contains a satisfying grid point.  The probe
     resolution bounds what can be detected, so the result is a sound
     restriction only up to the grid; with no satisfying point found at all
-    the input box is returned flagged empty.
+    the result is None.
     """
-    if region.empty:
-        return region
     d = region.lower.shape[0]
     pts = _grid(region.lower, region.upper, grid)
     sat = spec.satisfaction_batch(pts).astype(bool)
     if not sat.any():
-        return Region(region.lower, region.upper, empty=True)
+        return None
     hits = pts[sat]
 
     lower = region.lower.copy()
@@ -374,51 +398,19 @@ def restrict_region(spec: VerificationSpec, region: Region, grid: int = 33,
 
         upper[i] = bisect(float(hits[:, i].max()), float(region.upper[i]))
         lower[i] = bisect(float(hits[:, i].min()), float(region.lower[i]))
-    return Region(lower, upper, empty=False)
+    return Box(lower, upper)
 
 
 # --- piecewise-affine relaxation over parameter cells ------------------------
 
-@dataclass(frozen=True)
-class ThetaCell:
-    lower: np.ndarray
-    upper: np.ndarray
-    label: str = UNKNOWN
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.upper, dtype=float).reshape(-1)
-        if lo.shape != hi.shape or (lo > hi).any():
-            raise ValueError("invalid cell bounds")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def radii(self) -> np.ndarray:
-        return 0.5 * (self.upper - self.lower)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
-
-
-def pwa_partition(region: Region, per_axis: int) -> list:
-    """Uniform grid of per_axis^d cells exactly covering the region."""
+def pwa_partition(region: Box, per_axis: int) -> Cells:
+    """Uniform grid of per_axis^d cells exactly covering the region, the
+    cell index running fastest along the last coordinate."""
     if per_axis < 1:
         raise ValueError("per_axis must be at least 1")
-    d = region.lower.shape[0]
-    edges = [np.linspace(region.lower[i], region.upper[i], per_axis + 1)
-             for i in range(d)]
-    cells = []
-    for index in itertools.product(range(per_axis), repeat=d):
-        lo = np.array([edges[i][index[i]] for i in range(d)])
-        hi = np.array([edges[i][index[i] + 1] for i in range(d)])
-        cells.append(ThetaCell(lo, hi))
-    return cells
+    edges = [np.linspace(lo, hi, per_axis + 1)
+             for lo, hi in zip(region.lower, region.upper)]
+    return Cells(_mesh([e[:-1] for e in edges]), _mesh([e[1:] for e in edges]))
 
 
 @dataclass(frozen=True)
@@ -501,7 +493,7 @@ def _noise_band(J, v0, V, coeff: float, power: int, centers: np.ndarray,
             np.where(smooth, eps_smooth, eps_flat))
 
 
-def pwa_linearize(model: ParametricLti, cell: ThetaCell, delta: float, t: int,
+def pwa_linearize(model: ParametricLti, cell: Box, delta: float, t: int,
                   tilde_map=None, gamma_form: str = "stddev"):
     """Affine approximation of gamma over a parameter cell plus error bound.
 
@@ -527,13 +519,15 @@ def pwa_linearize(model: ParametricLti, cell: ThetaCell, delta: float, t: int,
     return GammaAffine(cell.center, float(value0[0]), slope[0]), float(eps[0])
 
 
-def pwa_classify(cell: ThetaCell, spec: VerificationSpec) -> str:
+def pwa_classify(cell: Box, spec: VerificationSpec) -> str:
     """Label one cell feasible, infeasible or unknown (see `classify_cells`)."""
-    return classify_cells([cell], spec)[0].label
+    return str(classify_cells(Cells(cell.lower[None], cell.upper[None]),
+                              spec).label[0])
 
 
-def classify_cells(cells, spec: VerificationSpec) -> list:
-    """Copies of `cells` labelled feasible, infeasible or unknown.
+def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
+    """A copy of `cells` with each cell labelled feasible, infeasible or
+    unknown; the bound arrays are shared, not copied.
 
     With the affine noise model every leaf margin is concave piecewise-linear
     in theta on a cell, so the pessimistic margin (gamma_hat - eps) is least
@@ -544,11 +538,9 @@ def classify_cells(cells, spec: VerificationSpec) -> list:
     margin is nonnegative at every vertex, else unknown.  The envelope is
     never below the pessimistic margin, so leaf order does not matter.
     """
-    cells = list(cells)
-    if not cells:
-        return []
-    centers, rho, verts = _cell_arrays(np.array([c.lower for c in cells]),
-                                       np.array([c.upper for c in cells]))
+    if len(cells) == 0:
+        return cells
+    centers, rho, verts = _cell_arrays(cells.lower, cells.upper)
     shape = (len(cells), verts.shape[0] // len(cells))  # (cell, vertex) rows
     from_center = verts.reshape(*shape, centers.shape[1]) - centers[:, None]
     feasible, infeasible = np.ones(len(cells), bool), np.zeros(len(cells), bool)
@@ -569,7 +561,6 @@ def classify_cells(cells, spec: VerificationSpec) -> list:
         opt_ub = base.reshape(shape) + input_ub + gam_v + eps[:, None]
         feasible &= pess.min(axis=1) >= -FEAS_TOL
         infeasible |= opt_ub.max(axis=1) < -FEAS_TOL
-    labels = np.where(infeasible, INFEASIBLE_LABEL,
-                      np.where(feasible, FEASIBLE, UNKNOWN))
-    return [replace(cell, label=str(label))
-            for cell, label in zip(cells, labels)]
+    return Cells(cells.lower, cells.upper,
+                 np.where(infeasible, INFEASIBLE_LABEL,
+                          np.where(feasible, FEASIBLE, UNKNOWN)))

@@ -350,6 +350,15 @@ def test_bundled_config_builds_a_problem(config):
     assert (problem.table1 is None) == ("table1" not in cfg)
 
 
+def test_restriction_without_hits_keeps_the_region():
+    cfg = json.loads((CONFIG_DIR / "case_study.json").read_text())
+    cfg.update(restrict_region=True, restrict_grid=9)
+    problem = cli._problem(cfg, "mc")
+    assert problem.region_empty
+    assert problem.region.lower.tolist() == cfg["theta_region"]["lower"]
+    assert problem.region.upper.tolist() == cfg["theta_region"]["upper"]
+
+
 # Each case: command, mutated field, value, the path the error must name.
 # The first block is a probe of the loader that once exited 3 or raised.
 CONFIG_ERRORS = [
@@ -385,6 +394,21 @@ CONFIG_ERRORS = [
     ("table1", "table1.theta_true_list", [[0.3, 0.3], [1.0]],
      "table1.theta_true_list[1]"),
     ("verify", "model.input_lower", [-1.0], "model.input_lower"),
+    # Explicit weight vectors: not summing to one, not fitting the node,
+    # negative.
+    ("verify", "weights", {"mode": "explicit", "weights": {"": [0.7, 0.7]}},
+     "weights.weights"),
+    ("verify", "weights", {"mode": "explicit", "weights": {"": [0.5, 0.5]}},
+     "weights.weights"),
+    ("verify", "weights", {"mode": "explicit", "weights": {"": [-1, 2]}},
+     "weights.weights"),
+    # Boxes with a lower bound above the upper one, or no volume.
+    ("verify", "theta_region", {"lower": [1.0, -2.0], "upper": [0.0, 2.0]},
+     "theta_region"),
+    ("verify", "model.input_box", [[0.2], [-0.2]], "model.input_box"),
+    ("verify", "prior", {"lower": [2.0, -2.0], "upper": [-2.0, 2.0]},
+     "prior"),
+    ("verify", "prior", {"lower": [-2.0, 2.0], "upper": [2.0, 2.0]}, "prior"),
 ]
 
 

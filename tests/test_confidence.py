@@ -80,23 +80,22 @@ class TestMcConfidence:
 
 class TestPwaConfidence:
     def test_no_feasible_cells(self, uniform_post, region):
-        cells = [c for c in sb.pwa_partition(region, 3)]
-        labeled = [sb.ThetaCell(c.lower, c.upper, "infeasible") for c in cells]
+        cells = sb.pwa_partition(region, 3)
+        labeled = sb.Cells(cells.lower, cells.upper, ["infeasible"] * 9)
         est = sb.pwa_confidence(uniform_post, labeled, 100, RngStream(8))
         assert est.value == 0.0
         assert est.interval == (0.0, 0.0)
 
     def test_uniform_mass_adds_up(self, uniform_post, region):
         cells = sb.pwa_partition(region, 4)
-        labeled = [sb.ThetaCell(c.lower, c.upper, "feasible") for c in cells]
+        labeled = sb.Cells(cells.lower, cells.upper, ["feasible"] * 16)
         est = sb.pwa_confidence(uniform_post, labeled, 200, RngStream(9))
         assert est.value == pytest.approx(1.0)
 
     def test_unknown_cells_widen_interval(self, uniform_post, region):
         cells = sb.pwa_partition(region, 2)
-        labeled = [sb.ThetaCell(c.lower, c.upper,
-                                "feasible" if i == 0 else "unknown")
-                   for i, c in enumerate(cells)]
+        labeled = sb.Cells(cells.lower, cells.upper,
+                           ["feasible"] + ["unknown"] * 3)
         est = sb.pwa_confidence(uniform_post, labeled, 400, RngStream(10))
         assert est.value == pytest.approx(0.25)
         assert est.interval[0] == pytest.approx(0.25)
@@ -104,8 +103,8 @@ class TestPwaConfidence:
         assert len(est.per_cell) == 4
 
     def test_deterministic(self, uniform_post, region):
-        cells = [sb.ThetaCell(c.lower, c.upper, "feasible")
-                 for c in sb.pwa_partition(region, 3)]
+        grid = sb.pwa_partition(region, 3)
+        cells = sb.Cells(grid.lower, grid.upper, ["feasible"] * 9)
         a = sb.pwa_confidence(uniform_post, cells, 128, RngStream(11))
         b = sb.pwa_confidence(uniform_post, cells, 128, RngStream(11))
         assert a == b

@@ -148,7 +148,7 @@ class TestSatisfactionFn:
 class TestRestrictRegion:
     def test_shrinks_and_contains_feasible_set(self, safety_spec, safety_region):
         restricted = sb.restrict_region(safety_spec, safety_region, grid=33)
-        assert not restricted.empty
+        assert restricted is not None
         assert np.all(restricted.lower >= safety_region.lower - 1e-12)
         assert np.all(restricted.upper <= safety_region.upper + 1e-12)
         assert restricted.volume < safety_region.volume
@@ -169,9 +169,7 @@ class TestRestrictRegion:
 
     def test_empty_flag(self, case_spec):
         region = sb.Region([-3.5, -3.5], [3.5, 3.5])
-        restricted = sb.restrict_region(case_spec, region, grid=21)
-        assert restricted.empty
-        assert np.array_equal(restricted.lower, region.lower)
+        assert sb.restrict_region(case_spec, region, grid=21) is None
 
 
 class TestPwaPartition:
@@ -193,6 +191,57 @@ class TestPwaPartition:
         uppers = sorted({c.upper[0] for c in cells})
         lowers = sorted({c.lower[0] for c in cells})
         assert uppers[:-1] == lowers[1:]
+
+    @pytest.mark.parametrize("lower, upper, per_axis", [
+        ([-1.0], [2.0], 7),
+        ([-2.0, -2.0], [2.0, 2.0], 64),
+        ([-0.3, 0.0, 1.0], [0.7, 0.1, 5.0], 5),
+    ])
+    def test_bounds_match_product_reference(self, lower, upper, per_axis):
+        region = sb.Box(lower, upper)
+        cells = sb.pwa_partition(region, per_axis)
+        d = len(lower)
+        edges = [np.linspace(lower[i], upper[i], per_axis + 1)
+                 for i in range(d)]
+        ref_lower, ref_upper = [], []
+        for index in itertools.product(range(per_axis), repeat=d):
+            ref_lower.append([edges[i][index[i]] for i in range(d)])
+            ref_upper.append([edges[i][index[i] + 1] for i in range(d)])
+        assert cells.lower.tolist() == ref_lower
+        assert cells.upper.tolist() == ref_upper
+        assert list(cells.label) == [UNKNOWN] * per_axis ** d
+        # Neighbours along each axis share their face exactly.
+        shape = (per_axis,) * d + (d,)
+        lo, hi = cells.lower.reshape(shape), cells.upper.reshape(shape)
+        for i in range(d):
+            upper_face = np.take(hi, np.arange(per_axis - 1), axis=i)[..., i]
+            lower_face = np.take(lo, np.arange(1, per_axis), axis=i)[..., i]
+            assert np.array_equal(upper_face, lower_face)
+        assert cells.volume.sum() == pytest.approx(region.volume, rel=1e-12)
+
+
+class TestBoxValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: sb.Box([0.0, 1.0], [1.0, 0.5]),
+        lambda: sb.Box([0.0, 0.0], [1.0, 1.0, 1.0]),
+        lambda: sb.Cells([[0.0, 1.0]], [[1.0, 0.5]]),
+        lambda: sb.Cells([[0.0, 0.0]], [[1.0, 1.0, 1.0]]),
+        lambda: sb.Cells([[0.0, 0.0]], [[1.0, 1.0], [2.0, 2.0]]),
+        lambda: sb.Cells([0.0, 0.0], [1.0, 1.0]),
+        lambda: sb.Cells([[0.0, 0.0]], [[1.0, 1.0]], [UNKNOWN, UNKNOWN]),
+    ])
+    def test_rejects_bad_bounds(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_cells_iterate_as_labelled_boxes(self):
+        cells = sb.Cells([[0.0, 0.0], [1.0, 0.0]], [[1.0, 2.0], [3.0, 2.0]],
+                         [FEASIBLE, UNKNOWN])
+        assert len(cells) == 2
+        boxes = list(cells)
+        assert [b.label for b in boxes] == [FEASIBLE, UNKNOWN]
+        assert [b.volume for b in boxes] == cells.volume.tolist() == [2.0, 4.0]
+        assert np.array_equal(boxes[1].lower, [1.0, 0.0])
 
 
 class TestPwaLinearize:
@@ -296,7 +345,8 @@ class TestPwaClassify:
             [c.label for c in cells]
 
     def test_empty_cell_list(self, safety_spec):
-        assert sb.classify_cells([], safety_spec) == []
+        empty = sb.Cells(np.empty((0, 2)), np.empty((0, 2)))
+        assert list(sb.classify_cells(empty, safety_spec)) == []
 
     def test_one_parameter_partition(self, safety_model, safety_formula):
         model = sb.ParametricLti(
@@ -321,8 +371,7 @@ class TestPwaClassify:
 
     def test_cone_point_center_without_warning(self, safety_spec):
         # sigma vanishes at theta = 0 (C0 = 0), while lambda_max(Q) > 0.
-        cells = [sb.ThetaCell([-0.2, -0.2], [0.2, 0.2]),
-                 sb.ThetaCell([0.0, 0.0], [0.0, 0.0])]
+        cells = sb.Cells([[-0.2, -0.2], [0.0, 0.0]], [[0.2, 0.2], [0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             labels = [c.label for c in sb.classify_cells(cells, safety_spec)]
