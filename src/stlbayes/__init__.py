@@ -21,7 +21,6 @@ from .chance import (
     gamma_gradient,
     gaussian_quantile,
     noise_gram,
-    to_affine,
     until_events,
 )
 from .confidence import (
@@ -45,6 +44,7 @@ from .feasibility import (
     pwa_partition,
     restrict_region,
     satisfaction_fn,
+    to_affine,
     worst_case_margin,
 )
 from .lti import (

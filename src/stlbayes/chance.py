@@ -2,17 +2,20 @@
 
 A requirement Pr(xi |= psi at t0) >= 1 - delta is transformed, by structural
 recursion over the formula, into a conjunction of constraints of the form
-Pr(alpha(x(t)) >= 0) {>=,<=} threshold on single predicates at fixed times,
-and each such leaf is reduced to an affine constraint over the stacked input
-trajectory using the Gaussian distribution of the state.
+Pr(alpha(x(t)) >= 0) {>=,<=} threshold on single predicates at fixed times.
+This module also holds the Gaussian noise margin of a leaf (`gamma`, and
+`gamma_coefficient`, the one reading of the ``gamma_form`` setting); the
+reduction of a leaf to an affine input constraint lives with the leaf
+geometry in `feasibility` (`to_affine`).
 
 Budget rules (node required with probability p):
 
-* conjunction of N parts: part i may fail with probability w_i (1 - p),
-  weights w summing to one (uniform: (1 - p) / N each).  Boole's inequality
-  makes the split exact: the failure budgets sum to the parent's budget.
-  ``literal_shares=True`` divides each share by N once more, reproducing the
-  weaker textbook form.
+* conjunction of N parts (an and, the steps of an always window, or the
+  conjuncts of one until event): part i may fail with probability
+  w_i (1 - p), weights w summing to one (uniform: (1 - p) / N each).
+  Boole's inequality makes the split exact: the failure budgets sum to the
+  parent's budget.  ``literal_shares=True`` divides each share by N once
+  more, reproducing the weaker textbook form.
 * disjunction of N parts: part i required with probability w_i p.  This is a
   sufficient condition only when the disjuncts are essentially disjoint,
   which holds for the interval-complement disjunctions produced by negated
@@ -90,36 +93,46 @@ def noise_gram(model: ParametricLti, t: int) -> np.ndarray:
     return V
 
 
+class GammaFormError(ValueError):
+    """A noise-margin form that is unknown, or undefined at a leaf's delta."""
+
+
+def gamma_coefficient(delta: float, form: str = "stddev"):
+    """(c, p) of the noise margin gamma = c * sigma^p for failure budget delta.
+
+    ``stddev``: c = Phi^{-1}(delta), p = 1.  ``variance_literal``: c =
+    erfinv(sqrt(pi) delta), p = 2, defined for 0 < delta < 1/sqrt(pi).
+    """
+    if form == "stddev":
+        return gaussian_quantile(delta), 1
+    if form == "variance_literal":
+        arg = np.sqrt(np.pi) * float(delta)
+        if not 0.0 < arg < 1.0:
+            raise GammaFormError(
+                "variance_literal margin is undefined unless "
+                f"0 < delta < 1/sqrt(pi), got delta={delta}")
+        return float(erfinv(arg)), 2
+    raise GammaFormError(f"unknown gamma form {form!r}")
+
+
 def gamma(theta_tilde, delta: float, model: ParametricLti, t: int,
           form: str = "stddev") -> float:
     """Noise margin added to the mean constraint for a predicate at time t.
 
-    ``stddev`` (default): sigma(theta_tilde, t) * Phi^{-1}(delta), the form
-    under which `mean + gamma >= 0` is equivalent to
-    Pr(alpha(x(t)) >= 0) >= 1 - delta for Gaussian states.
-
-    ``variance_literal``: the variance itself multiplied by the inverse of
-    q(x) = erf(x) / sqrt(pi); kept as a documented alternative, defined only
-    for delta < 1/sqrt(pi).
+    sigma^2 = theta_tilde^T V_t theta_tilde is the variance of alpha(x(t))
+    due to the process noise, and the margin is `gamma_coefficient`'s
+    c * sigma^p.  Under ``stddev`` (default), sigma * Phi^{-1}(delta),
+    `mean + gamma >= 0` is equivalent to Pr(alpha(x(t)) >= 0) >= 1 - delta
+    for Gaussian states.  ``variance_literal``, the variance times
+    erfinv(sqrt(pi) delta), is kept as a documented alternative.
     """
     theta_tilde = np.asarray(theta_tilde, dtype=float).reshape(-1)
     if theta_tilde.shape != (model.n,):
         raise ValueError(
             f"theta_tilde must have length {model.n}, got {theta_tilde.shape}")
-    var = float(theta_tilde @ noise_gram(model, t) @ theta_tilde)
-    var = max(var, 0.0)
-    if form == "stddev":
-        if var == 0.0:
-            return 0.0
-        return float(np.sqrt(var) * gaussian_quantile(delta))
-    if form == "variance_literal":
-        arg = np.sqrt(np.pi) * float(delta)
-        if not -1.0 < arg < 1.0:
-            raise ValueError(
-                "variance_literal margin is undefined for "
-                f"delta >= 1/sqrt(pi), got delta={delta}")
-        return float(var * erfinv(arg))
-    raise ValueError(f"unknown gamma form {form!r}")
+    coeff, power = gamma_coefficient(delta, form)
+    var = max(float(theta_tilde @ noise_gram(model, t) @ theta_tilde), 0.0)
+    return float(coeff * (np.sqrt(var) if power == 1 else var))
 
 
 def gamma_gradient(theta_tilde, delta: float, model: ParametricLti, t: int):
@@ -347,6 +360,27 @@ def decompose(f: Formula, delta: float, weights: Optional[WeightScheme] = None,
     return sink.result()
 
 
+def _conjoin(conjuncts, threshold: float, path: tuple, group,
+             scheme: WeightScheme, literal_shares: bool, sink: _Sink) -> None:
+    """Boole's rule for a conjunction required with probability `threshold`.
+
+    `conjuncts` is a list of (formula, time) pairs; their top-level
+    conjuncts become the N parts, part i at path + ("c{i}",) may fail with
+    probability w_i (1 - threshold), and an empty conjunction holds.
+    """
+    flat = [(c, k) for sub, k in conjuncts for c in _flatten_and(to_nnf(sub))]
+    if not flat:
+        return
+    w = scheme.for_node(path, len(flat))
+    budget = 1.0 - threshold
+    for i, (c, k) in enumerate(flat):
+        share = w[i] * budget
+        if literal_shares:
+            share /= len(flat)
+        _decompose(c, AT_LEAST, 1.0 - share, k, path + (f"c{i}",), group,
+                   scheme, literal_shares, sink)
+
+
 def _decompose(f: Formula, direction: str, threshold: float, time: int,
                path: tuple, group, scheme: WeightScheme,
                literal_shares: bool, sink: _Sink) -> None:
@@ -380,22 +414,12 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
         raise StlError("negation above a non-predicate survived normalization")
 
     if isinstance(f, And):
-        parts = _flatten_and(f)
-        if not parts:
-            return
         if direction == AT_LEAST:
-            w = scheme.for_node(path, len(parts))
-            budget = 1.0 - threshold
-            for i, part in enumerate(parts):
-                share = w[i] * budget
-                if literal_shares:
-                    share /= len(parts)
-                _decompose(part, AT_LEAST, 1.0 - share, time,
-                           path + (f"c{i}",), group, scheme, literal_shares,
-                           sink)
+            _conjoin([(f, time)], threshold, path, group, scheme,
+                     literal_shares, sink)
         else:
             # Pr(and) <= p is implied by bounding every conjunct by p.
-            for i, part in enumerate(parts):
+            for i, part in enumerate(_flatten_and(f)):
                 _decompose(part, AT_MOST, threshold, time, path + (f"c{i}",),
                            group, scheme, literal_shares, sink)
         return
@@ -420,49 +444,23 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
         events = until_events(left, right, a, b, time)
         w = scheme.for_node(path, len(events))
         for idx, (j, conjuncts) in enumerate(events):
-            target = w[idx] * threshold
             event_path = path + (f"e{j}",)
-            flat = []
-            for sub, k in conjuncts:
-                for c in _flatten_and(to_nnf(sub)):
-                    flat.append((c, k))
-            if not flat:
-                continue
-            betas = scheme.for_node(event_path, len(flat))
-            budget = 1.0 - target
-            for i, (c, k) in enumerate(flat):
-                share = betas[i] * budget
-                if literal_shares:
-                    share /= len(flat)
-                _decompose(c, AT_LEAST, 1.0 - share, k,
-                           event_path + (f"c{i}",), event_path, scheme,
-                           literal_shares, sink)
+            _conjoin(conjuncts, w[idx] * threshold, event_path, event_path,
+                     scheme, literal_shares, sink)
         return
 
     if isinstance(f, Always):
         if direction == AT_MOST:
             raise StlError("upper bounds on always are outside the supported "
                            "fragment")
-        flat = []
-        for i in range(f.a, f.b + 1):
-            for c in _flatten_and(to_nnf(f.child)):
-                flat.append((c, time + i))
-        if not flat:
-            return
-        w = scheme.for_node(path, len(flat))
-        budget = 1.0 - threshold
-        for i, (c, k) in enumerate(flat):
-            share = w[i] * budget
-            if literal_shares:
-                share /= len(flat)
-            _decompose(c, AT_LEAST, 1.0 - share, k, path + (f"c{i}",), group,
-                       scheme, literal_shares, sink)
+        _conjoin([(f.child, time + i) for i in range(f.a, f.b + 1)],
+                 threshold, path, group, scheme, literal_shares, sink)
         return
 
     raise StlError(f"unknown formula node {f!r}")
 
 
-# --- affine reduction (Gaussian states) -------------------------------------
+# --- affine input constraint ------------------------------------------------
 
 @dataclass(frozen=True)
 class AffineInputConstraint:
@@ -480,48 +478,3 @@ class AffineInputConstraint:
                 f"f must have length m*t = {self.m * self.time}, got {f.size}")
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "b", float(self.b))
-
-
-def input_coefficients(model: ParametricLti, theta_tilde, t: int) -> np.ndarray:
-    """Stacked coefficients of u(0..t-1) in alpha(x(t)): block k is
-    theta_tilde^T A^{t-1-k} B."""
-    theta_tilde = np.asarray(theta_tilde, dtype=float).reshape(-1)
-    f = np.empty(model.m * t)
-    v = theta_tilde
-    # v = (A^T)^{t-1-k} theta_tilde accumulated from k = t-1 down to 0
-    for k in range(t - 1, -1, -1):
-        f[k * model.m:(k + 1) * model.m] = v @ model.B
-        v = model.A.T @ v
-    return f
-
-
-def to_affine(leaf: ChanceConstraint, model: ParametricLti, x0,
-              form: str = "stddev") -> AffineInputConstraint:
-    """Reduce one leaf chance constraint to an affine input constraint.
-
-    For `at_least` leaves the Gaussian reformulation uses delta = 1 -
-    threshold; `at_most` leaves negate the predicate and complement the
-    threshold first.  The offset term collects the deterministic mean
-    contribution of the initial state, theta_tilde^T A^t x0; at time 0 the
-    constraint has no input coefficients and reduces to a sign check.
-    """
-    pred = leaf.predicate
-    if isinstance(pred, OutputPredicate):
-        raise StlError(
-            "bind output predicates to a model parameter before the affine "
-            "reduction")
-    threshold = leaf.threshold
-    if leaf.direction == AT_MOST:
-        pred = pred.negated()
-        threshold = 1.0 - threshold
-    delta = 1.0 - threshold
-    tilde = pred.gradient_array
-    if tilde.shape != (model.n,):
-        raise ValueError(
-            f"predicate gradient has length {tilde.size}, expected {model.n}")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    t = leaf.time
-    f = input_coefficients(model, tilde, t)
-    mean0 = float(tilde @ np.linalg.matrix_power(model.A, t) @ x0)
-    b = pred.offset + mean0 + gamma(tilde, delta, model, t, form=form)
-    return AffineInputConstraint(f=f, b=b, time=t, m=model.m)

@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .bayes import PriorSpec, posterior
-from .chance import WeightError, WeightScheme
+from .chance import GammaFormError, WeightError, WeightScheme
 from .confidence import chebyshev_sample_size, mc_confidence, pwa_confidence
 from .feasibility import (
     Box,
@@ -55,6 +55,8 @@ def _at(path: str):
         raise
     except WeightError as exc:  # found in decomposition, under "formula"
         raise ConfigError("weights.weights", str(exc)) from exc
+    except GammaFormError as exc:  # found at a leaf's delta, under "formula"
+        raise ConfigError("gamma_form", str(exc)) from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
 

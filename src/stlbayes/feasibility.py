@@ -1,11 +1,15 @@
 """Robust feasibility of decomposed constraints and the parameter-space map.
 
-For a fixed parameter theta every leaf chance constraint reduces to an affine
-inequality f.u + b >= 0 that must hold for every admissible input trajectory.
-Over a box of inputs the worst case has the closed form
-b + sum_k min(f_k l_k, f_k u_k); the same question is also answered through
-the Farkas dual of the robust linear program, solved with the internal
-simplex, and the two routes are required to agree.
+`_leaf_geometry` is the one reduction of a leaf chance constraint to data
+affine in theta: the predicate gradient v0 + J theta, the initial-state
+term, the input map and the Gaussian noise margin.  At a fixed parameter a
+leaf is an affine inequality f.u + b >= 0 (`to_affine`) that must hold for
+every admissible input trajectory; over a box of inputs the worst case has
+the closed form b + sum_k min(f_k l_k, f_k u_k), the one input term that
+`worst_case_margin`, the satisfaction map and `classify_cells` share.  The
+same question is also answered through the Farkas dual of the robust linear
+program, solved with the internal simplex, and the two routes are required
+to agree.
 
 The satisfaction map theta -> {0, 1} is the conjunction of all leaf
 feasibility checks.  A piecewise-affine relaxation of the noise margin over
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfinv
 
 from .chance import (
     AT_MOST,
@@ -33,12 +36,12 @@ from .chance import (
     DecompositionResult,
     WeightScheme,
     decompose,
-    gaussian_quantile,
+    gamma_coefficient,
     noise_gram,
 )
 from .lti import ParametricLti
 from .simplex import INFEASIBLE, OPTIMAL, solve_standard_lp
-from .stl import Formula, OutputPredicate, horizon
+from .stl import Formula, OutputPredicate, StlError, horizon
 
 FEAS_TOL = 1e-9
 
@@ -114,15 +117,18 @@ class Cells(Box):
 InputBox = Region = ThetaCell = Box
 
 
+def _input_min(f: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """min of f . u over the stacked input box lo <= u <= hi, per row of f."""
+    return np.minimum(f * lo, f * hi).sum(axis=-1)
+
+
 def worst_case_margin(c: AffineInputConstraint, box: Box) -> float:
     """min over admissible stacked inputs of f.u + b (closed form)."""
     if box.lower.size != c.m:
         raise ValueError(f"box has {box.lower.size} input coordinates, "
                          f"constraint has {c.m}")
-    if c.time == 0:
-        return c.b
     lo, hi = box.stacked(c.time)
-    return c.b + float(np.minimum(c.f * lo, c.f * hi).sum())
+    return c.b + float(_input_min(c.f, lo, hi))
 
 
 @dataclass(frozen=True)
@@ -177,19 +183,19 @@ def farkas_feasible(c: AffineInputConstraint, box: Box):
 
 @dataclass(frozen=True)
 class _LeafGeometry:
-    """One leaf, normalized to at-least form, as functions of theta.
+    """One leaf, normalized to at-least form, as affine data in theta.
 
-    The state-space predicate gradient is affine in theta,
-    tilde(theta) = v0 + J theta, and the leaf margin is
+    The state-space predicate gradient is tilde(theta) = v0 + J theta (J = 0
+    for a state predicate), and at theta the leaf is the input constraint
+    f.u + b >= 0 with
 
-        offset + tilde.a_t + sum_k min-over-box(f_k(theta) u_k) + margin(noise)
+        f = W' tilde,  b = offset + tilde.a_t + noise_coeff * sigma^noise_power
 
-    with f(theta) = W^T tilde(theta) and the noise margin z * sigma(theta)
-    (or factor * sigma^2 in the literal variance form).
+    a_t = A^t x0, W = [A^{t-1} B, ..., A B, B], sigma^2 = tilde' V tilde and V
+    the noise Gram matrix at the leaf's time.  Its margin adds the worst
+    case of f.u over the input box, whose stacked bounds it keeps.
     """
 
-    label: str
-    time: int
     offset: float
     v0: np.ndarray
     J: np.ndarray
@@ -201,19 +207,24 @@ class _LeafGeometry:
     lo_stack: np.ndarray
     hi_stack: np.ndarray
 
-    def margins(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        tl = self.v0 + thetas @ self.J.T
-        out = self.offset + tl @ self.a_t
-        if self.time > 0:
-            f = tl @ self.W
-            out = out + np.minimum(f * self.lo_stack, f * self.hi_stack).sum(axis=1)
-            var = np.clip(np.einsum("bi,ij,bj->b", tl, self.V, tl), 0.0, None)
-            if self.noise_power == 1:
-                out = out + self.noise_coeff * np.sqrt(var)
-            else:
-                out = out + self.noise_coeff * var
-        return out
+    def gradients(self, thetas) -> np.ndarray:
+        """tilde(theta) for each row of `thetas`."""
+        return self.v0 + np.atleast_2d(thetas) @ self.J.T
+
+    def mean(self, tl: np.ndarray) -> np.ndarray:
+        """offset + tilde.a_t for each row tilde of `tl`."""
+        return self.offset + tl @ self.a_t
+
+    def noise(self, tl: np.ndarray) -> np.ndarray:
+        """The noise margin for each row tilde of `tl`."""
+        var = np.clip(np.einsum("bi,bi->b", tl @ self.V, tl), 0.0, None)
+        return self.noise_coeff * (np.sqrt(var) if self.noise_power == 1
+                                   else var)
+
+    def margins(self, thetas) -> np.ndarray:
+        tl = self.gradients(thetas)
+        return (self.mean(tl) + _input_min(tl @ self.W, self.lo_stack,
+                                           self.hi_stack) + self.noise(tl))
 
 
 def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
@@ -232,7 +243,6 @@ def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
         v0 = sign * (model.C0.T @ g)
         J = sign * np.column_stack([Ci.T @ g for Ci in model.C_basis]) \
             if d else np.zeros((n, 0))
-        offset = sign * pred.offset
     else:
         v0 = sign * pred.gradient_array
         if v0.shape != (n,):
@@ -240,7 +250,6 @@ def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
                 f"predicate {leaf.label!r} has gradient length {v0.size}, "
                 f"expected the state dimension {n}")
         J = np.zeros((n, d))
-        offset = sign * pred.offset
 
     t = leaf.time
     a_t = np.linalg.matrix_power(model.A, t) @ np.asarray(x0, dtype=float).reshape(-1)
@@ -249,25 +258,34 @@ def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
     for k in range(t - 1, -1, -1):
         W[:, k * model.m:(k + 1) * model.m] = Ak @ model.B
         Ak = model.A @ Ak
-    coeff, power = _noise_coefficient(delta, gamma_form)
+    coeff, power = gamma_coefficient(delta, gamma_form)
     lo, hi = box.stacked(t)
-    return _LeafGeometry(label=leaf.label, time=t, offset=offset, v0=v0, J=J,
-                         a_t=a_t, W=W, V=noise_gram(model, t),
-                         noise_coeff=coeff, noise_power=power, lo_stack=lo,
-                         hi_stack=hi)
+    return _LeafGeometry(offset=sign * pred.offset, v0=v0, J=J, a_t=a_t, W=W,
+                         V=noise_gram(model, t), noise_coeff=coeff,
+                         noise_power=power, lo_stack=lo, hi_stack=hi)
 
 
-def _noise_coefficient(delta: float, gamma_form: str):
-    """(coefficient, power of sigma) of the noise margin for one leaf."""
-    if gamma_form == "stddev":
-        return gaussian_quantile(delta), 1
-    if gamma_form == "variance_literal":
-        arg = np.sqrt(np.pi) * delta
-        if not arg < 1.0:
-            raise ValueError(
-                "variance_literal margin undefined for delta >= 1/sqrt(pi)")
-        return float(erfinv(arg)), 2
-    raise ValueError(f"unknown gamma form {gamma_form!r}")
+def to_affine(leaf: ChanceConstraint, model: ParametricLti, x0,
+              form: str = "stddev") -> AffineInputConstraint:
+    """Reduce one leaf chance constraint on a state predicate to an affine
+    input constraint: its `_leaf_geometry` at the leaf's own gradient.
+
+    An `at_most` leaf negates the predicate and complements the threshold
+    first, and the noise margin uses delta = 1 - threshold.  The offset b
+    collects the predicate offset, the mean contribution of the initial
+    state, tilde^T A^t x0, and the noise margin; at time 0 the constraint
+    has no input coefficients and reduces to a sign check.
+    """
+    if isinstance(leaf.predicate, OutputPredicate):
+        raise StlError(
+            "bind output predicates to a model parameter before the affine "
+            "reduction")
+    box = Box(model.input_lower, model.input_upper)  # enters neither f nor b
+    g = _leaf_geometry(leaf, model, x0, box, form)
+    tl = g.v0[None]  # J = 0 for a state predicate
+    return AffineInputConstraint(f=(tl @ g.W)[0],
+                                 b=(g.mean(tl) + g.noise(tl))[0],
+                                 time=leaf.time, m=model.m)
 
 
 # --- verification spec ------------------------------------------------------
@@ -312,18 +330,14 @@ class VerificationSpec:
     def leaves(self) -> tuple:
         return self.decomposition.all_leaves()
 
-    def bound_leaves(self, theta) -> list:
-        c = self.model.c_matrix(theta)
-        return [leaf.bind(c) for leaf in self.leaves()]
-
     def affine_constraints(self, theta) -> list:
-        """Per-leaf affine input constraints at a fixed parameter."""
-        from .chance import to_affine
-        return [to_affine(leaf, self.model, self.x0, form=self.gamma_form)
-                for leaf in self.bound_leaves(theta)]
+        """Per-leaf affine input constraints at a fixed parameter, each
+        leaf bound to C(theta) first."""
+        c = self.model.c_matrix(theta)
+        return [to_affine(leaf.bind(c), self.model, self.x0,
+                          form=self.gamma_form) for leaf in self.leaves()]
 
     def leaf_margins(self, theta) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float).reshape(1, -1)
         return np.array([g.margins(theta)[0] for g in self._geometry])
 
     def satisfaction_batch(self, thetas) -> np.ndarray:
@@ -514,7 +528,7 @@ def pwa_linearize(model: ParametricLti, cell: Box, delta: float, t: int,
         v0 = np.asarray(v0, dtype=float).reshape(-1)
     centers, rho, verts = _cell_arrays(cell.lower[None], cell.upper[None])
     value0, slope, eps = _noise_band(
-        J, v0, noise_gram(model, t), *_noise_coefficient(delta, gamma_form),
+        J, v0, noise_gram(model, t), *gamma_coefficient(delta, gamma_form),
         centers, rho, v0 + verts @ J.T)
     return GammaAffine(cell.center, float(value0[0]), slope[0]), float(eps[0])
 
@@ -545,13 +559,13 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     from_center = verts.reshape(*shape, centers.shape[1]) - centers[:, None]
     feasible, infeasible = np.ones(len(cells), bool), np.zeros(len(cells), bool)
     for g in spec._geometry:
-        tl_v = g.v0 + verts @ g.J.T
+        tl_v = g.gradients(verts)
         value0, slope, eps = _noise_band(g.J, g.v0, g.V, g.noise_coeff,
                                          g.noise_power, centers, rho, tl_v)
-        base = g.offset + tl_v @ g.a_t
+        base = g.mean(tl_v)
         gam_v = value0[:, None] + _mv(from_center, slope)
         f_v = tl_v @ g.W
-        input_min = np.minimum(f_v * g.lo_stack, f_v * g.hi_stack).sum(axis=1)
+        input_min = _input_min(f_v, g.lo_stack, g.hi_stack)
         # Affine upper envelope of the optimistic margin: pick the worst-case
         # input branch at the center and keep it fixed.
         f_c = _mv(g.W.T, g.v0 + _mv(g.J, centers))

@@ -409,6 +409,11 @@ CONFIG_ERRORS = [
     ("verify", "prior", {"lower": [2.0, -2.0], "upper": [-2.0, 2.0]},
      "prior"),
     ("verify", "prior", {"lower": [-2.0, 2.0], "upper": [2.0, 2.0]}, "prior"),
+    # A well-formed formula whose one leaf delta, 0.6, lies outside the
+    # literal form's domain (0, 1/sqrt(pi)).
+    ("verify", ("formula", "delta", "gamma_form"), ("mu1", 0.6,
+                                                    "variance_literal"),
+     "gamma_form"),
 ]
 
 
@@ -416,7 +421,10 @@ CONFIG_ERRORS = [
                          ids=[f"{c[0]}-{c[1]}={c[2]!r}" for c in CONFIG_ERRORS])
 def test_malformed_field_exits_2_at_its_path(tmp_path, capsys, command, field,
                                              value, reported):
-    cfg = mutated(dict(BASE_CONFIG, table1=TABLE1), field, value)
+    cfg = dict(BASE_CONFIG, table1=TABLE1)
+    pairs = zip(field, value) if isinstance(field, tuple) else [(field, value)]
+    for name, item in pairs:
+        cfg = mutated(cfg, name, item)
     path = write_config(tmp_path, cfg)
     assert run([command, "--config", path, "--out", tmp_path / "o"]) == 2
     assert f"config error at {reported}:" in capsys.readouterr().err

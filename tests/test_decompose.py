@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
-from stlbayes.chance import AT_LEAST, AT_MOST, input_coefficients
+from stlbayes.chance import AT_LEAST, AT_MOST
 from stlbayes.lti import simulate_states_batch
 from stlbayes.rng import RngStream
 
@@ -291,7 +291,9 @@ class TestToAffine:
 
     def test_input_coefficient_order(self, model):
         tilde = np.array([0.3, -0.7])
-        f = input_coefficients(model, tilde, 3)
+        leaf = sb.ChanceConstraint(sb.LinearPredicate(0.0, tuple(tilde)), 3,
+                                   AT_LEAST, 0.9)
+        f = sb.to_affine(leaf, model, [0, 0]).f
         ref = [float((tilde @ np.linalg.matrix_power(model.A, 3 - 1 - k)
                       @ model.B)[0]) for k in range(3)]
         assert f == pytest.approx(ref)

@@ -87,6 +87,22 @@ class TestFarkas:
         assert sb.farkas_feasible(good, box)[0] is True
 
 
+@pytest.fixture(params=[(kind, form) for kind in ("output", "state")
+                        for form in ("stddev", "variance_literal")],
+                ids="-".join)
+def route_spec(request, safety_model, safety_formula):
+    """The safety spec, or G[0,3] of a state predicate (J = 0) from a
+    nonzero x0, under either noise-margin form."""
+    kind, form = request.param
+    if kind == "output":
+        return sb.VerificationSpec(safety_model, safety_formula, 0.05,
+                                   gamma_form=form)
+    state = sb.Always(sb.Pred("s", sb.LinearPredicate(0.5, (1.0, -0.3))),
+                      0, 3)
+    return sb.VerificationSpec(safety_model, state, 0.05, x0=[0.3, -0.2],
+                               gamma_form=form)
+
+
 class TestSatisfactionFn:
     def test_dominating_noise_kills_feasibility(self, case_model, case_formula):
         loud = case_model.with_overrides(Sigma_w=50.0 * np.eye(2))
@@ -96,24 +112,24 @@ class TestSatisfactionFn:
         thetas = thetas[np.linalg.norm(thetas, axis=1) > 0.5]
         assert not spec.satisfaction_batch(thetas).any()
 
-    def test_matches_per_leaf_affine_route(self, safety_spec):
+    def test_matches_per_leaf_affine_route(self, route_spec):
         # The vectorized margins agree exactly with the per-leaf reduction
         # checked by the closed-form box oracle.
         gen = np.random.default_rng(5)
-        box = safety_spec.input_box
+        box = route_spec.input_box
         for theta in gen.uniform(-2, 2, size=(25, 2)):
-            margins = safety_spec.leaf_margins(theta)
+            margins = route_spec.leaf_margins(theta)
             ref = np.array([sb.worst_case_margin(c, box)
-                            for c in safety_spec.affine_constraints(theta)])
+                            for c in route_spec.affine_constraints(theta)])
             assert margins == pytest.approx(ref, abs=1e-10)
             expected = int(np.all(ref >= -1e-9))
-            assert sb.satisfaction_fn(theta, safety_spec) == expected
+            assert sb.satisfaction_fn(theta, route_spec) == expected
 
-    def test_farkas_agrees_on_spec_leaves(self, safety_spec):
+    def test_farkas_agrees_on_spec_leaves(self, route_spec):
         gen = np.random.default_rng(6)
-        box = safety_spec.input_box
+        box = route_spec.input_box
         for theta in gen.uniform(-1.5, 1.5, size=(10, 2)):
-            for c in safety_spec.affine_constraints(theta):
+            for c in route_spec.affine_constraints(theta):
                 margin = sb.worst_case_margin(c, box)
                 if abs(margin) > 1e-9:
                     assert sb.farkas_feasible(c, box)[0] == (margin >= 0)
