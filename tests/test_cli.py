@@ -3,7 +3,10 @@ import copy
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -348,6 +351,31 @@ def test_bundled_config_builds_a_problem(config):
     assert (problem.cells is None) == (problem.method == "mc")
     assert (problem.data is None) == ("data" not in cfg)
     assert (problem.table1 is None) == ("table1" not in cfg)
+
+
+def test_import_and_build_load_no_scipy():
+    """The package's run-time path needs numpy and the standard library only.
+
+    Checked in a fresh interpreter, because this test process has scipy
+    loaded already for the test-only references.
+    """
+    script = (
+        "import json, sys\n"
+        "from pathlib import Path\n"
+        "from stlbayes import cli\n"
+        "from stlbayes.chance import gamma_coefficient\n"
+        "for path in sorted(Path(sys.argv[1]).glob('*.json')):\n"
+        "    cli._problem(json.loads(path.read_text()), None)\n"
+        "gamma_coefficient(0.1, 'variance_literal')\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", script, str(CONFIG_DIR)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
 def test_restriction_without_hits_keeps_the_region():

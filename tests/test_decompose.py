@@ -21,6 +21,14 @@ def _pred(name):
     return sb.Pred(name, case_predicates()[name])
 
 
+def _worst_relative_error(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert np.all(got[ref == 0] == 0)
+    nonzero = ref != 0
+    return float(np.max(np.abs(got[nonzero] - ref[nonzero])
+                        / np.abs(ref[nonzero]), initial=0.0))
+
+
 class TestGaussianQuantile:
     def test_median(self):
         assert sb.gaussian_quantile(0.5) == 0.0
@@ -39,6 +47,17 @@ class TestGaussianQuantile:
         for bad in (0.0, 1.0, -0.1, 2.0):
             with pytest.raises(ValueError):
                 sb.gaussian_quantile(bad)
+
+    @pytest.mark.parametrize("probabilities", [
+        np.logspace(-15, np.log10(0.5), 301),
+        1.0 - np.logspace(-12, np.log10(0.5), 301),
+        np.linspace(0.001, 0.999, 999),
+    ], ids=["lower-tail", "upper-tail", "body"])
+    def test_relative_accuracy_against_high_precision(self, probabilities):
+        ref = [float(-mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(p)))
+               for p in probabilities]
+        got = [sb.gaussian_quantile(p) for p in probabilities]
+        assert _worst_relative_error(got, ref) < 1e-14
 
 
 class TestGamma:
@@ -74,6 +93,24 @@ class TestGamma:
         expected = var * float(erfinv(np.sqrt(np.pi) * 0.2))
         got = sb.gamma(tilde, 0.2, model, 2, form="variance_literal")
         assert got == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("args", [
+        [1e-300, 1e-15],
+        np.linspace(0.0, 1.0, 2003)[1:-1],
+        [1 - 1e-6, 1 - 1e-10, 1 - 1e-12],
+    ], ids=["tiny", "sweep", "near-one"])
+    def test_variance_literal_coefficient_against_high_precision(self, args):
+        from stlbayes.chance import gamma_coefficient
+        got, ref = [], []
+        for y in args:
+            delta = y / np.sqrt(np.pi)
+            # Near 1, erfinv magnifies a one-ulp change of its argument a
+            # hundred billion times, so the reference takes the argument
+            # exactly as the margin forms it.
+            arg = np.sqrt(np.pi) * delta
+            got.append(gamma_coefficient(delta, "variance_literal")[0])
+            ref.append(float(mpmath.erfinv(mpmath.mpf(arg))))
+        assert _worst_relative_error(got, ref) < 1e-14
 
     def test_variance_literal_domain(self, model):
         with pytest.raises(ValueError, match="undefined"):
