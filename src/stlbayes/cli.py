@@ -14,7 +14,7 @@ a report can be reproduced exactly from the config it embeds.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import math
 import sys
@@ -317,10 +317,13 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header: list, rows) -> None:
+    # Every field is a header, a label or a repr'd float, none of which the
+    # csv module would quote, so each line is the fields joined by "," and
+    # ended by "\r\n", the bytes csv.writer gives.  Lines are streamed, so
+    # the file is never held whole in memory.
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(",".join(row) + "\r\n"
+                      for row in itertools.chain([header], rows))
 
 
 def _write_contour(path: Path, post, region: Box, grid: int) -> None:
@@ -329,9 +332,10 @@ def _write_contour(path: Path, post, region: Box, grid: int) -> None:
     xs = np.linspace(region.lower[0], region.upper[0], grid)
     ys = np.linspace(region.lower[1], region.upper[1], grid)
     points = np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
-    table = np.column_stack([points, post.density(points)])
+    density = map(repr, post.density(points).tolist())
+    axes = itertools.product(map(repr, xs.tolist()), map(repr, ys.tolist()))
     _write_csv(path, ["theta_1", "theta_2", "density"],
-               [[repr(float(v)) for v in row] for row in table])
+               ((x, y, z) for (x, y), z in zip(axes, density)))
 
 
 def _write_cells(path: Path, cells: Cells | None) -> None:

@@ -12,13 +12,14 @@ program, solved with the internal simplex, and the two routes are required
 to agree.
 
 The satisfaction map theta -> {0, 1} is the conjunction of all leaf
-feasibility checks.  A piecewise-affine relaxation of the noise margin over
+feasibility checks, evaluated leaf by leaf on the rows that every earlier
+leaf admitted.  A piecewise-affine relaxation of the noise margin over
 axis-aligned parameter cells turns every leaf margin into a concave
 piecewise-linear function of theta on the cell, so cells can be certified
 feasible (exactly, via vertex evaluation) or infeasible (via an affine upper
 envelope), with "unknown" for the remainder.  A partition is one `Cells`
 value of bound and label arrays, which `classify_cells` labels in one array
-pass per leaf.
+pass per leaf over the cells that no earlier leaf has certified infeasible.
 """
 
 from __future__ import annotations
@@ -341,14 +342,17 @@ class VerificationSpec:
         return np.array([g.margins(theta)[0] for g in self._geometry])
 
     def satisfaction_batch(self, thetas) -> np.ndarray:
-        """Vectorized satisfaction map over rows of `thetas`."""
+        """Vectorized satisfaction map over rows of `thetas`: each leaf sees
+        only the rows that every earlier leaf admitted."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        ok = np.ones(thetas.shape[0], dtype=bool)
+        rows = np.arange(thetas.shape[0])
         for g in self._geometry:
-            ok &= g.margins(thetas) >= -FEAS_TOL
-            if not ok.any():
+            if rows.size == 0:
                 break
-        return ok.astype(np.uint8)
+            rows = rows[g.margins(thetas[rows]) >= -FEAS_TOL]
+        ok = np.zeros(thetas.shape[0], dtype=np.uint8)
+        ok[rows] = 1
+        return ok
 
 
 def satisfaction_fn(theta, spec: VerificationSpec) -> int:
@@ -546,20 +550,25 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     With the affine noise model every leaf margin is concave piecewise-linear
     in theta on a cell, so the pessimistic margin (gamma_hat - eps) is least
     at a vertex.  An affine upper envelope of the optimistic margin (input
-    branch fixed at the cell center) bounds it from above.  One array pass
-    per leaf covers all cells: a cell is infeasible if some leaf's envelope
-    is below zero at every vertex, else feasible if every leaf's pessimistic
-    margin is nonnegative at every vertex, else unknown.  The envelope is
-    never below the pessimistic margin, so leaf order does not matter.
+    branch fixed at the cell center) bounds it from above.  A cell is
+    infeasible if some leaf's envelope is below zero at every vertex, else
+    feasible if every leaf's pessimistic margin is nonnegative at every
+    vertex, else unknown.  The leaves are taken in turn, each in one array
+    pass over the cells that no earlier leaf has certified infeasible: such
+    a cell's label is settled.  The envelope is never below the pessimistic
+    margin, so the label does not depend on the order of the leaves.
     """
     if len(cells) == 0:
         return cells
     centers, rho, verts = _cell_arrays(cells.lower, cells.upper)
-    shape = (len(cells), verts.shape[0] // len(cells))  # (cell, vertex) rows
-    from_center = verts.reshape(*shape, centers.shape[1]) - centers[:, None]
-    feasible, infeasible = np.ones(len(cells), bool), np.zeros(len(cells), bool)
+    d = centers.shape[1]
+    verts = verts.reshape(len(cells), -1, d)  # (cell, vertex, coordinate)
+    from_center = verts - centers[:, None]
+    active = np.arange(len(cells))  # cells not yet certified infeasible
+    feasible = np.ones(len(cells), bool)  # over the active cells
     for g in spec._geometry:
-        tl_v = g.gradients(verts)
+        shape = verts.shape[:2]
+        tl_v = g.gradients(verts.reshape(-1, d))
         value0, slope, eps = _noise_band(g.J, g.v0, g.V, g.noise_coeff,
                                          g.noise_power, centers, rho, tl_v)
         base = g.mean(tl_v)
@@ -574,7 +583,13 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
         pess = (base + input_min).reshape(shape) + gam_v - eps[:, None]
         opt_ub = base.reshape(shape) + input_ub + gam_v + eps[:, None]
         feasible &= pess.min(axis=1) >= -FEAS_TOL
-        infeasible |= opt_ub.max(axis=1) < -FEAS_TOL
-    return Cells(cells.lower, cells.upper,
-                 np.where(infeasible, INFEASIBLE_LABEL,
-                          np.where(feasible, FEASIBLE, UNKNOWN)))
+        keep = ~(opt_ub.max(axis=1) < -FEAS_TOL)  # not certified infeasible
+        if not keep.all():
+            active, feasible = active[keep], feasible[keep]
+            centers, rho = centers[keep], rho[keep]
+            verts, from_center = verts[keep], from_center[keep]
+            if active.size == 0:
+                break
+    label = np.full(len(cells), INFEASIBLE_LABEL)
+    label[active] = np.where(feasible, FEASIBLE, UNKNOWN)
+    return Cells(cells.lower, cells.upper, label)

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -385,6 +386,52 @@ def test_restriction_without_hits_keeps_the_region():
     assert problem.region_empty
     assert problem.region.lower.tolist() == cfg["theta_region"]["lower"]
     assert problem.region.upper.tolist() == cfg["theta_region"]["upper"]
+
+
+def _csv_module_bytes(rows) -> bytes:
+    buffer = io.StringIO(newline="")
+    csv.writer(buffer).writerows(rows)
+    return buffer.getvalue().encode()
+
+
+def test_csv_files_match_the_csv_module(tmp_path):
+    """The writers give the bytes of csv.writer for the same repr'd fields,
+    a negative zero and floats in exponent form included."""
+    cells = cli.Cells([[-0.0, 0.1], [1e-05, -2.5]], [[0.0, 0.2], [3.0, 1e20]],
+                      ["feasible", "unknown"])
+    cli._write_cells(tmp_path / "feasible_cells.csv", cells)
+    header = ["theta_lo_1", "theta_lo_2", "theta_hi_1", "theta_hi_2", "label"]
+    bounds = np.hstack([cells.lower, cells.upper])
+    assert (tmp_path / "feasible_cells.csv").read_bytes() == _csv_module_bytes(
+        [header] + [[repr(float(v)) for v in row] + [label]
+                    for row, label in zip(bounds, cells.label)])
+    assert b"-0.0,0.1,0.0" in (tmp_path / "feasible_cells.csv").read_bytes()
+
+    density = np.array([1e-05, -0.0, 2.5e-300, 123456789.0, 0.1, 1.0, 7e22,
+                        3.0, 5e-324])
+    post = types.SimpleNamespace(density=lambda points: density)
+    region = cli.Box([-0.5, 0.0], [0.5, 1.0])
+    cli._write_contour(tmp_path / "posterior_contour.csv", post, region, 3)
+    axis_1, axis_2 = np.linspace(-0.5, 0.5, 3), np.linspace(0.0, 1.0, 3)
+    table = np.column_stack([np.repeat(axis_1, 3), np.tile(axis_2, 3),
+                             density])
+    contour = (tmp_path / "posterior_contour.csv").read_bytes()
+    assert contour == _csv_module_bytes(
+        [["theta_1", "theta_2", "density"]]
+        + [[repr(float(v)) for v in row] for row in table])
+    assert b"-0.5,0.5,-0.0\r\n-0.5,1.0,2.5e-300\r\n" in contour
+
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["method"] = "mc"
+    cfg["mc"] = {"samples": 1500}
+    cfg["table1"] = {**TABLE1, "theta_true_list": [[-0.0, 0.3], [1e-05, 1.5]],
+                     "repetitions": 1}
+    rows = cli.cmd_table1(cfg, tmp_path)["results"]["rows"]
+    assert (tmp_path / "table1.csv").read_bytes() == _csv_module_bytes(
+        [["theta_true", "mc_mean", "mc_variance"]]
+        + [[" ".join(map(repr, row["theta_true"])), repr(row["mc"]["mean"]),
+            repr(row["mc"]["variance"])] for row in rows])
+    assert (tmp_path / "table1.csv").read_bytes().count(b"-0.0 0.3,") == 1
 
 
 # Each case: command, mutated field, value, the path the error must name.

@@ -7,7 +7,13 @@ import pytest
 
 import stlbayes as sb
 from stlbayes.chance import AffineInputConstraint
-from stlbayes.feasibility import FEASIBLE, INFEASIBLE_LABEL, UNKNOWN
+from stlbayes.feasibility import (
+    FEAS_TOL,
+    FEASIBLE,
+    INFEASIBLE_LABEL,
+    UNKNOWN,
+    _LeafGeometry,
+)
 
 
 def random_constraint(gen, max_m=3, max_t=4):
@@ -103,6 +109,33 @@ def route_spec(request, safety_model, safety_formula):
                                gamma_form=form)
 
 
+def _rows_seen(monkeypatch, method: str) -> list:
+    """Patch `_LeafGeometry.<method>` to record the number of rows of each
+    call's theta argument; returns the (growing) list of counts."""
+    seen = []
+    original = getattr(_LeafGeometry, method)
+
+    def counted(self, thetas):
+        seen.append(np.atleast_2d(thetas).shape[0])
+        return original(self, thetas)
+
+    monkeypatch.setattr(_LeafGeometry, method, counted)
+    return seen
+
+
+def _assert_rowwise_satisfaction(spec, thetas):
+    """satisfaction_batch agrees with every leaf's margin taken row by row,
+    on the whole batch, on single rows and on an empty batch."""
+    sat = spec.satisfaction_batch(thetas)
+    assert sat.dtype == np.uint8 and sat.shape == (len(thetas),)
+    assert sat.tolist() == [int(np.all(spec.leaf_margins(t) >= -FEAS_TOL))
+                            for t in thetas]
+    for i in range(3):
+        assert spec.satisfaction_batch(thetas[i:i + 1]).tolist() == [sat[i]]
+    empty = spec.satisfaction_batch(thetas[:0])
+    assert empty.shape == (0,) and empty.dtype == np.uint8
+
+
 class TestSatisfactionFn:
     def test_dominating_noise_kills_feasibility(self, case_model, case_formula):
         loud = case_model.with_overrides(Sigma_w=50.0 * np.eye(2))
@@ -133,6 +166,45 @@ class TestSatisfactionFn:
                 margin = sb.worst_case_margin(c, box)
                 if abs(margin) > 1e-9:
                     assert sb.farkas_feasible(c, box)[0] == (margin >= 0)
+
+    def test_batch_matches_rowwise_margins(self, route_spec):
+        _assert_rowwise_satisfaction(
+            route_spec, np.random.default_rng(13).uniform(-2, 2, (500, 2)))
+
+    def test_batch_matches_rowwise_margins_on_until(self, case_spec):
+        _assert_rowwise_satisfaction(
+            case_spec, np.random.default_rng(14).uniform(-3.5, 3.5, (500, 2)))
+
+    @pytest.mark.parametrize("low", [1.5, 0.6])
+    def test_leaves_see_only_rows_still_satisfied(self, low, safety_spec,
+                                                  monkeypatch):
+        # On [1.5, 2]^2 the third leaf rejects the whole batch; on [0.6, 2]^2
+        # it rejects all but a few rows, which a later leaf rejects.  Each
+        # leaf sees the rows that all earlier leaves admitted, and no leaf
+        # is evaluated once none is left.
+        thetas = np.random.default_rng(15).uniform(low, 2.0, size=(50, 2))
+        passed = np.cumprod([safety_spec.leaf_margins(t) >= -FEAS_TOL
+                             for t in thetas], axis=1).sum(axis=0)
+        last = int(np.argmin(passed))  # the first leaf that no row survives
+        assert passed[last] == 0 and 0 < last < len(safety_spec.leaves()) - 1
+        seen = _rows_seen(monkeypatch, "margins")
+        sat = safety_spec.satisfaction_batch(thetas)
+        assert sat.dtype == np.uint8 and not sat.any()
+        assert seen == [len(thetas), *passed[:last].tolist()]
+
+    @pytest.mark.parametrize("which, bound", [("safety", 5.0), ("case", 4.0)])
+    def test_rows_evaluated_per_theta(self, which, bound, safety_spec,
+                                      case_spec, safety_region, monkeypatch):
+        # Evaluating each leaf on the whole batch, until no row is left,
+        # takes 8 rows per theta on the safety spec and 13 on the until spec.
+        spec, region = ((safety_spec, safety_region) if which == "safety"
+                        else (case_spec, CASE_REGION))
+        n = 20_000
+        thetas = np.random.default_rng(16).uniform(region.lower, region.upper,
+                                                   size=(n, 2))
+        seen = _rows_seen(monkeypatch, "margins")
+        spec.satisfaction_batch(thetas)
+        assert sum(seen) <= bound * n
 
     def test_benchmark_until_window_is_vacuous(self, case_spec):
         # Regression anchor: the bundled until-window property decomposes
@@ -354,11 +426,45 @@ class TestPwaClassify:
         cells = sb.classify_cells(sb.pwa_partition(region, per_axis), spec)
         assert _counts(cells) == counts
 
-    def test_single_cell_calls_match_batch(self, safety_spec, safety_region):
-        cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
-                                  safety_spec)
-        assert [sb.pwa_classify(c, safety_spec) for c in cells] == \
+    @pytest.mark.parametrize("which, form", [
+        (which, form) for which in ("safety", "case")
+        for form in ("stddev", "variance_literal")])
+    def test_single_cell_calls_match_batch(self, which, form, safety_spec,
+                                           case_spec, safety_region):
+        base, region, per_axis = ((safety_spec, safety_region, 16)
+                                  if which == "safety"
+                                  else (case_spec, CASE_REGION, 8))
+        spec = sb.VerificationSpec(base.model, base.formula, base.delta,
+                                   gamma_form=form)
+        cells = sb.classify_cells(sb.pwa_partition(region, per_axis), spec)
+        assert [sb.pwa_classify(c, spec) for c in cells] == \
             [c.label for c in cells]
+
+    @pytest.mark.parametrize("which, form", [("safety", "stddev"),
+                                             ("case", "variance_literal")])
+    def test_permuted_partition_permutes_labels(self, which, form,
+                                                safety_spec, case_spec,
+                                                safety_region):
+        base, region = ((safety_spec, safety_region) if which == "safety"
+                        else (case_spec, CASE_REGION))
+        spec = sb.VerificationSpec(base.model, base.formula, base.delta,
+                                   gamma_form=form)
+        cells = sb.pwa_partition(region, 16)
+        labels = sb.classify_cells(cells, spec).label
+        assert len(set(labels)) == 3
+        order = np.random.default_rng(17).permutation(len(cells))
+        permuted = sb.Cells(cells.lower[order], cells.upper[order])
+        assert np.array_equal(sb.classify_cells(permuted, spec).label,
+                              labels[order])
+
+    def test_vertex_rows_evaluated(self, safety_spec, safety_region,
+                                   monkeypatch):
+        # Carrying every cell through every leaf would pass each leaf the
+        # 4 vertices of all 4096 cells.
+        cells = sb.pwa_partition(safety_region, 64)
+        seen = _rows_seen(monkeypatch, "gradients")
+        sb.classify_cells(cells, safety_spec)
+        assert sum(seen) <= 0.6 * len(safety_spec.leaves()) * 4 * len(cells)
 
     def test_empty_cell_list(self, safety_spec):
         empty = sb.Cells(np.empty((0, 2)), np.empty((0, 2)))
