@@ -117,7 +117,10 @@ class _BatchLikelihood:
     x(0) = x0 is known, so P(0|-1) = 0 as in the first block row of `build_M`.
     All parameters of a call share one pass over the record, the batch on
     the last axis: states (n, B), covariances (n*n, B), innovations (p, B).
-    Time is O(N n^3) per parameter and memory does not grow with N.
+    The covariance predict is one product with kron(A, A), so time is
+    O(N n^4) per parameter; memory does not grow with N.  A scalar-output
+    record (p == 1) runs in preallocated work arrays updated in place; a
+    multi-output record factors each innovation covariance by Cholesky.
     """
 
     def __init__(self, model: ParametricLti, data: DataSet):
@@ -137,20 +140,14 @@ class _BatchLikelihood:
         x = np.repeat(self.x0[:, None], nb, axis=1)
         P = np.zeros((n * n, nb))
         total = np.zeros(nb)
-        for t in range(n_exp):
-            CP = np.einsum("pib,ijb->pjb", C, P.reshape(n, n, nb))
-            S = np.einsum("pjb,qjb->pqb", CP, C) + model.Sigma_e[:, :, None]
-            v = self.y[t][:, None] - np.einsum("pnb,nb->pb", C, x)
-            if p == 1:
-                s = S[0, 0]
-                if not np.all(s > 0.0):
-                    raise ValueError("innovation variance is not positive "
-                                     f"inside a likelihood batch at step {t}")
-                total += np.log(s) + v[0] * v[0] / s
-                gain = CP[0] / s
-                x += gain * v[0]
-                P -= (gain[:, None] * CP[0][None]).reshape(n * n, nb)
-            else:
+        if p == 1:
+            self._scalar_output(C[0], x, P, total)
+        else:
+            for t in range(n_exp):
+                CP = np.einsum("pib,ijb->pjb", C, P.reshape(n, n, nb))
+                S = (np.einsum("pjb,qjb->pqb", CP, C)
+                     + model.Sigma_e[:, :, None])
+                v = self.y[t][:, None] - np.einsum("pnb,nb->pb", C, x)
                 try:
                     L = np.linalg.cholesky(np.moveaxis(S, 2, 0))
                 except np.linalg.LinAlgError as exc:
@@ -164,10 +161,63 @@ class _BatchLikelihood:
                           + white * white).sum(axis=1)
                 x += np.einsum("bpn,bp->nb", W, white)
                 P -= np.einsum("bpi,bpj->ijb", W, W).reshape(n * n, nb)
-            if t + 1 < n_exp:
-                x = model.A @ x + self.drive[t][:, None]
-                P = self.AA @ P + self.Q
+                if t + 1 < n_exp:
+                    x = model.A @ x + self.drive[t][:, None]
+                    P = self.AA @ P + self.Q
         return -0.5 * (total + n_exp * p * _LOG_2PI)
+
+    def _scalar_output(self, c, x, P, total) -> None:
+        """Add sum_t (log s(t) + v(t)^2 / s(t)) to `total` for one output.
+
+        `c` is C(theta) with shape (n, B).  Every step writes into work
+        arrays allocated once per call; the sums run over the same index in
+        the same order as the einsums of the multi-output loop, so the
+        result is the same to the bit.
+        """
+        # A non-finite C(theta) makes s NaN at step 0; raise before the
+        # products below would warn about inf * 0.
+        if not np.isfinite(c).all():
+            raise ValueError("innovation variance is not positive inside a "
+                             "likelihood batch at step 0")
+        n, nb = c.shape
+        A, AA, Q, y = self.model.A, self.AA, self.Q, self.y[:, 0]
+        sigma_e = self.model.Sigma_e[0, 0]
+        cp, gain = np.empty((n, nb)), np.empty((n, nb))
+        prod = np.empty((n, n, nb))
+        s, v, w, u = np.empty(nb), np.empty(nb), np.empty(nb), np.empty(nb)
+        x2, P2 = np.empty_like(x), np.empty_like(P)
+        for t in range(y.shape[0]):
+            # cp_j = sum_i c_i P_ij, s = sum_j cp_j c_j + Sigma_e,
+            # v = y - sum_i c_i x_i.
+            np.multiply(c[:, None], P.reshape(n, n, nb), out=prod)
+            np.add.reduce(prod, axis=0, out=cp)
+            np.multiply(cp, c, out=gain)
+            np.add.reduce(gain, axis=0, out=s)
+            s += sigma_e
+            np.multiply(c, x, out=gain)
+            np.add.reduce(gain, axis=0, out=w)
+            np.subtract(y[t], w, out=v)
+            # NaN fails the comparison; `initial` lets an empty batch pass.
+            if not s.min(initial=np.inf) > 0.0:
+                raise ValueError("innovation variance is not positive "
+                                 f"inside a likelihood batch at step {t}")
+            np.log(s, out=w)
+            np.multiply(v, v, out=u)
+            u /= s
+            w += u
+            total += w
+            # x += gain v and P -= gain (x) cp, with gain = cp / s.
+            np.divide(cp, s, out=gain)
+            np.multiply(gain, v, out=prod[0])
+            x += prod[0]
+            np.multiply(gain[:, None], cp, out=prod)
+            P -= prod.reshape(n * n, nb)
+            if t + 1 < y.shape[0]:
+                np.matmul(A, x, out=x2)
+                x2 += self.drive[t][:, None]
+                np.matmul(AA, P, out=P2)
+                P2 += Q
+                x, x2, P, P2 = x2, x, P2, P
 
 
 @dataclass(frozen=True)

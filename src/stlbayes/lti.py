@@ -250,9 +250,10 @@ class DataSet:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for t in range(self.n_exp):
-                writer.writerow([t] + [repr(v) for v in self.inputs[t]]
-                                + [repr(v) for v in self.outputs[t]])
+            # Python floats, so each field is the plain shortest repr.
+            rows = zip(self.inputs.tolist(), self.outputs.tolist())
+            for t, (u, y) in enumerate(rows):
+                writer.writerow([t] + u + y)
 
     def to_json(self, path) -> None:
         payload = {

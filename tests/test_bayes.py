@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
-from stlbayes.bayes import _BatchLikelihood, gaussian_logpdf
+from stlbayes.bayes import _LOG_2PI, _BatchLikelihood, gaussian_logpdf
 from stlbayes.lti import simulate_states_batch
 from stlbayes.rng import RngStream
 
@@ -177,6 +177,43 @@ def _assert_matches_oracle(model, data, thetas):
     np.testing.assert_allclose(vec, ref, rtol=1e-9, atol=0.0)
 
 
+def _einsum_scalar_loglik(batch, thetas):
+    """The scalar-output filter as per-step einsums: the bit-level reference.
+
+    Same operations in the same order as `_BatchLikelihood` for p == 1, with
+    a fresh array for every intermediate.
+    """
+    model = batch.model
+    nb, n, n_exp = thetas.shape[0], model.n, batch.y.shape[0]
+    C = model.C0[:, :, None] + np.einsum("dpn,bd->pnb", batch.c_basis,
+                                         thetas)
+    x = np.repeat(batch.x0[:, None], nb, axis=1)
+    P = np.zeros((n * n, nb))
+    total = np.zeros(nb)
+    for t in range(n_exp):
+        CP = np.einsum("pib,ijb->pjb", C, P.reshape(n, n, nb))
+        S = np.einsum("pjb,qjb->pqb", CP, C) + model.Sigma_e[:, :, None]
+        s = S[0, 0]
+        v = batch.y[t][:, None] - np.einsum("pnb,nb->pb", C, x)
+        total += np.log(s) + v[0] * v[0] / s
+        gain = CP[0] / s
+        x += gain * v[0]
+        P -= (gain[:, None] * CP[0][None]).reshape(n * n, nb)
+        if t + 1 < n_exp:
+            x = model.A @ x + batch.drive[t][:, None]
+            P = batch.AA @ P + batch.Q
+    return -0.5 * (total + n_exp * _LOG_2PI)
+
+
+_P1_SHAPES = {
+    "singular_w_p1": dict(n=3, p=1, q=3, d=2, rank_w=2),
+    "c0_p1": dict(n=3, p=1, q=2, d=1),
+    "zero_c0": dict(n=2, p=1, q=2, d=2, zero_c0=True),
+    "d0_p1": dict(n=3, p=1, q=1, d=0),
+    "n5_d3": dict(n=5, p=1, q=2, d=3),
+}
+
+
 class TestBatchFilter:
     """The Kalman batch against the dense joint Gaussian oracle."""
 
@@ -219,6 +256,49 @@ class TestBatchFilter:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="likelihood batch"):
                 batch(np.ones((4, model.d)))
+
+    @pytest.mark.parametrize("nb", [1, 7, 4096])
+    @pytest.mark.parametrize("n_exp", [1, 2, 8, 50])
+    def test_laguerre_bits_match_einsum_loop(self, model, n_exp, nb):
+        data = sb.collect_data(model, [-0.5, 1.0],
+                               sb.InputSampler("uniform", low=-2, high=2),
+                               n_exp, [0, 0], RngStream(77))
+        thetas = np.random.default_rng(78).uniform(-3, 3, (nb, 2))
+        batch = _BatchLikelihood(model, data)
+        assert np.array_equal(batch(thetas),
+                              _einsum_scalar_loglik(batch, thetas))
+
+    @pytest.mark.parametrize("nb", [1, 7, 4096])
+    @pytest.mark.parametrize("shape", list(_P1_SHAPES.values()),
+                             ids=list(_P1_SHAPES))
+    def test_random_bits_match_einsum_loop(self, shape, nb):
+        model = _random_model(4, **shape)
+        data = _record(model, 104, 15)
+        thetas = np.random.default_rng(204).uniform(-2, 2, (nb, model.d))
+        batch = _BatchLikelihood(model, data)
+        assert np.array_equal(batch(thetas),
+                              _einsum_scalar_loglik(batch, thetas))
+
+    @pytest.mark.parametrize("general", [False, True], ids=["p1", "p2"])
+    def test_empty_batch(self, model, general):
+        if general:
+            model = _random_model(5, n=3, p=2, q=2, d=2)
+        data = _record(model, 105, 6)
+        out = _BatchLikelihood(model, data)(np.empty((0, model.d)))
+        assert out.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("zero_c0", [False, True], ids=["c0", "zero_c0"])
+    def test_non_finite_theta_raises_without_warning(self, bad, zero_c0):
+        model = _random_model(6, n=3, p=1, q=2, d=2, zero_c0=zero_c0)
+        data = _record(model, 106, 6)
+        thetas = np.random.default_rng(206).uniform(-2, 2, (5, 2))
+        thetas[3, 1] = bad
+        batch = _BatchLikelihood(model, data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="batch at step 0"):
+                batch(thetas)
 
     def test_peak_memory_independent_of_record_length(self, model):
         thetas = np.random.default_rng(72).uniform(-3, 3, (4096, 2))

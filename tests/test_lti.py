@@ -157,6 +157,26 @@ class TestCollectData:
         assert lines[0] == "t,u_1,y_1"
         assert len(lines) == 5
 
+    def test_csv_fields_parse_back_exactly(self, tmp_path):
+        model = sb.ParametricLti(
+            A=0.5 * np.eye(2), B=np.eye(2), G=np.eye(2), C0=np.zeros((2, 2)),
+            C_basis=(np.eye(2),), Sigma_w=0.1 * np.eye(2),
+            Sigma_e=0.2 * np.eye(2), input_lower=[-1, -1],
+            input_upper=[1, 1])
+        data = sb.collect_data(model, [0.7],
+                               sb.InputSampler("uniform", low=-1, high=1),
+                               6, [0, 0], RngStream(27))
+        path = tmp_path / "d.csv"
+        data.to_csv(path)
+        raw = path.read_bytes()
+        assert raw.startswith(b"t,u_1,u_2,y_1,y_2\r\n")
+        assert raw.count(b"\r\n") == 7
+        rows = [line.split(",") for line in raw.decode().split("\r\n")[1:-1]]
+        assert [int(r[0]) for r in rows] == list(range(6))
+        fields = np.array([[float(f) for f in r[1:]] for r in rows])
+        assert np.array_equal(fields[:, :2], data.inputs)
+        assert np.array_equal(fields[:, 2:], data.outputs)
+
 
 class TestValidation:
     def test_covariance_must_be_psd(self, model):
