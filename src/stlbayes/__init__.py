@@ -33,9 +33,6 @@ from .feasibility import (
     Box,
     Cells,
     FarkasCertificate,
-    InputBox,
-    Region,
-    ThetaCell,
     VerificationSpec,
     classify_cells,
     farkas_feasible,

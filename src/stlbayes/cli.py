@@ -287,6 +287,7 @@ def _estimate(problem: SimpleNamespace, data, stream: RngStream):
 
     Returns the posterior and the ConfidenceEstimates by method name, "mc"
     and "pwa".  Draws from the substreams posterior, mc_size, mc and pwa.
+    Under method both, MC reads satisfaction from the certified cells.
     """
     post = posterior(data, problem.model, problem.prior,
                      problem.posterior_samples, stream.child("posterior"))
@@ -296,13 +297,15 @@ def _estimate(problem: SimpleNamespace, data, stream: RngStream):
         if n is None:  # Chebyshev sizing from a pilot run's variance
             pilot = mc_confidence(post, problem.spec, problem.region,
                                   problem.pilot_samples,
-                                  stream.child("mc_size", "pilot"))
+                                  stream.child("mc_size", "pilot"),
+                                  cells=problem.cells)
             n = chebyshev_sample_size(
                 problem.epsilon, problem.floor, pilot.variance_estimate
                 * problem.pilot_samples / volume ** 2, volume)
         estimates["mc"] = mc_confidence(post, problem.spec, problem.region, n,
                                         stream.child("mc"),
-                                        epsilon=problem.epsilon)
+                                        epsilon=problem.epsilon,
+                                        cells=problem.cells)
     if problem.method in ("pwa", "both"):
         estimates["pwa"] = pwa_confidence(post, problem.cells,
                                           problem.per_cell_samples,

@@ -3,7 +3,9 @@
 The confidence is the posterior mass of the parameter set whose models meet
 the probabilistic requirement.  The Monte Carlo route samples the search
 region uniformly and averages satisfaction * posterior density; Chebyshev's
-inequality turns the sample variance into a coverage statement.  The PWA
+inequality turns the sample variance into a coverage statement.  Given the
+certified PWA cells, its satisfaction indicator reads each sample's cell
+label and evaluates the leaves only for samples in unknown cells.  The PWA
 route integrates the posterior over cells certified feasible, reporting the
 mass of undecided cells as a bracket instead of a point value.
 """
@@ -59,9 +61,12 @@ class ConfidenceEstimate:
         return out
 
 
-def _evaluate_sat(sat, thetas: np.ndarray) -> np.ndarray:
+def _evaluate_sat(sat, thetas: np.ndarray,
+                  cells: Optional[Cells]) -> np.ndarray:
     if hasattr(sat, "satisfaction_batch"):
-        return np.asarray(sat.satisfaction_batch(thetas), dtype=float)
+        return np.asarray(sat.satisfaction_batch(thetas) if cells is None
+                          else sat.satisfaction_batch(thetas, cells),
+                          dtype=float)
     return np.array([float(sat(t)) for t in thetas])
 
 
@@ -77,14 +82,18 @@ def _chebyshev_fields(var_est: float, epsilon: Optional[float]):
 
 
 def mc_confidence(post: PosteriorDensity, sat, region: Box, n: int,
-                  rng: RngStream, epsilon: Optional[float] = None
-                  ) -> ConfidenceEstimate:
+                  rng: RngStream, epsilon: Optional[float] = None,
+                  cells: Optional[Cells] = None) -> ConfidenceEstimate:
     """Uniform Monte Carlo estimate of the confidence over a region.
 
     Q = (V / N) sum_i sat(theta_i) * posterior(theta_i); the density is only
     evaluated where the satisfaction indicator fires, which never touches
     the sample stream, so results are reproducible bit for bit from the rng
-    stream value regardless of how many densities get evaluated.
+    stream value regardless of how many densities get evaluated.  `cells`,
+    a partition labelled by `classify_cells`, is handed to
+    `sat.satisfaction_batch`: samples in certified cells take the cell's
+    label and only the others are checked leaf by leaf, with the same
+    indicator either way.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -92,7 +101,7 @@ def mc_confidence(post: PosteriorDensity, sat, region: Box, n: int,
     gen = rng.generator()
     thetas = gen.uniform(region.lower, region.upper, (int(n), d))
     volume = region.volume
-    sat_vals = _evaluate_sat(sat, thetas)
+    sat_vals = _evaluate_sat(sat, thetas, cells)
     k = np.zeros(n)
     mask = sat_vals > 0.0
     if mask.any():

@@ -20,12 +20,15 @@ feasible (exactly, via vertex evaluation) or infeasible (via an affine upper
 envelope), with "unknown" for the remainder.  A partition is one `Cells`
 value of bound and label arrays, which `classify_cells` labels in one array
 pass per leaf over the cells that no earlier leaf has certified infeasible.
+Given such labels on a tensor grid, the satisfaction map reads each row's
+certified label and evaluates the leaves only on the remaining rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -114,8 +117,64 @@ class Cells(Box):
         for row in zip(self.lower, self.upper, self.label.tolist()):
             yield Box(*row)
 
+    @cached_property
+    def _grid(self):
+        """(per-axis edges, int8 label codes in grid shape) if the bounds are
+        exactly the `_mesh` of strictly increasing per-axis edges, else None.
 
-InputBox = Region = ThetaCell = Box
+        Codes: 1 feasible, 0 infeasible, -1 unknown."""
+        if len(self) == 0:
+            return None
+        edges = [np.append(np.unique(lo), hi.max())
+                 for lo, hi in zip(self.lower.T, self.upper.T)]
+        if not (all((np.diff(e) > 0).all() for e in edges)
+                and np.array_equal(self.lower, _mesh([e[:-1] for e in edges]))
+                and np.array_equal(self.upper, _mesh([e[1:] for e in edges]))):
+            return None
+        codes = np.full(len(self), -1, dtype=np.int8)
+        codes[self.label == FEASIBLE] = 1
+        codes[self.label == INFEASIBLE_LABEL] = 0
+        return edges, codes.reshape([e.size - 1 for e in edges])
+
+    def label_codes(self, thetas: np.ndarray) -> np.ndarray:
+        """Per row of `thetas` (N, d): 1 in a feasible cell, 0 in an
+        infeasible one, -1 in an unknown cell, in no cell, or everywhere if
+        the cells are not a tensor grid.  A row on a shared edge may take
+        either cell's code: labels hold on closed cells.
+
+        Each coordinate is located by an arithmetic index into its edges;
+        where the exact edges do not contain it, the index moves by one
+        edge toward it, and a row still not contained gets -1."""
+        if thetas.shape[1] != self.lower.shape[1]:
+            raise ValueError(f"thetas have {thetas.shape[1]} coordinates, "
+                             f"cells have {self.lower.shape[1]}")
+        if self._grid is None:
+            return np.full(thetas.shape[0], -1, dtype=np.int8)
+        edges, codes = self._grid
+        flat = np.zeros(thetas.shape[0], dtype=np.intp)
+        found = np.ones(thetas.shape[0], dtype=bool)
+        for x, e in zip(thetas.T, edges):
+            n, lo, hi = e.size - 1, e[:-1], e[1:]
+            t = x - e[0]
+            t *= n / (e[-1] - e[0])
+            with np.errstate(invalid="ignore"):  # NaN and inf cast anywhere
+                i = t.astype(np.intp)
+            np.clip(i, 0, n - 1, out=i)
+            inside = lo[i] <= x  # False for NaN
+            inside &= x <= hi[i]
+            if not inside.all():
+                r = np.flatnonzero(~inside)
+                xr, ir = x[r], i[r]
+                ir = np.clip(ir - (xr < lo[ir]) + (xr > hi[ir]), 0, n - 1)
+                moved = (lo[ir] <= xr) & (xr <= hi[ir])
+                i[r[moved]] = ir[moved]
+                inside[r[moved]] = True
+                found &= inside
+            flat *= n
+            flat += i
+        out = codes.reshape(-1)[flat]
+        out[~found] = -1
+        return out
 
 
 def _input_min(f: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -341,16 +400,28 @@ class VerificationSpec:
     def leaf_margins(self, theta) -> np.ndarray:
         return np.array([g.margins(theta)[0] for g in self._geometry])
 
-    def satisfaction_batch(self, thetas) -> np.ndarray:
+    def satisfaction_batch(self, thetas,
+                           cells: Optional[Cells] = None) -> np.ndarray:
         """Vectorized satisfaction map over rows of `thetas`: each leaf sees
-        only the rows that every earlier leaf admitted."""
+        only the rows that every earlier leaf admitted.
+
+        With `cells` labelled by `classify_cells` for this spec, a row in a
+        certified cell takes its label and only the rest reach the leaves.
+        The indicator is the same: a feasible cell's pessimistic margin,
+        a lower bound on every leaf margin in it, is >= -FEAS_TOL, and an
+        infeasible cell has a leaf whose upper envelope is < -FEAS_TOL."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        rows = np.arange(thetas.shape[0])
+        if cells is None:
+            ok = np.zeros(thetas.shape[0], dtype=np.uint8)
+            rows = np.arange(thetas.shape[0])
+        else:
+            code = cells.label_codes(thetas)
+            ok = (code == 1).astype(np.uint8)
+            rows = np.flatnonzero(code < 0)
         for g in self._geometry:
             if rows.size == 0:
                 break
             rows = rows[g.margins(thetas[rows]) >= -FEAS_TOL]
-        ok = np.zeros(thetas.shape[0], dtype=np.uint8)
         ok[rows] = 1
         return ok
 

@@ -50,7 +50,7 @@ def safety_spec(safety_model, safety_formula):
 
 @pytest.fixture(scope="session")
 def safety_region():
-    return sb.Region([-2.0, -2.0], [2.0, 2.0])
+    return sb.Box([-2.0, -2.0], [2.0, 2.0])
 
 
 def random_formula(gen: np.random.Generator, depth: int, n_preds: int = 4,

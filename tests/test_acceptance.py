@@ -27,7 +27,7 @@ from conftest import random_formula
 
 mpmath.mp.dps = 40
 
-CASE_REGION = sb.Region([-3.5, -3.5], [3.5, 3.5])
+CASE_REGION = sb.Box([-3.5, -3.5], [3.5, 3.5])
 CASE_PRIOR = sb.PriorSpec.uniform_box([-10.0, -10.0], [10.0, 10.0])
 
 TABLE_THETAS = [[-0.5, 1.0], [3.0, -1.0], [1.0, 0.5], [-2.0, 1.5], [2.0, -1.0]]
@@ -164,7 +164,7 @@ def test_criterion_3_farkas_oracle_equivalence():
             t = int(gen.integers(0, 11))
         f = gen.normal(size=m * t) * gen.uniform(0.1, 3)
         b = float(gen.normal() * 2)
-        box = sb.InputBox(-gen.uniform(0.05, 2, size=m),
+        box = sb.Box(-gen.uniform(0.05, 2, size=m),
                           gen.uniform(0.05, 2, size=m))
         c = AffineInputConstraint(f=f, b=b, time=t, m=m)
         margin = sb.worst_case_margin(c, box)

@@ -1,0 +1,63 @@
+"""The benchmark's layer spans still find the program's entry points.
+
+`bench/spans.py` wraps each `LAYERS` entry by name and reports a missing
+one only on stderr, so a renamed or removed entry point would make its
+per-layer metrics read 0.  These tests load that file without changing it.
+"""
+
+import copy
+import importlib
+import json
+import types
+from pathlib import Path
+
+import pytest
+
+from stlbayes import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_spans():
+    """bench/spans.py as a module, compiled from its text (no .pyc)."""
+    path = ROOT / "bench" / "spans.py"
+    module = types.ModuleType("bench_spans")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+spans = _load_spans()
+
+
+@pytest.mark.parametrize("layer", spans.LAYERS, ids=lambda layer: layer[0])
+def test_layer_resolves_to_a_stlbayes_attribute(layer):
+    name, module_name, attr, _ = layer
+    assert module_name.split(".")[0] == "stlbayes"
+    module = importlib.import_module(module_name)
+    owner_name, _, method = attr.rpartition(".")
+    owner = getattr(module, owner_name) if owner_name else module
+    assert callable(vars(owner).get(method)), f"{name}: {module_name}.{attr}"
+
+
+def test_every_layer_records_a_span_with_its_counts(tmp_path):
+    cfg = json.loads((ROOT / "configs" / "safety_demo.json").read_text())
+    cfg.update(mc={"samples": 500}, posterior_mc_samples=256, contour_grid=5,
+               pwa={"per_axis": 4, "per_cell_samples": 20})
+    table1 = copy.deepcopy(cfg)
+    table1["table1"] = {"theta_true_list": [cfg["data"]["theta_true"]],
+                        "repetitions": 2, "n_exp": 4,
+                        "input": cfg["data"]["input"]}
+    recorder = spans.Recorder()
+    restore = spans.instrument(recorder)
+    try:
+        cli.cmd_verify(cfg, tmp_path)
+        cli.cmd_table1(table1, tmp_path)
+    finally:
+        restore()
+    recorded = {s["name"] for s in recorder.spans}
+    assert recorded == {layer[0] for layer in spans.LAYERS}
+    assert not [s["name"] for s in recorder.spans
+                if "count_failed" in s["counts"]]
+    sat = [s for s in recorder.spans if s["name"] == "feasibility.sat"]
+    assert all(s["counts"]["thetas"] > 0 for s in sat)

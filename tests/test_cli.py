@@ -333,6 +333,54 @@ class TestTable1Pipeline:
         assert row["mc"]["values"] == [est.value for *_, est in finals]
 
 
+def _mc_by_method(cfg: dict, tmp_path: Path, monkeypatch) -> tuple:
+    """`results.mc` of `cmd_verify` under methods mc and both, with the
+    `cells` each `mc_confidence` call received."""
+    real, seen = cli.mc_confidence, {}
+
+    def spy(*args, **kwargs):
+        seen[method].append(kwargs.get("cells"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "mc_confidence", spy)
+    results = {}
+    for method in ("mc", "both"):
+        seen[method] = []
+        out = tmp_path / method
+        out.mkdir()
+        results[method] = cli.cmd_verify(cfg, out, method)["results"]["mc"]
+    return results, seen
+
+
+class TestMcFromCellLabels:
+    """Under method both, MC reads satisfaction from the certified cells;
+    its estimate must be the one the leaves give under method mc."""
+
+    @pytest.mark.parametrize("seed", [7311, 20240])
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_same_estimate_as_the_leaf_route(self, config, seed, tmp_path,
+                                             monkeypatch):
+        cfg = dict(json.loads(config.read_text()), seed=seed)
+        results, seen = _mc_by_method(cfg, tmp_path, monkeypatch)
+        assert results["mc"] == results["both"]
+        assert seen["mc"] == [None]
+        assert len(seen["both"]) == 1 and seen["both"][0] is not None
+
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_pilot_picks_the_same_sample_size(self, config, tmp_path,
+                                              monkeypatch):
+        cfg = json.loads(config.read_text())
+        cfg["mc"] = {"epsilon": 0.05, "floor": 0.5, "pilot_samples": 4000}
+        results, seen = _mc_by_method(cfg, tmp_path, monkeypatch)
+        assert results["mc"] == results["both"]
+        assert results["mc"]["samples"] != 10000
+        assert seen["mc"] == [None, None]
+        assert all(cells is not None for cells in seen["both"])
+        assert len(seen["both"]) == 2
+
+
 class TestReport:
     def test_report_is_compact_sorted_json(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

@@ -35,7 +35,7 @@ def uniform_post():
 
 @pytest.fixture(scope="module")
 def region():
-    return sb.Region([-2, -2], [2, 2])
+    return sb.Box([-2, -2], [2, 2])
 
 
 class TestMcConfidence:

@@ -1,11 +1,14 @@
 import itertools
+import json
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stlbayes as sb
+from stlbayes import cli
 from stlbayes.chance import AffineInputConstraint
 from stlbayes.feasibility import (
     FEAS_TOL,
@@ -24,17 +27,17 @@ def random_constraint(gen, max_m=3, max_t=4):
     lo = -gen.uniform(0.1, 2.0, size=m)
     hi = gen.uniform(0.1, 2.0, size=m)
     return (AffineInputConstraint(f=f, b=b, time=t, m=m),
-            sb.InputBox(lo, hi))
+            sb.Box(lo, hi))
 
 
 class TestWorstCaseMargin:
     def test_constant_constraint(self):
         c = AffineInputConstraint(f=np.zeros(0), b=0.7, time=0, m=1)
-        assert sb.worst_case_margin(c, sb.InputBox([-1], [1])) == 0.7
+        assert sb.worst_case_margin(c, sb.Box([-1], [1])) == 0.7
 
     def test_symmetric_box(self):
         c = AffineInputConstraint(f=[1.0, -2.0], b=0.0, time=2, m=1)
-        assert sb.worst_case_margin(c, sb.InputBox([-1], [1])) == pytest.approx(-3.0)
+        assert sb.worst_case_margin(c, sb.Box([-1], [1])) == pytest.approx(-3.0)
 
     def test_corner_enumeration_oracle(self):
         gen = np.random.default_rng(1)
@@ -86,7 +89,7 @@ class TestFarkas:
             assert float(d @ P) <= c.b + 1e-8
 
     def test_constant_boundaries(self):
-        box = sb.InputBox([-1], [1])
+        box = sb.Box([-1], [1])
         bad = AffineInputConstraint(f=np.zeros(0), b=-1.0, time=0, m=1)
         good = AffineInputConstraint(f=np.zeros(0), b=0.0, time=0, m=1)
         assert sb.farkas_feasible(bad, box)[0] is False
@@ -256,23 +259,23 @@ class TestRestrictRegion:
         assert np.all(np.abs(once.upper - twice.upper) <= 0.1 * span)
 
     def test_empty_flag(self, case_spec):
-        region = sb.Region([-3.5, -3.5], [3.5, 3.5])
+        region = sb.Box([-3.5, -3.5], [3.5, 3.5])
         assert sb.restrict_region(case_spec, region, grid=21) is None
 
 
 class TestPwaPartition:
     def test_grid_count(self):
-        region = sb.Region([-3.5, -3.5], [3.5, 3.5])
+        region = sb.Box([-3.5, -3.5], [3.5, 3.5])
         assert len(sb.pwa_partition(region, 5)) == 25
 
     def test_single_cell(self):
-        region = sb.Region([0, 0], [1, 2])
+        region = sb.Box([0, 0], [1, 2])
         (cell,) = sb.pwa_partition(region, 1)
         assert np.array_equal(cell.lower, region.lower)
         assert np.array_equal(cell.upper, region.upper)
 
     def test_exact_cover(self):
-        region = sb.Region([-1, 0], [2, 1])
+        region = sb.Box([-1, 0], [2, 1])
         cells = sb.pwa_partition(region, 4)
         assert sum(c.volume for c in cells) == pytest.approx(region.volume)
         # Shared faces: each interior edge coordinate appears in two cells.
@@ -334,7 +337,7 @@ class TestBoxValidation:
 
 class TestPwaLinearize:
     def test_zero_width_cell(self, safety_model):
-        cell = sb.ThetaCell([0.4, 0.6], [0.4, 0.6])
+        cell = sb.Box([0.4, 0.6], [0.4, 0.6])
         gaff, eps = sb.pwa_linearize(safety_model, cell, 0.01, 3)
         assert eps == 0.0
         assert gaff([0.4, 0.6]) == pytest.approx(
@@ -345,27 +348,27 @@ class TestPwaLinearize:
         for _ in range(20):
             center = gen.uniform(-1.5, 1.5, size=2)
             width = gen.uniform(0.05, 0.6)
-            cell = sb.ThetaCell(center - width / 2, center + width / 2)
+            cell = sb.Box(center - width / 2, center + width / 2)
             gaff, eps = sb.pwa_linearize(safety_model, cell, 0.05, 3)
             for theta in gen.uniform(cell.lower, cell.upper, size=(50, 2)):
                 val = sb.gamma(theta, 0.05, safety_model, 3)
                 assert gaff(theta) - eps - 1e-12 <= val <= gaff(theta) + eps + 1e-12
 
     def test_halving_shrinks_remainder(self, safety_model):
-        cell = sb.ThetaCell([0.5, 0.5], [1.0, 1.0])
+        cell = sb.Box([0.5, 0.5], [1.0, 1.0])
         _, eps1 = sb.pwa_linearize(safety_model, cell, 0.01, 3)
-        half = sb.ThetaCell([0.625, 0.625], [0.875, 0.875])
+        half = sb.Box([0.625, 0.625], [0.875, 0.875])
         _, eps2 = sb.pwa_linearize(safety_model, half, 0.01, 3)
         assert eps1 / eps2 >= 3.9
 
     def test_literal_form_rejects_large_delta(self, safety_model):
-        cell = sb.ThetaCell([0.5, 0.5], [1.0, 1.0])
+        cell = sb.Box([0.5, 0.5], [1.0, 1.0])
         with pytest.raises(ValueError, match="variance_literal"):
             sb.pwa_linearize(safety_model, cell, 0.6, 3,
                              gamma_form="variance_literal")
 
     def test_cone_cell_falls_back_to_interval(self, safety_model):
-        cell = sb.ThetaCell([-0.2, -0.2], [0.2, 0.2])
+        cell = sb.Box([-0.2, -0.2], [0.2, 0.2])
         gaff, eps = sb.pwa_linearize(safety_model, cell, 0.01, 3)
         assert eps > 0.0
         gen = np.random.default_rng(9)
@@ -374,7 +377,18 @@ class TestPwaLinearize:
             assert gaff(theta) - eps - 1e-12 <= val <= gaff(theta) + eps + 1e-12
 
 
-CASE_REGION = sb.Region([-3.5, -3.5], [3.5, 3.5])
+CASE_REGION = sb.Box([-3.5, -3.5], [3.5, 3.5])
+
+
+def _model_with_parameters(safety_model, rows):
+    """The safety model with C(theta) = C0 + sum_i theta_i C_i, one
+    parameter per row of `rows`."""
+    return sb.ParametricLti(
+        A=safety_model.A, B=safety_model.B, G=safety_model.G,
+        C0=[[0.0, 0.5]], C_basis=tuple([row] for row in rows),
+        Sigma_w=safety_model.Sigma_w, Sigma_e=safety_model.Sigma_e,
+        input_lower=safety_model.input_lower,
+        input_upper=safety_model.input_upper)
 
 
 def _counts(cells):
@@ -471,15 +485,10 @@ class TestPwaClassify:
         assert list(sb.classify_cells(empty, safety_spec)) == []
 
     def test_one_parameter_partition(self, safety_model, safety_formula):
-        model = sb.ParametricLti(
-            A=safety_model.A, B=safety_model.B, G=safety_model.G,
-            C0=[[0.0, 0.5]], C_basis=([[1.0, 0.0]],),
-            Sigma_w=safety_model.Sigma_w, Sigma_e=safety_model.Sigma_e,
-            input_lower=safety_model.input_lower,
-            input_upper=safety_model.input_upper)
+        model = _model_with_parameters(safety_model, [[1.0, 0.0]])
         spec = sb.VerificationSpec(model, safety_formula, 0.05)
         cells = sb.classify_cells(
-            sb.pwa_partition(sb.Region([-2.0], [2.0]), 32), spec)
+            sb.pwa_partition(sb.Box([-2.0], [2.0]), 32), spec)
         assert len(cells) == 32
         assert {FEASIBLE, INFEASIBLE_LABEL} <= {c.label for c in cells}
         gen = np.random.default_rng(12)
@@ -509,12 +518,12 @@ class TestPwaClassify:
     def test_exterior_point_cell_not_feasible(self, case_spec):
         # A small cell around a parameter outside the feasible set must not
         # be certified feasible.
-        cell = sb.ThetaCell([1.9, -1.1], [2.1, -0.9])
+        cell = sb.Box([1.9, -1.1], [2.1, -0.9])
         label = sb.pwa_classify(cell, case_spec)
         assert label in (INFEASIBLE_LABEL, UNKNOWN)
 
     def test_interior_point_cell_feasible(self, safety_spec):
-        cell = sb.ThetaCell([0.25, 0.25], [0.35, 0.35])
+        cell = sb.Box([0.25, 0.25], [0.35, 0.35])
         assert sb.pwa_classify(cell, safety_spec) == FEASIBLE
 
     def test_refinement_trend(self, safety_spec, safety_region):
@@ -527,3 +536,177 @@ class TestPwaClassify:
             assert feas >= prev_feasible - 1e-9
             assert unk <= prev_unknown + 1e-9
             prev_feasible, prev_unknown = feas, unk
+
+
+# --- satisfaction read from certified cell labels ----------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _bundled_problem(name: str, per_axis=None):
+    """The spec, region and classified cells `cmd_verify` builds from a
+    bundled config under method both, at its own or the given per_axis."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    if per_axis is not None:
+        cfg["pwa"]["per_axis"] = per_axis
+    return cli._problem(cfg, "both")
+
+
+def _assert_same_indicator(spec, thetas, cells):
+    plain = spec.satisfaction_batch(thetas)
+    read = spec.satisfaction_batch(thetas, cells)
+    assert read.dtype == np.uint8 and read.shape == plain.shape
+    assert np.array_equal(read, plain)
+
+
+def _edge_rows(cells, gen, per_edge=8):
+    """Rows with one coordinate on a grid edge or one ulp either side and
+    the others uniform in the region, plus every vertex of the grid and
+    its one-ulp neighbours."""
+    lower, upper = cells.lower.min(axis=0), cells.upper.max(axis=0)
+    axes = []
+    for j in range(lower.size):
+        e = np.unique(np.concatenate([cells.lower[:, j], cells.upper[:, j]]))
+        axes.append(np.concatenate([e, np.nextafter(e, -np.inf),
+                                    np.nextafter(e, np.inf)]))
+    rows = [sb.feasibility._mesh(axes)]
+    for j, values in enumerate(axes):
+        block = gen.uniform(lower, upper, size=(values.size * per_edge,
+                                                lower.size))
+        block[:, j] = np.repeat(values, per_edge)
+        rows.append(block)
+    return np.vstack(rows)
+
+
+def _searched_codes(cells, thetas):
+    """Label codes by `np.searchsorted` on the grid edges, for rows of
+    `thetas` inside the grid and on no edge; -2 for the other rows."""
+    edges, codes = cells._grid
+    index, exact = [], np.ones(len(thetas), bool)
+    for x, e in zip(thetas.T, edges):
+        i = np.searchsorted(e, x, side="right") - 1
+        exact &= (i >= 0) & (i < e.size - 1) & ~np.isin(x, e)
+        index.append(np.clip(i, 0, e.size - 2))
+    return np.where(exact, codes[tuple(index)], -2)
+
+
+class TestSatisfactionFromCells:
+    @pytest.mark.parametrize("name, per_axis", [
+        ("case_study.json", None), ("safety_demo.json", None),
+        ("safety_demo.json", 64)])
+    def test_uniform_and_edge_rows(self, name, per_axis):
+        problem = _bundled_problem(name, per_axis)
+        spec, region, cells = problem.spec, problem.region, problem.cells
+        gen = np.random.default_rng(31)
+        uniform = gen.uniform(region.lower, region.upper, size=(30_000, 2))
+        edges = _edge_rows(cells, gen)
+        _assert_same_indicator(spec, uniform, cells)
+        _assert_same_indicator(spec, edges, cells)
+        # Every row off the edges, one ulp off included, is located in its
+        # own cell.
+        for thetas in (uniform, edges):
+            searched = _searched_codes(cells, thetas)
+            off_edge = searched > -2
+            assert np.array_equal(cells.label_codes(thetas)[off_edge],
+                                  searched[off_edge])
+
+    @pytest.mark.parametrize("name", ["case_study.json", "safety_demo.json"])
+    def test_rows_outside_the_region(self, name):
+        problem = _bundled_problem(name)
+        region = problem.region
+        gen = np.random.default_rng(32)
+        span = region.upper - region.lower
+        thetas = gen.uniform(region.lower - span, region.upper + span,
+                             size=(5_000, 2))
+        thetas[:50, 0] = np.nan
+        codes = problem.cells.label_codes(thetas)
+        outside = ~np.all((thetas >= region.lower) & (thetas <= region.upper),
+                          axis=1)
+        assert outside.sum() > 3_000 and (codes[outside] == -1).all()
+        _assert_same_indicator(problem.spec, thetas, problem.cells)
+
+    def test_non_finite_rows_are_unknown_without_warning(self):
+        cells = _bundled_problem("safety_demo.json").cells
+        thetas = np.array([[np.nan, 0.3], [0.3, np.inf], [-np.inf, np.nan]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cells.label_codes(thetas).tolist() == [-1, -1, -1]
+
+    def test_rows_seen_by_the_leaves(self, monkeypatch):
+        problem = _bundled_problem("case_study.json")
+        thetas = np.random.default_rng(33).uniform(
+            problem.region.lower, problem.region.upper, size=(20_000, 2))
+        unknown = np.count_nonzero(problem.cells.label_codes(thetas) < 0)
+        seen = _rows_seen(monkeypatch, "margins")
+        problem.spec.satisfaction_batch(thetas, problem.cells)
+        assert seen[0] == unknown < 0.1 * len(thetas)
+
+    @pytest.mark.parametrize("name", ["case_study.json", "safety_demo.json"])
+    def test_cells_not_a_tensor_grid_fall_back_to_the_leaves(self, name):
+        problem = _bundled_problem(name)
+        spec, region, cells = problem.spec, problem.region, problem.cells
+        gen = np.random.default_rng(34)
+        thetas = np.vstack([gen.uniform(region.lower, region.upper,
+                                        size=(5_000, 2)),
+                            _edge_rows(cells, gen, per_edge=2)])
+        order = gen.permutation(len(cells))
+        shuffled = sb.Cells(cells.lower[order], cells.upper[order],
+                            cells.label[order])
+        # The first cell split in two along its first axis.
+        mid = cells.center[0, 0]
+        lower = np.vstack([cells.lower, cells.lower[:1]])
+        upper = np.vstack([cells.upper, cells.upper[:1]])
+        upper[0, 0] = lower[-1, 0] = mid
+        split = sb.classify_cells(sb.Cells(lower, upper), spec)
+        for other in (shuffled, split):
+            assert (other.label_codes(thetas) == -1).all()
+            _assert_same_indicator(spec, thetas, other)
+
+    def test_irregular_tensor_grid(self, safety_spec, safety_region):
+        # Edges far from evenly spaced: the arithmetic index misses by more
+        # than one edge, and those rows go to the leaves.
+        t = np.linspace(-1.0, 1.0, 17)
+        e = 2.0 * np.sign(t) * t * t
+        cells = sb.classify_cells(
+            sb.Cells(sb.feasibility._mesh([e[:-1], e[:-1]]),
+                     sb.feasibility._mesh([e[1:], e[1:]])), safety_spec)
+        assert cells._grid is not None
+        gen = np.random.default_rng(35)
+        thetas = np.vstack([gen.uniform(safety_region.lower,
+                                        safety_region.upper, size=(10_000, 2)),
+                            _edge_rows(cells, gen, per_edge=2)])
+        codes, searched = cells.label_codes(thetas), _searched_codes(cells,
+                                                                     thetas)
+        off_edge = searched > -2
+        assert ((codes == searched) | (codes == -1))[off_edge].all()
+        missed = off_edge & (codes == -1) & (searched >= 0)
+        assert missed.any() and (codes >= 0).any()
+        _assert_same_indicator(safety_spec, thetas, cells)
+
+    @pytest.mark.parametrize("rows, per_axis", [
+        ([[1.0, 0.0]], 32),
+        ([[1.0, 0.0], [0.0, 1.0], [0.5, -0.5]], 7)])
+    def test_one_and_three_parameter_partitions(self, safety_model,
+                                                safety_formula, rows,
+                                                per_axis):
+        d = len(rows)
+        spec = sb.VerificationSpec(
+            _model_with_parameters(safety_model, rows), safety_formula, 0.05)
+        region = sb.Box(np.full(d, -2.0), np.full(d, 2.0))
+        cells = sb.classify_cells(sb.pwa_partition(region, per_axis), spec)
+        assert {FEASIBLE, INFEASIBLE_LABEL} <= set(cells.label.tolist())
+        gen = np.random.default_rng(36)
+        thetas = gen.uniform(region.lower, region.upper, size=(20_000, d))
+        _assert_same_indicator(spec, thetas, cells)
+        _assert_same_indicator(spec, _edge_rows(cells, gen, per_edge=4), cells)
+        codes = cells.label_codes(thetas)
+        assert {0, 1} <= set(codes.tolist())
+
+    def test_dimension_mismatch_raises(self):
+        cells = _bundled_problem("safety_demo.json").cells
+        with pytest.raises(ValueError, match="coordinates"):
+            cells.label_codes(np.zeros((4, 3)))
+
+    def test_grid_is_derived_once(self):
+        cells = _bundled_problem("safety_demo.json").cells
+        assert cells._grid is cells._grid
