@@ -8,7 +8,10 @@ M Sigma_W M^T + Sigma_E with M the block lower-triangular impulse map from
 stacked process noise to stacked outputs (first block row zero).
 `log_likelihood` factors that dense covariance and is the reference; the
 posterior evaluates the same density at many parameters with a Kalman
-filter (`_BatchLikelihood`), in O(N) instead of O(N^3) per parameter.
+filter (`_BatchLikelihood`), in O(N) instead of O(N^3) per parameter.  The
+filter has one loop for every output dimension: in the eigenbasis of
+Sigma_e the measurement noises are independent, so each output is one
+scalar update.
 
 All likelihood arithmetic stays in log space; the posterior normalizer is a
 plain uniform Monte Carlo estimate over the prior support whose standard
@@ -112,137 +115,108 @@ def log_likelihood(theta, data: DataSet, model: ParametricLti) -> float:
 class _BatchLikelihood:
     """Log likelihood of one record at many parameters, by a Kalman filter.
 
-    The prediction-error decomposition sums log N(v(t); 0, S(t)) over the
-    innovations v(t) = y(t) - C x(t|t-1), S(t) = C P(t|t-1) C' + Sigma_e;
-    x(0) = x0 is known, so P(0|-1) = 0 as in the first block row of `build_M`.
+    The prediction-error decomposition sums log N(v; 0, s) over the scalar
+    innovations of the record; x(0) = x0 is known, so P(0|-1) = 0 as in the
+    first block row of `build_M`.  The outputs are first rotated into the
+    eigenbasis of Sigma_e = U diag(D) U', where their noises are independent
+    with variances D, so each step takes one scalar measurement update per
+    rotated output and then one time update (the univariate treatment of
+    Koopman and Durbin, exact for any p).  U is orthogonal, so the density
+    is unchanged; for p == 1, U = [[1]] and the rotation changes no bit.
     All parameters of a call share one pass over the record, the batch on
-    the last axis: states (n, B), covariances (n*n, B), innovations (p, B).
-    The covariance predict is one product with kron(A, A), so time is
-    O(N n^4) per parameter; memory does not grow with N.  A scalar-output
-    record (p == 1) runs in preallocated work arrays updated in place; a
-    multi-output record factors each innovation covariance by Cholesky.
+    the last axis: states (n, B), covariances (n*n, B).  The covariance
+    predict is one product with kron(A, A), so time is O(N n^4) per
+    parameter; every step writes into work arrays allocated once per call,
+    so memory does not grow with N.
     """
 
     def __init__(self, model: ParametricLti, data: DataSet):
-        self.model, self.y, self.x0 = model, data.outputs, data.x0
+        self.model, self.x0 = model, data.x0
         self.drive = data.inputs @ model.B.T
         # Row-major vec(A P A') = kron(A, A) vec(P).
         self.AA = np.kron(model.A, model.A)
         self.Q = (model.G @ model.Sigma_w @ model.G.T).reshape(-1, 1)
-        self.c_basis = np.reshape(model.C_basis, (model.d, model.p, model.n))
+        self.noise_var, U = np.linalg.eigh(model.Sigma_e)
+        self.y = data.outputs @ U
+        self.c0 = U.T @ model.C0
+        self.c_basis = U.T @ np.reshape(model.C_basis,
+                                        (model.d, model.p, model.n))
 
     def __call__(self, thetas: np.ndarray) -> np.ndarray:
-        model = self.model
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        nb, n, p, n_exp = thetas.shape[0], model.n, model.p, self.y.shape[0]
-        C = model.C0[:, :, None] + np.einsum("dpn,bd->pnb", self.c_basis,
-                                             thetas)
-        x = np.repeat(self.x0[:, None], nb, axis=1)
-        P = np.zeros((n * n, nb))
-        total = np.zeros(nb)
-        if p == 1:
-            self._scalar_output(C[0], x, P, total)
-        else:
-            for t in range(n_exp):
-                CP = np.einsum("pib,ijb->pjb", C, P.reshape(n, n, nb))
-                S = (np.einsum("pjb,qjb->pqb", CP, C)
-                     + model.Sigma_e[:, :, None])
-                v = self.y[t][:, None] - np.einsum("pnb,nb->pb", C, x)
-                try:
-                    L = np.linalg.cholesky(np.moveaxis(S, 2, 0))
-                except np.linalg.LinAlgError as exc:
-                    raise ValueError("innovation covariance factorization "
-                                     "failed inside a likelihood batch at "
-                                     f"step {t}: {exc}") from exc
-                # With W = L^-1 C P: gain * v = W' white, gain * C P = W' W.
-                white = np.linalg.solve(L, v.T[:, :, None])[:, :, 0]
-                W = np.linalg.solve(L, np.moveaxis(CP, 2, 0))
-                total += (2.0 * np.log(np.diagonal(L, axis1=1, axis2=2))
-                          + white * white).sum(axis=1)
-                x += np.einsum("bpn,bp->nb", W, white)
-                P -= np.einsum("bpi,bpj->ijb", W, W).reshape(n * n, nb)
-                if t + 1 < n_exp:
-                    x = model.A @ x + self.drive[t][:, None]
-                    P = self.AA @ P + self.Q
-        return -0.5 * (total + n_exp * p * _LOG_2PI)
+        """Sum log s + v^2 / s over every scalar innovation, for each row.
 
-    def _scalar_output(self, c, x, P, total) -> None:
-        """Add sum_t (log s(t) + v(t)^2 / s(t)) to `total` for one output.
-
-        `c` is C(theta) with shape (n, B).  Every step writes into work
-        arrays allocated once per call; the sums run over the same index in
-        the same order as the einsums of the multi-output loop, so the
-        result is the same to the bit.
+        The sums run over the same index in the same order as per-step
+        einsums would, so a scalar-output result is the same to the bit.
         """
+        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        C = self.c0[:, :, None] + np.einsum("dpn,bd->pnb", self.c_basis,
+                                            thetas)
         # A non-finite C(theta) makes s NaN at step 0; raise before the
         # products below would warn about inf * 0.
-        if not np.isfinite(c).all():
+        if not np.isfinite(C).all():
             raise ValueError("innovation variance is not positive inside a "
                              "likelihood batch at step 0")
-        n, nb = c.shape
-        A, AA, Q, y = self.model.A, self.AA, self.Q, self.y[:, 0]
-        sigma_e = self.model.Sigma_e[0, 0]
+        p, n, nb = C.shape
+        A, AA, Q, y = self.model.A, self.AA, self.Q, self.y
+        x = np.repeat(self.x0[:, None], nb, axis=1)
+        P, total = np.zeros((n * n, nb)), np.zeros(nb)
         cp, gain = np.empty((n, nb)), np.empty((n, nb))
         prod = np.empty((n, n, nb))
         s, v, w, u = np.empty(nb), np.empty(nb), np.empty(nb), np.empty(nb)
         x2, P2 = np.empty_like(x), np.empty_like(P)
         for t in range(y.shape[0]):
-            # cp_j = sum_i c_i P_ij, s = sum_j cp_j c_j + Sigma_e,
-            # v = y - sum_i c_i x_i.
-            np.multiply(c[:, None], P.reshape(n, n, nb), out=prod)
-            np.add.reduce(prod, axis=0, out=cp)
-            np.multiply(cp, c, out=gain)
-            np.add.reduce(gain, axis=0, out=s)
-            s += sigma_e
-            np.multiply(c, x, out=gain)
-            np.add.reduce(gain, axis=0, out=w)
-            np.subtract(y[t], w, out=v)
-            # NaN fails the comparison; `initial` lets an empty batch pass.
-            if not s.min(initial=np.inf) > 0.0:
-                raise ValueError("innovation variance is not positive "
-                                 f"inside a likelihood batch at step {t}")
-            np.log(s, out=w)
-            np.multiply(v, v, out=u)
-            u /= s
-            w += u
-            total += w
-            # x += gain v and P -= gain (x) cp, with gain = cp / s.
-            np.divide(cp, s, out=gain)
-            np.multiply(gain, v, out=prod[0])
-            x += prod[0]
-            np.multiply(gain[:, None], cp, out=prod)
-            P -= prod.reshape(n * n, nb)
+            for k, c in enumerate(C):
+                # cp_j = sum_i c_i P_ij, s = sum_j cp_j c_j + D_k,
+                # v = y_k - sum_i c_i x_i.
+                np.multiply(c[:, None], P.reshape(n, n, nb), out=prod)
+                np.add.reduce(prod, axis=0, out=cp)
+                np.multiply(cp, c, out=gain)
+                np.add.reduce(gain, axis=0, out=s)
+                s += self.noise_var[k]
+                np.multiply(c, x, out=gain)
+                np.add.reduce(gain, axis=0, out=w)
+                np.subtract(y[t, k], w, out=v)
+                # NaN fails the comparison; `initial` lets an empty batch pass.
+                if not s.min(initial=np.inf) > 0.0:
+                    raise ValueError("innovation variance is not positive "
+                                     f"inside a likelihood batch at step {t}")
+                np.log(s, out=w)
+                np.multiply(v, v, out=u)
+                u /= s
+                w += u
+                total += w
+                # x += gain v and P -= gain (x) cp, with gain = cp / s.
+                np.divide(cp, s, out=gain)
+                np.multiply(gain, v, out=prod[0])
+                x += prod[0]
+                np.multiply(gain[:, None], cp, out=prod)
+                P -= prod.reshape(n * n, nb)
             if t + 1 < y.shape[0]:
                 np.matmul(A, x, out=x2)
                 x2 += self.drive[t][:, None]
                 np.matmul(AA, P, out=P2)
                 P2 += Q
                 x, x2, P, P2 = x2, x, P2, P
+        return -0.5 * (total + y.size * _LOG_2PI)
 
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Prior over the parameter box; uniform or tabulated density."""
+    """Uniform prior over a parameter box."""
 
-    kind: str
     lower: np.ndarray
     upper: np.ndarray
-    density_fn: Optional[Callable] = None
 
     def __post_init__(self):
         support = Box(self.lower, self.upper)
         if not support.volume > 0.0:
             raise ValueError("prior support must have positive volume")
-        if self.kind not in ("uniform_box", "tabulated"):
-            raise ValueError(f"unknown prior kind {self.kind!r}")
-        if self.kind == "tabulated" and self.density_fn is None:
-            raise ValueError("tabulated priors need a density evaluator")
         object.__setattr__(self, "lower", support.lower)
         object.__setattr__(self, "upper", support.upper)
 
     @staticmethod
     def uniform_box(lower, upper) -> "PriorSpec":
-        return PriorSpec("uniform_box", lower, upper)
+        return PriorSpec(lower, upper)
 
     @property
     def volume(self) -> float:
@@ -252,13 +226,7 @@ class PriorSpec:
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         inside = np.all((thetas >= self.lower) & (thetas <= self.upper), axis=1)
         out = np.full(thetas.shape[0], -np.inf)
-        if self.kind == "uniform_box":
-            out[inside] = -np.log(self.volume)
-        else:
-            vals = np.asarray(
-                [float(self.density_fn(t)) for t in thetas[inside]])
-            with np.errstate(divide="ignore"):
-                out[inside] = np.log(np.clip(vals, 0.0, None))
+        out[inside] = -np.log(self.volume)
         return out
 
 

@@ -1,8 +1,9 @@
 """Decomposition of probabilistic STL requirements into leaf chance constraints.
 
-A requirement Pr(xi |= psi at t0) >= 1 - delta is transformed, by structural
-recursion over the formula, into a conjunction of constraints of the form
-Pr(alpha(x(t)) >= 0) {>=,<=} threshold on single predicates at fixed times.
+A requirement Pr(xi |= psi at time 0) >= 1 - delta is transformed, by
+structural recursion over the formula, into a conjunction of constraints of
+the form Pr(alpha(x(t)) >= 0) {>=,<=} threshold on single predicates at fixed
+times.
 This module also holds the Gaussian noise margin of a leaf (`gamma`, and
 `gamma_coefficient`, the one reading of the ``gamma_form`` setting); the
 reduction of a leaf to an affine input constraint lives with the leaf
@@ -386,18 +387,18 @@ class _Sink:
 
 
 def decompose(f: Formula, delta: float, weights: Optional[WeightScheme] = None,
-              t0: int = 0, literal_shares: bool = False) -> DecompositionResult:
-    """Reduce Pr(xi |= f at t0) >= 1 - delta to leaf chance constraints.
+              literal_shares: bool = False) -> DecompositionResult:
+    """Reduce Pr(xi |= f at time 0) >= 1 - delta to leaf chance constraints.
 
     The formula is normalized so negations sit on predicates, then the
     structural rules described in the module docstring apply.  All leaves
-    reference absolute time steps in [t0, t0 + horizon(f)].
+    reference absolute time steps in [0, horizon(f)].
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     scheme = weights if weights is not None else WeightScheme()
     sink = _Sink()
-    _decompose(to_nnf(f), AT_LEAST, 1.0 - delta, t0, (), None, scheme,
+    _decompose(to_nnf(f), AT_LEAST, 1.0 - delta, 0, (), None, scheme,
                literal_shares, sink)
     return sink.result()
 

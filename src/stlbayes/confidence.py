@@ -61,15 +61,6 @@ class ConfidenceEstimate:
         return out
 
 
-def _evaluate_sat(sat, thetas: np.ndarray,
-                  cells: Optional[Cells]) -> np.ndarray:
-    if hasattr(sat, "satisfaction_batch"):
-        return np.asarray(sat.satisfaction_batch(thetas) if cells is None
-                          else sat.satisfaction_batch(thetas, cells),
-                          dtype=float)
-    return np.array([float(sat(t)) for t in thetas])
-
-
 def _chebyshev_fields(var_est: float, epsilon: Optional[float]):
     if epsilon is None:
         if var_est <= 0.0:
@@ -89,11 +80,12 @@ def mc_confidence(post: PosteriorDensity, sat, region: Box, n: int,
     Q = (V / N) sum_i sat(theta_i) * posterior(theta_i); the density is only
     evaluated where the satisfaction indicator fires, which never touches
     the sample stream, so results are reproducible bit for bit from the rng
-    stream value regardless of how many densities get evaluated.  `cells`,
-    a partition labelled by `classify_cells`, is handed to
-    `sat.satisfaction_batch`: samples in certified cells take the cell's
-    label and only the others are checked leaf by leaf, with the same
-    indicator either way.
+    stream value regardless of how many densities get evaluated.  The
+    indicator is one `sat.satisfaction_batch(thetas, cells)` call (`sat` is
+    a `VerificationSpec`): with `cells`, a partition labelled by
+    `classify_cells`, samples in certified cells take the cell's label and
+    only the others are checked leaf by leaf, with the same indicator
+    either way.
     """
     if n < 1:
         raise ValueError("sample count must be positive")
@@ -101,7 +93,7 @@ def mc_confidence(post: PosteriorDensity, sat, region: Box, n: int,
     gen = rng.generator()
     thetas = gen.uniform(region.lower, region.upper, (int(n), d))
     volume = region.volume
-    sat_vals = _evaluate_sat(sat, thetas, cells)
+    sat_vals = sat.satisfaction_batch(thetas, cells).astype(float)
     k = np.zeros(n)
     mask = sat_vals > 0.0
     if mask.any():

@@ -359,14 +359,13 @@ class VerificationSpec:
     """
 
     def __init__(self, model: ParametricLti, formula: Formula, delta: float,
-                 x0=None, weights: Optional[WeightScheme] = None, t0: int = 0,
+                 x0=None, weights: Optional[WeightScheme] = None,
                  input_box: Optional[Box] = None,
                  gamma_form: str = "stddev", literal_shares: bool = False):
         self.model = model
         self.formula = formula
         self.delta = float(delta)
         self.weights = weights if weights is not None else WeightScheme()
-        self.t0 = int(t0)
         self.x0 = (np.zeros(model.n) if x0 is None
                    else np.asarray(x0, dtype=float).reshape(-1))
         if self.x0.shape != (model.n,):
@@ -376,7 +375,7 @@ class VerificationSpec:
         self.gamma_form = gamma_form
         self.literal_shares = bool(literal_shares)
         self.decomposition: DecompositionResult = decompose(
-            formula, self.delta, self.weights, self.t0,
+            formula, self.delta, self.weights,
             literal_shares=self.literal_shares)
         self._geometry = [
             _leaf_geometry(leaf, model, self.x0, self.input_box, gamma_form)

@@ -10,11 +10,9 @@ derive independent substreams without sharing mutable state.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-ALGORITHM = "pcg64"
 
 
 def _label_entropy(label: object) -> int:
@@ -30,16 +28,14 @@ class RngStream:
 
     seed: int
     path: tuple = ()
-    algorithm: str = field(default=ALGORITHM)
 
     def child(self, *labels: object) -> "RngStream":
         """Derive a substream named by appending `labels` to the path."""
-        return RngStream(self.seed, self.path + tuple(labels), self.algorithm)
+        return RngStream(self.seed, self.path + tuple(labels))
 
     def generator(self) -> np.random.Generator:
-        """Instantiate a fresh generator positioned at the stream start."""
-        if self.algorithm != ALGORITHM:
-            raise ValueError(f"unknown rng algorithm {self.algorithm!r}")
+        """Instantiate a fresh PCG64 generator positioned at the stream
+        start."""
         entropy = [int(self.seed) & 0xFFFFFFFFFFFFFFFF]
         entropy.extend(_label_entropy(p) for p in self.path)
         return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

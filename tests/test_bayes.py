@@ -288,9 +288,11 @@ class TestBatchFilter:
         assert out.shape == (0,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("zero_c0", [False, True], ids=["c0", "zero_c0"])
-    def test_non_finite_theta_raises_without_warning(self, bad, zero_c0):
-        model = _random_model(6, n=3, p=1, q=2, d=2, zero_c0=zero_c0)
+    @pytest.mark.parametrize("shape", [
+        dict(p=1), dict(p=1, zero_c0=True), dict(p=2),
+    ], ids=["c0", "zero_c0", "p2"])
+    def test_non_finite_theta_raises_without_warning(self, bad, shape):
+        model = _random_model(6, n=3, q=2, d=2, **shape)
         data = _record(model, 106, 6)
         thetas = np.random.default_rng(206).uniform(-2, 2, (5, 2))
         thetas[3, 1] = bad
@@ -391,8 +393,11 @@ class TestPosterior:
         assert np.isfinite(post.density(pts)).all()
 
     def test_all_underflow_raises(self, model):
-        prior = sb.PriorSpec("tabulated", [-1, -1], [1, 1],
-                             density_fn=lambda t: 0.0)
+        class NowherePrior(sb.PriorSpec):
+            def log_density(self, thetas):
+                return np.full(np.atleast_2d(thetas).shape[0], -np.inf)
+
+        prior = NowherePrior([-1, -1], [1, 1])
         data = sb.collect_data(model, [0.0, 0.0],
                                sb.InputSampler("uniform", low=-1, high=1),
                                3, [0, 0], RngStream(67))

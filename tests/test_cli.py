@@ -152,23 +152,37 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         assert "mc" in report["results"] and "pwa" not in report["results"]
 
-    def test_custom_matrix_model(self, tmp_path):
+    @pytest.mark.parametrize("outputs", [
+        # One output y = theta' x.
+        dict(C0=[[0.0, 0.0]], C_basis=[[[1.0, 0.0]], [[0.0, 1.0]]],
+             Sigma_e=[[0.5]], gradients=([1.0], [-1.0])),
+        # A second, parameter-free output 0.5 (x1 + x2) whose noise is
+        # correlated with the first; the predicates read both outputs.
+        dict(C0=[[0.0, 0.0], [0.5, 0.5]],
+             C_basis=[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]],
+             Sigma_e=[[0.5, 0.2], [0.2, 0.4]],
+             gradients=([1.0, 0.5], [-1.0, -0.5])),
+    ], ids=["p1", "p2"])
+    def test_custom_matrix_model(self, tmp_path, outputs):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["model"] = {
             "A": [[0.4, 0.0], [0.84, 0.4]],
             "B": [[0.9165151], [-0.36660605]],
             "G": [[1.0, 0.0], [0.0, 1.0]],
-            "C0": [[0.0, 0.0]],
-            "C_basis": [[[1.0, 0.0]], [[0.0, 1.0]]],
+            "C0": outputs["C0"],
+            "C_basis": outputs["C_basis"],
             "Sigma_w": [[0.02, 0.0], [0.0, 0.02]],
-            "Sigma_e": [[0.5]],
+            "Sigma_e": outputs["Sigma_e"],
             "input_box": [[-0.2], [0.2]],
         }
+        for name, gradient in zip(("mu1", "mu2"), outputs["gradients"]):
+            cfg["predicates"][name]["output_gradient"] = gradient
         path = write_config(tmp_path, cfg)
         out = tmp_path / "o"
         assert run(["verify", "--config", path, "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["results"]["mc"]["value"] > 0.0
+        assert np.isfinite(report["results"]["normalizer"]["log_z"])
 
     def test_chebyshev_sample_sizing(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)

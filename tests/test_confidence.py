@@ -9,7 +9,7 @@ class _ConstSat:
     def __init__(self, value):
         self.value = value
 
-    def satisfaction_batch(self, thetas):
+    def satisfaction_batch(self, thetas, cells=None):
         return np.full(len(np.atleast_2d(thetas)), self.value, dtype=np.uint8)
 
 
@@ -20,7 +20,7 @@ class _BoxSat:
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
 
-    def satisfaction_batch(self, thetas):
+    def satisfaction_batch(self, thetas, cells=None):
         thetas = np.atleast_2d(thetas)
         ok = np.all((thetas >= self.lower) & (thetas <= self.upper), axis=1)
         return ok.astype(np.uint8)
@@ -71,11 +71,6 @@ class TestMcConfidence:
         assert est.chebyshev_epsilon == 0.05
         assert est.chebyshev_probability == pytest.approx(
             1 - est.variance_estimate / 0.05 ** 2)
-
-    def test_callable_sat_supported(self, uniform_post, region):
-        est = sb.mc_confidence(uniform_post, lambda t: 1.0, region, 200,
-                               RngStream(7))
-        assert est.value == pytest.approx(1.0)
 
 
 class TestPwaConfidence:
