@@ -278,18 +278,15 @@ class WeightError(ValueError):
 class WeightScheme:
     """Child weights for decomposition nodes.
 
-    ``uniform`` assigns 1/N to the N children of every node.  ``explicit``
-    looks up the node's formula-tree path (joined with '/'); nodes without an
-    entry fall back to uniform.  Vectors must be finite, nonnegative and sum
-    to one; their lengths are checked against the nodes in decomposition.
+    A node whose formula-tree path (joined with '/') has an entry in
+    `weights` takes that vector; every other node assigns 1/N to its N
+    children.  Vectors must be finite, nonnegative and sum to one; their
+    lengths are checked against the nodes in decomposition.
     """
 
-    mode: str = "uniform"
     weights: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode not in ("uniform", "explicit"):
-            raise ValueError(f"unknown weight mode {self.mode!r}")
         for key, vector in self.weights.items():
             w = np.asarray(vector, dtype=float)
             if (w.ndim != 1 or not np.all(np.isfinite(w) & (w >= 0.0))
@@ -300,15 +297,13 @@ class WeightScheme:
     def for_node(self, path: tuple, count: int) -> np.ndarray:
         if count <= 0:
             raise ValueError("a decomposition node must have children")
-        if self.mode == "explicit":
-            key = "/".join(str(p) for p in path)
-            if key in self.weights:
-                w = np.asarray(self.weights[key], dtype=float)
-                if w.shape != (count,):
-                    raise WeightError(
-                        f"weight vector at {key!r} has length {w.size}, "
-                        f"expected {count}")
-                return w
+        key = "/".join(str(p) for p in path)
+        if key in self.weights:
+            w = np.asarray(self.weights[key], dtype=float)
+            if w.shape != (count,):
+                raise WeightError(f"weight vector at {key!r} has length "
+                                  f"{w.size}, expected {count}")
+            return w
         return np.full(count, 1.0 / count)
 
 

@@ -110,26 +110,31 @@ def _field(cfg: dict, path: str, kind, default=...):
         return kind(node[key])
 
 
-_MATRICES = ("A", "B", "G", "C0", "C_basis", "Sigma_w", "Sigma_e",
-             "input_lower", "input_upper")
+def _removed(cfg: dict, path: str, instead: str) -> None:
+    """Reject a field that is no longer read, naming what replaces it."""
+    section, _, key = path.rpartition(".")
+    if key in (_field(cfg, section, _object, {}) if section else cfg):
+        raise ConfigError(path, f"not a config field; {instead}")
+
+
+_MATRICES = ("A", "B", "G", "C0", "C_basis", "Sigma_w", "Sigma_e")
 _OVERRIDES = ("Sigma_w", "Sigma_e", "G")  # a preset's, besides input_box
+_INPUT_BOX = "model.input_box sets the admissible inputs"
 
 
 def _build_model(cfg: dict) -> ParametricLti:
     section = _field(cfg, "model", _object)
+    _removed(cfg, "model.input_lower", _INPUT_BOX)
+    _removed(cfg, "model.input_upper", _INPUT_BOX)
     preset = "preset" in section
     given = {key: section[key] for key in (_OVERRIDES if preset else _MATRICES)
              if key in section}
-    if "input_box" in section:
+    if "input_box" in section or not preset:  # a preset's is optional
         lower, upper = _field(cfg, "model.input_box", _pair)
         with _at("model.input_box"):
             box = Box(lower, upper)
         given["input_lower"], given["input_upper"] = box.lower, box.upper
     if preset:
-        for key in ("input_lower", "input_upper"):
-            if key in section:
-                raise ConfigError(f"model.{key}",
-                                  "a preset takes its inputs from input_box")
         _field(cfg, "model.preset", _choice("laguerre"))
         a = _field(cfg, "model.a", _number)
         with _at("model.a"):
@@ -168,25 +173,18 @@ def _build_spec(cfg: dict, model: ParametricLti) -> VerificationSpec:
     text = _field(cfg, "formula", _text)
     with _at("formula"):
         formula = parse_stl(text, table)
-    mode = _field(cfg, "weights.mode", _choice("uniform", "explicit"),
-                  "uniform")
+    _removed(cfg, "input_box", _INPUT_BOX)
+    _removed(cfg, "weights.mode", "a node with an entry in weights.weights "
+                                  "takes it, every other node uniform shares")
     with _at("weights.weights"):
-        scheme = WeightScheme(mode=mode, weights=_field(
-            cfg, "weights.weights", _object, {}))
-    input_box = None
-    if "input_box" in cfg:
-        lower, upper = _field(cfg, "input_box", _pair)
-        with _at("input_box"):
-            input_box = Box(lower, upper)
-            if input_box.lower.size != model.m:
-                raise ValueError(f"expected {model.m} input coordinates")
+        scheme = WeightScheme(_field(cfg, "weights.weights", _object, {}))
     # The fields are checked at their own paths before the spec is built.
     with _at("formula"):
         return VerificationSpec(
             model=model, formula=formula,
             delta=_field(cfg, "delta", _fraction),
             x0=_field(cfg, "x0", _vector(model.n), [0.0] * model.n),
-            weights=scheme, input_box=input_box,
+            weights=scheme,
             gamma_form=_field(cfg, "gamma_form",
                               _choice("stddev", "variance_literal"), "stddev"),
             literal_shares=_field(cfg, "literal_shares", _flag, False))
@@ -268,7 +266,11 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
         contour_grid=_field(cfg, "contour_grid", _count, 61),
         data=_build_data(cfg, model.d) if "data" in cfg else None,
         table1=_build_table1(cfg, model.d) if "table1" in cfg else None)
-    if problem.mc_samples is None and None in (problem.epsilon, problem.floor):
+    if problem.floor is not None and (problem.mc_samples is not None
+                                      or problem.epsilon is None):
+        raise ConfigError("mc.floor", "only the pilot sizing reads it, and "
+                                      "that needs mc.epsilon and no mc.samples")
+    if problem.mc_samples is None and problem.floor is None:
         problem.mc_samples = 10000
     per_axis = _field(cfg, "pwa.per_axis", _count, 5)
     grid = _field(cfg, "restrict_grid", _count, 33)

@@ -360,7 +360,6 @@ class VerificationSpec:
 
     def __init__(self, model: ParametricLti, formula: Formula, delta: float,
                  x0=None, weights: Optional[WeightScheme] = None,
-                 input_box: Optional[Box] = None,
                  gamma_form: str = "stddev", literal_shares: bool = False):
         self.model = model
         self.formula = formula
@@ -370,8 +369,7 @@ class VerificationSpec:
                    else np.asarray(x0, dtype=float).reshape(-1))
         if self.x0.shape != (model.n,):
             raise ValueError(f"x0 must have length {model.n}")
-        self.input_box = (input_box if input_box is not None
-                          else Box(model.input_lower, model.input_upper))
+        self.input_box = Box(model.input_lower, model.input_upper)
         self.gamma_form = gamma_form
         self.literal_shares = bool(literal_shares)
         self.decomposition: DecompositionResult = decompose(
@@ -443,15 +441,15 @@ def _grid(lower, upper, per_axis):
                   for lo, hi in zip(lower, upper)])
 
 
-def restrict_region(spec: VerificationSpec, region: Box, grid: int = 33,
-                    rel_tol: float = 1e-2) -> Optional[Box]:
+def restrict_region(spec: VerificationSpec, region: Box,
+                    grid: int = 33) -> Optional[Box]:
     """Shrink a parameter box toward the set where satisfaction can hold.
 
     Probes satisfaction on deterministic grids: per coordinate, bisect the
-    outermost slice that still contains a satisfying grid point.  The probe
-    resolution bounds what can be detected, so the result is a sound
-    restriction only up to the grid; with no satisfying point found at all
-    the result is None.
+    outermost slice that still contains a satisfying grid point, to 1% of
+    the region's span.  The probe resolution bounds what can be detected,
+    so the result is a sound restriction only up to the grid; with no
+    satisfying point found at all the result is None.
     """
     d = region.lower.shape[0]
     pts = _grid(region.lower, region.upper, grid)
@@ -464,7 +462,7 @@ def restrict_region(spec: VerificationSpec, region: Box, grid: int = 33,
     upper = region.upper.copy()
     for i in range(d):
         span = region.upper[i] - region.lower[i]
-        tol = max(rel_tol * span, 1e-12)
+        tol = max(1e-2 * span, 1e-12)
 
         def slice_has_hit(v: float) -> bool:
             if d == 1:
@@ -582,24 +580,17 @@ def _noise_band(J, v0, V, coeff: float, power: int, centers: np.ndarray,
 
 
 def pwa_linearize(model: ParametricLti, cell: Box, delta: float, t: int,
-                  tilde_map=None, gamma_form: str = "stddev"):
+                  gamma_form: str = "stddev"):
     """Affine approximation of gamma over a parameter cell plus error bound.
 
-    By default the cell coordinates are the predicate gradient itself
-    (tilde = theta, requiring d == n); a (J, v0) pair maps cell coordinates
-    to the gradient otherwise.  Returns (GammaAffine, eps) whose band
+    The cell coordinates are the predicate gradient itself (tilde = theta,
+    requiring d == n).  Returns (GammaAffine, eps) whose band
     [gamma_hat - eps, gamma_hat + eps] contains gamma on the cell.
     """
-    d = cell.lower.shape[0]
-    if tilde_map is None:
-        if d != model.n:
-            raise ValueError("identity linearization requires cells in "
-                             "gradient space (d == n)")
-        J, v0 = np.eye(model.n), np.zeros(model.n)
-    else:
-        J, v0 = tilde_map
-        J = np.asarray(J, dtype=float)
-        v0 = np.asarray(v0, dtype=float).reshape(-1)
+    if cell.lower.shape[0] != model.n:
+        raise ValueError("identity linearization requires cells in "
+                         "gradient space (d == n)")
+    J, v0 = np.eye(model.n), np.zeros(model.n)
     centers, rho, verts = _cell_arrays(cell.lower[None], cell.upper[None])
     value0, slope, eps = _noise_band(
         J, v0, noise_gram(model, t), *gamma_coefficient(delta, gamma_form),

@@ -1,8 +1,11 @@
-"""The benchmark's layer spans still find the program's entry points.
+"""The benchmark's layer spans and set-up probe still find the program's
+entry points.
 
 `bench/spans.py` wraps each `LAYERS` entry by name and reports a missing
 one only on stderr, so a renamed or removed entry point would make its
-per-layer metrics read 0.  These tests load that file without changing it.
+per-layer metrics read 0.  `bench/setup_probe.py` calls the CLI's model,
+spec and prior builders on each workload's verify config.  These tests
+load those files without changing them.
 """
 
 import copy
@@ -18,16 +21,18 @@ from stlbayes import cli
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_spans():
-    """bench/spans.py as a module, compiled from its text (no .pyc)."""
-    path = ROOT / "bench" / "spans.py"
-    module = types.ModuleType("bench_spans")
+def _load_bench(name: str):
+    """bench/NAME.py as a module, compiled from its text (no .pyc)."""
+    path = ROOT / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
     module.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), vars(module))
     return module
 
 
-spans = _load_spans()
+spans = _load_bench("spans")
+workloads = _load_bench("workloads")
+workloads.CONFIG_DIR = ROOT / "configs"  # the benchmark runs from ROOT
 
 
 @pytest.mark.parametrize("layer", spans.LAYERS, ids=lambda layer: layer[0])
@@ -61,3 +66,12 @@ def test_every_layer_records_a_span_with_its_counts(tmp_path):
                 if "count_failed" in s["counts"]]
     sat = [s for s in recorder.spans if s["name"] == "feasibility.sat"]
     assert all(s["counts"]["thetas"] > 0 for s in sat)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_setup_probe_builders_accept_each_workload(workload):
+    cfg, _ = workloads.configs(workload, 7311)
+    model = cli._build_model(cfg)
+    spec = cli._build_spec(cfg, model)
+    prior = cli._build_prior(cfg, model.d)
+    assert spec.leaves() and prior.volume > 0

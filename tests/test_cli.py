@@ -45,6 +45,20 @@ BASE_CONFIG = {
 }
 
 
+# The model of BASE_CONFIG (the laguerre preset at a = 0.4, Sigma_w 0.02 I)
+# written out as matrices.
+MATRIX_MODEL = {
+    "A": [[0.4, 0.0], [0.84, 0.4]],
+    "B": [[0.9165151], [-0.36660605]],
+    "G": [[1.0, 0.0], [0.0, 1.0]],
+    "C0": [[0.0, 0.0]],
+    "C_basis": [[[1.0, 0.0]], [[0.0, 1.0]]],
+    "Sigma_w": [[0.02, 0.0], [0.0, 0.02]],
+    "Sigma_e": [[0.5]],
+    "input_box": [[-0.2], [0.2]],
+}
+
+
 TABLE1 = {"theta_true_list": [[0.3, 0.3]], "repetitions": 2, "n_exp": 5,
           "input": {"kind": "uniform", "low": -2.0, "high": 2.0}}
 
@@ -165,16 +179,9 @@ class TestVerify:
     ], ids=["p1", "p2"])
     def test_custom_matrix_model(self, tmp_path, outputs):
         cfg = copy.deepcopy(BASE_CONFIG)
-        cfg["model"] = {
-            "A": [[0.4, 0.0], [0.84, 0.4]],
-            "B": [[0.9165151], [-0.36660605]],
-            "G": [[1.0, 0.0], [0.0, 1.0]],
-            "C0": outputs["C0"],
-            "C_basis": outputs["C_basis"],
-            "Sigma_w": [[0.02, 0.0], [0.0, 0.02]],
-            "Sigma_e": outputs["Sigma_e"],
-            "input_box": [[-0.2], [0.2]],
-        }
+        cfg["model"] = dict(MATRIX_MODEL, C0=outputs["C0"],
+                            C_basis=outputs["C_basis"],
+                            Sigma_e=outputs["Sigma_e"])
         for name, gradient in zip(("mu1", "mu2"), outputs["gradients"]):
             cfg["predicates"][name]["output_gradient"] = gradient
         path = write_config(tmp_path, cfg)
@@ -441,6 +448,15 @@ def test_import_and_build_load_no_scipy():
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
+def test_weight_vector_moves_the_leaf_thresholds():
+    cfg = dict(BASE_CONFIG, formula="mu1 & mu2",
+               weights={"weights": {"": [0.9, 0.1]}})
+    leaves = cli._problem(cfg, "mc").spec.leaves()
+    delta = BASE_CONFIG["delta"]
+    assert [leaf.threshold for leaf in leaves] == pytest.approx(
+        [1 - 0.9 * delta, 1 - 0.1 * delta])
+
+
 def test_restriction_without_hits_keeps_the_region():
     cfg = json.loads((CONFIG_DIR / "case_study.json").read_text())
     cfg.update(restrict_region=True, restrict_grid=9)
@@ -533,12 +549,20 @@ CONFIG_ERRORS = [
     ("verify", "model.input_lower", [-1.0], "model.input_lower"),
     # Explicit weight vectors: not summing to one, not fitting the node,
     # negative.
-    ("verify", "weights", {"mode": "explicit", "weights": {"": [0.7, 0.7]}},
-     "weights.weights"),
-    ("verify", "weights", {"mode": "explicit", "weights": {"": [0.5, 0.5]}},
-     "weights.weights"),
-    ("verify", "weights", {"mode": "explicit", "weights": {"": [-1, 2]}},
-     "weights.weights"),
+    ("verify", "weights", {"weights": {"": [0.7, 0.7]}}, "weights.weights"),
+    ("verify", "weights", {"weights": {"": [0.5, 0.5]}}, "weights.weights"),
+    ("verify", "weights", {"weights": {"": [-1, 2]}}, "weights.weights"),
+    # Fields that are no longer read, even when well formed: model.input_box
+    # is the one input box, and weights.weights alone picks the vectors.
+    ("verify", "input_box", [[-0.5], [0.5]], "input_box"),
+    ("verify", "model", dict(MATRIX_MODEL, input_lower=[-1.0]),
+     "model.input_lower"),
+    ("verify", "model", dict(MATRIX_MODEL, input_upper=[1.0]),
+     "model.input_upper"),
+    ("verify", "weights", {"mode": "explicit"}, "weights.mode"),
+    # A floor that the pilot sizing would not read.
+    ("verify", "mc", {"floor": 0.9}, "mc.floor"),
+    ("verify", "mc", {"samples": 100, "floor": 0.9}, "mc.floor"),
     # Boxes with a lower bound above the upper one, or no volume.
     ("verify", "theta_region", {"lower": [1.0, -2.0], "upper": [0.0, 2.0]},
      "theta_region"),

@@ -210,7 +210,7 @@ class TestDecompose:
 
     def test_conjunction_weighted_shares(self):
         f = sb.And(_pred("mu1"), _pred("mu2"))
-        weights = sb.WeightScheme("explicit", {"": [0.9, 0.1]})
+        weights = sb.WeightScheme({"": [0.9, 0.1]})
         result = sb.decompose(f, 0.01, weights)
         budgets = [1 - l.threshold for l in result.all_leaves()]
         # Conserving shares: beta_i * (1 - p) with p = 0.99.
@@ -219,7 +219,7 @@ class TestDecompose:
     def test_conjunction_literal_shares(self):
         # Textbook form divides each share by the conjunct count once more.
         f = sb.And(_pred("mu1"), _pred("mu2"))
-        weights = sb.WeightScheme("explicit", {"": [0.9, 0.1]})
+        weights = sb.WeightScheme({"": [0.9, 0.1]})
         result = sb.decompose(f, 0.01, weights, literal_shares=True)
         budgets = [1 - l.threshold for l in result.all_leaves()]
         assert budgets == pytest.approx([0.9 * 0.01 / 2, 0.1 * 0.01 / 2])
@@ -238,7 +238,7 @@ class TestDecompose:
                 assert sum(budgets) == pytest.approx(delta)
                 w = gen.dirichlet(np.ones(k))
                 res = sb.decompose(f, delta,
-                                   sb.WeightScheme("explicit", {"": list(w)}))
+                                   sb.WeightScheme({"": list(w)}))
                 budgets = [1 - l.threshold for l in res.all_leaves()]
                 assert sum(budgets) == pytest.approx(delta)
 
@@ -265,7 +265,7 @@ class TestDecompose:
 
     def test_until_event_weights(self):
         f = sb.parse_stl("(mu1 & mu2) U[2,4] (mu3 & mu4)", case_predicates())
-        weights = sb.WeightScheme("explicit", {"": [0.5, 0.3, 0.2]})
+        weights = sb.WeightScheme({"": [0.5, 0.3, 0.2]})
         res = sb.decompose(f, 0.01, weights)
         # Event j is required with probability gamma_j * 0.99; each event's
         # flattened conjuncts then split the event's violation budget (a
@@ -285,13 +285,13 @@ class TestDecompose:
     def test_weight_validation(self):
         f = sb.And(_pred("mu1"), _pred("mu2"))
         with pytest.raises(ValueError, match="length"):
-            sb.decompose(f, 0.1, sb.WeightScheme("explicit", {"": [1.0]}))
+            sb.decompose(f, 0.1, sb.WeightScheme({"": [1.0]}))
         with pytest.raises(ValueError, match="sum to 1"):
             sb.decompose(f, 0.1,
-                         sb.WeightScheme("explicit", {"": [0.7, 0.7]}))
+                         sb.WeightScheme({"": [0.7, 0.7]}))
         with pytest.raises(ValueError, match="nonnegative"):
             sb.decompose(f, 0.1,
-                         sb.WeightScheme("explicit", {"": [1.5, -0.5]}))
+                         sb.WeightScheme({"": [1.5, -0.5]}))
 
     def test_delta_validation(self):
         for bad in (0.0, 1.0, -0.5, 2.0):

@@ -87,6 +87,6 @@ def test_budget_conservation_any_weights(n, raw, delta):
     f = sb.Pred("p0", sb.LinearPredicate(0.0, (1.0, 0.0)))
     for i in range(1, n):
         f = sb.And(f, sb.Pred(f"p{i}", sb.LinearPredicate(0.0, (1.0, 0.0))))
-    res = sb.decompose(f, delta, sb.WeightScheme("explicit", {"": weights}))
+    res = sb.decompose(f, delta, sb.WeightScheme({"": weights}))
     budgets = [1 - leaf.threshold for leaf in res.all_leaves()]
     assert np.isclose(sum(budgets), delta, rtol=1e-9, atol=1e-12)
