@@ -4,7 +4,6 @@ parametric LTI systems."""
 from .bayes import (
     GaussianJoint,
     PosteriorDensity,
-    PriorSpec,
     build_M,
     gaussian_logpdf,
     joint_distribution,
@@ -30,7 +29,6 @@ from .confidence import (
     pwa_confidence,
 )
 from .feasibility import (
-    Box,
     Cells,
     FarkasCertificate,
     VerificationSpec,
@@ -45,6 +43,7 @@ from .feasibility import (
     worst_case_margin,
 )
 from .lti import (
+    Box,
     DataSet,
     InputSampler,
     ParametricLti,

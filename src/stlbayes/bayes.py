@@ -13,9 +13,10 @@ filter has one loop for every output dimension: in the eigenbasis of
 Sigma_e the measurement noises are independent, so each output is one
 scalar update.
 
+The prior is uniform over a box of parameters, a `Box` of positive volume.
 All likelihood arithmetic stays in log space; the posterior normalizer is a
-plain uniform Monte Carlo estimate over the prior support whose standard
-error and relative error are reported alongside the value.
+plain uniform Monte Carlo estimate over the prior box whose standard error
+and relative error are reported alongside the value.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .feasibility import Box
-from .lti import DataSet, ParametricLti, mean_trajectory
+from .lti import Box, DataSet, ParametricLti, mean_trajectory
 from .rng import RngStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -200,34 +200,14 @@ class _BatchLikelihood:
         return -0.5 * (total + y.size * _LOG_2PI)
 
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """Uniform prior over a parameter box."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        support = Box(self.lower, self.upper)
-        if not support.volume > 0.0:
-            raise ValueError("prior support must have positive volume")
-        object.__setattr__(self, "lower", support.lower)
-        object.__setattr__(self, "upper", support.upper)
-
-    @staticmethod
-    def uniform_box(lower, upper) -> "PriorSpec":
-        return PriorSpec(lower, upper)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.upper - self.lower))
-
-    def log_density(self, thetas) -> np.ndarray:
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        inside = np.all((thetas >= self.lower) & (thetas <= self.upper), axis=1)
-        out = np.full(thetas.shape[0], -np.inf)
-        out[inside] = -np.log(self.volume)
-        return out
+def _log_prior(prior: Box, thetas) -> np.ndarray:
+    """Uniform log density on the box `prior`, one value per row of `thetas`:
+    -log(volume) inside (boundary included), -inf outside."""
+    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    inside = np.all((thetas >= prior.lower) & (thetas <= prior.upper), axis=1)
+    out = np.full(thetas.shape[0], -np.inf)
+    out[inside] = -np.log(prior.volume)
+    return out
 
 
 @dataclass
@@ -237,7 +217,7 @@ class PosteriorDensity:
     `z_rel_error` = `z_std_error` / `z` stays finite when `z` underflows.
     """
 
-    prior: PriorSpec
+    prior: Box
     log_unnormalized: Callable
     log_z: float
     z: float
@@ -252,9 +232,10 @@ class PosteriorDensity:
         return np.exp(self.log_density(thetas))
 
 
-def posterior(data: Optional[DataSet], model: ParametricLti, prior: PriorSpec,
+def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
               mc_samples: int, rng: RngStream) -> PosteriorDensity:
-    """Posterior over theta given a dataset (or the prior itself if none).
+    """Posterior over theta given a dataset (or the prior itself if none),
+    under the uniform prior over the box `prior`.
 
     The normalizer Z = integral of likelihood * prior is estimated by
     uniform Monte Carlo over the prior support with the importance weight
@@ -264,18 +245,20 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: PriorSpec,
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
+    if not prior.volume > 0.0:
+        raise ValueError("prior support must have positive volume")
 
     if data is None or getattr(data, "n_exp", 0) == 0:
         # Likelihood identically one: Z = integral of the prior = 1 exactly.
-        return PosteriorDensity(prior=prior, log_unnormalized=prior.log_density,
-                                log_z=0.0, z=1.0, z_std_error=0.0,
-                                z_rel_error=0.0, mc_samples=0)
+        return PosteriorDensity(
+            prior=prior, log_unnormalized=lambda t: _log_prior(prior, t),
+            log_z=0.0, z=1.0, z_std_error=0.0, z_rel_error=0.0, mc_samples=0)
 
     batch = _BatchLikelihood(model, data)
 
     def log_un(thetas):
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        out = prior.log_density(thetas)
+        out = _log_prior(prior, thetas)
         inside = np.flatnonzero(np.isfinite(out))
         # Chunks keep the filter's working memory flat in the batch size.
         for start in range(0, inside.size, _LIKELIHOOD_CHUNK):

@@ -24,18 +24,17 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bayes import PriorSpec, posterior
+from .bayes import posterior
 from .chance import GammaFormError, WeightError, WeightScheme
 from .confidence import chebyshev_sample_size, mc_confidence, pwa_confidence
 from .feasibility import (
-    Box,
     Cells,
     VerificationSpec,
     classify_cells,
     pwa_partition,
     restrict_region,
 )
-from .lti import InputSampler, ParametricLti, collect_data, laguerre_model
+from .lti import Box, InputSampler, ParametricLti, collect_data, laguerre_model
 from .rng import RngStream
 from .stl import OutputPredicate, LinearPredicate, StlError, parse_stl
 
@@ -110,30 +109,29 @@ def _field(cfg: dict, path: str, kind, default=...):
         return kind(node[key])
 
 
-def _removed(cfg: dict, path: str, instead: str) -> None:
-    """Reject a field that is no longer read, naming what replaces it."""
+def _unread(cfg: dict, path: str, why: str) -> None:
+    """Reject a field that this config leaves unread, saying `why`."""
     section, _, key = path.rpartition(".")
     if key in (_field(cfg, section, _object, {}) if section else cfg):
-        raise ConfigError(path, f"not a config field; {instead}")
+        raise ConfigError(path, why)
 
 
 _MATRICES = ("A", "B", "G", "C0", "C_basis", "Sigma_w", "Sigma_e")
 _OVERRIDES = ("Sigma_w", "Sigma_e", "G")  # a preset's, besides input_box
-_INPUT_BOX = "model.input_box sets the admissible inputs"
+_INPUT_BOX = "not a config field; model.input_box sets the admissible inputs"
 
 
 def _build_model(cfg: dict) -> ParametricLti:
     section = _field(cfg, "model", _object)
-    _removed(cfg, "model.input_lower", _INPUT_BOX)
-    _removed(cfg, "model.input_upper", _INPUT_BOX)
+    _unread(cfg, "model.input_lower", _INPUT_BOX)
+    _unread(cfg, "model.input_upper", _INPUT_BOX)
     preset = "preset" in section
     given = {key: section[key] for key in (_OVERRIDES if preset else _MATRICES)
              if key in section}
     if "input_box" in section or not preset:  # a preset's is optional
         lower, upper = _field(cfg, "model.input_box", _pair)
         with _at("model.input_box"):
-            box = Box(lower, upper)
-        given["input_lower"], given["input_upper"] = box.lower, box.upper
+            given["input_box"] = Box(lower, upper)
     if preset:
         _field(cfg, "model.preset", _choice("laguerre"))
         a = _field(cfg, "model.a", _number)
@@ -173,9 +171,10 @@ def _build_spec(cfg: dict, model: ParametricLti) -> VerificationSpec:
     text = _field(cfg, "formula", _text)
     with _at("formula"):
         formula = parse_stl(text, table)
-    _removed(cfg, "input_box", _INPUT_BOX)
-    _removed(cfg, "weights.mode", "a node with an entry in weights.weights "
-                                  "takes it, every other node uniform shares")
+    _unread(cfg, "input_box", _INPUT_BOX)
+    _unread(cfg, "weights.mode", "not a config field; a node with an entry in "
+                                 "weights.weights takes it, every other node "
+                                 "uniform shares")
     with _at("weights.weights"):
         scheme = WeightScheme(_field(cfg, "weights.weights", _object, {}))
     # The fields are checked at their own paths before the spec is built.
@@ -190,15 +189,19 @@ def _build_spec(cfg: dict, model: ParametricLti) -> VerificationSpec:
             literal_shares=_field(cfg, "literal_shares", _flag, False))
 
 
-def _build_prior(cfg: dict, d: int) -> PriorSpec:
+def _build_prior(cfg: dict, d: int) -> Box:
+    """The support of the uniform prior, the only `prior.kind`."""
     _field(cfg, "prior.kind", _choice("uniform_box"), "uniform_box")
     lower = _field(cfg, "prior.lower", _vector(d))
     upper = _field(cfg, "prior.upper", _vector(d))
     with _at("prior"):
-        return PriorSpec.uniform_box(lower, upper)
+        prior = Box(lower, upper)
+    if not prior.volume > 0.0:
+        raise ConfigError("prior", "support must have positive volume")
+    return prior
 
 
-def _build_region(cfg: dict, prior: PriorSpec) -> Box:
+def _build_region(cfg: dict, prior: Box) -> Box:
     d = prior.lower.shape[0]
     lower = _field(cfg, "theta_region.lower", _vector(d))
     upper = _field(cfg, "theta_region.upper", _vector(d))
@@ -247,7 +250,8 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     A malformed field raises ConfigError before any numeric work.  The
     search `region` is restricted if `restrict_region`, or kept and flagged
     `region_empty` if no grid point satisfies the property; `mc_samples`
-    None means pilot sizing; `cells`, `data` and `table1` may be None.
+    None means pilot sizing, and only then is `pilot_samples` set; `cells`,
+    `data` and `table1` may be None.
     """
     model = _build_model(cfg)
     spec = _build_spec(cfg, model)
@@ -259,8 +263,7 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
         prior=prior, region=_build_region(cfg, prior), method=method,
         mc_samples=_field(cfg, "mc.samples", _count, None),
         epsilon=_field(cfg, "mc.epsilon", _positive, None),
-        floor=_field(cfg, "mc.floor", _fraction, None),
-        pilot_samples=_field(cfg, "mc.pilot_samples", _count, 2000),
+        floor=_field(cfg, "mc.floor", _fraction, None), pilot_samples=None,
         per_cell_samples=_field(cfg, "pwa.per_cell_samples", _count, 500),
         posterior_samples=_field(cfg, "posterior_mc_samples", _count, 4096),
         contour_grid=_field(cfg, "contour_grid", _count, 61),
@@ -270,13 +273,20 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
                                       or problem.epsilon is None):
         raise ConfigError("mc.floor", "only the pilot sizing reads it, and "
                                       "that needs mc.epsilon and no mc.samples")
-    if problem.mc_samples is None and problem.floor is None:
-        problem.mc_samples = 10000
+    if problem.floor is None:
+        _unread(cfg, "mc.pilot_samples", "only the pilot sizing reads it, "
+                                         "and that needs mc.floor")
+        if problem.mc_samples is None:
+            problem.mc_samples = 10000
+    else:
+        problem.pilot_samples = _field(cfg, "mc.pilot_samples", _count, 2000)
     per_axis = _field(cfg, "pwa.per_axis", _count, 5)
-    grid = _field(cfg, "restrict_grid", _count, 33)
     restricted = problem.region
     if _field(cfg, "restrict_region", _flag, False):
+        grid = _field(cfg, "restrict_grid", _count, 33)
         restricted = restrict_region(spec, problem.region, grid=grid)
+    else:
+        _unread(cfg, "restrict_grid", "only restrict_region: true reads it")
     problem.region_empty = restricted is None
     problem.region = problem.region if restricted is None else restricted
     problem.cells = (None if method == "mc" else classify_cells(

@@ -4,12 +4,12 @@
 affine in theta: the predicate gradient v0 + J theta, the initial-state
 term, the input map and the Gaussian noise margin.  At a fixed parameter a
 leaf is an affine inequality f.u + b >= 0 (`to_affine`) that must hold for
-every admissible input trajectory; over a box of inputs the worst case has
-the closed form b + sum_k min(f_k l_k, f_k u_k), the one input term that
-`worst_case_margin`, the satisfaction map and `classify_cells` share.  The
-same question is also answered through the Farkas dual of the robust linear
-program, solved with the internal simplex, and the two routes are required
-to agree.
+every admissible input trajectory; over the model's input box (a `Box`,
+defined in `lti`) the worst case has the closed form
+b + sum_k min(f_k l_k, f_k u_k), the one input term that `worst_case_margin`,
+the satisfaction map and `classify_cells` share.  The same question is also
+answered through the Farkas dual of the robust linear program, solved with
+the internal simplex, and the two routes are required to agree.
 
 The satisfaction map theta -> {0, 1} is the conjunction of all leaf
 feasibility checks, evaluated leaf by leaf on the rows that every earlier
@@ -18,8 +18,9 @@ axis-aligned parameter cells turns every leaf margin into a concave
 piecewise-linear function of theta on the cell, so cells can be certified
 feasible (exactly, via vertex evaluation) or infeasible (via an affine upper
 envelope), with "unknown" for the remainder.  A partition is one `Cells`
-value of bound and label arrays, which `classify_cells` labels in one array
-pass per leaf over the cells that no earlier leaf has certified infeasible.
+value, the array form of `Box` with bound and label arrays, which
+`classify_cells` labels in one array pass per leaf over the cells that no
+earlier leaf has certified infeasible.
 Given such labels on a tensor grid, the satisfaction map reads each row's
 certified label and evaluates the leaves only on the remaining rows.
 """
@@ -43,7 +44,7 @@ from .chance import (
     gamma_coefficient,
     noise_gram,
 )
-from .lti import ParametricLti
+from .lti import Box, ParametricLti
 from .simplex import INFEASIBLE, OPTIMAL, solve_standard_lp
 from .stl import Formula, OutputPredicate, StlError, horizon
 
@@ -52,42 +53,6 @@ FEAS_TOL = 1e-9
 FEASIBLE = "feasible"
 INFEASIBLE_LABEL = "infeasible"
 UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box lower <= x <= upper: a theta search region, a
-    per-step input box, a prior's support, or a PWA cell with its `label`."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-    label: Optional[str] = None
-
-    def __post_init__(self):
-        lo, hi = self._bounds(self.lower), self._bounds(self.upper)
-        if lo.shape != hi.shape:
-            raise ValueError("box bounds must have matching shapes")
-        if (lo > hi).any():
-            raise ValueError("box lower bounds must not exceed upper bounds")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @staticmethod
-    def _bounds(values) -> np.ndarray:
-        return np.asarray(values, dtype=float).reshape(-1)
-
-    @property
-    def volume(self):
-        """Product of the side lengths; one per cell for `Cells`."""
-        return np.prod(self.upper - self.lower, axis=-1)
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    def stacked(self, t: int):
-        """Bounds of the inputs u(0) .. u(t-1), stacked."""
-        return np.tile(self.lower, t), np.tile(self.upper, t)
 
 
 @dataclass(frozen=True)
@@ -253,7 +218,7 @@ class _LeafGeometry:
 
     a_t = A^t x0, W = [A^{t-1} B, ..., A B, B], sigma^2 = tilde' V tilde and V
     the noise Gram matrix at the leaf's time.  Its margin adds the worst
-    case of f.u over the input box, whose stacked bounds it keeps.
+    case of f.u over the model's input box, whose stacked bounds it keeps.
     """
 
     offset: float
@@ -288,7 +253,7 @@ class _LeafGeometry:
 
 
 def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
-                   box: Box, gamma_form: str) -> _LeafGeometry:
+                   gamma_form: str) -> _LeafGeometry:
     pred = leaf.predicate
     threshold = leaf.threshold
     sign = 1.0
@@ -319,7 +284,7 @@ def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
         W[:, k * model.m:(k + 1) * model.m] = Ak @ model.B
         Ak = model.A @ Ak
     coeff, power = gamma_coefficient(delta, gamma_form)
-    lo, hi = box.stacked(t)
+    lo, hi = model.input_box.stacked(t)
     return _LeafGeometry(offset=sign * pred.offset, v0=v0, J=J, a_t=a_t, W=W,
                          V=noise_gram(model, t), noise_coeff=coeff,
                          noise_power=power, lo_stack=lo, hi_stack=hi)
@@ -340,8 +305,7 @@ def to_affine(leaf: ChanceConstraint, model: ParametricLti, x0,
         raise StlError(
             "bind output predicates to a model parameter before the affine "
             "reduction")
-    box = Box(model.input_lower, model.input_upper)  # enters neither f nor b
-    g = _leaf_geometry(leaf, model, x0, box, form)
+    g = _leaf_geometry(leaf, model, x0, form)
     tl = g.v0[None]  # J = 0 for a state predicate
     return AffineInputConstraint(f=(tl @ g.W)[0],
                                  b=(g.mean(tl) + g.noise(tl))[0],
@@ -351,11 +315,11 @@ def to_affine(leaf: ChanceConstraint, model: ParametricLti, x0,
 # --- verification spec ------------------------------------------------------
 
 class VerificationSpec:
-    """Decomposed constraint system for one model, property and input box.
+    """Decomposed constraint system for one model and property.
 
     Bundles everything the parameter-space feasibility map needs: the
-    decomposition of the probabilistic requirement, the initial state, the
-    admissible input box and the noise-margin form.
+    decomposition of the probabilistic requirement, the initial state and
+    the noise-margin form; the admissible inputs are the model's input box.
     """
 
     def __init__(self, model: ParametricLti, formula: Formula, delta: float,
@@ -369,14 +333,13 @@ class VerificationSpec:
                    else np.asarray(x0, dtype=float).reshape(-1))
         if self.x0.shape != (model.n,):
             raise ValueError(f"x0 must have length {model.n}")
-        self.input_box = Box(model.input_lower, model.input_upper)
         self.gamma_form = gamma_form
         self.literal_shares = bool(literal_shares)
         self.decomposition: DecompositionResult = decompose(
             formula, self.delta, self.weights,
             literal_shares=self.literal_shares)
         self._geometry = [
-            _leaf_geometry(leaf, model, self.x0, self.input_box, gamma_form)
+            _leaf_geometry(leaf, model, self.x0, gamma_form)
             for leaf in self.decomposition.all_leaves()
         ]
 

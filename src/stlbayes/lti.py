@@ -5,7 +5,10 @@ The model class is
     x(t+1) = A x(t) + B u(t) + G w(t),      w ~ N(0, Sigma_w) iid
     y(t)   = C(theta) x(t) + e(t),          e ~ N(0, Sigma_e) iid
 
-with C affine in the unknown parameter theta: C(theta) = C0 + sum_i theta_i Ci.
+with C affine in the unknown parameter theta: C(theta) = C0 + sum_i theta_i Ci,
+and each input u(t) admissible inside one per-step `Box`.  `Box` is the
+package's one box type: it is also the uniform prior's support, a parameter
+search region and, as `Cells`, a partition of PWA cells.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -56,8 +60,45 @@ def psd_factor(m: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Box:
+    """Axis-aligned box lower <= x <= upper: a theta search region, a
+    per-step input box, a prior's support, or a PWA cell with its `label`."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+    label: Optional[str] = None
+
+    def __post_init__(self):
+        lo, hi = self._bounds(self.lower), self._bounds(self.upper)
+        if lo.shape != hi.shape:
+            raise ValueError("box bounds must have matching shapes")
+        if (lo > hi).any():
+            raise ValueError("box lower bounds must not exceed upper bounds")
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+
+    @staticmethod
+    def _bounds(values) -> np.ndarray:
+        return np.asarray(values, dtype=float).reshape(-1)
+
+    @property
+    def volume(self):
+        """Product of the side lengths; one per cell for `Cells`."""
+        return np.prod(self.upper - self.lower, axis=-1)
+
+    @property
+    def center(self) -> np.ndarray:
+        return 0.5 * (self.lower + self.upper)
+
+    def stacked(self, t: int):
+        """Bounds of the inputs u(0) .. u(t-1), stacked."""
+        return np.tile(self.lower, t), np.tile(self.upper, t)
+
+
+@dataclass(frozen=True)
 class ParametricLti:
-    """LTI system with parameter-affine output map and Gaussian noises."""
+    """LTI system with parameter-affine output map, Gaussian noises and an
+    admissible per-step input box."""
 
     A: np.ndarray
     B: np.ndarray
@@ -66,8 +107,7 @@ class ParametricLti:
     C_basis: tuple
     Sigma_w: np.ndarray
     Sigma_e: np.ndarray
-    input_lower: np.ndarray
-    input_upper: np.ndarray
+    input_box: Box
 
     def __post_init__(self):
         A = _as_matrix(self.A, name="A")
@@ -84,15 +124,11 @@ class ParametricLti:
                                           cols=G.shape[1], name="Sigma_w"), "Sigma_w")
         Se = _check_covariance(_as_matrix(self.Sigma_e, rows=p, cols=p,
                                           name="Sigma_e"), "Sigma_e")
-        lo = np.asarray(self.input_lower, dtype=float).reshape(-1)
-        hi = np.asarray(self.input_upper, dtype=float).reshape(-1)
-        if lo.shape != (B.shape[1],) or hi.shape != (B.shape[1],):
-            raise ValueError("input bounds must have one entry per input coordinate")
-        if np.any(lo > hi):
-            raise ValueError("input lower bounds must not exceed upper bounds")
+        if self.input_box.lower.shape != (B.shape[1],):
+            raise ValueError("the input box must have one coordinate per input")
         for key, value in (("A", A), ("B", B), ("G", G), ("C0", C0),
-                           ("C_basis", basis), ("Sigma_w", Sw), ("Sigma_e", Se),
-                           ("input_lower", lo), ("input_upper", hi)):
+                           ("C_basis", basis), ("Sigma_w", Sw),
+                           ("Sigma_e", Se)):
             object.__setattr__(self, key, value)
 
     @property
@@ -126,15 +162,14 @@ class ParametricLti:
         return c
 
     def with_overrides(self, Sigma_w=None, Sigma_e=None, G=None,
-                       input_lower=None, input_upper=None) -> "ParametricLti":
+                       input_box=None) -> "ParametricLti":
         return ParametricLti(
             A=self.A, B=self.B,
             G=self.G if G is None else G,
             C0=self.C0, C_basis=self.C_basis,
             Sigma_w=self.Sigma_w if Sigma_w is None else Sigma_w,
             Sigma_e=self.Sigma_e if Sigma_e is None else Sigma_e,
-            input_lower=self.input_lower if input_lower is None else input_lower,
-            input_upper=self.input_upper if input_upper is None else input_upper,
+            input_box=self.input_box if input_box is None else input_box,
         )
 
 
@@ -157,8 +192,7 @@ def laguerre_model(a: float) -> ParametricLti:
         C_basis=([[1.0, 0.0]], [[0.0, 1.0]]),
         Sigma_w=0.5 * np.eye(2),
         Sigma_e=[[0.5]],
-        input_lower=[-0.2],
-        input_upper=[0.2],
+        input_box=Box([-0.2], [0.2]),
     )
 
 

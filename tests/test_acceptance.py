@@ -28,7 +28,7 @@ from conftest import random_formula
 mpmath.mp.dps = 40
 
 CASE_REGION = sb.Box([-3.5, -3.5], [3.5, 3.5])
-CASE_PRIOR = sb.PriorSpec.uniform_box([-10.0, -10.0], [10.0, 10.0])
+CASE_PRIOR = sb.Box([-10.0, -10.0], [10.0, 10.0])
 
 TABLE_THETAS = [[-0.5, 1.0], [3.0, -1.0], [1.0, 0.5], [-2.0, 1.5], [2.0, -1.0]]
 # The paper reports prior confidences 0.0279 (mc) and 0.0258 (pwa) and
@@ -232,7 +232,7 @@ def test_criterion_5_decomposition_soundness(safety_spec):
         bound = sb.bind_formula(spec.formula, model.c_matrix(theta))
         for ui in range(5):
             ugen = RngStream(105, ("u", ti, ui)).generator()
-            u = ugen.uniform(model.input_lower, model.input_upper,
+            u = ugen.uniform(model.input_box.lower, model.input_box.upper,
                              size=(horizon, model.m))
             states = simulate_states_batch(
                 model, spec.x0, u, n_draws, RngStream(105, ("w", ti, ui)))

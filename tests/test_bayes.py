@@ -33,7 +33,7 @@ class TestBuildM:
                              C0=np.zeros((1, 2)),
                              C_basis=([[1.0, 0.0]], [[0.0, 1.0]]),
                              Sigma_w=np.eye(2), Sigma_e=[[1.0]],
-                             input_lower=[-1], input_upper=[1])
+                             input_box=sb.Box([-1], [1]))
         M = sb.build_M(m, [2.0, 3.0], 3)
         cg = np.array([[2.0, 3.0]])
         for r in range(1, 3):
@@ -161,7 +161,7 @@ def _random_model(seed, n, p, q, d, rank_w=None, zero_c0=False):
         C0=np.zeros((p, n)) if zero_c0 else gen.standard_normal((p, n)),
         C_basis=tuple(gen.standard_normal((p, n)) for _ in range(d)),
         Sigma_w=F @ F.T, Sigma_e=E @ E.T + 0.1 * np.eye(p),
-        input_lower=[-1], input_upper=[1])
+        input_box=sb.Box([-1], [1]))
 
 
 def _record(model, seed, n_exp):
@@ -321,7 +321,7 @@ class TestBatchFilter:
     def test_peak_memory_flat_in_batch_size(self, model):
         # The posterior runs the filter in chunks, so one call on many rows
         # holds little more than its inputs and outputs.
-        prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
+        prior = sb.Box([-2, -2], [2, 2])
         data = sb.collect_data(model, [0.3, 0.3],
                                sb.InputSampler("uniform", low=-2, high=2),
                                8, [0, 0], RngStream(74))
@@ -341,14 +341,14 @@ class TestBatchFilter:
 
 class TestPosterior:
     def test_no_data_returns_prior(self, model):
-        prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
+        prior = sb.Box([-2, -2], [2, 2])
         post = sb.posterior(None, model, prior, 1000, RngStream(60))
         assert post.z == 1.0 and post.z_std_error == 0.0
         pts = np.array([[0.0, 0.0], [1.9, -1.9], [2.1, 0.0]])
         assert post.density(pts) == pytest.approx([1 / 16, 1 / 16, 0.0])
 
     def test_normalizes_to_one(self, model):
-        prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
+        prior = sb.Box([-2, -2], [2, 2])
         data = sb.collect_data(model, [0.3, 0.3],
                                sb.InputSampler("uniform", low=-2, high=2),
                                8, [0, 0], RngStream(61))
@@ -365,7 +365,7 @@ class TestPosterior:
 
     def test_concentrates_near_truth(self, model):
         # Mode of the unnormalized posterior lands near theta_true, most seeds.
-        prior = sb.PriorSpec.uniform_box([-10, -10], [10, 10])
+        prior = sb.Box([-10, -10], [10, 10])
         xs = np.linspace(-2.5, 2.5, 41)
         grid = np.array(np.meshgrid(xs, xs)).reshape(2, -1).T
         hits = 0
@@ -380,7 +380,7 @@ class TestPosterior:
         assert hits >= int(0.9 * runs)
 
     def test_log_space_never_overflows(self, model):
-        prior = sb.PriorSpec.uniform_box([-10, -10], [10, 10])
+        prior = sb.Box([-10, -10], [10, 10])
         data = sb.collect_data(model, [-0.5, 1.0],
                                sb.InputSampler("uniform", low=-2, high=2),
                                50, [0, 0], RngStream(64))
@@ -392,29 +392,36 @@ class TestPosterior:
         assert not np.isnan(vals).any()
         assert np.isfinite(post.density(pts)).all()
 
-    def test_all_underflow_raises(self, model):
-        class NowherePrior(sb.PriorSpec):
-            def log_density(self, thetas):
-                return np.full(np.atleast_2d(thetas).shape[0], -np.inf)
-
-        prior = NowherePrior([-1, -1], [1, 1])
+    def test_all_underflow_raises(self, model, monkeypatch):
+        monkeypatch.setattr(_BatchLikelihood, "__call__", lambda self, thetas:
+                            np.full(np.atleast_2d(thetas).shape[0], -np.inf))
+        prior = sb.Box([-1, -1], [1, 1])
         data = sb.collect_data(model, [0.0, 0.0],
                                sb.InputSampler("uniform", low=-1, high=1),
                                3, [0, 0], RngStream(67))
         with pytest.raises(ValueError, match="log space"):
             sb.posterior(data, model, prior, 1000, RngStream(68))
 
+    @pytest.mark.parametrize("n_exp", [None, 3])
+    def test_prior_without_volume_raises(self, model, n_exp):
+        data = None if n_exp is None else sb.collect_data(
+            model, [0.0, 0.0], sb.InputSampler("uniform", low=-1, high=1),
+            n_exp, [0, 0], RngStream(70))
+        with pytest.raises(ValueError, match="positive volume"):
+            sb.posterior(data, model, sb.Box([-1, 1], [1, 1]), 100,
+                         RngStream(71))
+
     def test_empty_dataset_equivalence(self, model):
         # n_exp = 0 handled through the None path; DataSet itself requires
         # at least one row, so the CLI passes None when no data is planned.
-        prior = sb.PriorSpec.uniform_box([-1, -1], [1, 1])
+        prior = sb.Box([-1, -1], [1, 1])
         post = sb.posterior(None, model, prior, 1000, RngStream(69))
         assert post.mc_samples == 0
 
     def test_relative_error_survives_underflow(self, model):
         # At 450 records z = exp(log_z) underflows to 0 in linear space;
         # log_z and the relative error come from scaled weights and stay finite.
-        prior = sb.PriorSpec.uniform_box([-10, -10], [10, 10])
+        prior = sb.Box([-10, -10], [10, 10])
         data = sb.collect_data(model, [-0.5, 1.0],
                                sb.InputSampler("uniform", low=-2, high=2),
                                450, [0, 0], RngStream(74))

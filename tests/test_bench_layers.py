@@ -4,16 +4,21 @@ entry points.
 `bench/spans.py` wraps each `LAYERS` entry by name and reports a missing
 one only on stderr, so a renamed or removed entry point would make its
 per-layer metrics read 0.  `bench/setup_probe.py` calls the CLI's model,
-spec and prior builders on each workload's verify config.  These tests
-load those files without changing them.
+spec and prior builders on each workload's verify config, and
+`bench/worker.py` reads the posterior's prior box, its unnormalized log
+density and every confidence estimate.  These tests load those files
+without changing them.
 """
 
 import copy
 import importlib
 import json
+import sys
 import types
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stlbayes import cli
@@ -45,7 +50,8 @@ def test_layer_resolves_to_a_stlbayes_attribute(layer):
     assert callable(vars(owner).get(method)), f"{name}: {module_name}.{attr}"
 
 
-def test_every_layer_records_a_span_with_its_counts(tmp_path):
+def _small_round():
+    """(verify config, table1 config): a short round on safety_demo."""
     cfg = json.loads((ROOT / "configs" / "safety_demo.json").read_text())
     cfg.update(mc={"samples": 500}, posterior_mc_samples=256, contour_grid=5,
                pwa={"per_axis": 4, "per_cell_samples": 20})
@@ -53,6 +59,11 @@ def test_every_layer_records_a_span_with_its_counts(tmp_path):
     table1["table1"] = {"theta_true_list": [cfg["data"]["theta_true"]],
                         "repetitions": 2, "n_exp": 4,
                         "input": cfg["data"]["input"]}
+    return cfg, table1
+
+
+def test_every_layer_records_a_span_with_its_counts(tmp_path):
+    cfg, table1 = _small_round()
     recorder = spans.Recorder()
     restore = spans.instrument(recorder)
     try:
@@ -75,3 +86,39 @@ def test_setup_probe_builders_accept_each_workload(workload):
     spec = cli._build_spec(cfg, model)
     prior = cli._build_prior(cfg, model.d)
     assert spec.leaves() and prior.volume > 0
+
+
+def test_worker_capture_reads_every_posterior_and_estimate(tmp_path,
+                                                           monkeypatch):
+    # worker.py puts bench/ on sys.path and imports spans and workloads by
+    # name; both are undone after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    worker = _load_bench("worker")
+    cfg, table1 = _small_round()
+    capture, calls = worker.Capture(7311), Counter()
+
+    def on_return(name, args, kwargs, result):
+        calls[name] += 1
+        capture.on_return(name, args, kwargs, result)
+
+    restore = spans.instrument(on_return=on_return)
+    try:
+        for command, fn, config in (("verify", cli.cmd_verify, cfg),
+                                    ("table1", cli.cmd_table1, table1)):
+            capture.command = command
+            (tmp_path / command).mkdir()
+            fn(config, tmp_path / command)
+    finally:
+        restore()
+    assert calls["bayes.normalizer"] == 3
+    assert len(capture.posteriors) == calls["bayes.normalizer"]
+    lower, upper = cfg["prior"]["lower"], cfg["prior"]["upper"]
+    for post in capture.posteriors:
+        draws = np.array(post["draws"])
+        assert draws.shape == (worker.DRAWS, 2)
+        assert ((lower <= draws) & (draws <= upper)).all()
+        assert np.isfinite(post["log_unnormalized"]).all()
+    assert len(capture.estimates) == (calls["confidence.mc"]
+                                      + calls["confidence.pwa"]) > 0

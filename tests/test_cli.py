@@ -314,6 +314,7 @@ class TestTable1Pipeline:
         assert region["upper"][0] < 2.0
         assert run(["table1", "--config", path, "--out", tmp_path / "a"]) == 0
         cfg["restrict_region"] = False
+        del cfg["restrict_grid"]  # read only under restrict_region
         cfg["theta_region"] = {"lower": region["lower"],
                                "upper": region["upper"]}
         path = write_config(tmp_path, cfg, name="explicit.json")
@@ -563,6 +564,21 @@ CONFIG_ERRORS = [
     # A floor that the pilot sizing would not read.
     ("verify", "mc", {"floor": 0.9}, "mc.floor"),
     ("verify", "mc", {"samples": 100, "floor": 0.9}, "mc.floor"),
+    # Pilot samples without a floor, whose sizing alone reads them, and a
+    # grid without the restriction that reads it; each value is still
+    # checked where it is read.
+    ("verify", "mc", {"samples": 100, "pilot_samples": 5}, "mc.pilot_samples"),
+    ("verify", "mc", {"pilot_samples": 5}, "mc.pilot_samples"),
+    ("verify", "mc", {"epsilon": 0.02, "floor": 0.9, "pilot_samples": 0},
+     "mc.pilot_samples"),
+    ("verify", "restrict_grid", 17, "restrict_grid"),
+    ("verify", ("restrict_region", "restrict_grid"), (False, 17),
+     "restrict_grid"),
+    ("verify", ("restrict_region", "restrict_grid"), (True, 0),
+     "restrict_grid"),
+    # A two-input box for the one-input Laguerre preset: a cross-field check
+    # inside the model's constructor.
+    ("verify", "model.input_box", [[-1, -1], [1, 1]], "model"),
     # Boxes with a lower bound above the upper one, or no volume.
     ("verify", "theta_region", {"lower": [1.0, -2.0], "upper": [0.0, 2.0]},
      "theta_region"),

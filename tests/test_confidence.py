@@ -28,7 +28,7 @@ class _BoxSat:
 
 @pytest.fixture(scope="module")
 def uniform_post():
-    prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
+    prior = sb.Box([-2, -2], [2, 2])
     return sb.posterior(None, sb.laguerre_model(0.4), prior, 1000,
                         RngStream(1))
 
@@ -108,7 +108,7 @@ class TestPwaConfidence:
     def test_batched_density_matches_per_cell_loop(self, safety_spec,
                                                    safety_region):
         model = safety_spec.model
-        prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
+        prior = sb.Box([-2, -2], [2, 2])
         data = sb.collect_data(model, [0.3, 0.3],
                                sb.InputSampler("uniform", low=-2, high=2),
                                8, [0, 0], RngStream(19))
@@ -137,7 +137,7 @@ class TestPwaConfidence:
 class TestUnderApproximation:
     def test_pwa_below_mc_on_posterior(self, safety_spec, safety_region):
         model = safety_spec.model
-        prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
+        prior = sb.Box([-2, -2], [2, 2])
         data = sb.collect_data(model, [0.3, 0.3],
                                sb.InputSampler("uniform", low=-2, high=2),
                                8, [0, 0], RngStream(12))
@@ -158,7 +158,7 @@ class TestUnderApproximation:
 
     def test_monotone_in_delta(self, safety_model, safety_formula,
                                safety_region):
-        prior = sb.PriorSpec.uniform_box([-2, -2], [2, 2])
+        prior = sb.Box([-2, -2], [2, 2])
         post = sb.posterior(None, safety_model, prior, 1000, RngStream(17))
         values = []
         for delta in (0.02, 0.1, 0.3):

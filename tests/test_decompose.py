@@ -69,7 +69,7 @@ class TestGamma:
     def test_single_term_scalar_system(self):
         m = sb.ParametricLti(A=[[0.0]], B=[[1.0]], G=[[1.0]], C0=[[1.0]],
                              C_basis=(), Sigma_w=[[1.0]], Sigma_e=[[0.1]],
-                             input_lower=[-1], input_upper=[1])
+                             input_box=sb.Box([-1], [1]))
         val = sb.gamma([1.0], 0.01, m, 1)
         assert val == pytest.approx(-2.3263478740, abs=1e-6)
 

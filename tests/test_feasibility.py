@@ -152,7 +152,7 @@ class TestSatisfactionFn:
         # The vectorized margins agree exactly with the per-leaf reduction
         # checked by the closed-form box oracle.
         gen = np.random.default_rng(5)
-        box = route_spec.input_box
+        box = route_spec.model.input_box
         for theta in gen.uniform(-2, 2, size=(25, 2)):
             margins = route_spec.leaf_margins(theta)
             ref = np.array([sb.worst_case_margin(c, box)
@@ -163,7 +163,7 @@ class TestSatisfactionFn:
 
     def test_farkas_agrees_on_spec_leaves(self, route_spec):
         gen = np.random.default_rng(6)
-        box = route_spec.input_box
+        box = route_spec.model.input_box
         for theta in gen.uniform(-1.5, 1.5, size=(10, 2)):
             for c in route_spec.affine_constraints(theta):
                 margin = sb.worst_case_margin(c, box)
@@ -387,8 +387,7 @@ def _model_with_parameters(safety_model, rows):
         A=safety_model.A, B=safety_model.B, G=safety_model.G,
         C0=[[0.0, 0.5]], C_basis=tuple([row] for row in rows),
         Sigma_w=safety_model.Sigma_w, Sigma_e=safety_model.Sigma_e,
-        input_lower=safety_model.input_lower,
-        input_upper=safety_model.input_upper)
+        input_box=safety_model.input_box)
 
 
 def _counts(cells):

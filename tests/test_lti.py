@@ -24,8 +24,8 @@ class TestLaguerre:
         assert np.allclose(model.G, np.eye(2))
         assert np.allclose(model.Sigma_w, 0.5 * np.eye(2))
         assert np.allclose(model.Sigma_e, [[0.5]])
-        assert np.allclose(model.input_lower, [-0.2])
-        assert np.allclose(model.input_upper, [0.2])
+        assert np.allclose(model.input_box.lower, [-0.2])
+        assert np.allclose(model.input_box.upper, [0.2])
 
     def test_zero_pole(self):
         m = sb.laguerre_model(0.0)
@@ -161,8 +161,7 @@ class TestCollectData:
         model = sb.ParametricLti(
             A=0.5 * np.eye(2), B=np.eye(2), G=np.eye(2), C0=np.zeros((2, 2)),
             C_basis=(np.eye(2),), Sigma_w=0.1 * np.eye(2),
-            Sigma_e=0.2 * np.eye(2), input_lower=[-1, -1],
-            input_upper=[1, 1])
+            Sigma_e=0.2 * np.eye(2), input_box=sb.Box([-1, -1], [1, 1]))
         data = sb.collect_data(model, [0.7],
                                sb.InputSampler("uniform", low=-1, high=1),
                                6, [0, 0], RngStream(27))
@@ -188,8 +187,12 @@ class TestValidation:
             model.with_overrides(Sigma_w=np.array([[1.0, 0.3], [0.0, 1.0]]))
 
     def test_input_bounds_ordered(self, model):
-        with pytest.raises(ValueError):
-            model.with_overrides(input_lower=[0.5], input_upper=[-0.5])
+        with pytest.raises(ValueError, match="must not exceed"):
+            model.with_overrides(input_box=sb.Box([0.5], [-0.5]))
+
+    def test_input_box_needs_one_coordinate_per_input(self, model):
+        with pytest.raises(ValueError, match="one coordinate per input"):
+            model.with_overrides(input_box=sb.Box([-1, -1], [1, 1]))
 
 
 class TestRngStream:
