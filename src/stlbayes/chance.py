@@ -4,17 +4,14 @@ A requirement Pr(xi |= psi at time 0) >= 1 - delta is transformed, by
 structural recursion over the formula, into a conjunction of constraints of
 the form Pr(alpha(x(t)) >= 0) {>=,<=} threshold on single predicates at fixed
 times.
-This module also holds the Gaussian noise margin of a leaf (`gamma`, and
-`gamma_coefficient`, the one reading of the ``gamma_form`` setting); the
+This module also holds the Gaussian noise margin of a leaf (`gamma`); the
 reduction of a leaf to an affine input constraint lives with the leaf
 geometry in `feasibility` (`to_affine`).
 
 The special functions come from the standard library, so that importing the
 package loads numpy and nothing heavier: the normal quantile is
 `statistics.NormalDist.inv_cdf` (Wichura's algorithm AS 241, accurate to
-double precision), the normal cdf is `math.erfc`, and erfinv, needed only by
-the ``variance_literal`` margin, starts from that quantile and polishes it
-with Newton steps on erf or erfc (`_erfinv`).
+double precision) and the normal cdf is `math.erfc`.
 
 Budget rules (node required with probability p):
 
@@ -22,8 +19,7 @@ Budget rules (node required with probability p):
   conjuncts of one until event): part i may fail with probability
   w_i (1 - p), weights w summing to one (uniform: (1 - p) / N each).
   Boole's inequality makes the split exact: the failure budgets sum to the
-  parent's budget.  ``literal_shares=True`` divides each share by N once
-  more, reproducing the weaker textbook form.
+  parent's budget.
 * disjunction of N parts: part i required with probability w_i p.  This is a
   sufficient condition only when the disjuncts are essentially disjoint,
   which holds for the interval-complement disjunctions produced by negated
@@ -96,26 +92,6 @@ def gaussian_cdf(x: float) -> float:
     return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
 
 
-def _erfinv(y: float) -> float:
-    """Inverse error function for y in (0, 1).
-
-    The start -Phi^{-1}((1 - y) / 2) / sqrt 2 is exact in the upper tail,
-    where 1 - y loses no bits, and only rounding 1 - y spoils it for small
-    y.  Two Newton steps correct it (one already reaches 2.4e-16 relative
-    error against 40-digit erfinv).  Below y = 0.5 they solve erf(x) = y;
-    above, (1 - y) = erfc(x), since erf(x) - y there would cancel to
-    nothing as y approaches 1.
-    """
-    x = -_STANDARD_NORMAL.inv_cdf(0.5 * (1.0 - y)) / math.sqrt(2.0)
-    for _ in range(2):
-        slope = 2.0 / math.sqrt(math.pi) * math.exp(-x * x)
-        if y < 0.5:
-            x -= (math.erf(x) - y) / slope
-        else:
-            x -= ((1.0 - y) - math.erfc(x)) / slope
-    return x
-
-
 def noise_gram(model: ParametricLti, t: int) -> np.ndarray:
     """Gram matrix V_t = sum_{i=1..t} A^{i-1} G Sigma_w G^T (A^T)^{i-1}.
 
@@ -134,52 +110,24 @@ def noise_gram(model: ParametricLti, t: int) -> np.ndarray:
     return V
 
 
-class GammaFormError(ValueError):
-    """A noise-margin form that is unknown, or undefined at a leaf's delta."""
-
-
-def gamma_coefficient(delta: float, form: str = "stddev"):
-    """(c, p) of the noise margin gamma = c * sigma^p for failure budget delta.
-
-    ``stddev``: c = Phi^{-1}(delta) (`gaussian_quantile`, AS 241), p = 1.
-    ``variance_literal``: c = erfinv(sqrt(pi) delta) (`_erfinv`, the
-    quantile start plus Newton steps on erf or erfc), p = 2, defined for
-    0 < delta < 1/sqrt(pi).
-    """
-    if form == "stddev":
-        return gaussian_quantile(delta), 1
-    if form == "variance_literal":
-        arg = math.sqrt(math.pi) * float(delta)
-        if not 0.0 < arg < 1.0:
-            raise GammaFormError(
-                "variance_literal margin is undefined unless "
-                f"0 < delta < 1/sqrt(pi), got delta={delta}")
-        return _erfinv(arg), 2
-    raise GammaFormError(f"unknown gamma form {form!r}")
-
-
-def gamma(theta_tilde, delta: float, model: ParametricLti, t: int,
-          form: str = "stddev") -> float:
+def gamma(theta_tilde, delta: float, model: ParametricLti, t: int) -> float:
     """Noise margin added to the mean constraint for a predicate at time t.
 
     sigma^2 = theta_tilde^T V_t theta_tilde is the variance of alpha(x(t))
-    due to the process noise, and the margin is `gamma_coefficient`'s
-    c * sigma^p.  Under ``stddev`` (default), sigma * Phi^{-1}(delta),
+    due to the process noise, and the margin is sigma * Phi^{-1}(delta):
     `mean + gamma >= 0` is equivalent to Pr(alpha(x(t)) >= 0) >= 1 - delta
-    for Gaussian states.  ``variance_literal``, the variance times
-    erfinv(sqrt(pi) delta), is kept as a documented alternative.
+    for Gaussian states.
     """
     theta_tilde = np.asarray(theta_tilde, dtype=float).reshape(-1)
     if theta_tilde.shape != (model.n,):
         raise ValueError(
             f"theta_tilde must have length {model.n}, got {theta_tilde.shape}")
-    coeff, power = gamma_coefficient(delta, form)
     var = max(float(theta_tilde @ noise_gram(model, t) @ theta_tilde), 0.0)
-    return float(coeff * (np.sqrt(var) if power == 1 else var))
+    return float(gaussian_quantile(delta) * np.sqrt(var))
 
 
 def gamma_gradient(theta_tilde, delta: float, model: ParametricLti, t: int):
-    """Analytic (d gamma / d theta_tilde, d gamma / d delta), stddev form.
+    """Analytic (d gamma / d theta_tilde, d gamma / d delta).
 
     Undefined where the noise variance vanishes (the cone point of sigma).
     """
@@ -381,8 +329,8 @@ class _Sink:
         return DecompositionResult(tuple(groups))
 
 
-def decompose(f: Formula, delta: float, weights: Optional[WeightScheme] = None,
-              literal_shares: bool = False) -> DecompositionResult:
+def decompose(f: Formula, delta: float,
+              weights: Optional[WeightScheme] = None) -> DecompositionResult:
     """Reduce Pr(xi |= f at time 0) >= 1 - delta to leaf chance constraints.
 
     The formula is normalized so negations sit on predicates, then the
@@ -393,13 +341,12 @@ def decompose(f: Formula, delta: float, weights: Optional[WeightScheme] = None,
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     scheme = weights if weights is not None else WeightScheme()
     sink = _Sink()
-    _decompose(to_nnf(f), AT_LEAST, 1.0 - delta, 0, (), None, scheme,
-               literal_shares, sink)
+    _decompose(to_nnf(f), AT_LEAST, 1.0 - delta, 0, (), None, scheme, sink)
     return sink.result()
 
 
 def _conjoin(conjuncts, threshold: float, path: tuple, group,
-             scheme: WeightScheme, literal_shares: bool, sink: _Sink) -> None:
+             scheme: WeightScheme, sink: _Sink) -> None:
     """Boole's rule for a conjunction required with probability `threshold`.
 
     `conjuncts` is a list of (formula, time) pairs; their top-level
@@ -412,16 +359,12 @@ def _conjoin(conjuncts, threshold: float, path: tuple, group,
     w = scheme.for_node(path, len(flat))
     budget = 1.0 - threshold
     for i, (c, k) in enumerate(flat):
-        share = w[i] * budget
-        if literal_shares:
-            share /= len(flat)
-        _decompose(c, AT_LEAST, 1.0 - share, k, path + (f"c{i}",), group,
-                   scheme, literal_shares, sink)
+        _decompose(c, AT_LEAST, 1.0 - w[i] * budget, k, path + (f"c{i}",),
+                   group, scheme, sink)
 
 
 def _decompose(f: Formula, direction: str, threshold: float, time: int,
-               path: tuple, group, scheme: WeightScheme,
-               literal_shares: bool, sink: _Sink) -> None:
+               path: tuple, group, scheme: WeightScheme, sink: _Sink) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError(
             f"derived threshold {threshold!r} left (0, 1) at path "
@@ -453,13 +396,12 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
 
     if isinstance(f, And):
         if direction == AT_LEAST:
-            _conjoin([(f, time)], threshold, path, group, scheme,
-                     literal_shares, sink)
+            _conjoin([(f, time)], threshold, path, group, scheme, sink)
         else:
             # Pr(and) <= p is implied by bounding every conjunct by p.
             for i, part in enumerate(_flatten_and(f)):
                 _decompose(part, AT_MOST, threshold, time, path + (f"c{i}",),
-                           group, scheme, literal_shares, sink)
+                           group, scheme, sink)
         return
 
     if isinstance(f, Or):
@@ -467,7 +409,7 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
         w = scheme.for_node(path, len(parts))
         for i, part in enumerate(parts):
             _decompose(part, direction, w[i] * threshold, time,
-                       path + (f"d{i}",), group, scheme, literal_shares, sink)
+                       path + (f"d{i}",), group, scheme, sink)
         return
 
     if isinstance(f, (Until, Eventually)):
@@ -484,7 +426,7 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
         for idx, (j, conjuncts) in enumerate(events):
             event_path = path + (f"e{j}",)
             _conjoin(conjuncts, w[idx] * threshold, event_path, event_path,
-                     scheme, literal_shares, sink)
+                     scheme, sink)
         return
 
     if isinstance(f, Always):
@@ -492,7 +434,7 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
             raise StlError("upper bounds on always are outside the supported "
                            "fragment")
         _conjoin([(f.child, time + i) for i in range(f.a, f.b + 1)],
-                 threshold, path, group, scheme, literal_shares, sink)
+                 threshold, path, group, scheme, sink)
         return
 
     raise StlError(f"unknown formula node {f!r}")

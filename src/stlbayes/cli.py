@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .bayes import posterior
-from .chance import GammaFormError, WeightError, WeightScheme
+from .chance import WeightError, WeightScheme
 from .confidence import chebyshev_sample_size, mc_confidence, pwa_confidence
 from .feasibility import (
     Cells,
@@ -54,8 +54,6 @@ def _at(path: str):
         raise
     except WeightError as exc:  # found in decomposition, under "formula"
         raise ConfigError("weights.weights", str(exc)) from exc
-    except GammaFormError as exc:  # found at a leaf's delta, under "formula"
-        raise ConfigError("gamma_form", str(exc)) from exc
     except (ValueError, TypeError) as exc:
         raise ConfigError(path, str(exc)) from exc
 
@@ -175,6 +173,10 @@ def _build_spec(cfg: dict, model: ParametricLti) -> VerificationSpec:
     _unread(cfg, "weights.mode", "not a config field; a node with an entry in "
                                  "weights.weights takes it, every other node "
                                  "uniform shares")
+    _unread(cfg, "gamma_form", "not a config field; the noise margin is "
+                               "sigma * Phi^-1(delta)")
+    _unread(cfg, "literal_shares", "not a config field; conjunct i may fail "
+                                   "with w_i times its parent's budget")
     with _at("weights.weights"):
         scheme = WeightScheme(_field(cfg, "weights.weights", _object, {}))
     # The fields are checked at their own paths before the spec is built.
@@ -183,10 +185,7 @@ def _build_spec(cfg: dict, model: ParametricLti) -> VerificationSpec:
             model=model, formula=formula,
             delta=_field(cfg, "delta", _fraction),
             x0=_field(cfg, "x0", _vector(model.n), [0.0] * model.n),
-            weights=scheme,
-            gamma_form=_field(cfg, "gamma_form",
-                              _choice("stddev", "variance_literal"), "stddev"),
-            literal_shares=_field(cfg, "literal_shares", _flag, False))
+            weights=scheme)
 
 
 def _build_prior(cfg: dict, d: int) -> Box:

@@ -28,8 +28,9 @@ class ConfidenceEstimate:
     """Point estimate with sampling diagnostics.
 
     `value` is clamped to [0, 1] for reporting; `raw_value` keeps the
-    unclamped estimator output.  `chebyshev_probability` is the Eq.-(16)-style
-    lower bound 1 - Var/eps^2 for the reported epsilon.
+    unclamped estimator output.  `chebyshev_probability` is Chebyshev's
+    lower bound on Pr(|Q - E Q| < eps) for the reported epsilon,
+    max(0, 1 - Var/eps^2): 0 when Var exceeds eps^2.
     """
 
     value: float
@@ -69,7 +70,7 @@ def _chebyshev_fields(var_est: float, epsilon: Optional[float]):
         return eps, 1.0 - 1.0 / 9.0
     if var_est <= 0.0:
         return float(epsilon), 1.0
-    return float(epsilon), 1.0 - var_est / (epsilon * epsilon)
+    return float(epsilon), max(0.0, 1.0 - var_est / (epsilon * epsilon))
 
 
 def mc_confidence(post: PosteriorDensity, sat, region: Box, n: int,
@@ -118,6 +119,20 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
+def _cell_points(cells: Cells, integrated: np.ndarray, n: int,
+                 rng: RngStream) -> np.ndarray:
+    """(len(integrated), n, d) points, cell idx's uniform in its box from
+    substream ("cell", idx): `random(out=)` per cell, then one affine map
+    into every box, the points `uniform(lower, upper, (n, d))` would draw."""
+    pts = np.empty((integrated.size, n, cells.lower.shape[1]))
+    for k, idx in enumerate(integrated.tolist()):
+        rng.child("cell", idx).generator().random(out=pts[k])
+    lower = cells.lower[integrated, None]
+    pts *= cells.upper[integrated, None] - lower
+    pts += lower
+    return pts
+
+
 def pwa_confidence(post: PosteriorDensity, cells: Cells,
                    per_cell_samples: int, rng: RngStream,
                    epsilon: Optional[float] = None) -> ConfidenceEstimate:
@@ -135,10 +150,7 @@ def pwa_confidence(post: PosteriorDensity, cells: Cells,
     integrated = np.flatnonzero(feasible | unknown)
     mass, var = np.zeros(len(cells)), np.zeros(len(cells))
     if integrated.size:
-        pts = np.empty((integrated.size, n, d))
-        for k, idx in enumerate(integrated.tolist()):
-            pts[k] = rng.child("cell", idx).generator().uniform(
-                cells.lower[idx], cells.upper[idx], (n, d))
+        pts = _cell_points(cells, integrated, n, rng)
         # One density call for every cell's points, split back by cell.
         dens = post.density(pts.reshape(-1, d)).reshape(-1, n)
         vol = cells.volume[integrated]

@@ -41,7 +41,7 @@ from .chance import (
     DecompositionResult,
     WeightScheme,
     decompose,
-    gamma_coefficient,
+    gaussian_quantile,
     noise_gram,
 )
 from .lti import Box, ParametricLti
@@ -214,7 +214,7 @@ class _LeafGeometry:
     for a state predicate), and at theta the leaf is the input constraint
     f.u + b >= 0 with
 
-        f = W' tilde,  b = offset + tilde.a_t + noise_coeff * sigma^noise_power
+        f = W' tilde,  b = offset + tilde.a_t + noise_coeff * sigma
 
     a_t = A^t x0, W = [A^{t-1} B, ..., A B, B], sigma^2 = tilde' V tilde and V
     the noise Gram matrix at the leaf's time.  Its margin adds the worst
@@ -228,7 +228,6 @@ class _LeafGeometry:
     W: np.ndarray
     V: np.ndarray
     noise_coeff: float
-    noise_power: int  # 1 for stddev form, 2 for the literal variance form
     lo_stack: np.ndarray
     hi_stack: np.ndarray
 
@@ -243,8 +242,7 @@ class _LeafGeometry:
     def noise(self, tl: np.ndarray) -> np.ndarray:
         """The noise margin for each row tilde of `tl`."""
         var = np.clip(np.einsum("bi,bi->b", tl @ self.V, tl), 0.0, None)
-        return self.noise_coeff * (np.sqrt(var) if self.noise_power == 1
-                                   else var)
+        return self.noise_coeff * np.sqrt(var)
 
     def margins(self, thetas) -> np.ndarray:
         tl = self.gradients(thetas)
@@ -252,8 +250,8 @@ class _LeafGeometry:
                                            self.hi_stack) + self.noise(tl))
 
 
-def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
-                   gamma_form: str) -> _LeafGeometry:
+def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti,
+                   x0) -> _LeafGeometry:
     pred = leaf.predicate
     threshold = leaf.threshold
     sign = 1.0
@@ -283,15 +281,15 @@ def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti, x0,
     for k in range(t - 1, -1, -1):
         W[:, k * model.m:(k + 1) * model.m] = Ak @ model.B
         Ak = model.A @ Ak
-    coeff, power = gamma_coefficient(delta, gamma_form)
     lo, hi = model.input_box.stacked(t)
     return _LeafGeometry(offset=sign * pred.offset, v0=v0, J=J, a_t=a_t, W=W,
-                         V=noise_gram(model, t), noise_coeff=coeff,
-                         noise_power=power, lo_stack=lo, hi_stack=hi)
+                         V=noise_gram(model, t),
+                         noise_coeff=gaussian_quantile(delta),
+                         lo_stack=lo, hi_stack=hi)
 
 
-def to_affine(leaf: ChanceConstraint, model: ParametricLti, x0,
-              form: str = "stddev") -> AffineInputConstraint:
+def to_affine(leaf: ChanceConstraint, model: ParametricLti,
+              x0) -> AffineInputConstraint:
     """Reduce one leaf chance constraint on a state predicate to an affine
     input constraint: its `_leaf_geometry` at the leaf's own gradient.
 
@@ -305,7 +303,7 @@ def to_affine(leaf: ChanceConstraint, model: ParametricLti, x0,
         raise StlError(
             "bind output predicates to a model parameter before the affine "
             "reduction")
-    g = _leaf_geometry(leaf, model, x0, form)
+    g = _leaf_geometry(leaf, model, x0)
     tl = g.v0[None]  # J = 0 for a state predicate
     return AffineInputConstraint(f=(tl @ g.W)[0],
                                  b=(g.mean(tl) + g.noise(tl))[0],
@@ -318,13 +316,12 @@ class VerificationSpec:
     """Decomposed constraint system for one model and property.
 
     Bundles everything the parameter-space feasibility map needs: the
-    decomposition of the probabilistic requirement, the initial state and
-    the noise-margin form; the admissible inputs are the model's input box.
+    decomposition of the probabilistic requirement and the initial state;
+    the admissible inputs are the model's input box.
     """
 
     def __init__(self, model: ParametricLti, formula: Formula, delta: float,
-                 x0=None, weights: Optional[WeightScheme] = None,
-                 gamma_form: str = "stddev", literal_shares: bool = False):
+                 x0=None, weights: Optional[WeightScheme] = None):
         self.model = model
         self.formula = formula
         self.delta = float(delta)
@@ -333,15 +330,10 @@ class VerificationSpec:
                    else np.asarray(x0, dtype=float).reshape(-1))
         if self.x0.shape != (model.n,):
             raise ValueError(f"x0 must have length {model.n}")
-        self.gamma_form = gamma_form
-        self.literal_shares = bool(literal_shares)
         self.decomposition: DecompositionResult = decompose(
-            formula, self.delta, self.weights,
-            literal_shares=self.literal_shares)
-        self._geometry = [
-            _leaf_geometry(leaf, model, self.x0, gamma_form)
-            for leaf in self.decomposition.all_leaves()
-        ]
+            formula, self.delta, self.weights)
+        self._geometry = [_leaf_geometry(leaf, model, self.x0)
+                          for leaf in self.decomposition.all_leaves()]
 
     @property
     def horizon(self) -> int:
@@ -354,8 +346,8 @@ class VerificationSpec:
         """Per-leaf affine input constraints at a fixed parameter, each
         leaf bound to C(theta) first."""
         c = self.model.c_matrix(theta)
-        return [to_affine(leaf.bind(c), self.model, self.x0,
-                          form=self.gamma_form) for leaf in self.leaves()]
+        return [to_affine(leaf.bind(c), self.model, self.x0)
+                for leaf in self.leaves()]
 
     def leaf_margins(self, theta) -> np.ndarray:
         return np.array([g.margins(theta)[0] for g in self._geometry])
@@ -492,10 +484,10 @@ def _cell_arrays(lower: np.ndarray, upper: np.ndarray):
             np.where(upper_bit, upper[:, None], lower[:, None]).reshape(-1, d))
 
 
-def _noise_band(J, v0, V, coeff: float, power: int, centers: np.ndarray,
-                rho: np.ndarray, tl_verts: np.ndarray):
+def _noise_band(J, v0, V, coeff: float, centers: np.ndarray, rho: np.ndarray,
+                tl_verts: np.ndarray):
     """Affine models value0 + slope . (theta - center) within eps of the noise
-    margin coeff * sigma^power, sigma^2 = tilde' V tilde, tilde = v0 + J theta,
+    margin coeff * sigma, sigma^2 = tilde' V tilde, tilde = v0 + J theta,
     on each of C cells: arrays (C,), (C, d), (C,); tl_verts is tilde at the
     vertices in `_cell_arrays` order.
 
@@ -510,11 +502,6 @@ def _noise_band(J, v0, V, coeff: float, power: int, centers: np.ndarray,
     tilde_c = v0 + _mv(J, centers)
     grad = _mv(J.T, _mv(V, tilde_c))
     var_c = np.maximum(_mv(_mv(V.T, tilde_c)[:, None, :], tilde_c)[:, 0], 0.0)
-
-    if power == 2:
-        # Quadratic in theta: exact Hessian 2 J^T V J everywhere.
-        return coeff * var_c, 2.0 * coeff * grad, abs(coeff) * lam * rho * rho
-
     sigma_c = np.sqrt(var_c)
     if lam == 0.0:
         # Noise variance constant over the cell (always so at time 0).
@@ -542,8 +529,7 @@ def _noise_band(J, v0, V, coeff: float, power: int, centers: np.ndarray,
             np.where(smooth, eps_smooth, eps_flat))
 
 
-def pwa_linearize(model: ParametricLti, cell: Box, delta: float, t: int,
-                  gamma_form: str = "stddev"):
+def pwa_linearize(model: ParametricLti, cell: Box, delta: float, t: int):
     """Affine approximation of gamma over a parameter cell plus error bound.
 
     The cell coordinates are the predicate gradient itself (tilde = theta,
@@ -556,8 +542,8 @@ def pwa_linearize(model: ParametricLti, cell: Box, delta: float, t: int,
     J, v0 = np.eye(model.n), np.zeros(model.n)
     centers, rho, verts = _cell_arrays(cell.lower[None], cell.upper[None])
     value0, slope, eps = _noise_band(
-        J, v0, noise_gram(model, t), *gamma_coefficient(delta, gamma_form),
-        centers, rho, v0 + verts @ J.T)
+        J, v0, noise_gram(model, t), gaussian_quantile(delta), centers, rho,
+        v0 + verts @ J.T)
     return GammaAffine(cell.center, float(value0[0]), slope[0]), float(eps[0])
 
 
@@ -594,7 +580,7 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
         shape = verts.shape[:2]
         tl_v = g.gradients(verts.reshape(-1, d))
         value0, slope, eps = _noise_band(g.J, g.v0, g.V, g.noise_coeff,
-                                         g.noise_power, centers, rho, tl_v)
+                                         centers, rho, tl_v)
         base = g.mean(tl_v)
         gam_v = value0[:, None] + _mv(from_center, slope)
         f_v = tl_v @ g.W

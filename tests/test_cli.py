@@ -434,10 +434,8 @@ def test_import_and_build_load_no_scipy():
         "import json, sys\n"
         "from pathlib import Path\n"
         "from stlbayes import cli\n"
-        "from stlbayes.chance import gamma_coefficient\n"
         "for path in sorted(Path(sys.argv[1]).glob('*.json')):\n"
         "    cli._problem(json.loads(path.read_text()), None)\n"
-        "gamma_coefficient(0.1, 'variance_literal')\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
     src = Path(cli.__file__).resolve().parent.parent
@@ -561,6 +559,11 @@ CONFIG_ERRORS = [
     ("verify", "model", dict(MATRIX_MODEL, input_upper=[1.0]),
      "model.input_upper"),
     ("verify", "weights", {"mode": "explicit"}, "weights.mode"),
+    # The noise margin is sigma * Phi^-1(delta) and conjunct i may fail with
+    # w_i times the budget; neither has a setting.
+    ("verify", "gamma_form", "stddev", "gamma_form"),
+    ("verify", "gamma_form", "variance_literal", "gamma_form"),
+    ("verify", "literal_shares", False, "literal_shares"),
     # A floor that the pilot sizing would not read.
     ("verify", "mc", {"floor": 0.9}, "mc.floor"),
     ("verify", "mc", {"samples": 100, "floor": 0.9}, "mc.floor"),
@@ -586,8 +589,8 @@ CONFIG_ERRORS = [
     ("verify", "prior", {"lower": [2.0, -2.0], "upper": [-2.0, 2.0]},
      "prior"),
     ("verify", "prior", {"lower": [-2.0, 2.0], "upper": [2.0, 2.0]}, "prior"),
-    # A well-formed formula whose one leaf delta, 0.6, lies outside the
-    # literal form's domain (0, 1/sqrt(pi)).
+    # A removed field beside a one-leaf formula whose delta, 0.6, is in
+    # range for the margin.
     ("verify", ("formula", "delta", "gamma_form"), ("mu1", 0.6,
                                                     "variance_literal"),
      "gamma_form"),

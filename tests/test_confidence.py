@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
+from stlbayes import confidence
 from stlbayes.rng import RngStream
 
 
@@ -72,6 +73,24 @@ class TestMcConfidence:
         assert est.chebyshev_probability == pytest.approx(
             1 - est.variance_estimate / 0.05 ** 2)
 
+    def test_tiny_epsilon_gives_a_zero_bound(self, uniform_post, region):
+        # Var / eps^2 far above 1: Chebyshev's bound max(0, 1 - Var/eps^2).
+        est = sb.mc_confidence(uniform_post, _BoxSat([-1, -1], [0, 0]), region,
+                               2000, RngStream(6), epsilon=1e-6)
+        assert est.variance_estimate > 1e-12
+        assert est.chebyshev_probability == 0.0
+
+
+def _uniform_cell_points(cells, integrated, n, rng):
+    """The per-cell `uniform` loop: the bit-level reference for
+    `confidence._cell_points`."""
+    d = cells.lower.shape[1]
+    pts = np.empty((integrated.size, n, d))
+    for k, idx in enumerate(integrated.tolist()):
+        pts[k] = rng.child("cell", idx).generator().uniform(
+            cells.lower[idx], cells.upper[idx], (n, d))
+    return pts
+
 
 class TestPwaConfidence:
     def test_no_feasible_cells(self, uniform_post, region):
@@ -96,6 +115,20 @@ class TestPwaConfidence:
         assert est.interval[0] == pytest.approx(0.25)
         assert est.interval[1] == pytest.approx(1.0)
         assert len(est.per_cell) == 4
+
+    def test_draws_match_per_cell_uniform(self, uniform_post, monkeypatch):
+        grid = sb.pwa_partition(sb.Box([-2.0, -1.0], [1.5, 2.5]), 3)
+        cells = sb.Cells(grid.lower, grid.upper,
+                         ["feasible", "unknown", "infeasible"] * 3)
+        integrated = np.flatnonzero(cells.label != "infeasible")
+        rng = RngStream(22, ("pwa",))
+        assert np.array_equal(
+            confidence._cell_points(cells, integrated, 40, rng),
+            _uniform_cell_points(cells, integrated, 40, rng))
+        est = sb.pwa_confidence(uniform_post, cells, 40, rng, epsilon=0.01)
+        monkeypatch.setattr(confidence, "_cell_points", _uniform_cell_points)
+        assert sb.pwa_confidence(uniform_post, cells, 40, rng,
+                                 epsilon=0.01) == est
 
     def test_deterministic(self, uniform_post, region):
         grid = sb.pwa_partition(region, 3)

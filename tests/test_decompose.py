@@ -86,36 +86,6 @@ class TestGamma:
     def test_zero_time(self, model):
         assert sb.gamma([1.0, 1.0], 0.2, model, 0) == 0.0
 
-    def test_variance_literal_form(self, model):
-        tilde = np.array([0.7, -0.3])
-        var = float(tilde @ sb.noise_gram(model, 2) @ tilde)
-        from scipy.special import erfinv
-        expected = var * float(erfinv(np.sqrt(np.pi) * 0.2))
-        got = sb.gamma(tilde, 0.2, model, 2, form="variance_literal")
-        assert got == pytest.approx(expected, rel=1e-12)
-
-    @pytest.mark.parametrize("args", [
-        [1e-300, 1e-15],
-        np.linspace(0.0, 1.0, 2003)[1:-1],
-        [1 - 1e-6, 1 - 1e-10, 1 - 1e-12],
-    ], ids=["tiny", "sweep", "near-one"])
-    def test_variance_literal_coefficient_against_high_precision(self, args):
-        from stlbayes.chance import gamma_coefficient
-        got, ref = [], []
-        for y in args:
-            delta = y / np.sqrt(np.pi)
-            # Near 1, erfinv magnifies a one-ulp change of its argument a
-            # hundred billion times, so the reference takes the argument
-            # exactly as the margin forms it.
-            arg = np.sqrt(np.pi) * delta
-            got.append(gamma_coefficient(delta, "variance_literal")[0])
-            ref.append(float(mpmath.erfinv(mpmath.mpf(arg))))
-        assert _worst_relative_error(got, ref) < 1e-14
-
-    def test_variance_literal_domain(self, model):
-        with pytest.raises(ValueError, match="undefined"):
-            sb.gamma([1.0, 0.0], 0.6, model, 2, form="variance_literal")
-
     def test_gradient_matches_finite_differences(self, model):
         gen = np.random.default_rng(7)
         h = 1e-6
@@ -215,14 +185,6 @@ class TestDecompose:
         budgets = [1 - l.threshold for l in result.all_leaves()]
         # Conserving shares: beta_i * (1 - p) with p = 0.99.
         assert budgets == pytest.approx([0.9 * 0.01, 0.1 * 0.01])
-
-    def test_conjunction_literal_shares(self):
-        # Textbook form divides each share by the conjunct count once more.
-        f = sb.And(_pred("mu1"), _pred("mu2"))
-        weights = sb.WeightScheme({"": [0.9, 0.1]})
-        result = sb.decompose(f, 0.01, weights, literal_shares=True)
-        budgets = [1 - l.threshold for l in result.all_leaves()]
-        assert budgets == pytest.approx([0.9 * 0.01 / 2, 0.1 * 0.01 / 2])
 
     def test_budget_conservation(self):
         # At every conjunction the children's violation budgets sum exactly

@@ -18,6 +18,8 @@ from stlbayes.feasibility import (
     _LeafGeometry,
 )
 
+from conftest import case_predicates
+
 
 def random_constraint(gen, max_m=3, max_t=4):
     m = int(gen.integers(1, max_m + 1))
@@ -96,20 +98,15 @@ class TestFarkas:
         assert sb.farkas_feasible(good, box)[0] is True
 
 
-@pytest.fixture(params=[(kind, form) for kind in ("output", "state")
-                        for form in ("stddev", "variance_literal")],
-                ids="-".join)
+@pytest.fixture(params=["output", "state"], ids="{}-stddev".format)
 def route_spec(request, safety_model, safety_formula):
     """The safety spec, or G[0,3] of a state predicate (J = 0) from a
-    nonzero x0, under either noise-margin form."""
-    kind, form = request.param
-    if kind == "output":
-        return sb.VerificationSpec(safety_model, safety_formula, 0.05,
-                                   gamma_form=form)
+    nonzero x0; the ids name the noise margin, sigma * Phi^-1(delta)."""
+    if request.param == "output":
+        return sb.VerificationSpec(safety_model, safety_formula, 0.05)
     state = sb.Always(sb.Pred("s", sb.LinearPredicate(0.5, (1.0, -0.3))),
                       0, 3)
-    return sb.VerificationSpec(safety_model, state, 0.05, x0=[0.3, -0.2],
-                               gamma_form=form)
+    return sb.VerificationSpec(safety_model, state, 0.05, x0=[0.3, -0.2])
 
 
 def _rows_seen(monkeypatch, method: str) -> list:
@@ -361,12 +358,6 @@ class TestPwaLinearize:
         _, eps2 = sb.pwa_linearize(safety_model, half, 0.01, 3)
         assert eps1 / eps2 >= 3.9
 
-    def test_literal_form_rejects_large_delta(self, safety_model):
-        cell = sb.Box([0.5, 0.5], [1.0, 1.0])
-        with pytest.raises(ValueError, match="variance_literal"):
-            sb.pwa_linearize(safety_model, cell, 0.6, 3,
-                             gamma_form="variance_literal")
-
     def test_cone_cell_falls_back_to_interval(self, safety_model):
         cell = sb.Box([-0.2, -0.2], [0.2, 0.2])
         gaff, eps = sb.pwa_linearize(safety_model, cell, 0.01, 3)
@@ -396,6 +387,30 @@ def _counts(cells):
             labels.count(UNKNOWN))
 
 
+# Outside an `always` property, specs on the safety model that give all
+# three labels under the sound margin: a one-step until event and a
+# disjunction, with nu3/nu4 the bands mu3/mu4 widened to offset 0.3.
+THREE_LABEL_FORMULAS = {
+    "until": "(mu1 & mu2) U[2,2] (nu3 & nu4)",
+    "or": "(mu1 & mu2) | G[0,2] (nu3 & nu4)",
+}
+
+
+@pytest.fixture(scope="module")
+def classify_specs(safety_spec, case_spec, safety_region, safety_model):
+    """(spec, region) by name: the safety and case specs, and the
+    `THREE_LABEL_FORMULAS` at delta 0.05 over the safety region."""
+    preds = {**case_predicates(), "nu3": sb.OutputPredicate(0.3, (1.0,)),
+             "nu4": sb.OutputPredicate(0.3, (-1.0,))}
+    specs = {"safety": (safety_spec, safety_region),
+             "case": (case_spec, CASE_REGION)}
+    for name, text in THREE_LABEL_FORMULAS.items():
+        spec = sb.VerificationSpec(safety_model, sb.parse_stl(text, preds),
+                                   0.05)
+        specs[name] = (spec, safety_region)
+    return specs
+
+
 class TestPwaClassify:
     def test_feasible_cells_are_sound(self, safety_spec, safety_region):
         gen = np.random.default_rng(10)
@@ -419,49 +434,39 @@ class TestPwaClassify:
                     pts = gen.uniform(cell.lower, cell.upper, size=(100, 2))
                     assert not safety_spec.satisfaction_batch(pts).any()
 
-    # Label counts (feasible, infeasible, unknown) of the per-cell loop that
-    # the array pass replaced, on the same partitions.
-    @pytest.mark.parametrize("which, form, per_axis, counts", [
-        ("safety", "stddev", 5, (1, 16, 8)),
-        ("safety", "stddev", 16, (10, 216, 30)),
-        ("safety", "stddev", 64, (326, 3676, 94)),
-        ("case", "stddev", 5, (0, 24, 1)),
-        ("case", "variance_literal", 5, (0, 6, 19)),
-        ("case", "variance_literal", 16, (26, 194, 36)),
-        ("safety", "variance_literal", 16, (126, 72, 58)),
+    # Label counts (feasible, infeasible, unknown) on fixed partitions; the
+    # safety and case rows are those of the per-cell loop that the array
+    # pass replaced.  The ids name the spec and its noise margin,
+    # sigma * Phi^-1(delta).
+    @pytest.mark.parametrize("which, per_axis, counts", [
+        pytest.param("safety", 5, (1, 16, 8), id="safety-stddev-5-counts0"),
+        pytest.param("safety", 16, (10, 216, 30),
+                     id="safety-stddev-16-counts1"),
+        pytest.param("safety", 64, (326, 3676, 94),
+                     id="safety-stddev-64-counts2"),
+        pytest.param("case", 5, (0, 24, 1), id="case-stddev-5-counts3"),
+        pytest.param("until", 16, (4, 230, 22), id="until-stddev-16-counts4"),
+        pytest.param("or", 16, (12, 222, 22), id="or-stddev-16-counts5"),
     ])
-    def test_pinned_label_counts(self, which, form, per_axis, counts,
-                                 safety_spec, case_spec, safety_region):
-        base, region = ((safety_spec, safety_region) if which == "safety"
-                        else (case_spec, CASE_REGION))
-        spec = sb.VerificationSpec(base.model, base.formula, base.delta,
-                                   gamma_form=form)
+    def test_pinned_label_counts(self, which, per_axis, counts,
+                                 classify_specs):
+        spec, region = classify_specs[which]
         cells = sb.classify_cells(sb.pwa_partition(region, per_axis), spec)
         assert _counts(cells) == counts
 
-    @pytest.mark.parametrize("which, form", [
-        (which, form) for which in ("safety", "case")
-        for form in ("stddev", "variance_literal")])
-    def test_single_cell_calls_match_batch(self, which, form, safety_spec,
-                                           case_spec, safety_region):
-        base, region, per_axis = ((safety_spec, safety_region, 16)
-                                  if which == "safety"
-                                  else (case_spec, CASE_REGION, 8))
-        spec = sb.VerificationSpec(base.model, base.formula, base.delta,
-                                   gamma_form=form)
+    @pytest.mark.parametrize("which", ["safety", "case", "until", "or"],
+                             ids="{}-stddev".format)
+    def test_single_cell_calls_match_batch(self, which, classify_specs):
+        spec, region = classify_specs[which]
+        per_axis = 8 if which == "case" else 16
         cells = sb.classify_cells(sb.pwa_partition(region, per_axis), spec)
         assert [sb.pwa_classify(c, spec) for c in cells] == \
             [c.label for c in cells]
 
-    @pytest.mark.parametrize("which, form", [("safety", "stddev"),
-                                             ("case", "variance_literal")])
-    def test_permuted_partition_permutes_labels(self, which, form,
-                                                safety_spec, case_spec,
-                                                safety_region):
-        base, region = ((safety_spec, safety_region) if which == "safety"
-                        else (case_spec, CASE_REGION))
-        spec = sb.VerificationSpec(base.model, base.formula, base.delta,
-                                   gamma_form=form)
+    @pytest.mark.parametrize("which", ["safety", "until", "or"],
+                             ids="{}-stddev".format)
+    def test_permuted_partition_permutes_labels(self, which, classify_specs):
+        spec, region = classify_specs[which]
         cells = sb.pwa_partition(region, 16)
         labels = sb.classify_cells(cells, spec).label
         assert len(set(labels)) == 3
