@@ -35,7 +35,6 @@ from .feasibility import (
     classify_cells,
     farkas_feasible,
     pwa_classify,
-    pwa_linearize,
     pwa_partition,
     restrict_region,
     satisfaction_fn,

@@ -13,14 +13,17 @@ the internal simplex, and the two routes are required to agree.
 
 The satisfaction map theta -> {0, 1} is the conjunction of all leaf
 feasibility checks, evaluated leaf by leaf on the rows that every earlier
-leaf admitted.  A piecewise-affine relaxation of the noise margin over
-axis-aligned parameter cells turns every leaf margin into a concave
-piecewise-linear function of theta on the cell, so cells can be certified
-feasible (exactly, via vertex evaluation) or infeasible (via an affine upper
-envelope), with "unknown" for the remainder.  A partition is one `Cells`
-value, the array form of `Box` with bound and label arrays, which
-`classify_cells` labels in one array pass per leaf over the cells that no
-earlier leaf has certified infeasible.
+leaf admitted.  Over an axis-aligned parameter cell a leaf margin is an
+affine mean, plus a concave input term, plus Phi^-1(delta_i) times the
+convex noise standard deviation, so a lower bound and an upper bound on it
+are each extreme at a vertex: the lower bound is the exact margin when
+Phi^-1(delta_i) <= 0, and the standard deviation's tangent at the cell
+center, which lies below it everywhere, serves in the other bound.  Cells
+are certified feasible or infeasible by these vertex evaluations, with
+"unknown" for the remainder.  A partition is one `Cells` value, the array
+form of `Box` with bound and label arrays, which `classify_cells` labels in
+one array pass per leaf over the cells that no earlier leaf has certified
+infeasible.
 Given such labels on a tensor grid, the satisfaction map reads each row's
 certified label and evaluates the leaves only on the remaining rows.
 """
@@ -239,10 +242,15 @@ class _LeafGeometry:
         """offset + tilde.a_t for each row tilde of `tl`."""
         return self.offset + tl @ self.a_t
 
+    def sigma(self, tl: np.ndarray) -> np.ndarray:
+        """The noise standard deviation sqrt(tilde' V tilde) for each row
+        tilde of `tl`."""
+        var = np.clip(np.einsum("bi,bi->b", tl @ self.V, tl), 0.0, None)
+        return np.sqrt(var)
+
     def noise(self, tl: np.ndarray) -> np.ndarray:
         """The noise margin for each row tilde of `tl`."""
-        var = np.clip(np.einsum("bi,bi->b", tl @ self.V, tl), 0.0, None)
-        return self.noise_coeff * np.sqrt(var)
+        return self.noise_coeff * self.sigma(tl)
 
     def margins(self, thetas) -> np.ndarray:
         tl = self.gradients(thetas)
@@ -359,9 +367,9 @@ class VerificationSpec:
 
         With `cells` labelled by `classify_cells` for this spec, a row in a
         certified cell takes its label and only the rest reach the leaves.
-        The indicator is the same: a feasible cell's pessimistic margin,
-        a lower bound on every leaf margin in it, is >= -FEAS_TOL, and an
-        infeasible cell has a leaf whose upper envelope is < -FEAS_TOL."""
+        The indicator is the same: in a feasible cell every leaf margin has
+        a lower bound >= -FEAS_TOL, and an infeasible cell has a leaf whose
+        margin has an upper bound < -FEAS_TOL."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if cells is None:
             ok = np.zeros(thetas.shape[0], dtype=np.uint8)
@@ -454,19 +462,6 @@ def pwa_partition(region: Box, per_axis: int) -> Cells:
     return Cells(_mesh([e[:-1] for e in edges]), _mesh([e[1:] for e in edges]))
 
 
-@dataclass(frozen=True)
-class GammaAffine:
-    """Affine model gamma_hat(theta) = value0 + slope . (theta - center)."""
-
-    center: np.ndarray
-    value0: float
-    slope: np.ndarray
-
-    def __call__(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        return self.value0 + float(self.slope @ (theta - self.center))
-
-
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M @ x[c] for every row c of x (M one matrix or C of them), rounded as
     each one-row product is, so labels do not depend on batching."""
@@ -474,77 +469,12 @@ def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _cell_arrays(lower: np.ndarray, upper: np.ndarray):
-    """Centers (C, d), radius norms (C,) and vertices (C * 2^d, d) of boxes,
-    each box's 2^d vertices in consecutive rows."""
+    """Centers (C, d) and vertices (C, 2^d, d) of boxes."""
     d = lower.shape[1]
     upper_bit = np.array(list(itertools.product((False, True), repeat=d)),
                          dtype=bool).reshape(2 ** d, d)
-    radii = 0.5 * (upper - lower)
-    return (0.5 * (lower + upper), np.sqrt(_mv(radii[:, None, :], radii)[:, 0]),
-            np.where(upper_bit, upper[:, None], lower[:, None]).reshape(-1, d))
-
-
-def _noise_band(J, v0, V, coeff: float, centers: np.ndarray, rho: np.ndarray,
-                tl_verts: np.ndarray):
-    """Affine models value0 + slope . (theta - center) within eps of the noise
-    margin coeff * sigma, sigma^2 = tilde' V tilde, tilde = v0 + J theta,
-    on each of C cells: arrays (C,), (C, d), (C,); tl_verts is tilde at the
-    vertices in `_cell_arrays` order.
-
-    Smooth branch: first-order expansion at the cell center with the Taylor
-    remainder bounded through the Hessian of sigma (norm at most
-    2 lambda_max(Q) / sigma_min on the cell).  Cells whose sigma lower bound
-    degenerates (the cone point of the standard deviation) fall back to a
-    constant model bracketing gamma by interval bounds on sigma alone.
-    """
-    Q = J.T @ V @ J
-    lam = float(np.linalg.eigvalsh(Q).max()) if Q.size else 0.0
-    tilde_c = v0 + _mv(J, centers)
-    grad = _mv(J.T, _mv(V, tilde_c))
-    var_c = np.maximum(_mv(_mv(V.T, tilde_c)[:, None, :], tilde_c)[:, 0], 0.0)
-    sigma_c = np.sqrt(var_c)
-    if lam == 0.0:
-        # Noise variance constant over the cell (always so at time 0).
-        return coeff * sigma_c, np.zeros_like(centers), np.zeros_like(rho)
-    lip = np.sqrt(lam)
-    sigma_min = sigma_c - lip * rho
-
-    # Interval fallback: bracket sigma over the cell directly.  sigma is
-    # convex, so its maximum sits at a vertex; the Lipschitz bound gives the
-    # minimum.  Sound everywhere, including cells containing the cone point.
-    var_v = np.einsum("bi,ij,bj->b", tl_verts, V, tl_verts)
-    sigma_hi = np.sqrt(np.clip(var_v, 0.0, None)).reshape(rho.size, -1).max(axis=1)
-    sigma_lo = np.maximum(sigma_min, 0.0)
-    mid = 0.5 * coeff * (sigma_hi + sigma_lo)
-    eps_flat = 0.5 * abs(coeff) * (sigma_hi - sigma_lo)
-
-    # Smooth branch: tangent model with a Hessian-based remainder, valid
-    # where sigma stays bounded away from zero; elsewhere divide by 1.
-    smooth = sigma_min > np.maximum(1e-12, 1e-6 * lip * rho)
-    eps_smooth = abs(coeff) * lam * rho * rho / np.where(smooth, sigma_min, 1.0)
-    smooth &= eps_smooth <= eps_flat
-    slope = coeff * grad / np.where(smooth, sigma_c, 1.0)[:, None]
-    return (np.where(smooth, coeff * sigma_c, mid),
-            np.where(smooth[:, None], slope, 0.0),
-            np.where(smooth, eps_smooth, eps_flat))
-
-
-def pwa_linearize(model: ParametricLti, cell: Box, delta: float, t: int):
-    """Affine approximation of gamma over a parameter cell plus error bound.
-
-    The cell coordinates are the predicate gradient itself (tilde = theta,
-    requiring d == n).  Returns (GammaAffine, eps) whose band
-    [gamma_hat - eps, gamma_hat + eps] contains gamma on the cell.
-    """
-    if cell.lower.shape[0] != model.n:
-        raise ValueError("identity linearization requires cells in "
-                         "gradient space (d == n)")
-    J, v0 = np.eye(model.n), np.zeros(model.n)
-    centers, rho, verts = _cell_arrays(cell.lower[None], cell.upper[None])
-    value0, slope, eps = _noise_band(
-        J, v0, noise_gram(model, t), gaussian_quantile(delta), centers, rho,
-        v0 + verts @ J.T)
-    return GammaAffine(cell.center, float(value0[0]), slope[0]), float(eps[0])
+    return (0.5 * (lower + upper),
+            np.where(upper_bit, upper[:, None], lower[:, None]))
 
 
 def pwa_classify(cell: Box, spec: VerificationSpec) -> str:
@@ -557,47 +487,54 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     """A copy of `cells` with each cell labelled feasible, infeasible or
     unknown; the bound arrays are shared, not copied.
 
-    With the affine noise model every leaf margin is concave piecewise-linear
-    in theta on a cell, so the pessimistic margin (gamma_hat - eps) is least
-    at a vertex.  An affine upper envelope of the optimistic margin (input
-    branch fixed at the cell center) bounds it from above.  A cell is
-    infeasible if some leaf's envelope is below zero at every vertex, else
-    feasible if every leaf's pessimistic margin is nonnegative at every
-    vertex, else unknown.  The leaves are taken in turn, each in one array
+    A leaf margin is mean + input + q * sigma with q = Phi^-1(delta_i): the
+    mean is affine in theta, the worst-case input term is concave and sigma
+    is convex.  So two bounds on it are each extreme at a vertex of a cell.
+    The lower bound is the exact margin for q <= 0, and for q > 0 the margin
+    with sigma replaced by its tangent at the cell center,
+    tilde . V tilde_c / sigma_c (0 at the cone point sigma_c = 0), which is
+    below sigma everywhere; either way it is concave, least at a vertex.
+    The upper bound holds the input branch fixed at the center's worst case
+    and takes the tangent for q <= 0 and the exact sigma for q > 0; it is
+    convex, greatest at a vertex.  A cell is infeasible if some leaf's upper
+    bound is below zero at every vertex, else feasible if every leaf's lower
+    bound is nonnegative at every vertex, else unknown; for q <= 0 the
+    vertex test is exact.  The leaves are taken in turn, each in one array
     pass over the cells that no earlier leaf has certified infeasible: such
-    a cell's label is settled.  The envelope is never below the pessimistic
-    margin, so the label does not depend on the order of the leaves.
+    a cell's label is settled.  The upper bound is never below the lower
+    one, so the label does not depend on the order of the leaves.
     """
     if len(cells) == 0:
         return cells
-    centers, rho, verts = _cell_arrays(cells.lower, cells.upper)
+    centers, verts = _cell_arrays(cells.lower, cells.upper)
     d = centers.shape[1]
-    verts = verts.reshape(len(cells), -1, d)  # (cell, vertex, coordinate)
-    from_center = verts - centers[:, None]
     active = np.arange(len(cells))  # cells not yet certified infeasible
     feasible = np.ones(len(cells), bool)  # over the active cells
     for g in spec._geometry:
-        shape = verts.shape[:2]
+        shape = verts.shape[:2]  # (cell, vertex)
         tl_v = g.gradients(verts.reshape(-1, d))
-        value0, slope, eps = _noise_band(g.J, g.v0, g.V, g.noise_coeff,
-                                         centers, rho, tl_v)
-        base = g.mean(tl_v)
-        gam_v = value0[:, None] + _mv(from_center, slope)
+        tl_c = g.v0 + _mv(g.J, centers)
+        base = g.mean(tl_v).reshape(shape)
         f_v = tl_v @ g.W
-        input_min = _input_min(f_v, g.lo_stack, g.hi_stack)
-        # Affine upper envelope of the optimistic margin: pick the worst-case
-        # input branch at the center and keep it fixed.
-        f_c = _mv(g.W.T, g.v0 + _mv(g.J, centers))
-        input_ub = _mv(f_v.reshape(*shape, f_v.shape[1]),
-                       np.where(f_c >= 0.0, g.lo_stack, g.hi_stack))
-        pess = (base + input_min).reshape(shape) + gam_v - eps[:, None]
-        opt_ub = base.reshape(shape) + input_ub + gam_v + eps[:, None]
-        feasible &= pess.min(axis=1) >= -FEAS_TOL
-        keep = ~(opt_ub.max(axis=1) < -FEAS_TOL)  # not certified infeasible
+        input_min = _input_min(f_v, g.lo_stack, g.hi_stack).reshape(shape)
+        # The center's worst-case input branch, held fixed: affine, >= min.
+        branch = np.where(_mv(g.W.T, tl_c) >= 0.0, g.lo_stack, g.hi_stack)
+        input_ub = _mv(f_v.reshape(*shape, -1), branch)
+        sigma_v = g.sigma(tl_v).reshape(shape)
+        vc = _mv(g.V, tl_c)
+        sigma_c = np.sqrt(np.maximum(_mv(tl_c[:, None, :], vc)[:, 0], 0.0))
+        tangent_v = np.divide(_mv(tl_v.reshape(*shape, -1), vc),
+                              sigma_c[:, None], out=np.zeros(shape),
+                              where=sigma_c[:, None] > 0.0)
+        q = g.noise_coeff
+        below, above = ((sigma_v, tangent_v) if q <= 0.0
+                        else (tangent_v, sigma_v))
+        feasible &= (base + input_min + q * below).min(axis=1) >= -FEAS_TOL
+        upper = base + input_ub + q * above
+        keep = ~(upper.max(axis=1) < -FEAS_TOL)  # not certified infeasible
         if not keep.all():
             active, feasible = active[keep], feasible[keep]
-            centers, rho = centers[keep], rho[keep]
-            verts, from_center = verts[keep], from_center[keep]
+            centers, verts = centers[keep], verts[keep]
             if active.size == 0:
                 break
     label = np.full(len(cells), INFEASIBLE_LABEL)

@@ -332,42 +332,6 @@ class TestBoxValidation:
         assert np.array_equal(boxes[1].lower, [1.0, 0.0])
 
 
-class TestPwaLinearize:
-    def test_zero_width_cell(self, safety_model):
-        cell = sb.Box([0.4, 0.6], [0.4, 0.6])
-        gaff, eps = sb.pwa_linearize(safety_model, cell, 0.01, 3)
-        assert eps == 0.0
-        assert gaff([0.4, 0.6]) == pytest.approx(
-            sb.gamma([0.4, 0.6], 0.01, safety_model, 3))
-
-    def test_containment(self, safety_model):
-        gen = np.random.default_rng(8)
-        for _ in range(20):
-            center = gen.uniform(-1.5, 1.5, size=2)
-            width = gen.uniform(0.05, 0.6)
-            cell = sb.Box(center - width / 2, center + width / 2)
-            gaff, eps = sb.pwa_linearize(safety_model, cell, 0.05, 3)
-            for theta in gen.uniform(cell.lower, cell.upper, size=(50, 2)):
-                val = sb.gamma(theta, 0.05, safety_model, 3)
-                assert gaff(theta) - eps - 1e-12 <= val <= gaff(theta) + eps + 1e-12
-
-    def test_halving_shrinks_remainder(self, safety_model):
-        cell = sb.Box([0.5, 0.5], [1.0, 1.0])
-        _, eps1 = sb.pwa_linearize(safety_model, cell, 0.01, 3)
-        half = sb.Box([0.625, 0.625], [0.875, 0.875])
-        _, eps2 = sb.pwa_linearize(safety_model, half, 0.01, 3)
-        assert eps1 / eps2 >= 3.9
-
-    def test_cone_cell_falls_back_to_interval(self, safety_model):
-        cell = sb.Box([-0.2, -0.2], [0.2, 0.2])
-        gaff, eps = sb.pwa_linearize(safety_model, cell, 0.01, 3)
-        assert eps > 0.0
-        gen = np.random.default_rng(9)
-        for theta in gen.uniform(cell.lower, cell.upper, size=(200, 2)):
-            val = sb.gamma(theta, 0.01, safety_model, 3)
-            assert gaff(theta) - eps - 1e-12 <= val <= gaff(theta) + eps + 1e-12
-
-
 CASE_REGION = sb.Box([-3.5, -3.5], [3.5, 3.5])
 
 
@@ -388,8 +352,12 @@ def _counts(cells):
 
 
 # Outside an `always` property, specs on the safety model that give all
-# three labels under the sound margin: a one-step until event and a
-# disjunction, with nu3/nu4 the bands mu3/mu4 widened to offset 0.3.
+# three labels: a one-step until event and a disjunction, with nu3/nu4 the
+# bands mu3/mu4 widened to offset 0.3.  Both leaf margins are sound, but
+# the at-least `Or` split that the "or" spec exercises is not: it requires
+# every disjunct at a share of the budget, which is sufficient only for
+# disjoint disjuncts (`X | X` admits 93% of theta against X's 20%).  The
+# sound disjunction rule of ROADMAP item 1 will re-pin its rows.
 THREE_LABEL_FORMULAS = {
     "until": "(mu1 & mu2) U[2,2] (nu3 & nu4)",
     "or": "(mu1 & mu2) | G[0,2] (nu3 & nu4)",
@@ -398,55 +366,96 @@ THREE_LABEL_FORMULAS = {
 
 @pytest.fixture(scope="module")
 def classify_specs(safety_spec, case_spec, safety_region, safety_model):
-    """(spec, region) by name: the safety and case specs, and the
-    `THREE_LABEL_FORMULAS` at delta 0.05 over the safety region."""
+    """(spec, region) by name: the safety and case specs, the
+    `THREE_LABEL_FORMULAS` at delta 0.05 over the safety region, and
+    "positive-q", `G[1,1] nu` at delta 0.8, whose one leaf has the noise
+    coefficient q = Phi^-1(0.8) > 0."""
     preds = {**case_predicates(), "nu3": sb.OutputPredicate(0.3, (1.0,)),
-             "nu4": sb.OutputPredicate(0.3, (-1.0,))}
+             "nu4": sb.OutputPredicate(0.3, (-1.0,)),
+             "nu": sb.OutputPredicate(0.0, (1.0,))}
     specs = {"safety": (safety_spec, safety_region),
              "case": (case_spec, CASE_REGION)}
     for name, text in THREE_LABEL_FORMULAS.items():
         spec = sb.VerificationSpec(safety_model, sb.parse_stl(text, preds),
                                    0.05)
         specs[name] = (spec, safety_region)
+    specs["positive-q"] = (sb.VerificationSpec(
+        safety_model, sb.parse_stl("G[1,1] nu", preds), 0.8), safety_region)
     return specs
 
 
+def _vertices(lower, upper):
+    """(C, 2^d, d): the vertices of each box lower[c] <= theta <= upper[c]."""
+    upper_bit = np.array(list(itertools.product(
+        (False, True), repeat=lower.shape[-1])), dtype=bool)
+    return np.where(upper_bit, upper[:, None], lower[:, None])
+
+
+def _certified_sat(spec, cells, label, per_cell, gen):
+    """The satisfaction indicator of shape (cells labelled `label`, per_cell
+    + 2^d) at uniform points in each such cell and at its vertices."""
+    lower = cells.lower[cells.label == label]
+    upper = cells.upper[cells.label == label]
+    inner = lower[:, None] + (upper - lower)[:, None] * gen.random(
+        (lower.shape[0], per_cell, lower.shape[1]))
+    pts = np.concatenate([inner, _vertices(lower, upper)], axis=1)
+    return spec.satisfaction_batch(pts.reshape(-1, pts.shape[-1])).reshape(
+        pts.shape[:2])
+
+
 class TestPwaClassify:
-    def test_feasible_cells_are_sound(self, safety_spec, safety_region):
+    def test_feasible_cells_are_sound(self, classify_specs):
         gen = np.random.default_rng(10)
-        for per_axis in (16, 64):
-            cells = sb.classify_cells(
-                sb.pwa_partition(safety_region, per_axis), safety_spec)
-            labels = {c.label for c in cells}
-            assert labels == {FEASIBLE, INFEASIBLE_LABEL, UNKNOWN}
-            for cell in cells:
-                if cell.label == FEASIBLE:
-                    pts = gen.uniform(cell.lower, cell.upper, size=(300, 2))
-                    assert safety_spec.satisfaction_batch(pts).all()
+        for name, (spec, region) in classify_specs.items():
+            for per_axis in (16, 64):
+                cells = sb.classify_cells(sb.pwa_partition(region, per_axis),
+                                          spec)
+                sat = _certified_sat(spec, cells, FEASIBLE, 300, gen)
+                # The case spec certifies no cell feasible.
+                assert (sat.size or name == "case") and sat.all(), \
+                    (name, per_axis)
 
-    def test_infeasible_cells_are_sound(self, safety_spec, safety_region):
+    def test_infeasible_cells_are_sound(self, classify_specs):
         gen = np.random.default_rng(11)
-        for per_axis in (16, 64):
-            cells = sb.classify_cells(
-                sb.pwa_partition(safety_region, per_axis), safety_spec)
-            for cell in cells:
-                if cell.label == INFEASIBLE_LABEL:
-                    pts = gen.uniform(cell.lower, cell.upper, size=(100, 2))
-                    assert not safety_spec.satisfaction_batch(pts).any()
+        for name, (spec, region) in classify_specs.items():
+            for per_axis in (16, 64):
+                cells = sb.classify_cells(sb.pwa_partition(region, per_axis),
+                                          spec)
+                sat = _certified_sat(spec, cells, INFEASIBLE_LABEL, 100, gen)
+                assert sat.size and not sat.any(), (name, per_axis)
 
-    # Label counts (feasible, infeasible, unknown) on fixed partitions; the
-    # safety and case rows are those of the per-cell loop that the array
-    # pass replaced.  The ids name the spec and its noise margin,
+    @pytest.mark.parametrize("which", ["safety", "until", "or"])
+    def test_vertex_test_is_exact_for_nonpositive_q(self, which,
+                                                    classify_specs):
+        # With q <= 0 every leaf margin is concave in theta, so a cell is
+        # feasible exactly when the satisfaction map admits its vertices.
+        spec, region = classify_specs[which]
+        assert max(g.noise_coeff for g in spec._geometry) <= 0.0
+        for per_axis in (16, 64):
+            cells = sb.classify_cells(sb.pwa_partition(region, per_axis),
+                                      spec)
+            verts = _vertices(cells.lower, cells.upper)
+            admitted = spec.satisfaction_batch(
+                verts.reshape(-1, verts.shape[-1])).reshape(
+                    verts.shape[:2]).all(axis=1)
+            assert np.array_equal(cells.label == FEASIBLE, admitted)
+
+    # Label counts (feasible, infeasible, unknown) on fixed partitions under
+    # the vertex bounds.  The ids name the spec and its noise margin,
     # sigma * Phi^-1(delta).
     @pytest.mark.parametrize("which, per_axis, counts", [
         pytest.param("safety", 5, (1, 16, 8), id="safety-stddev-5-counts0"),
-        pytest.param("safety", 16, (10, 216, 30),
+        pytest.param("safety", 16, (14, 216, 26),
                      id="safety-stddev-16-counts1"),
-        pytest.param("safety", 64, (326, 3676, 94),
+        pytest.param("safety", 64, (330, 3678, 88),
                      id="safety-stddev-64-counts2"),
         pytest.param("case", 5, (0, 24, 1), id="case-stddev-5-counts3"),
-        pytest.param("until", 16, (4, 230, 22), id="until-stddev-16-counts4"),
-        pytest.param("or", 16, (12, 222, 22), id="or-stddev-16-counts5"),
+        pytest.param("until", 16, (4, 236, 16), id="until-stddev-16-counts4"),
+        pytest.param("or", 16, (12, 224, 20), id="or-stddev-16-counts5"),
+        pytest.param("positive-q", 16, (84, 128, 44),
+                     id="positive-q-stddev-16-counts6"),
+        pytest.param("positive-q", 64, (1616, 2296, 184),
+                     id="positive-q-stddev-64-counts7"),
     ])
     def test_pinned_label_counts(self, which, per_axis, counts,
                                  classify_specs):
@@ -454,8 +463,8 @@ class TestPwaClassify:
         cells = sb.classify_cells(sb.pwa_partition(region, per_axis), spec)
         assert _counts(cells) == counts
 
-    @pytest.mark.parametrize("which", ["safety", "case", "until", "or"],
-                             ids="{}-stddev".format)
+    @pytest.mark.parametrize("which", ["safety", "case", "until", "or",
+                                       "positive-q"], ids="{}-stddev".format)
     def test_single_cell_calls_match_batch(self, which, classify_specs):
         spec, region = classify_specs[which]
         per_axis = 8 if which == "case" else 16
@@ -463,7 +472,7 @@ class TestPwaClassify:
         assert [sb.pwa_classify(c, spec) for c in cells] == \
             [c.label for c in cells]
 
-    @pytest.mark.parametrize("which", ["safety", "until", "or"],
+    @pytest.mark.parametrize("which", ["safety", "until", "or", "positive-q"],
                              ids="{}-stddev".format)
     def test_permuted_partition_permutes_labels(self, which, classify_specs):
         spec, region = classify_specs[which]
@@ -505,13 +514,17 @@ class TestPwaClassify:
                 assert not sat.any()
 
     def test_cone_point_center_without_warning(self, safety_spec):
-        # sigma vanishes at theta = 0 (C0 = 0), while lambda_max(Q) > 0.
+        # sigma vanishes at theta = 0 (C0 = 0), the center of both cells, so
+        # the tangent of sigma there is 0; on the point cell both bounds are
+        # the exact margin.
         cells = sb.Cells([[-0.2, -0.2], [0.0, 0.0]], [[0.2, 0.2], [0.0, 0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             labels = [c.label for c in sb.classify_cells(cells, safety_spec)]
-        assert all(label in (FEASIBLE, INFEASIBLE_LABEL, UNKNOWN)
-                   for label in labels)
+        assert labels[0] in (FEASIBLE, INFEASIBLE_LABEL, UNKNOWN)
+        assert labels[1] == (FEASIBLE if sb.satisfaction_fn([0.0, 0.0],
+                                                            safety_spec)
+                             else INFEASIBLE_LABEL)
 
     def test_runtime_per_axis_64(self, safety_spec, safety_region):
         cells = sb.pwa_partition(safety_region, 64)
