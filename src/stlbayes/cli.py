@@ -217,12 +217,13 @@ def _build_sampler(cfg: dict, path: str) -> InputSampler:
     kind = _field(cfg, f"{path}.kind", _choice("uniform", "gaussian"),
                   "uniform")
     if kind == "uniform":
-        return InputSampler(
-            kind, low=float(_field(cfg, f"{path}.low", _number, -1.0)),
-            high=float(_field(cfg, f"{path}.high", _number, 1.0)))
-    return InputSampler(
-        kind, mean=float(_field(cfg, f"{path}.mean", _number, 0.0)),
-        std=float(_field(cfg, f"{path}.std", _number, 1.0)))
+        values = dict(low=float(_field(cfg, f"{path}.low", _number, -1.0)),
+                      high=float(_field(cfg, f"{path}.high", _number, 1.0)))
+    else:
+        values = dict(mean=float(_field(cfg, f"{path}.mean", _number, 0.0)),
+                      std=float(_field(cfg, f"{path}.std", _number, 1.0)))
+    with _at(path):
+        return InputSampler(kind, **values)
 
 
 def _build_data(cfg: dict, d: int) -> SimpleNamespace:
@@ -246,11 +247,13 @@ def _build_table1(cfg: dict, d: int) -> SimpleNamespace:
 def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     """Check every config field, then build what all estimates share.
 
-    A malformed field raises ConfigError before any numeric work.  The
-    search `region` is restricted if `restrict_region`, or kept and flagged
-    `region_empty` if no grid point satisfies the property; `mc_samples`
-    None means pilot sizing, and only then is `pilot_samples` set; `cells`,
-    `data` and `table1` may be None.
+    A malformed field raises ConfigError before any numeric work.  If
+    `restrict_region`, the search `region` shrinks to the hull of the cells
+    of `pwa.per_axis` that are not certified infeasible (see
+    `restrict_region`), or is kept and flagged `region_empty` if every cell
+    is; `cells` are then that restriction's, not classified again.
+    `mc_samples` None means pilot sizing, and only then is `pilot_samples`
+    set; `cells` (None under method mc), `data` and `table1` may be None.
     """
     model = _build_model(cfg)
     spec = _build_spec(cfg, model)
@@ -280,16 +283,16 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     else:
         problem.pilot_samples = _field(cfg, "mc.pilot_samples", _count, 2000)
     per_axis = _field(cfg, "pwa.per_axis", _count, 5)
-    restricted = problem.region
+    _unread(cfg, "restrict_grid", "not a config field; restrict_region "
+                                  "classifies the cells of pwa.per_axis")
+    restricted, cells = problem.region, None
     if _field(cfg, "restrict_region", _flag, False):
-        grid = _field(cfg, "restrict_grid", _count, 33)
-        restricted = restrict_region(spec, problem.region, grid=grid)
-    else:
-        _unread(cfg, "restrict_grid", "only restrict_region: true reads it")
+        restricted, cells = restrict_region(spec, problem.region, per_axis)
     problem.region_empty = restricted is None
     problem.region = problem.region if restricted is None else restricted
-    problem.cells = (None if method == "mc" else classify_cells(
-        pwa_partition(problem.region, per_axis), spec))
+    if cells is None and method != "mc":
+        cells = classify_cells(pwa_partition(problem.region, per_axis), spec)
+    problem.cells = None if method == "mc" else cells
     return problem
 
 

@@ -391,66 +391,13 @@ def satisfaction_fn(theta, spec: VerificationSpec) -> int:
     return int(spec.satisfaction_batch(np.reshape(theta, (1, -1)))[0])
 
 
-# --- search-region restriction ----------------------------------------------
+# --- piecewise-affine relaxation over parameter cells ------------------------
 
 def _mesh(axes) -> np.ndarray:
     """Rows of the Cartesian product of `axes`, the last axis fastest."""
     return np.column_stack([m.ravel()
                             for m in np.meshgrid(*axes, indexing="ij")])
 
-
-def _grid(lower, upper, per_axis):
-    return _mesh([np.linspace(lo, hi, per_axis)
-                  for lo, hi in zip(lower, upper)])
-
-
-def restrict_region(spec: VerificationSpec, region: Box,
-                    grid: int = 33) -> Optional[Box]:
-    """Shrink a parameter box toward the set where satisfaction can hold.
-
-    Probes satisfaction on deterministic grids: per coordinate, bisect the
-    outermost slice that still contains a satisfying grid point, to 1% of
-    the region's span.  The probe resolution bounds what can be detected,
-    so the result is a sound restriction only up to the grid; with no
-    satisfying point found at all the result is None.
-    """
-    d = region.lower.shape[0]
-    pts = _grid(region.lower, region.upper, grid)
-    sat = spec.satisfaction_batch(pts).astype(bool)
-    if not sat.any():
-        return None
-    hits = pts[sat]
-
-    lower = region.lower.copy()
-    upper = region.upper.copy()
-    for i in range(d):
-        span = region.upper[i] - region.lower[i]
-        tol = max(1e-2 * span, 1e-12)
-
-        def slice_has_hit(v: float) -> bool:
-            if d == 1:
-                return bool(spec.satisfaction_batch(np.array([[v]]))[0])
-            sub_lower = np.delete(region.lower, i)
-            sub_upper = np.delete(region.upper, i)
-            sub = _grid(sub_lower, sub_upper, grid)
-            full = np.insert(sub, i, v, axis=1)
-            return bool(spec.satisfaction_batch(full).any())
-
-        def bisect(inner: float, outer: float) -> float:
-            while abs(outer - inner) > tol:
-                mid = 0.5 * (inner + outer)
-                if slice_has_hit(mid):
-                    inner = mid
-                else:
-                    outer = mid
-            return outer
-
-        upper[i] = bisect(float(hits[:, i].max()), float(region.upper[i]))
-        lower[i] = bisect(float(hits[:, i].min()), float(region.lower[i]))
-    return Box(lower, upper)
-
-
-# --- piecewise-affine relaxation over parameter cells ------------------------
 
 def pwa_partition(region: Box, per_axis: int) -> Cells:
     """Uniform grid of per_axis^d cells exactly covering the region, the
@@ -540,3 +487,35 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     label = np.full(len(cells), INFEASIBLE_LABEL)
     label[active] = np.where(feasible, FEASIBLE, UNKNOWN)
     return Cells(cells.lower, cells.upper, label)
+
+
+# --- search-region restriction ----------------------------------------------
+
+def restrict_region(spec: VerificationSpec, region: Box,
+                    per_axis: int) -> tuple[Optional[Box], Cells]:
+    """Shrink a parameter box to a sound enclosure of the satisfying set.
+
+    Classifies `pwa_partition(region, per_axis)`, shrinks the box to the
+    hull of the cells not certified infeasible, and repeats until no side
+    would move inward by more than 1% of the given region's span.  Every
+    satisfying theta lies in a cell that is not certified infeasible, so
+    none is ever cut off (successively refined gridding in the manner of
+    Soudjani and Abate, SIAM J. Appl. Dyn. Syst. 12, 2013).
+
+    Returns the restricted box and its labelled cells, which partition it;
+    if every cell is certified infeasible, None and the first pass's cells,
+    which partition `region`.
+    """
+    tol = 1e-2 * (region.upper - region.lower)
+    first = cells = classify_cells(pwa_partition(region, per_axis), spec)
+    while True:
+        keep = cells.label != INFEASIBLE_LABEL
+        if not keep.any():
+            return None, first
+        lower = cells.lower[keep].min(axis=0)
+        upper = cells.upper[keep].max(axis=0)
+        if not ((lower - region.lower > tol)
+                | (region.upper - upper > tol)).any():
+            return region, cells
+        region = Box(lower, upper)
+        cells = classify_cells(pwa_partition(region, per_axis), spec)

@@ -315,6 +315,12 @@ class InputSampler:
     mean: float = 0.0
     std: float = 1.0
 
+    def __post_init__(self):
+        if self.low > self.high:
+            raise ValueError(f"low {self.low} exceeds high {self.high}")
+        if self.std < 0:
+            raise ValueError(f"std must be >= 0, got {self.std}")
+
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
         if self.kind == "uniform":
             return gen.uniform(self.low, self.high, size=shape)

@@ -207,7 +207,6 @@ class TestVerify:
     def test_restriction_in_pipeline(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["restrict_region"] = True
-        cfg["restrict_grid"] = 17
         path = write_config(tmp_path, cfg)
         out = tmp_path / "o"
         assert run(["verify", "--config", path, "--out", out]) == 0
@@ -305,7 +304,6 @@ class TestTable1Pipeline:
     def test_restrict_region_matches_explicit_region(self, tmp_path):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["restrict_region"] = True
-        cfg["restrict_grid"] = 17
         cfg["table1"] = TABLE1
         path = write_config(tmp_path, cfg)
         assert run(["verify", "--config", path, "--out", tmp_path / "v"]) == 0
@@ -314,7 +312,6 @@ class TestTable1Pipeline:
         assert region["upper"][0] < 2.0
         assert run(["table1", "--config", path, "--out", tmp_path / "a"]) == 0
         cfg["restrict_region"] = False
-        del cfg["restrict_grid"]  # read only under restrict_region
         cfg["theta_region"] = {"lower": region["lower"],
                                "upper": region["upper"]}
         path = write_config(tmp_path, cfg, name="explicit.json")
@@ -458,7 +455,7 @@ def test_weight_vector_moves_the_leaf_thresholds():
 
 def test_restriction_without_hits_keeps_the_region():
     cfg = json.loads((CONFIG_DIR / "case_study.json").read_text())
-    cfg.update(restrict_region=True, restrict_grid=9)
+    cfg["restrict_region"] = True
     problem = cli._problem(cfg, "mc")
     assert problem.region_empty
     assert problem.region.lower.tolist() == cfg["theta_region"]["lower"]
@@ -564,21 +561,18 @@ CONFIG_ERRORS = [
     ("verify", "gamma_form", "stddev", "gamma_form"),
     ("verify", "gamma_form", "variance_literal", "gamma_form"),
     ("verify", "literal_shares", False, "literal_shares"),
+    # The restriction classifies the cells of pwa.per_axis; it has no grid.
+    ("verify", ("restrict_region", "restrict_grid"), (True, 17),
+     "restrict_grid"),
     # A floor that the pilot sizing would not read.
     ("verify", "mc", {"floor": 0.9}, "mc.floor"),
     ("verify", "mc", {"samples": 100, "floor": 0.9}, "mc.floor"),
-    # Pilot samples without a floor, whose sizing alone reads them, and a
-    # grid without the restriction that reads it; each value is still
-    # checked where it is read.
+    # Pilot samples without a floor, whose sizing alone reads them; the
+    # value is still checked where it is read.
     ("verify", "mc", {"samples": 100, "pilot_samples": 5}, "mc.pilot_samples"),
     ("verify", "mc", {"pilot_samples": 5}, "mc.pilot_samples"),
     ("verify", "mc", {"epsilon": 0.02, "floor": 0.9, "pilot_samples": 0},
      "mc.pilot_samples"),
-    ("verify", "restrict_grid", 17, "restrict_grid"),
-    ("verify", ("restrict_region", "restrict_grid"), (False, 17),
-     "restrict_grid"),
-    ("verify", ("restrict_region", "restrict_grid"), (True, 0),
-     "restrict_grid"),
     # A two-input box for the one-input Laguerre preset: a cross-field check
     # inside the model's constructor.
     ("verify", "model.input_box", [[-1, -1], [1, 1]], "model"),
@@ -589,6 +583,18 @@ CONFIG_ERRORS = [
     ("verify", "prior", {"lower": [2.0, -2.0], "upper": [-2.0, 2.0]},
      "prior"),
     ("verify", "prior", {"lower": [-2.0, 2.0], "upper": [2.0, 2.0]}, "prior"),
+    # Input samplers: a uniform range with low above high, a negative std.
+    ("verify", "data.input", {"kind": "uniform", "low": 1.0, "high": -1.0},
+     "data.input"),
+    ("verify", "data.input", {"kind": "gaussian", "std": -1.0}, "data.input"),
+    ("table1", "table1.input", {"kind": "uniform", "low": 2.0, "high": 1.0},
+     "table1.input"),
+    ("table1", "table1.input", {"kind": "gaussian", "std": -0.5},
+     "table1.input"),
+    ("simulate", "data.input", {"kind": "uniform", "low": 1.0, "high": -1.0},
+     "data.input"),
+    ("simulate", "data.input", {"kind": "gaussian", "std": -1.0},
+     "data.input"),
     # A removed field beside a one-leaf formula whose delta, 0.6, is in
     # range for the margin.
     ("verify", ("formula", "delta", "gamma_form"), ("mu1", 0.6,

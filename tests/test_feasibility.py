@@ -235,7 +235,7 @@ class TestSatisfactionFn:
 
 class TestRestrictRegion:
     def test_shrinks_and_contains_feasible_set(self, safety_spec, safety_region):
-        restricted = sb.restrict_region(safety_spec, safety_region, grid=33)
+        restricted, _ = sb.restrict_region(safety_spec, safety_region, 16)
         assert restricted is not None
         assert np.all(restricted.lower >= safety_region.lower - 1e-12)
         assert np.all(restricted.upper <= safety_region.upper + 1e-12)
@@ -249,15 +249,50 @@ class TestRestrictRegion:
         assert inside.all()
 
     def test_idempotent_within_tolerance(self, safety_spec, safety_region):
-        once = sb.restrict_region(safety_spec, safety_region, grid=33)
-        twice = sb.restrict_region(safety_spec, once, grid=33)
+        # At per_axis 64 a second call, whose tolerance is 1% of the smaller
+        # restricted span, may shrink the result a little further.
+        once, _ = sb.restrict_region(safety_spec, safety_region, 64)
+        twice, _ = sb.restrict_region(safety_spec, once, 64)
         span = safety_region.upper - safety_region.lower
         assert np.all(np.abs(once.lower - twice.lower) <= 0.1 * span)
         assert np.all(np.abs(once.upper - twice.upper) <= 0.1 * span)
 
     def test_empty_flag(self, case_spec):
+        # One unknown cell survives the first pass; the second certifies
+        # every cell of its hull infeasible.  The first pass's cells return.
         region = sb.Box([-3.5, -3.5], [3.5, 3.5])
-        assert sb.restrict_region(case_spec, region, grid=21) is None
+        restricted, cells = sb.restrict_region(case_spec, region, 5)
+        assert restricted is None
+        first = sb.classify_cells(sb.pwa_partition(region, 5), case_spec)
+        assert np.array_equal(cells.lower, first.lower)
+        assert np.array_equal(cells.upper, first.upper)
+        assert _counts(cells) == _counts(first) == (0, 24, 1)
+
+    @pytest.mark.parametrize("per_axis", [2, 5, 16])
+    def test_restriction_is_sound(self, per_axis, classify_specs):
+        gen = np.random.default_rng(17)
+        for name, (spec, region) in classify_specs.items():
+            thetas = gen.uniform(region.lower, region.upper,
+                                 size=(100_000, region.lower.size))
+            sat = spec.satisfaction_batch(thetas).astype(bool)
+            restricted, cells = sb.restrict_region(spec, region, per_axis)
+            box = region if restricted is None else restricted
+            if restricted is None:
+                assert not sat.any(), (name, per_axis)
+            else:
+                inside = np.all((thetas >= box.lower) & (thetas <= box.upper),
+                                axis=1)
+                assert inside[sat].all(), (name, per_axis)
+                again, cells_again = sb.restrict_region(spec, box, per_axis)
+                assert np.array_equal(again.lower, box.lower), name
+                assert np.array_equal(again.upper, box.upper), name
+                assert np.array_equal(cells_again.label, cells.label), name
+            # The cells are the labelled partition of the returned box.
+            grid = sb.pwa_partition(box, per_axis)
+            assert np.array_equal(cells.lower, grid.lower), name
+            assert np.array_equal(cells.upper, grid.upper), name
+            assert np.array_equal(
+                cells.label, sb.classify_cells(grid, spec).label), name
 
 
 class TestPwaPartition:
