@@ -251,9 +251,11 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     `restrict_region`, the search `region` shrinks to the hull of the cells
     of `pwa.per_axis` that are not certified infeasible (see
     `restrict_region`), or is kept and flagged `region_empty` if every cell
-    is; `cells` are then that restriction's, not classified again.
+    is; `cells` are then that restriction's, not classified again, also
+    under method mc, whose satisfaction then reads their labels.
     `mc_samples` None means pilot sizing, and only then is `pilot_samples`
-    set; `cells` (None under method mc), `data` and `table1` may be None.
+    set; `cells` (None under method mc without the restriction), `data` and
+    `table1` may be None.
     """
     model = _build_model(cfg)
     spec = _build_spec(cfg, model)
@@ -292,7 +294,7 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     problem.region = problem.region if restricted is None else restricted
     if cells is None and method != "mc":
         cells = classify_cells(pwa_partition(problem.region, per_axis), spec)
-    problem.cells = None if method == "mc" else cells
+    problem.cells = cells
     return problem
 
 
@@ -301,7 +303,8 @@ def _estimate(problem: SimpleNamespace, data, stream: RngStream):
 
     Returns the posterior and the ConfidenceEstimates by method name, "mc"
     and "pwa".  Draws from the substreams posterior, mc_size, mc and pwa.
-    Under method both, MC reads satisfaction from the certified cells.
+    Given `problem.cells` (method both, or a restricted region), MC reads
+    satisfaction from the certified cells.
     """
     post = posterior(data, problem.model, problem.prior,
                      problem.posterior_samples, stream.child("posterior"))
@@ -355,9 +358,7 @@ def _write_contour(path: Path, post, region: Box, grid: int) -> None:
                ((x, y, z) for (x, y), z in zip(axes, density)))
 
 
-def _write_cells(path: Path, cells: Cells | None) -> None:
-    if cells is None:  # method mc
-        return
+def _write_cells(path: Path, cells: Cells) -> None:
     d = cells.lower.shape[1]
     header = ([f"theta_lo_{i+1}" for i in range(d)]
               + [f"theta_hi_{i+1}" for i in range(d)] + ["label"])
@@ -388,7 +389,8 @@ def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
         "decomposition": problem.spec.decomposition.to_json_dict(),
         **{name: est.to_json_dict() for name, est in estimates.items()},
     }
-    _write_cells(out_dir / "feasible_cells.csv", problem.cells)
+    if problem.method != "mc":  # the PWA partition; mc may read its labels
+        _write_cells(out_dir / "feasible_cells.csv", problem.cells)
     _write_contour(out_dir / "posterior_contour.csv", post, region,
                    problem.contour_grid)
     report = {"command": "verify", "config": cfg, "results": results}

@@ -6,8 +6,9 @@ region uniformly and averages satisfaction * posterior density; Chebyshev's
 inequality turns the sample variance into a coverage statement.  Given the
 certified PWA cells, its satisfaction indicator reads each sample's cell
 label and evaluates the leaves only for samples in unknown cells.  The PWA
-route integrates the posterior over cells certified feasible, reporting the
-mass of undecided cells as a bracket instead of a point value.
+route integrates the posterior over cells certified feasible by an adaptive
+tensor Gauss-Legendre rule, and reports the mass of undecided cells, from
+uniform draws in each, as a bracket instead of a point value.
 """
 
 from __future__ import annotations
@@ -19,18 +20,21 @@ from typing import Optional
 import numpy as np
 
 from .bayes import PosteriorDensity
-from .feasibility import FEASIBLE, UNKNOWN, Box, Cells
+from .feasibility import FEASIBLE, UNKNOWN, Box, Cells, _mesh
 from .rng import RngStream
 
 
 @dataclass(frozen=True)
 class ConfidenceEstimate:
-    """Point estimate with sampling diagnostics.
+    """Point estimate with its error diagnostics.
 
     `value` is clamped to [0, 1] for reporting; `raw_value` keeps the
-    unclamped estimator output.  `chebyshev_probability` is Chebyshev's
-    lower bound on Pr(|Q - E Q| < eps) for the reported epsilon,
-    max(0, 1 - Var/eps^2): 0 when Var exceeds eps^2.
+    unclamped estimator output.  `samples` counts the posterior densities
+    the estimate rests on.  `std_error` is the Monte Carlo standard error,
+    or for PWA the rule's error estimate, and `variance_estimate` its
+    square.  `chebyshev_probability` is Chebyshev's lower bound on
+    Pr(|Q - E Q| < eps) for the reported epsilon, max(0, 1 - Var/eps^2): 0
+    when Var exceeds eps^2.
     """
 
     value: float
@@ -119,6 +123,83 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
+# Gauss-Legendre rules on [-1, 1] in closed form (Davis & Rabinowitz,
+# 1984): (nodes, weights) of the 4- and 5-point rules.
+_A4, _B4 = (math.sqrt(3 / 7 - 2 / 7 * math.sqrt(6 / 5)),
+            math.sqrt(3 / 7 + 2 / 7 * math.sqrt(6 / 5)))
+_GL4 = ((-_B4, -_A4, _A4, _B4),
+        ((18 - math.sqrt(30)) / 36, (18 + math.sqrt(30)) / 36,
+         (18 + math.sqrt(30)) / 36, (18 - math.sqrt(30)) / 36))
+_A5, _B5 = (math.sqrt(5 - 2 * math.sqrt(10 / 7)) / 3,
+            math.sqrt(5 + 2 * math.sqrt(10 / 7)) / 3)
+_GL5 = ((-_B5, -_A5, 0.0, _A5, _B5),
+        ((322 - 13 * math.sqrt(70)) / 900, (322 + 13 * math.sqrt(70)) / 900,
+         128 / 225,
+         (322 + 13 * math.sqrt(70)) / 900, (322 - 13 * math.sqrt(70)) / 900))
+# The rule's target: its summed error estimate stays below about RULE_TOL
+# in posterior probability.  RULE_ROUNDS caps the density rounds.
+RULE_TOL = 1e-6
+RULE_ROUNDS = 12
+
+
+def _tensor_rule(rule, d: int):
+    """Nodes (k^d, d) and weights (k^d,) of a 1-D rule's tensor product on
+    the unit cube."""
+    nodes, weights = rule
+    return (_mesh([0.5 + 0.5 * np.array(nodes)] * d),
+            np.prod(_mesh([0.5 * np.array(weights)] * d), axis=1))
+
+
+def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
+                 upper: np.ndarray) -> tuple:
+    """Posterior mass and error estimate of each box, by adaptive tensor
+    Gauss-Legendre 4/5, and the number of densities evaluated.
+
+    A box's mass is its GL5 value and its error |GL5 - GL4|.  A box is
+    split into 2^d children, integrated in the next round, while its error
+    exceeds RULE_TOL times its share of the boxes' total volume, or while
+    the two rules differ by more than half the GL5 value at a node density
+    that is not negligible (a peak or a tail the nodes do not resolve, whose
+    small error estimate would otherwise be trusted).  Every round is one
+    density call over the boxes still open; the last of RULE_ROUNDS rounds
+    accepts them all.  Boxes should lie inside the prior box, where the
+    density is smooth.
+    """
+    m, d = lower.shape
+    mass, error, evaluations = np.zeros(m), np.zeros(m), 0
+    volume = np.prod(upper - lower, axis=1)
+    owner = np.flatnonzero(volume > 0.0)
+    if owner.size == 0:
+        return mass, error, evaluations
+    lower, upper = lower[owner], upper[owner]
+    tol = RULE_TOL / float(volume.sum())
+    (x4, w4), (x5, w5) = _tensor_rule(_GL4, d), _tensor_rule(_GL5, d)
+    nodes, n4 = np.vstack([x4, x5]), w4.size
+    halves = _mesh([[False, True]] * d)
+    for last in [False] * (RULE_ROUNDS - 1) + [True]:
+        if owner.size == 0:
+            break
+        span = upper - lower
+        vol = np.prod(span, axis=1)
+        dens = post.density((lower[:, None] + span[:, None] * nodes)
+                            .reshape(-1, d)).reshape(owner.size, -1)
+        evaluations += dens.size
+        g4, g5 = vol * (dens[:, :n4] @ w4), vol * (dens[:, n4:] @ w5)
+        err = np.abs(g5 - g4)
+        done = (err <= tol * vol) & ((err <= 0.5 * g5)
+                                     | (dens.max(axis=1) <= tol)) | last
+        mass += np.bincount(owner[done], g5[done], m)
+        error += np.bincount(owner[done], err[done], m)
+        # Children of every open box, in order: each takes the lower or the
+        # upper half along every axis.
+        lo, hi = lower[~done, None], upper[~done, None]
+        mid = 0.5 * (lo + hi)
+        lower = np.where(halves, mid, lo).reshape(-1, d)
+        upper = np.where(halves, hi, mid).reshape(-1, d)
+        owner = np.repeat(owner[~done], halves.shape[0])
+    return mass, error, evaluations
+
+
 def _cell_points(cells: Cells, integrated: np.ndarray, n: int,
                  rng: RngStream) -> np.ndarray:
     """(len(integrated), n, d) points, cell idx's uniform in its box from
@@ -136,43 +217,53 @@ def _cell_points(cells: Cells, integrated: np.ndarray, n: int,
 def pwa_confidence(post: PosteriorDensity, cells: Cells,
                    per_cell_samples: int, rng: RngStream,
                    epsilon: Optional[float] = None) -> ConfidenceEstimate:
-    """Posterior mass of feasible-labeled cells, by per-cell Monte Carlo.
+    """Posterior mass of the feasible-labeled cells, bracketed by the mass
+    of the unknown ones.
 
-    Unknown cells do not enter the point estimate; their mass widens the
-    attached interval [value, value + unknown mass].  Every cell draws its
-    points from its own named substream, so the estimate is independent of
-    evaluation order; the densities of all cells come from one call.
+    Each feasible cell, clipped to the prior box `post.prior`, is
+    integrated by adaptive tensor Gauss-Legendre 4/5 (`_rule_masses`):
+    `value` is the sum of the rule masses and `std_error` the sum of their
+    error estimates |GL5 - GL4|, not a sampling standard error.  Unknown cells
+    do not enter the point estimate; each draws `per_cell_samples` uniform
+    points from its own named substream, so its mass is independent of
+    evaluation order, and their masses widen the attached interval
+    [value, value + unknown mass].  `samples` counts the densities
+    evaluated, rule nodes and draws.
     """
     if per_cell_samples < 1:
         raise ValueError("per_cell_samples must be positive")
     n, d = int(per_cell_samples), cells.lower.shape[1]
     feasible, unknown = cells.label == FEASIBLE, cells.label == UNKNOWN
-    integrated = np.flatnonzero(feasible | unknown)
-    mass, var = np.zeros(len(cells)), np.zeros(len(cells))
-    if integrated.size:
-        pts = _cell_points(cells, integrated, n, rng)
-        # One density call for every cell's points, split back by cell.
+    drawn = np.flatnonzero(unknown)
+    lo = np.maximum(cells.lower[feasible], post.prior.lower)
+    hi = np.maximum(np.minimum(cells.upper[feasible], post.prior.upper), lo)
+    mass, se = np.zeros(len(cells)), np.zeros(len(cells))
+    mass[feasible], se[feasible], evaluations = _rule_masses(post, lo, hi)
+    if drawn.size:
+        pts = _cell_points(cells, drawn, n, rng)
+        # One density call for every unknown cell's points, split by cell.
         dens = post.density(pts.reshape(-1, d)).reshape(-1, n)
-        vol = cells.volume[integrated]
-        mass[integrated] = vol * dens.mean(axis=1)
+        vol = cells.volume[drawn]
+        mass[drawn] = vol * dens.mean(axis=1)
         if n > 1:
-            var[integrated] = vol * vol * dens.var(ddof=1, axis=1) / n
-    value, var_est = _running_sum(mass[feasible]), _running_sum(var[feasible])
+            se[drawn] = np.sqrt(vol * vol * dens.var(ddof=1, axis=1) / n)
+    value, error = _running_sum(mass[feasible]), _running_sum(se[feasible])
     unknown_mass = _running_sum(mass[unknown])
     per_cell = tuple(
         {"lower": lower, "upper": upper, "label": label, "mass": m,
-         "std_error": se}
-        for lower, upper, label, m, se in zip(
+         "std_error": e}
+        for lower, upper, label, m, e in zip(
             cells.lower.tolist(), cells.upper.tolist(), cells.label.tolist(),
-            mass.tolist(), np.sqrt(var).tolist()))
+            mass.tolist(), se.tolist()))
+    var_est = error * error
     eps, prob = _chebyshev_fields(var_est, epsilon)
     return ConfidenceEstimate(
         value=float(min(max(value, 0.0), 1.0)),
         raw_value=value,
         method="pwa",
-        samples=n * integrated.size,
+        samples=evaluations + n * drawn.size,
         variance_estimate=var_est,
-        std_error=math.sqrt(var_est),
+        std_error=error,
         chebyshev_epsilon=eps,
         chebyshev_probability=prob,
         interval=(float(min(max(value, 0.0), 1.0)),

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stlbayes import cli
+from stlbayes import cli, feasibility
 from stlbayes.cli import main
 from stlbayes.confidence import chebyshev_sample_size
+from stlbayes.rng import RngStream
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -398,6 +399,39 @@ class TestMcFromCellLabels:
         assert seen["mc"] == [None, None]
         assert all(cells is not None for cells in seen["both"])
         assert len(seen["both"]) == 2
+
+    def test_restricted_mc_reads_the_restriction_cells(self, tmp_path,
+                                                       monkeypatch):
+        """Under method mc with restrict_region, the restriction's cells
+        reach `mc_confidence`: the same estimate, fewer rows at the leaves,
+        and still no feasible_cells.csv."""
+        problem = cli._problem(dict(BASE_CONFIG, restrict_region=True), "mc")
+        assert problem.cells is not None
+        rows = []
+        real = feasibility._LeafGeometry.margins
+
+        def spy(self, thetas):
+            rows.append(len(thetas))
+            return real(self, thetas)
+
+        monkeypatch.setattr(feasibility._LeafGeometry, "margins", spy)
+        root = RngStream(problem.seed)
+        data = BASE_CONFIG["data"]
+        dataset = cli.collect_data(problem.model, data["theta_true"],
+                                   problem.data.sampler, data["n_exp"],
+                                   problem.spec.x0, root.child("data"))
+        estimates, leaf_rows = [], []
+        for cells in (problem.cells, None):
+            rows.clear()
+            problem.cells = cells
+            estimates.append(cli._estimate(problem, dataset, root)[1])
+            leaf_rows.append(sum(rows))
+        assert estimates[0] == estimates[1]
+        assert 0 < leaf_rows[0] < leaf_rows[1]
+        out = tmp_path / "o"
+        out.mkdir()
+        cli.cmd_verify(dict(BASE_CONFIG, restrict_region=True), out, "mc")
+        assert not (out / "feasible_cells.csv").exists()
 
 
 class TestReport:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -150,10 +155,17 @@ class TestPwaConfidence:
                                   safety_spec)
         rng = RngStream(21, ("pwa",))
         est = sb.pwa_confidence(post, cells, 50, rng)
+        feasible = cells.label == "feasible"
+        masses, errors, evaluations = confidence._rule_masses(
+            post, cells.lower[feasible], cells.upper[feasible])
+        rule = iter(zip(masses.tolist(), errors.tolist()))
         value = 0.0
         for idx, (cell, record) in enumerate(zip(cells, est.per_cell)):
             mass = se = 0.0
-            if cell.label != "infeasible":
+            if cell.label == "feasible":
+                mass, se = next(rule)
+                value += mass
+            elif cell.label == "unknown":
                 pts = rng.child("cell", idx).generator().uniform(
                     cell.lower, cell.upper, (50, 2))
                 dens = post.density(pts)
@@ -161,10 +173,147 @@ class TestPwaConfidence:
                 se = np.sqrt(cell.volume ** 2 * float(dens.var(ddof=1)) / 50)
             assert (record["label"], record["mass"], record["std_error"]) == \
                 (cell.label, mass, se)
-            if cell.label == "feasible":
-                value += mass
         assert est.raw_value == value
-        assert est.samples == 50 * sum(c.label != "infeasible" for c in cells)
+        assert est.std_error == pytest.approx(errors.sum(), rel=1e-12)
+        assert est.samples == evaluations + 50 * sum(
+            c.label == "unknown" for c in cells)
+
+
+_GL10 = np.polynomial.legendre.leggauss(10)
+
+
+def _reference_masses(post, lower, upper, k):
+    """Per-box posterior mass by a 10-point Gauss-Legendre rule on each of
+    k x k sub-boxes: the fine reference for the rule masses."""
+    x, w = _GL10
+    sub = np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"),
+                   -1).reshape(-1, 2)
+    node = np.stack(np.meshgrid(x, x, indexing="ij"), -1).reshape(-1, 2)
+    span = ((upper - lower) / k)[:, None, None, :]
+    pts = lower[:, None, None, :] + span * (
+        sub[None, :, None, :] + 0.5 + 0.5 * node[None, None])
+    weights = np.outer(w, w).ravel() / 4 * np.prod(span, axis=-1)
+    dens = post.density(pts.reshape(-1, 2)).reshape(len(lower), k * k, -1)
+    return (dens * weights).sum(axis=(1, 2))
+
+
+class TestRuleMasses:
+    """Feasible cells are integrated by adaptive tensor Gauss-Legendre 4/5."""
+
+    @pytest.mark.parametrize("n_exp,refined", [(8, False), (400, True)])
+    def test_mass_within_the_reported_error(self, safety_spec, safety_region,
+                                            n_exp, refined):
+        model = safety_spec.model
+        data = sb.collect_data(model, [0.3, 0.3],
+                               sb.InputSampler("uniform", low=-2, high=2),
+                               n_exp, [0, 0], RngStream(19))
+        post = sb.posterior(data, model, safety_region, 1024, RngStream(20))
+        cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
+                                  safety_spec)
+        feasible = cells.label == "feasible"
+        est = sb.pwa_confidence(post, cells, 20, RngStream(21))
+        reference = _reference_masses(post, cells.lower[feasible],
+                                      cells.upper[feasible], 4)
+        masses = np.array([c["mass"] for c in est.per_cell])[feasible]
+        errors = np.array([c["std_error"] for c in est.per_cell])[feasible]
+        assert abs(est.raw_value - reference.sum()) <= est.std_error
+        assert est.std_error <= confidence.RULE_TOL
+        # A cell's masses in far tails, accepted as negligible, may miss by
+        # more than their error estimate, but not by more than their share
+        # of the tolerance.
+        share = cells.volume[feasible] / cells.volume[feasible].sum()
+        assert np.all(np.abs(masses - reference)
+                      <= errors + confidence.RULE_TOL * share)
+        # One round is 41 nodes per feasible cell; a sharp posterior needs
+        # more.
+        rule_nodes = est.samples - 20 * np.count_nonzero(
+            cells.label == "unknown")
+        assert (rule_nodes > 41 * feasible.sum()) == refined
+
+    def test_cells_are_clipped_to_the_prior(self, safety_spec):
+        """Cells straddling the prior's edge integrate only its inside: no
+        refinement at the density's jump, and every mass is the reference
+        mass of the clipped cell."""
+        prior = sb.Box([-2, -2], [2, 2])
+        grid = sb.pwa_partition(sb.Box([-3, -3], [3, 3]), 3)
+        cells = sb.Cells(grid.lower, grid.upper, ["feasible"] * 9)
+        lower = np.maximum(cells.lower, prior.lower)
+        upper = np.minimum(cells.upper, prior.upper)
+        flat = sb.posterior(None, safety_spec.model, prior, 1, RngStream(0))
+        est = sb.pwa_confidence(flat, cells, 10, RngStream(1))
+        share = np.prod(upper - lower, axis=1) / prior.volume
+        assert [c["mass"] for c in est.per_cell] == pytest.approx(
+            share.tolist(), abs=1e-15)
+        assert est.samples == 9 * 41
+        data = sb.collect_data(safety_spec.model, [0.3, 0.3],
+                               sb.InputSampler("uniform", low=-2, high=2),
+                               8, [0, 0], RngStream(2))
+        post = sb.posterior(data, safety_spec.model, prior, 1024,
+                            RngStream(3))
+        est = sb.pwa_confidence(post, cells, 10, RngStream(1))
+        reference = _reference_masses(post, lower, upper, 4)
+        errors = np.array([c["std_error"] for c in est.per_cell])
+        masses = np.array([c["mass"] for c in est.per_cell])
+        assert np.all(np.abs(masses - reference) <= errors + 1e-15)
+
+    def test_permuted_partition_permutes_masses(self, safety_spec,
+                                                safety_region):
+        model = safety_spec.model
+        data = sb.collect_data(model, [0.3, 0.3],
+                               sb.InputSampler("uniform", low=-2, high=2),
+                               50, [0, 0], RngStream(4))
+        post = sb.posterior(data, model, safety_region, 1024, RngStream(5))
+        grid = sb.classify_cells(sb.pwa_partition(safety_region, 16),
+                                 safety_spec)
+        # Unknown cells draw from substreams named by their position, so
+        # only the rule's masses are compared.
+        labels = np.where(grid.label == "unknown", "infeasible", grid.label)
+        cells = sb.Cells(grid.lower, grid.upper, labels)
+        perm = np.random.default_rng(6).permutation(len(cells))
+        shuffled = sb.Cells(cells.lower[perm], cells.upper[perm],
+                            cells.label[perm])
+        masses = [np.array([c["mass"] for c in est.per_cell]) for est in (
+            sb.pwa_confidence(post, c, 10, RngStream(7))
+            for c in (cells, shuffled))]
+        assert np.count_nonzero(masses[0]) > 0
+        np.testing.assert_allclose(masses[1], masses[0][perm], rtol=1e-12,
+                                   atol=0.0)
+
+    def test_prior_only_mass_is_the_volume_share(self, safety_spec,
+                                                 safety_region):
+        flat = sb.posterior(None, safety_spec.model, safety_region, 1,
+                            RngStream(0))
+        cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
+                                  safety_spec)
+        est = sb.pwa_confidence(flat, cells, 10, RngStream(1))
+        share = np.count_nonzero(cells.label == "feasible") / 256
+        assert share > 0
+        assert est.raw_value == pytest.approx(share, abs=1e-15)
+
+    def test_rule_loads_no_numpy_polynomial(self):
+        """The rule's nodes are closed forms: importing `numpy.polynomial`
+        would add to every process's set-up.  Checked in a fresh
+        interpreter, because this test module loads it."""
+        script = (
+            "import sys\n"
+            "import stlbayes as sb\n"
+            "from stlbayes.rng import RngStream\n"
+            "prior = sb.Box([-2, -2], [2, 2])\n"
+            "post = sb.posterior(None, sb.laguerre_model(0.4), prior, 1,\n"
+            "                    RngStream(0))\n"
+            "grid = sb.pwa_partition(prior, 2)\n"
+            "labels = ['feasible', 'unknown', 'infeasible', 'feasible']\n"
+            "cells = sb.Cells(grid.lower, grid.upper, labels)\n"
+            "est = sb.pwa_confidence(post, cells, 10, RngStream(1))\n"
+            "assert est.value > 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('numpy.polynomial')))\n")
+        src = Path(sb.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
 
 class TestUnderApproximation:
