@@ -346,14 +346,26 @@ def _write_csv(path: Path, header: list, rows) -> None:
                       for row in itertools.chain([header], rows))
 
 
+def _reprs(values: np.ndarray) -> list:
+    """repr of every float in `values`, nested as `values.tolist()` is, with
+    one repr per distinct value.  Values are keyed on their bits, so -0.0
+    and 0.0 keep their own text."""
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, index = np.unique(values.view(np.int64).ravel(),
+                            return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(float).tolist()],
+                     dtype=object)
+    return texts[index.reshape(values.shape)].tolist()
+
+
 def _write_contour(path: Path, post, region: Box, grid: int) -> None:
     if region.lower.shape[0] != 2:
         return
     xs = np.linspace(region.lower[0], region.upper[0], grid)
     ys = np.linspace(region.lower[1], region.upper[1], grid)
     points = np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
-    density = map(repr, post.density(points).tolist())
-    axes = itertools.product(map(repr, xs.tolist()), map(repr, ys.tolist()))
+    density = _reprs(post.density(points))
+    axes = itertools.product(_reprs(xs), _reprs(ys))
     _write_csv(path, ["theta_1", "theta_2", "density"],
                ((x, y, z) for (x, y), z in zip(axes, density)))
 
@@ -362,8 +374,8 @@ def _write_cells(path: Path, cells: Cells) -> None:
     d = cells.lower.shape[1]
     header = ([f"theta_lo_{i+1}" for i in range(d)]
               + [f"theta_hi_{i+1}" for i in range(d)] + ["label"])
-    bounds = np.hstack([cells.lower, cells.upper]).tolist()
-    _write_csv(path, header, ([*map(repr, row), label] for row, label
+    bounds = _reprs(np.hstack([cells.lower, cells.upper]))
+    _write_csv(path, header, ([*row, label] for row, label
                               in zip(bounds, cells.label.tolist())))
 
 

@@ -164,6 +164,10 @@ def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
     density call over the boxes still open; the last of RULE_ROUNDS rounds
     accepts them all.  Boxes should lie inside the prior box, where the
     density is smooth.
+
+    The error is an estimate, not a bound: a box whose nodes see only the
+    far tail of a peak beyond its edge is accepted as negligible, and may
+    miss up to its share of RULE_TOL.
     """
     m, d = lower.shape
     mass, error, evaluations = np.zeros(m), np.zeros(m), 0
@@ -223,12 +227,16 @@ def pwa_confidence(post: PosteriorDensity, cells: Cells,
     Each feasible cell, clipped to the prior box `post.prior`, is
     integrated by adaptive tensor Gauss-Legendre 4/5 (`_rule_masses`):
     `value` is the sum of the rule masses and `std_error` the sum of their
-    error estimates |GL5 - GL4|, not a sampling standard error.  Unknown cells
-    do not enter the point estimate; each draws `per_cell_samples` uniform
-    points from its own named substream, so its mass is independent of
-    evaluation order, and their masses widen the attached interval
+    error estimates |GL5 - GL4|, not a sampling standard error, and an
+    estimate rather than a bound (a far-tail box accepted as negligible may
+    miss up to its share of RULE_TOL).  Unknown cells do not enter the
+    point estimate; each draws `per_cell_samples` uniform points from its
+    own named substream, so its mass is independent of evaluation order,
+    and their masses widen the attached interval
     [value, value + unknown mass].  `samples` counts the densities
-    evaluated, rule nodes and draws.
+    evaluated, rule nodes and draws.  `per_cell` has one entry per cell
+    that carries mass, the feasible and unknown ones in partition order;
+    infeasible cells have mass 0 and are left out.
     """
     if per_cell_samples < 1:
         raise ValueError("per_cell_samples must be positive")
@@ -249,12 +257,14 @@ def pwa_confidence(post: PosteriorDensity, cells: Cells,
             se[drawn] = np.sqrt(vol * vol * dens.var(ddof=1, axis=1) / n)
     value, error = _running_sum(mass[feasible]), _running_sum(se[feasible])
     unknown_mass = _running_sum(mass[unknown])
+    kept = np.flatnonzero(feasible | unknown)
     per_cell = tuple(
         {"lower": lower, "upper": upper, "label": label, "mass": m,
          "std_error": e}
         for lower, upper, label, m, e in zip(
-            cells.lower.tolist(), cells.upper.tolist(), cells.label.tolist(),
-            mass.tolist(), se.tolist()))
+            cells.lower[kept].tolist(), cells.upper[kept].tolist(),
+            cells.label[kept].tolist(), mass[kept].tolist(),
+            se[kept].tolist()))
     var_est = error * error
     eps, prob = _chebyshev_fields(var_est, epsilon)
     return ConfidenceEstimate(

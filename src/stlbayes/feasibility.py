@@ -82,8 +82,13 @@ class Cells(Box):
         return self.lower.shape[0]
 
     def __iter__(self):
-        for row in zip(self.lower, self.upper, self.label.tolist()):
-            yield Box(*row)
+        # The rows were checked as arrays, so each Box is filled in without
+        # `Box.__post_init__`'s checks.
+        for lower, upper, label in zip(self.lower, self.upper,
+                                       self.label.tolist()):
+            box = object.__new__(Box)
+            vars(box).update(lower=lower, upper=upper, label=label)
+            yield box
 
     @cached_property
     def _grid(self):

@@ -529,6 +529,30 @@ def test_csv_files_match_the_csv_module(tmp_path):
         + [[repr(float(v)) for v in row] for row in table])
     assert b"-0.5,0.5,-0.0\r\n-0.5,1.0,2.5e-300\r\n" in contour
 
+    # A 64-per-axis partition with -0.0 and 0.0 among its edges, and a
+    # contour whose densities repeat: each value keeps its own text.
+    grid = cli.pwa_partition(cli.Box([-1.0, -1.0], [-0.0, 1.0]), 64)
+    cells = cli.Cells(grid.lower, grid.upper,
+                      np.resize(["feasible", "infeasible", "unknown"],
+                                len(grid)))
+    bounds = np.hstack([cells.lower, cells.upper])
+    assert np.signbit(bounds[bounds == 0.0]).any()
+    assert not np.signbit(bounds[bounds == 0.0]).all()
+    cli._write_cells(tmp_path / "feasible_cells.csv", cells)
+    assert (tmp_path / "feasible_cells.csv").read_bytes() == _csv_module_bytes(
+        [header] + [[repr(float(v)) for v in row] + [label]
+                    for row, label in zip(bounds, cells.label)])
+    density = np.resize([0.0, 1e-05, -0.0, 0.1, 0.1, 2.5e-300, 1e-05], 25)
+    density[-3:] = [7e22, 3.0, 5e-324]
+    post = types.SimpleNamespace(density=lambda points: density)
+    cli._write_contour(tmp_path / "posterior_contour.csv", post, region, 5)
+    axis_1, axis_2 = np.linspace(-0.5, 0.5, 5), np.linspace(0.0, 1.0, 5)
+    table = np.column_stack([np.repeat(axis_1, 5), np.tile(axis_2, 5),
+                             density])
+    assert (tmp_path / "posterior_contour.csv").read_bytes() == \
+        _csv_module_bytes([["theta_1", "theta_2", "density"]]
+                          + [[repr(float(v)) for v in row] for row in table])
+
     cfg = copy.deepcopy(BASE_CONFIG)
     cfg["method"] = "mc"
     cfg["mc"] = {"samples": 1500}

@@ -159,13 +159,16 @@ class TestPwaConfidence:
         masses, errors, evaluations = confidence._rule_masses(
             post, cells.lower[feasible], cells.upper[feasible])
         rule = iter(zip(masses.tolist(), errors.tolist()))
+        records = iter(est.per_cell)  # the cells not certified infeasible
         value = 0.0
-        for idx, (cell, record) in enumerate(zip(cells, est.per_cell)):
-            mass = se = 0.0
+        for idx, cell in enumerate(cells):
+            if cell.label == "infeasible":
+                continue
+            record = next(records)
             if cell.label == "feasible":
                 mass, se = next(rule)
                 value += mass
-            elif cell.label == "unknown":
+            else:  # unknown
                 pts = rng.child("cell", idx).generator().uniform(
                     cell.lower, cell.upper, (50, 2))
                 dens = post.density(pts)
@@ -173,10 +176,43 @@ class TestPwaConfidence:
                 se = np.sqrt(cell.volume ** 2 * float(dens.var(ddof=1)) / 50)
             assert (record["label"], record["mass"], record["std_error"]) == \
                 (cell.label, mass, se)
+        assert next(records, None) is None
         assert est.raw_value == value
         assert est.std_error == pytest.approx(errors.sum(), rel=1e-12)
         assert est.samples == evaluations + 50 * sum(
             c.label == "unknown" for c in cells)
+
+    def test_per_cell_lists_the_cells_that_carry_mass(self, safety_spec,
+                                                      safety_region):
+        """per_cell holds the feasible and unknown cells, in partition
+        order; infeasible cells are left to feasible_cells.csv.  The unknown
+        entries' masses, added left to right, give the interval's width."""
+        model = safety_spec.model
+        data = sb.collect_data(model, [1.0, 1.0],
+                               sb.InputSampler("uniform", low=-2, high=2),
+                               8, [0, 0], RngStream(19))
+        post = sb.posterior(data, model, safety_region, 1024, RngStream(20))
+        cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
+                                  safety_spec)
+        assert set(cells.label.tolist()) == {"feasible", "infeasible",
+                                             "unknown"}
+        est = sb.pwa_confidence(post, cells, 30, RngStream(21))
+        kept = cells.label != "infeasible"
+        assert [(c["lower"], c["upper"], c["label"]) for c in est.per_cell] \
+            == list(zip(cells.lower[kept].tolist(),
+                        cells.upper[kept].tolist(),
+                        cells.label[kept].tolist()))
+        assert all(c.keys() == {"lower", "upper", "label", "mass",
+                                "std_error"} for c in est.per_cell)
+        assert est.to_json_dict()["per_cell"] == list(est.per_cell)
+        unknown = 0.0
+        for c in est.per_cell:
+            if c["label"] == "unknown":
+                unknown += c["mass"]
+        assert 0.0 < est.interval[0] and est.interval[1] < 1.0
+        assert est.raw_value + unknown == est.interval[1]
+        assert unknown == pytest.approx(est.interval[1] - est.interval[0],
+                                        rel=1e-12)
 
 
 _GL10 = np.polynomial.legendre.leggauss(10)
@@ -214,8 +250,10 @@ class TestRuleMasses:
         est = sb.pwa_confidence(post, cells, 20, RngStream(21))
         reference = _reference_masses(post, cells.lower[feasible],
                                       cells.upper[feasible], 4)
-        masses = np.array([c["mass"] for c in est.per_cell])[feasible]
-        errors = np.array([c["std_error"] for c in est.per_cell])[feasible]
+        # per_cell lists the cells not certified infeasible, in order.
+        rule = [c for c in est.per_cell if c["label"] == "feasible"]
+        masses = np.array([c["mass"] for c in rule])
+        errors = np.array([c["std_error"] for c in rule])
         assert abs(est.raw_value - reference.sum()) <= est.std_error
         assert est.std_error <= confidence.RULE_TOL
         # A cell's masses in far tails, accepted as negligible, may miss by
@@ -272,9 +310,11 @@ class TestRuleMasses:
         perm = np.random.default_rng(6).permutation(len(cells))
         shuffled = sb.Cells(cells.lower[perm], cells.upper[perm],
                             cells.label[perm])
-        masses = [np.array([c["mass"] for c in est.per_cell]) for est in (
-            sb.pwa_confidence(post, c, 10, RngStream(7))
-            for c in (cells, shuffled))]
+        masses = [np.zeros(len(cells)), np.zeros(len(cells))]
+        for out, c in zip(masses, (cells, shuffled)):
+            # per_cell lists the cells not certified infeasible, in order.
+            est = sb.pwa_confidence(post, c, 10, RngStream(7))
+            out[c.label != "infeasible"] = [r["mass"] for r in est.per_cell]
         assert np.count_nonzero(masses[0]) > 0
         np.testing.assert_allclose(masses[1], masses[0][perm], rtol=1e-12,
                                    atol=0.0)
