@@ -365,20 +365,11 @@ class TestBoxValidation:
         assert [b.label for b in boxes] == [FEASIBLE, UNKNOWN]
         assert [b.volume for b in boxes] == cells.volume.tolist() == [2.0, 4.0]
         assert np.array_equal(boxes[1].lower, [1.0, 0.0])
-
-    def test_iterated_boxes_are_the_rows(self):
-        grid = sb.pwa_partition(sb.Box([-1.0, 0.5], [2.0, 3.0]), 5)
-        labels = [FEASIBLE, INFEASIBLE_LABEL, UNKNOWN] * 8 + [FEASIBLE]
-        cells = sb.Cells(grid.lower, grid.upper, labels)
-        boxes = list(cells)
-        assert len(boxes) == len(cells)
         for box, lower, upper, label in zip(boxes, cells.lower, cells.upper,
-                                            labels):
+                                            cells.label.tolist()):
             assert type(box) is sb.Box
-            assert np.array_equal(box.lower, lower)
-            assert np.array_equal(box.upper, upper)
-            assert box.label == label
-        assert [b.volume for b in boxes] == cells.volume.tolist()
+            assert (box.lower.tolist(), box.upper.tolist(), box.label) == \
+                (lower.tolist(), upper.tolist(), label)
 
 
 CASE_REGION = sb.Box([-3.5, -3.5], [3.5, 3.5])
