@@ -248,7 +248,7 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
     if not prior.volume > 0.0:
         raise ValueError("prior support must have positive volume")
 
-    if data is None or getattr(data, "n_exp", 0) == 0:
+    if data is None:
         # Likelihood identically one: Z = integral of the prior = 1 exactly.
         return PosteriorDensity(
             prior=prior, log_unnormalized=lambda t: _log_prior(prior, t),

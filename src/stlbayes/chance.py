@@ -59,6 +59,7 @@ from .stl import (
     StlError,
     TrueNode,
     Until,
+    _children,
     to_nnf,
 )
 
@@ -148,6 +149,11 @@ def gamma_gradient(theta_tilde, delta: float, model: ParametricLti, t: int):
 
 # --- leaf constraints -------------------------------------------------------
 
+def _path_key(path: tuple) -> str:
+    """A formula-tree path as reports and `WeightScheme` key it."""
+    return "/".join(map(str, path))
+
+
 @dataclass(frozen=True)
 class ChanceConstraint:
     """Pr(alpha(x(time)) >= 0) {>=, <=} threshold for one predicate."""
@@ -165,7 +171,7 @@ class ChanceConstraint:
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(
                 f"chance-constraint threshold must lie strictly in (0, 1), "
-                f"got {self.threshold!r} at path {'/'.join(map(str, self.path))}")
+                f"got {self.threshold!r} at path {_path_key(self.path)}")
         if self.time < 0:
             raise ValueError("time index must be nonnegative")
 
@@ -184,7 +190,7 @@ class ChanceConstraint:
             "time": self.time,
             "direction": self.direction,
             "threshold": self.threshold,
-            "path": "/".join(str(p) for p in self.path),
+            "path": _path_key(self.path),
             "space": "output" if isinstance(pred, OutputPredicate) else "state",
             "offset": pred.offset,
             "gradient": list(pred.gradient),
@@ -202,7 +208,7 @@ class ConstraintGroup:
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "path": "/".join(str(p) for p in self.path),
+            "path": _path_key(self.path),
             "leaves": [leaf.to_json_dict() for leaf in self.leaves],
         }
 
@@ -219,7 +225,8 @@ class DecompositionResult:
 
 
 class WeightError(ValueError):
-    """An explicit weight vector whose length does not fit its node."""
+    """An explicit weight vector that fits no node: its length differs from
+    the node's child count, or its key names no decomposition node."""
 
 
 @dataclass(frozen=True)
@@ -229,7 +236,7 @@ class WeightScheme:
     A node whose formula-tree path (joined with '/') has an entry in
     `weights` takes that vector; every other node assigns 1/N to its N
     children.  Vectors must be finite, nonnegative and sum to one; their
-    lengths are checked against the nodes in decomposition.
+    keys and lengths are checked against the nodes in decomposition.
     """
 
     weights: dict = field(default_factory=dict)
@@ -245,7 +252,7 @@ class WeightScheme:
     def for_node(self, path: tuple, count: int) -> np.ndarray:
         if count <= 0:
             raise ValueError("a decomposition node must have children")
-        key = "/".join(str(p) for p in path)
+        key = _path_key(path)
         if key in self.weights:
             w = np.asarray(self.weights[key], dtype=float)
             if w.shape != (count,):
@@ -258,13 +265,8 @@ class WeightScheme:
 # --- until events -----------------------------------------------------------
 
 def _temporal_free(f: Formula) -> bool:
-    if isinstance(f, (TrueNode, Pred)):
-        return True
-    if isinstance(f, Not):
-        return _temporal_free(f.child)
-    if isinstance(f, (And, Or)):
-        return _temporal_free(f.left) and _temporal_free(f.right)
-    return False
+    return (not isinstance(f, (Until, Eventually, Always))
+            and all(map(_temporal_free, _children(f))))
 
 
 def until_events(psi1: Formula, psi2: Formula, a: int, b: int, t: int):
@@ -304,29 +306,29 @@ def _flatten_and(f: Formula):
 
 
 class _Sink:
-    def __init__(self):
-        self.root: list = []
-        self.events: dict = {}
-        self.order: list = []
+    """The leaves of one decomposition, by group, and the weight nodes it
+    visits."""
 
-    def add(self, leaf: ChanceConstraint, group_key):
-        if group_key is None:
-            self.root.append(leaf)
-        else:
-            if group_key not in self.events:
-                self.events[group_key] = []
-                self.order.append(group_key)
-            self.events[group_key].append(leaf)
+    def __init__(self, scheme: WeightScheme):
+        self.scheme = scheme
+        self.nodes: set = set()
+        self.groups: dict = {(): []}  # the root group first, then the events
+
+    def weights(self, path: tuple, count: int) -> np.ndarray:
+        self.nodes.add(_path_key(path))
+        return self.scheme.for_node(path, count)
+
+    def add(self, leaf: ChanceConstraint, group: tuple):
+        self.groups.setdefault(group, []).append(leaf)
 
     def result(self) -> DecompositionResult:
-        groups = []
-        if self.root:
-            groups.append(ConstraintGroup("root", (), tuple(self.root)))
-        for key in self.order:
-            name = key[-1] if key else "root"
-            groups.append(ConstraintGroup(str(name), key,
-                                          tuple(self.events[key])))
-        return DecompositionResult(tuple(groups))
+        unused = sorted(set(self.scheme.weights) - self.nodes)
+        if unused:
+            raise WeightError(f"weight vector at {unused[0]!r} names no "
+                              "decomposition node")
+        return DecompositionResult(tuple(
+            ConstraintGroup(str(key[-1]) if key else "root", key, tuple(leaves))
+            for key, leaves in self.groups.items() if leaves))
 
 
 def decompose(f: Formula, delta: float,
@@ -339,14 +341,13 @@ def decompose(f: Formula, delta: float,
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    scheme = weights if weights is not None else WeightScheme()
-    sink = _Sink()
-    _decompose(to_nnf(f), AT_LEAST, 1.0 - delta, 0, (), None, scheme, sink)
+    sink = _Sink(weights if weights is not None else WeightScheme())
+    _decompose(to_nnf(f), AT_LEAST, 1.0 - delta, 0, (), (), sink)
     return sink.result()
 
 
 def _conjoin(conjuncts, threshold: float, path: tuple, group,
-             scheme: WeightScheme, sink: _Sink) -> None:
+             sink: _Sink) -> None:
     """Boole's rule for a conjunction required with probability `threshold`.
 
     `conjuncts` is a list of (formula, time) pairs; their top-level
@@ -356,19 +357,19 @@ def _conjoin(conjuncts, threshold: float, path: tuple, group,
     flat = [(c, k) for sub, k in conjuncts for c in _flatten_and(to_nnf(sub))]
     if not flat:
         return
-    w = scheme.for_node(path, len(flat))
+    w = sink.weights(path, len(flat))
     budget = 1.0 - threshold
     for i, (c, k) in enumerate(flat):
         _decompose(c, AT_LEAST, 1.0 - w[i] * budget, k, path + (f"c{i}",),
-                   group, scheme, sink)
+                   group, sink)
 
 
 def _decompose(f: Formula, direction: str, threshold: float, time: int,
-               path: tuple, group, scheme: WeightScheme, sink: _Sink) -> None:
+               path: tuple, group, sink: _Sink) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError(
             f"derived threshold {threshold!r} left (0, 1) at path "
-            f"{'/'.join(map(str, path))}; the requirement is degenerate")
+            f"{_path_key(path)}; the requirement is degenerate")
 
     if isinstance(f, TrueNode):
         if direction == AT_LEAST:
@@ -396,37 +397,34 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
 
     if isinstance(f, And):
         if direction == AT_LEAST:
-            _conjoin([(f, time)], threshold, path, group, scheme, sink)
+            _conjoin([(f, time)], threshold, path, group, sink)
         else:
             # Pr(and) <= p is implied by bounding every conjunct by p.
             for i, part in enumerate(_flatten_and(f)):
                 _decompose(part, AT_MOST, threshold, time, path + (f"c{i}",),
-                           group, scheme, sink)
+                           group, sink)
         return
 
     if isinstance(f, Or):
         parts = [f.left, f.right]
-        w = scheme.for_node(path, len(parts))
+        w = sink.weights(path, len(parts))
         for i, part in enumerate(parts):
             _decompose(part, direction, w[i] * threshold, time,
-                       path + (f"d{i}",), group, scheme, sink)
+                       path + (f"d{i}",), group, sink)
         return
 
     if isinstance(f, (Until, Eventually)):
         if direction == AT_MOST:
             raise StlError("upper bounds on until/eventually are outside the "
                            "supported fragment")
-        if isinstance(f, Eventually):
-            left: Formula = TrueNode()
-            right, a, b = f.child, f.a, f.b
-        else:
-            left, right, a, b = f.left, f.right, f.a, f.b
-        events = until_events(left, right, a, b, time)
-        w = scheme.for_node(path, len(events))
+        left, right = ((TrueNode(), f.child) if isinstance(f, Eventually)
+                       else (f.left, f.right))
+        events = until_events(left, right, f.a, f.b, time)
+        w = sink.weights(path, len(events))
         for idx, (j, conjuncts) in enumerate(events):
             event_path = path + (f"e{j}",)
             _conjoin(conjuncts, w[idx] * threshold, event_path, event_path,
-                     scheme, sink)
+                     sink)
         return
 
     if isinstance(f, Always):
@@ -434,7 +432,7 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
             raise StlError("upper bounds on always are outside the supported "
                            "fragment")
         _conjoin([(f.child, time + i) for i in range(f.a, f.b + 1)],
-                 threshold, path, group, scheme, sink)
+                 threshold, path, group, sink)
         return
 
     raise StlError(f"unknown formula node {f!r}")

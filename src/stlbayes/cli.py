@@ -3,12 +3,13 @@
 Configs are single JSON documents (schema documented in the README).  Every
 value is read through `_field`, and the library constructors that check
 values run inside `_at`, so a config error names the field's dotted path.
-`_problem` checks the whole config and builds the model, spec, region, prior
-and PWA cells before any numeric work; `_estimate` runs posterior, MC and PWA
-on them, once for `verify` and once per parameter and repetition for
-`table1`.  All randomness flows from one seed through named substreams, so
-a report can be reproduced exactly from the config it embeds.  Exit codes:
-0 success, 2 config error, 3 numeric failure.
+`_problem` checks the whole config, rejects every field that no setting
+reads, and builds the model, spec, region, prior and PWA cells before any
+numeric work; `_estimate` runs posterior, MC and PWA on them, once for
+`verify` and once per parameter and repetition for `table1`.  All
+randomness flows from one seed through named substreams, so a report can be
+reproduced exactly from the config it embeds.  Exit codes: 0 success, 2
+config error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -93,10 +94,21 @@ _pair = _expect("[lower, upper]", lambda v: isinstance(v, list) and len(v) == 2)
 _METHODS = _choice("mc", "pwa", "both")
 
 
+class _Reads(dict):
+    """A config that records the dotted path of every value `_field` asks it
+    for, present or not."""
+
+    def __init__(self, cfg: dict):
+        super().__init__(cfg)
+        self.paths: set = set()
+
+
 def _field(cfg: dict, path: str, kind, default=...):
     """The value at the dotted `path` of `cfg`, checked by `kind`, else
     `default`; errors name the field's path, or its section's if that is
     not an object."""
+    if isinstance(cfg, _Reads):
+        cfg.paths.add(path)
     section, _, key = path.rpartition(".")
     node = _field(cfg, section, _object, {}) if section else cfg
     if key not in node:
@@ -107,25 +119,30 @@ def _field(cfg: dict, path: str, kind, default=...):
         return kind(node[key])
 
 
-def _unread(cfg: dict, path: str, why: str) -> None:
-    """Reject a field that this config leaves unread, saying `why`."""
-    section, _, key = path.rpartition(".")
-    if key in (_field(cfg, section, _object, {}) if section else cfg):
-        raise ConfigError(path, why)
+def _reject_unread(cfg: _Reads, node: dict, prefix: str = "") -> None:
+    """Raise at the first field of `node` that no setting has read, looking
+    into each section whose fields were asked for one by one."""
+    for key, value in node.items():
+        path = prefix + key
+        if path not in cfg.paths:
+            raise ConfigError(path, "not read: no such field, or one that "
+                                    "the fields beside it leave unused")
+        if isinstance(value, dict) and any(p.startswith(path + ".")
+                                           for p in cfg.paths):
+            _reject_unread(cfg, value, path + ".")
 
 
 _MATRICES = ("A", "B", "G", "C0", "C_basis", "Sigma_w", "Sigma_e")
 _OVERRIDES = ("Sigma_w", "Sigma_e", "G")  # a preset's, besides input_box
-_INPUT_BOX = "not a config field; model.input_box sets the admissible inputs"
+_RESERVED = ("T", "F", "G", "U")  # words of the formula grammar
 
 
 def _build_model(cfg: dict) -> ParametricLti:
     section = _field(cfg, "model", _object)
-    _unread(cfg, "model.input_lower", _INPUT_BOX)
-    _unread(cfg, "model.input_upper", _INPUT_BOX)
     preset = "preset" in section
-    given = {key: section[key] for key in (_OVERRIDES if preset else _MATRICES)
-             if key in section}
+    # The model's constructor checks the matrices, under "model".
+    given = {key: _field(cfg, f"model.{key}", lambda v: v)
+             for key in (_OVERRIDES if preset else _MATRICES) if key in section}
     if "input_box" in section or not preset:  # a preset's is optional
         lower, upper = _field(cfg, "model.input_box", _pair)
         with _at("model.input_box"):
@@ -147,7 +164,7 @@ def _build_model(cfg: dict) -> ParametricLti:
 def _build_predicates(cfg: dict, model: ParametricLti) -> dict:
     table = {}
     for name in _field(cfg, "predicates", _object, {}):
-        if not name.isidentifier():
+        if not name.isidentifier() or name in _RESERVED:
             # A formula cannot name it, and a dot would split its path.
             raise ConfigError("predicates", f"{name!r} is not a predicate name")
         path = f"predicates.{name}"
@@ -169,14 +186,6 @@ def _build_spec(cfg: dict, model: ParametricLti) -> VerificationSpec:
     text = _field(cfg, "formula", _text)
     with _at("formula"):
         formula = parse_stl(text, table)
-    _unread(cfg, "input_box", _INPUT_BOX)
-    _unread(cfg, "weights.mode", "not a config field; a node with an entry in "
-                                 "weights.weights takes it, every other node "
-                                 "uniform shares")
-    _unread(cfg, "gamma_form", "not a config field; the noise margin is "
-                               "sigma * Phi^-1(delta)")
-    _unread(cfg, "literal_shares", "not a config field; conjunct i may fail "
-                                   "with w_i times its parent's budget")
     with _at("weights.weights"):
         scheme = WeightScheme(_field(cfg, "weights.weights", _object, {}))
     # The fields are checked at their own paths before the spec is built.
@@ -247,52 +256,49 @@ def _build_table1(cfg: dict, d: int) -> SimpleNamespace:
 def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     """Check every config field, then build what all estimates share.
 
-    A malformed field raises ConfigError before any numeric work.  If
-    `restrict_region`, the search `region` shrinks to the hull of the cells
-    of `pwa.per_axis` that are not certified infeasible (see
-    `restrict_region`), or is kept and flagged `region_empty` if every cell
-    is; `cells` are then that restriction's, not classified again, also
-    under method mc, whose satisfaction then reads their labels.
+    A malformed field, or one that no setting reads, raises ConfigError
+    before any numeric work.  If `restrict_region`, the search `region`
+    shrinks to the hull of the cells of `pwa.per_axis` that are not
+    certified infeasible (see `restrict_region`), or is kept and flagged
+    `region_empty` if every cell is; `cells` are then that restriction's,
+    not classified again, also under method mc, whose satisfaction then
+    reads their labels.
     `mc_samples` None means pilot sizing, and only then is `pilot_samples`
     set; `cells` (None under method mc without the restriction), `data` and
     `table1` may be None.
     """
+    cfg = _Reads(cfg)
     model = _build_model(cfg)
     spec = _build_spec(cfg, model)
     prior = _build_prior(cfg, model.d)
-    method = (_METHODS(method) if method
-              else _field(cfg, "method", _METHODS, "mc"))
+    configured = _field(cfg, "method", _METHODS, "mc")  # also under --method
     problem = SimpleNamespace(
         seed=_field(cfg, "seed", _integer), model=model, spec=spec,
-        prior=prior, region=_build_region(cfg, prior), method=method,
+        prior=prior, region=_build_region(cfg, prior),
+        method=_METHODS(method) if method else configured,
         mc_samples=_field(cfg, "mc.samples", _count, None),
         epsilon=_field(cfg, "mc.epsilon", _positive, None),
-        floor=_field(cfg, "mc.floor", _fraction, None), pilot_samples=None,
+        floor=None, pilot_samples=None,
         per_cell_samples=_field(cfg, "pwa.per_cell_samples", _count, 500),
         posterior_samples=_field(cfg, "posterior_mc_samples", _count, 4096),
         contour_grid=_field(cfg, "contour_grid", _count, 61),
         data=_build_data(cfg, model.d) if "data" in cfg else None,
         table1=_build_table1(cfg, model.d) if "table1" in cfg else None)
-    if problem.floor is not None and (problem.mc_samples is not None
-                                      or problem.epsilon is None):
-        raise ConfigError("mc.floor", "only the pilot sizing reads it, and "
-                                      "that needs mc.epsilon and no mc.samples")
-    if problem.floor is None:
-        _unread(cfg, "mc.pilot_samples", "only the pilot sizing reads it, "
-                                         "and that needs mc.floor")
-        if problem.mc_samples is None:
-            problem.mc_samples = 10000
-    else:
+    if problem.mc_samples is None and problem.epsilon is not None:
+        problem.floor = _field(cfg, "mc.floor", _fraction, None)
+    if problem.floor is not None:  # pilot sizing
         problem.pilot_samples = _field(cfg, "mc.pilot_samples", _count, 2000)
+    elif problem.mc_samples is None:
+        problem.mc_samples = 10000
     per_axis = _field(cfg, "pwa.per_axis", _count, 5)
-    _unread(cfg, "restrict_grid", "not a config field; restrict_region "
-                                  "classifies the cells of pwa.per_axis")
+    restrict = _field(cfg, "restrict_region", _flag, False)
+    _reject_unread(cfg, cfg)
     restricted, cells = problem.region, None
-    if _field(cfg, "restrict_region", _flag, False):
+    if restrict:
         restricted, cells = restrict_region(spec, problem.region, per_axis)
     problem.region_empty = restricted is None
     problem.region = problem.region if restricted is None else restricted
-    if cells is None and method != "mc":
+    if cells is None and problem.method != "mc":
         cells = classify_cells(pwa_partition(problem.region, per_axis), spec)
     problem.cells = cells
     return problem

@@ -2,16 +2,18 @@
 
 Formulas are trees of immutable nodes over linear predicates.  Intervals on
 temporal operators are integer step counts.  Boolean satisfaction and
-quantitative robustness are pure functions of (trajectory, formula, time);
-the until operator requires its left operand on the closed prefix ``[t, t']``
-in both semantics, so the sign of a nonzero robustness always matches the
-Boolean verdict.
+quantitative robustness are one evaluator, `_evaluate`, run with two
+semantics; the until operator requires its left operand on the closed prefix
+``[t, t']`` in both, so the sign of a nonzero robustness always matches the
+Boolean verdict.  Every other walk of the tree goes through `_children` and
+`_rebuild`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Mapping, Union
 
 import numpy as np
@@ -30,8 +32,8 @@ class StlSyntaxError(StlError):
 
 
 @dataclass(frozen=True)
-class LinearPredicate:
-    """State predicate `offset + gradient . x >= 0`."""
+class _Affine:
+    """`offset + gradient . v >= 0`, its numbers kept as floats."""
 
     offset: float
     gradient: tuple
@@ -39,6 +41,11 @@ class LinearPredicate:
     def __post_init__(self):
         object.__setattr__(self, "offset", float(self.offset))
         object.__setattr__(self, "gradient", tuple(float(g) for g in self.gradient))
+
+
+@dataclass(frozen=True)
+class LinearPredicate(_Affine):
+    """State predicate `offset + gradient . x >= 0`."""
 
     @property
     def gradient_array(self) -> np.ndarray:
@@ -59,19 +66,12 @@ class LinearPredicate:
 
 
 @dataclass(frozen=True)
-class OutputPredicate:
+class OutputPredicate(_Affine):
     """Predicate `offset + gradient . y >= 0` on the model output y = C(theta) x.
 
     Becomes a state predicate only once C(theta) is known; `bind` performs the
     fold `gradient_x = C(theta)^T gradient_y`.
     """
-
-    offset: float
-    gradient: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "gradient", tuple(float(g) for g in self.gradient))
 
     def bind(self, c_matrix: np.ndarray) -> LinearPredicate:
         c = np.asarray(c_matrix, dtype=float)
@@ -127,50 +127,46 @@ class Or:
         return f"({self.left} | {self.right})"
 
 
-def _check_interval(a: int, b: int) -> None:
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise StlError("interval bounds must be integer step counts")
-    if a < 0 or b < 0:
-        raise StlError("interval bounds must be nonnegative")
-    if a > b:
-        raise StlError(f"invalid interval [{a},{b}]: lower bound exceeds upper")
+class _Window:
+    """Checks the step interval [a, b] of a temporal operator."""
+
+    def __post_init__(self):
+        a, b = self.a, self.b
+        if not (isinstance(a, int) and isinstance(b, int)):
+            raise StlError("interval bounds must be integer step counts")
+        if a < 0 or b < 0:
+            raise StlError("interval bounds must be nonnegative")
+        if a > b:
+            raise StlError(f"invalid interval [{a},{b}]: lower bound "
+                           "exceeds upper")
 
 
 @dataclass(frozen=True)
-class Until:
+class Until(_Window):
     left: "Formula"
     right: "Formula"
     a: int
     b: int
-
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
 
     def __str__(self):
         return f"({self.left} U[{self.a},{self.b}] {self.right})"
 
 
 @dataclass(frozen=True)
-class Eventually:
+class Eventually(_Window):
     child: "Formula"
     a: int
     b: int
-
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
 
     def __str__(self):
         return f"F[{self.a},{self.b}] {self.child}"
 
 
 @dataclass(frozen=True)
-class Always:
+class Always(_Window):
     child: "Formula"
     a: int
     b: int
-
-    def __post_init__(self):
-        _check_interval(self.a, self.b)
 
     def __str__(self):
         return f"G[{self.a},{self.b}] {self.child}"
@@ -181,19 +177,37 @@ Formula = Union[TrueNode, Pred, Not, And, Or, Until, Eventually, Always]
 TRUE = TrueNode()
 
 
+# The child fields of each node type, in order; `_children` and `_rebuild`
+# walk the tree through them, so a traversal names only the nodes it treats
+# specially.
+_CHILD_FIELDS = {TrueNode: (), Pred: (), Not: ("child",),
+                 And: ("left", "right"), Or: ("left", "right"),
+                 Until: ("left", "right"), Eventually: ("child",),
+                 Always: ("child",)}
+
+
+def _child_fields(f: Formula) -> tuple:
+    try:
+        return _CHILD_FIELDS[type(f)]
+    except KeyError:
+        raise StlError(f"unknown formula node {f!r}") from None
+
+
+def _children(f: Formula) -> tuple:
+    """The direct subformulas of `f`, in field order."""
+    return tuple(getattr(f, name) for name in _child_fields(f))
+
+
+def _rebuild(f: Formula, kids) -> Formula:
+    """`f` with its direct subformulas replaced by `kids`."""
+    kids = dict(zip(_child_fields(f), kids))
+    return replace(f, **kids) if kids else f
+
+
 def horizon(f: Formula) -> int:
     """Number of steps beyond t needed to decide satisfaction at t."""
-    if isinstance(f, (TrueNode, Pred)):
-        return 0
-    if isinstance(f, Not):
-        return horizon(f.child)
-    if isinstance(f, (And, Or)):
-        return max(horizon(f.left), horizon(f.right))
-    if isinstance(f, Until):
-        return f.b + max(horizon(f.left), horizon(f.right))
-    if isinstance(f, (Eventually, Always)):
-        return f.b + horizon(f.child)
-    raise StlError(f"unknown formula node {f!r}")
+    inner = max(map(horizon, _children(f)), default=0)
+    return inner + f.b if isinstance(f, (Until, Eventually, Always)) else inner
 
 
 def as_trajectory(xi) -> np.ndarray:
@@ -206,36 +220,37 @@ def as_trajectory(xi) -> np.ndarray:
     return arr
 
 
-def _require_length(xi: np.ndarray, f: Formula, t: int) -> None:
+def _require_length(states: int, f: Formula, t: int) -> None:
     need = t + horizon(f) + 1
-    if xi.shape[0] < need:
+    if states < need:
         raise StlError(
             f"trajectory too short: need at least {need} states to evaluate "
-            f"at t={t}, got {xi.shape[0]}"
+            f"at t={t}, got {states}"
         )
 
 
-def _pred_value(node: Pred, x: np.ndarray) -> float:
+def _state_predicate(node: Pred) -> LinearPredicate:
     if isinstance(node.predicate, OutputPredicate):
         raise StlError(
             f"predicate {node.name!r} is defined on the output; bind it to a "
             "model parameter before evaluating on state trajectories"
         )
-    return node.predicate.value(x)
+    return node.predicate
 
 
 def satisfies(xi, f: Formula, t: int = 0) -> bool:
     """Boolean satisfaction of `f` by trajectory `xi` at time `t`."""
     xi = as_trajectory(xi)
-    _require_length(xi, f, t)
+    _require_length(xi.shape[0], f, t)
     return _satisfies(xi, f, t)
 
 
 def _satisfies(xi: np.ndarray, f: Formula, t: int) -> bool:
+    """Scalar reference for `_evaluate` under `_BOOLEAN`."""
     if isinstance(f, TrueNode):
         return True
     if isinstance(f, Pred):
-        return _pred_value(f, xi[t]) >= 0.0
+        return _state_predicate(f).value(xi[t]) >= 0.0
     if isinstance(f, Not):
         return not _satisfies(xi, f.child, t)
     if isinstance(f, And):
@@ -256,37 +271,52 @@ def _satisfies(xi: np.ndarray, f: Formula, t: int) -> bool:
     raise StlError(f"unknown formula node {f!r}")
 
 
+# A semantics: (leaf map of the predicate values, and, or, not, value of
+# true).  The Boolean one is the robustness one with min/max/negation
+# replaced by and/or/not and each predicate value by its sign.
+_BOOLEAN = (lambda v: v >= 0.0, np.logical_and, np.logical_or,
+            np.logical_not, True)
+_ROBUSTNESS = (lambda v: v, np.minimum, np.maximum, np.negative, math.inf)
+
+
+def _evaluate(arr: np.ndarray, f: Formula, t: int, sem) -> np.ndarray:
+    """Value of `f` at time t for each trajectory of the (B, T, n) batch
+    `arr` under the semantics `sem`."""
+    leaf, and_, or_, not_, top = sem
+    if isinstance(f, TrueNode):
+        return np.full(arr.shape[0], top)
+    if isinstance(f, Pred):
+        p = _state_predicate(f)
+        return leaf(arr[:, t, :] @ p.gradient_array + p.offset)
+    if isinstance(f, Not):
+        return not_(_evaluate(arr, f.child, t, sem))
+    if isinstance(f, (And, Or)):
+        op = and_ if isinstance(f, And) else or_
+        return op(_evaluate(arr, f.left, t, sem),
+                  _evaluate(arr, f.right, t, sem))
+    if isinstance(f, Until):
+        # Some witness t+i in the window holds right, and left holds on the
+        # closed prefix [t, t+i].
+        out = np.full(arr.shape[0], not_(top))
+        prefix = np.full(arr.shape[0], top)
+        for i in range(0, f.b + 1):
+            prefix = and_(prefix, _evaluate(arr, f.left, t + i, sem))
+            if i >= f.a:
+                out = or_(out, and_(_evaluate(arr, f.right, t + i, sem),
+                                    prefix))
+        return out
+    if isinstance(f, (Eventually, Always)):
+        op = or_ if isinstance(f, Eventually) else and_
+        return reduce(op, (_evaluate(arr, f.child, t + i, sem)
+                           for i in range(f.a, f.b + 1)))
+    raise StlError(f"unknown formula node {f!r}")
+
+
 def robustness(xi, f: Formula, t: int = 0) -> float:
     """Quantitative robustness margin; positive implies satisfaction."""
     xi = as_trajectory(xi)
-    _require_length(xi, f, t)
-    return _robustness(xi, f, t)
-
-
-def _robustness(xi: np.ndarray, f: Formula, t: int) -> float:
-    if isinstance(f, TrueNode):
-        return math.inf
-    if isinstance(f, Pred):
-        return _pred_value(f, xi[t])
-    if isinstance(f, Not):
-        return -_robustness(xi, f.child, t)
-    if isinstance(f, And):
-        return min(_robustness(xi, f.left, t), _robustness(xi, f.right, t))
-    if isinstance(f, Or):
-        return max(_robustness(xi, f.left, t), _robustness(xi, f.right, t))
-    if isinstance(f, Until):
-        best = -math.inf
-        prefix = math.inf
-        for i in range(0, f.b + 1):
-            prefix = min(prefix, _robustness(xi, f.left, t + i))
-            if i >= f.a:
-                best = max(best, min(_robustness(xi, f.right, t + i), prefix))
-        return best
-    if isinstance(f, Eventually):
-        return max(_robustness(xi, f.child, t + i) for i in range(f.a, f.b + 1))
-    if isinstance(f, Always):
-        return min(_robustness(xi, f.child, t + i) for i in range(f.a, f.b + 1))
-    raise StlError(f"unknown formula node {f!r}")
+    _require_length(xi.shape[0], f, t)
+    return float(_evaluate(xi[None], f, t, _ROBUSTNESS)[0])
 
 
 def satisfies_batch(batch, f: Formula, t: int = 0) -> np.ndarray:
@@ -294,49 +324,8 @@ def satisfies_batch(batch, f: Formula, t: int = 0) -> np.ndarray:
     arr = np.asarray(batch, dtype=float)
     if arr.ndim != 3:
         raise StlError("batch must have shape (B, T, n)")
-    need = t + horizon(f) + 1
-    if arr.shape[1] < need:
-        raise StlError(
-            f"trajectory too short: need at least {need} states, got {arr.shape[1]}"
-        )
-    return _satisfies_batch(arr, f, t)
-
-
-def _satisfies_batch(arr: np.ndarray, f: Formula, t: int) -> np.ndarray:
-    if isinstance(f, TrueNode):
-        return np.ones(arr.shape[0], dtype=bool)
-    if isinstance(f, Pred):
-        if isinstance(f.predicate, OutputPredicate):
-            raise StlError(
-                f"predicate {f.name!r} is defined on the output; bind it first"
-            )
-        g = f.predicate.gradient_array
-        return arr[:, t, :] @ g + f.predicate.offset >= 0.0
-    if isinstance(f, Not):
-        return ~_satisfies_batch(arr, f.child, t)
-    if isinstance(f, And):
-        return _satisfies_batch(arr, f.left, t) & _satisfies_batch(arr, f.right, t)
-    if isinstance(f, Or):
-        return _satisfies_batch(arr, f.left, t) | _satisfies_batch(arr, f.right, t)
-    if isinstance(f, Until):
-        out = np.zeros(arr.shape[0], dtype=bool)
-        prefix = np.ones(arr.shape[0], dtype=bool)
-        for i in range(0, f.b + 1):
-            prefix &= _satisfies_batch(arr, f.left, t + i)
-            if i >= f.a:
-                out |= prefix & _satisfies_batch(arr, f.right, t + i)
-        return out
-    if isinstance(f, Eventually):
-        out = np.zeros(arr.shape[0], dtype=bool)
-        for i in range(f.a, f.b + 1):
-            out |= _satisfies_batch(arr, f.child, t + i)
-        return out
-    if isinstance(f, Always):
-        out = np.ones(arr.shape[0], dtype=bool)
-        for i in range(f.a, f.b + 1):
-            out &= _satisfies_batch(arr, f.child, t + i)
-        return out
-    raise StlError(f"unknown formula node {f!r}")
+    _require_length(arr.shape[1], f, t)
+    return _evaluate(arr, f, t, _BOOLEAN)
 
 
 # --- parser ---------------------------------------------------------------
@@ -402,10 +391,7 @@ class _Parser:
         a_tok = self.expect("INT", "integer lower bound")
         self.expect("COMMA", "','")
         b_tok = self.expect("INT", "integer upper bound")
-        close = self.peek()
-        if close[0] != "RBRACK":
-            raise StlSyntaxError("expected ']'", close[2])
-        self.advance()
+        self.expect("RBRACK", "']'")
         a, b = int(a_tok[1]), int(b_tok[1])
         if a > b:
             raise StlSyntaxError(f"invalid interval [{a},{b}]: a > b", a_tok[2])
@@ -467,26 +453,9 @@ def parse_stl(text: str, predicate_table: Mapping[str, Predicate]) -> Formula:
 
 def bind_formula(f: Formula, c_matrix: np.ndarray) -> Formula:
     """Fold every output-space predicate in the tree into state space."""
-    if isinstance(f, TrueNode):
-        return f
-    if isinstance(f, Pred):
-        if isinstance(f.predicate, OutputPredicate):
-            return Pred(f.name, f.predicate.bind(c_matrix))
-        return f
-    if isinstance(f, Not):
-        return Not(bind_formula(f.child, c_matrix))
-    if isinstance(f, And):
-        return And(bind_formula(f.left, c_matrix), bind_formula(f.right, c_matrix))
-    if isinstance(f, Or):
-        return Or(bind_formula(f.left, c_matrix), bind_formula(f.right, c_matrix))
-    if isinstance(f, Until):
-        return Until(bind_formula(f.left, c_matrix),
-                     bind_formula(f.right, c_matrix), f.a, f.b)
-    if isinstance(f, Eventually):
-        return Eventually(bind_formula(f.child, c_matrix), f.a, f.b)
-    if isinstance(f, Always):
-        return Always(bind_formula(f.child, c_matrix), f.a, f.b)
-    raise StlError(f"unknown formula node {f!r}")
+    if isinstance(f, Pred) and isinstance(f.predicate, OutputPredicate):
+        return Pred(f.name, f.predicate.bind(c_matrix))
+    return _rebuild(f, [bind_formula(g, c_matrix) for g in _children(f)])
 
 
 def to_nnf(f: Formula) -> Formula:
@@ -495,36 +464,23 @@ def to_nnf(f: Formula) -> Formula:
     Negated temporal operators rewrite through the eventually/always duality;
     a negated until has no positive counterpart in this fragment and raises.
     """
-    if isinstance(f, (TrueNode, Pred)):
+    if not isinstance(f, Not):
+        return _rebuild(f, [to_nnf(g) for g in _children(f)])
+    g = f.child
+    if isinstance(g, (TrueNode, Pred)):
         return f
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right), f.a, f.b)
-    if isinstance(f, Eventually):
-        return Eventually(to_nnf(f.child), f.a, f.b)
-    if isinstance(f, Always):
-        return Always(to_nnf(f.child), f.a, f.b)
-    if isinstance(f, Not):
-        g = f.child
-        if isinstance(g, TrueNode):
-            return Not(g)
-        if isinstance(g, Pred):
-            return Not(g)
-        if isinstance(g, Not):
-            return to_nnf(g.child)
-        if isinstance(g, And):
-            return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Or):
-            return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Eventually):
-            return Always(to_nnf(Not(g.child)), g.a, g.b)
-        if isinstance(g, Always):
-            return Eventually(to_nnf(Not(g.child)), g.a, g.b)
-        if isinstance(g, Until):
-            raise StlError(
-                "negated until has no negation-normal form in this fragment"
-            )
-    raise StlError(f"unknown formula node {f!r}")
+    if isinstance(g, Not):
+        return to_nnf(g.child)
+    if isinstance(g, And):
+        return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
+    if isinstance(g, Or):
+        return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
+    if isinstance(g, Eventually):
+        return Always(to_nnf(Not(g.child)), g.a, g.b)
+    if isinstance(g, Always):
+        return Eventually(to_nnf(Not(g.child)), g.a, g.b)
+    if isinstance(g, Until):
+        raise StlError(
+            "negated until has no negation-normal form in this fragment"
+        )
+    raise StlError(f"unknown formula node {g!r}")

@@ -658,6 +658,20 @@ CONFIG_ERRORS = [
     ("verify", ("formula", "delta", "gamma_form"), ("mu1", 0.6,
                                                     "variance_literal"),
      "gamma_form"),
+    # Fields that the fields beside them leave unread: a misspelt key, a
+    # matrix beside a preset, a std for a uniform input, a second gradient.
+    ("verify", "mc", {"sample": 100}, "mc.sample"),
+    ("verify", "model.B", [[1.0], [0.0]], "model.B"),
+    ("verify", "data.input", {"kind": "uniform", "std": 2.0},
+     "data.input.std"),
+    ("verify", "predicates.mu1", {"offset": 0.5, "output_gradient": [1.0],
+                                  "state_gradient": [1.0, 0.0]},
+     "predicates.mu1.state_gradient"),
+    # A predicate named by a word of the grammar, which would shadow it.
+    ("verify", "predicates.T", {"offset": 0.5, "output_gradient": [1.0]},
+     "predicates"),
+    # A weight vector at a path that names no decomposition node.
+    ("verify", "weights", {"weights": {"c7/zz": [1.0]}}, "weights.weights"),
 ]
 
 

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
-from stlbayes.chance import AT_LEAST, AT_MOST
+from stlbayes.chance import AT_LEAST, AT_MOST, WeightError
 from stlbayes.lti import simulate_states_batch
 from stlbayes.rng import RngStream
 
@@ -254,6 +254,13 @@ class TestDecompose:
         with pytest.raises(ValueError, match="nonnegative"):
             sb.decompose(f, 0.1,
                          sb.WeightScheme({"": [1.5, -0.5]}))
+
+    def test_weight_key_naming_no_node(self):
+        # The and at the root is the only weighted node; a key for any other
+        # path would be silently dropped.
+        f = sb.And(_pred("mu1"), _pred("mu2"))
+        with pytest.raises(WeightError, match="'c7/zz' names no"):
+            sb.decompose(f, 0.1, sb.WeightScheme({"c7/zz": [1.0]}))
 
     def test_delta_validation(self):
         for bad in (0.0, 1.0, -0.5, 2.0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
-from stlbayes.stl import TRUE, StlSyntaxError
+from stlbayes.stl import TRUE, StlSyntaxError, _children, _rebuild
 
 from conftest import case_predicates, random_formula
 
@@ -239,3 +239,32 @@ class TestNnfAndBinding:
         # y = 2 x1; state [0.3, 9.9] gives y = 0.6, inside [-0.5, 0.5] fails
         assert not sb.satisfies(np.array([[0.3, 9.9]] * 2), bound, 0)
         assert sb.satisfies(np.array([[0.1, 9.9]] * 2), bound, 0)
+
+
+class _Foreign:
+    """A node type outside the formula tree."""
+
+
+@pytest.mark.parametrize("formula", [
+    _Foreign(), sb.And(sb.Pred("p", P1), _Foreign()), sb.Not(_Foreign())],
+    ids=["bare", "under-and", "under-not"])
+@pytest.mark.parametrize("call", [
+    sb.horizon, sb.to_nnf, lambda f: sb.bind_formula(f, np.eye(1)),
+    lambda f: sb.robustness(np.zeros((3, 1)), f),
+    lambda f: sb.satisfies(np.zeros((3, 1)), f),
+    lambda f: sb.satisfies_batch(np.zeros((2, 3, 1)), f)],
+    ids=["horizon", "to_nnf", "bind_formula", "robustness", "satisfies",
+         "satisfies_batch"])
+def test_foreign_node_raises(formula, call):
+    with pytest.raises(sb.StlError, match="unknown formula node"):
+        call(formula)
+
+
+def test_rebuild_from_children_is_identity():
+    gen = np.random.default_rng(71)
+    for _ in range(200):
+        stack = [random_formula(gen, depth=4)]
+        while stack:  # every subformula, not just the root
+            f = stack.pop()
+            assert _rebuild(f, _children(f)) == f
+            stack.extend(_children(f))
