@@ -15,7 +15,6 @@ config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -37,7 +36,13 @@ from .feasibility import (
 )
 from .lti import Box, InputSampler, ParametricLti, collect_data, laguerre_model
 from .rng import RngStream
-from .stl import OutputPredicate, LinearPredicate, StlError, parse_stl
+from .stl import (
+    GRAMMAR_WORDS,
+    LinearPredicate,
+    OutputPredicate,
+    StlError,
+    parse_stl,
+)
 
 
 class ConfigError(ValueError):
@@ -134,7 +139,6 @@ def _reject_unread(cfg: _Reads, node: dict, prefix: str = "") -> None:
 
 _MATRICES = ("A", "B", "G", "C0", "C_basis", "Sigma_w", "Sigma_e")
 _OVERRIDES = ("Sigma_w", "Sigma_e", "G")  # a preset's, besides input_box
-_RESERVED = ("T", "F", "G", "U")  # words of the formula grammar
 
 
 def _build_model(cfg: dict) -> ParametricLti:
@@ -164,7 +168,7 @@ def _build_model(cfg: dict) -> ParametricLti:
 def _build_predicates(cfg: dict, model: ParametricLti) -> dict:
     table = {}
     for name in _field(cfg, "predicates", _object, {}):
-        if not name.isidentifier() or name in _RESERVED:
+        if not name.isidentifier() or name in GRAMMAR_WORDS:
             # A formula cannot name it, and a dot would split its path.
             raise ConfigError("predicates", f"{name!r} is not a predicate name")
         path = f"predicates.{name}"
@@ -342,14 +346,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
+def _write_csv(path: Path, header: list, columns) -> None:
     # Every field is a header, a label or a repr'd float, none of which the
     # csv module would quote, so each line is the fields joined by "," and
-    # ended by "\r\n", the bytes csv.writer gives.  Lines are streamed, so
-    # the file is never held whole in memory.
+    # ended by "\r\n", the bytes csv.writer gives.  Lines are streamed from
+    # the equal-length `columns`, so the file is never held whole in memory.
     with path.open("w", newline="") as fh:
-        fh.writelines(",".join(row) + "\r\n"
-                      for row in itertools.chain([header], rows))
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line + "\r\n" for line in map(",".join, zip(*columns)))
 
 
 def _reprs(values: np.ndarray) -> list:
@@ -370,19 +374,17 @@ def _write_contour(path: Path, post, region: Box, grid: int) -> None:
     xs = np.linspace(region.lower[0], region.upper[0], grid)
     ys = np.linspace(region.lower[1], region.upper[1], grid)
     points = np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
-    density = _reprs(post.density(points))
-    axes = itertools.product(_reprs(xs), _reprs(ys))
     _write_csv(path, ["theta_1", "theta_2", "density"],
-               ((x, y, z) for (x, y), z in zip(axes, density)))
+               _reprs(np.vstack([points.T, post.density(points)])))
 
 
 def _write_cells(path: Path, cells: Cells) -> None:
     d = cells.lower.shape[1]
     header = ([f"theta_lo_{i+1}" for i in range(d)]
               + [f"theta_hi_{i+1}" for i in range(d)] + ["label"])
-    bounds = _reprs(np.hstack([cells.lower, cells.upper]))
-    _write_csv(path, header, ([*row, label] for row, label
-                              in zip(bounds, cells.label.tolist())))
+    _write_csv(path, header, [*_reprs(np.vstack([cells.lower.T,
+                                                  cells.upper.T])),
+                              cells.label.tolist()])
 
 
 def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
@@ -450,7 +452,7 @@ def cmd_table1(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
             record += [repr(row[name]["mean"]), repr(row[name]["variance"])]
         rows.append(row)
         records.append(record)
-    _write_csv(out_dir / "table1.csv", header, records)
+    _write_csv(out_dir / "table1.csv", header, zip(*records))
 
     report = {"command": "table1", "config": cfg, "results": {"rows": rows}}
     _write_json(out_dir / "report.json", report)
@@ -458,11 +460,17 @@ def cmd_table1(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
 
 
 def cmd_simulate(cfg: dict, out_dir: Path) -> dict:
-    """Collect one dataset and write it as CSV and JSON."""
-    seed = _field(cfg, "seed", _integer)
-    model = _build_model(cfg)
-    x0 = _field(cfg, "x0", _vector(model.n), [0.0] * model.n)
-    data = _build_data(cfg, model.d)
+    """Collect one dataset and write it as CSV and JSON.
+
+    Only the sections it reads, `seed`, `model`, `x0` and `data`, are
+    checked for unread fields, so a verify config serves as it is."""
+    reads = _Reads(cfg)
+    seed = _field(reads, "seed", _integer)
+    model = _build_model(reads)
+    x0 = _field(reads, "x0", _vector(model.n), [0.0] * model.n)
+    data = _build_data(reads, model.d)
+    _reject_unread(reads, {key: value for key, value in cfg.items()
+                           if key in ("seed", "model", "x0", "data")})
     dataset = collect_data(model, data.theta_true, data.sampler, data.n_exp,
                            x0, RngStream(seed).child("data"))
     dataset.to_csv(out_dir / "dataset.csv")

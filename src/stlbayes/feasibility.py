@@ -227,8 +227,10 @@ class _LeafGeometry:
     a_t = A^t x0, W = [A^{t-1} B, ..., A B, B], sigma^2 = tilde' V tilde and V
     the noise Gram matrix at the leaf's time.  Its margin adds the worst
     case of f.u over the model's input box, whose stacked bounds it keeps.
+    a_t, W, V and the stacked bounds depend on the time alone (`_time_terms`).
     """
 
+    time: int
     offset: float
     v0: np.ndarray
     J: np.ndarray
@@ -257,14 +259,35 @@ class _LeafGeometry:
         """The noise margin for each row tilde of `tl`."""
         return self.noise_coeff * self.sigma(tl)
 
+    def terms(self, tl: np.ndarray) -> tuple:
+        """(mean, worst-case input term, noise margin) for each row tilde of
+        `tl`; the margin is their sum, taken left to right."""
+        return (self.mean(tl), _input_min(tl @ self.W, self.lo_stack,
+                                          self.hi_stack), self.noise(tl))
+
     def margins(self, thetas) -> np.ndarray:
-        tl = self.gradients(thetas)
-        return (self.mean(tl) + _input_min(tl @ self.W, self.lo_stack,
-                                           self.hi_stack) + self.noise(tl))
+        mean, worst, noise = self.terms(self.gradients(thetas))
+        return mean + worst + noise
+
+
+def _time_terms(model: ParametricLti, x0, t: int) -> dict:
+    """The `_LeafGeometry` fields that depend on the leaf's time alone:
+    a_t, W, V and the stacked input bounds."""
+    a_t = (np.linalg.matrix_power(model.A, t)
+           @ np.asarray(x0, dtype=float).reshape(-1))
+    W = np.zeros((model.n, model.m * t))
+    Ak = np.eye(model.n)
+    for k in range(t - 1, -1, -1):
+        W[:, k * model.m:(k + 1) * model.m] = Ak @ model.B
+        Ak = model.A @ Ak
+    lo, hi = model.input_box.stacked(t)
+    return dict(a_t=a_t, W=W, V=noise_gram(model, t), lo_stack=lo,
+                hi_stack=hi)
 
 
 def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti,
-                   x0) -> _LeafGeometry:
+                   at_time: dict) -> _LeafGeometry:
+    """The leaf's geometry, given `_time_terms` at its time."""
     pred = leaf.predicate
     threshold = leaf.threshold
     sign = 1.0
@@ -286,19 +309,8 @@ def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti,
                 f"predicate {leaf.label!r} has gradient length {v0.size}, "
                 f"expected the state dimension {n}")
         J = np.zeros((n, d))
-
-    t = leaf.time
-    a_t = np.linalg.matrix_power(model.A, t) @ np.asarray(x0, dtype=float).reshape(-1)
-    W = np.zeros((n, model.m * t))
-    Ak = np.eye(n)
-    for k in range(t - 1, -1, -1):
-        W[:, k * model.m:(k + 1) * model.m] = Ak @ model.B
-        Ak = model.A @ Ak
-    lo, hi = model.input_box.stacked(t)
-    return _LeafGeometry(offset=sign * pred.offset, v0=v0, J=J, a_t=a_t, W=W,
-                         V=noise_gram(model, t),
-                         noise_coeff=gaussian_quantile(delta),
-                         lo_stack=lo, hi_stack=hi)
+    return _LeafGeometry(time=leaf.time, offset=sign * pred.offset, v0=v0,
+                         J=J, noise_coeff=gaussian_quantile(delta), **at_time)
 
 
 def to_affine(leaf: ChanceConstraint, model: ParametricLti,
@@ -316,7 +328,7 @@ def to_affine(leaf: ChanceConstraint, model: ParametricLti,
         raise StlError(
             "bind output predicates to a model parameter before the affine "
             "reduction")
-    g = _leaf_geometry(leaf, model, x0)
+    g = _leaf_geometry(leaf, model, _time_terms(model, x0, leaf.time))
     tl = g.v0[None]  # J = 0 for a state predicate
     return AffineInputConstraint(f=(tl @ g.W)[0],
                                  b=(g.mean(tl) + g.noise(tl))[0],
@@ -345,8 +357,16 @@ class VerificationSpec:
             raise ValueError(f"x0 must have length {model.n}")
         self.decomposition: DecompositionResult = decompose(
             formula, self.delta, self.weights)
-        self._geometry = [_leaf_geometry(leaf, model, self.x0)
-                          for leaf in self.decomposition.all_leaves()]
+        leaves = self.decomposition.all_leaves()
+        # One set of time terms per distinct leaf time, for this spec only.
+        at_time = {t: _time_terms(model, self.x0, t)
+                   for t in {leaf.time for leaf in leaves}}
+        self._geometry = [_leaf_geometry(leaf, model, at_time[leaf.time])
+                          for leaf in leaves]
+        # The evaluation order: the latest leaf time first, ties kept in
+        # decomposition order.  The indicator is a conjunction and the cell
+        # label does not depend on the order, so only the work does.
+        self._evaluation = sorted(self._geometry, key=lambda g: -g.time)
 
     @property
     def horizon(self) -> int:
@@ -367,8 +387,9 @@ class VerificationSpec:
 
     def satisfaction_batch(self, thetas,
                            cells: Optional[Cells] = None) -> np.ndarray:
-        """Vectorized satisfaction map over rows of `thetas`: each leaf sees
-        only the rows that every earlier leaf admitted.
+        """Vectorized satisfaction map over rows of `thetas`: the leaves
+        run in evaluation order, latest time first, and each sees only the
+        rows that every leaf before it admitted.
 
         With `cells` labelled by `classify_cells` for this spec, a row in a
         certified cell takes its label and only the rest reach the leaves.
@@ -383,7 +404,7 @@ class VerificationSpec:
             code = cells.label_codes(thetas)
             ok = (code == 1).astype(np.uint8)
             rows = np.flatnonzero(code < 0)
-        for g in self._geometry:
+        for g in self._evaluation:
             if rows.size == 0:
                 break
             rows = rows[g.margins(thetas[rows]) >= -FEAS_TOL]
@@ -417,16 +438,29 @@ def pwa_partition(region: Box, per_axis: int) -> Cells:
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M @ x[c] for every row c of x (M one matrix or C of them), rounded as
     each one-row product is, so labels do not depend on batching."""
-    return (M @ x[..., None])[..., 0]
+    return np.einsum("...ij,...j->...i", M, x)
 
 
-def _cell_arrays(lower: np.ndarray, upper: np.ndarray):
-    """Centers (C, d) and vertices (C, 2^d, d) of boxes."""
-    d = lower.shape[1]
+def _distinct_vertices(lower: np.ndarray, upper: np.ndarray):
+    """The distinct vertices of boxes, (P, d), and the index of each box's
+    vertices among them, (C, 2^d), the last coordinate's bit fastest.
+
+    A coordinate is coded by its rank among the bounds on its axis; a
+    vertex's code is built one axis at a time and renumbered densely after
+    each, so it stays below the number of vertex rows."""
+    C, d = lower.shape
+    code = np.zeros((C, 1), dtype=np.intp)
+    first = np.zeros(1, dtype=np.intp)  # d = 0: one vertex, shared
+    for lo, hi in zip(lower.T, upper.T):
+        rank = np.unique(np.concatenate([lo, hi]), return_inverse=True)[1]
+        code = code[:, :, None] * (2 * C) + rank.reshape(2, C).T[:, None, :]
+        _, first, code = np.unique(code.reshape(C, -1), return_index=True,
+                                   return_inverse=True)
     upper_bit = np.array(list(itertools.product((False, True), repeat=d)),
                          dtype=bool).reshape(2 ** d, d)
-    return (0.5 * (lower + upper),
-            np.where(upper_bit, upper[:, None], lower[:, None]))
+    cell, corner = np.divmod(first, 2 ** d)
+    points = np.where(upper_bit[corner], upper[cell], lower[cell])
+    return points, code.reshape(C, 2 ** d)
 
 
 def pwa_classify(cell: Box, spec: VerificationSpec) -> str:
@@ -451,44 +485,53 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     convex, greatest at a vertex.  A cell is infeasible if some leaf's upper
     bound is below zero at every vertex, else feasible if every leaf's lower
     bound is nonnegative at every vertex, else unknown; for q <= 0 the
-    vertex test is exact.  The leaves are taken in turn, each in one array
-    pass over the cells that no earlier leaf has certified infeasible: such
-    a cell's label is settled.  The upper bound is never below the lower
-    one, so the label does not depend on the order of the leaves.
+    vertex test is exact.  The upper bound is never below the lower one, so
+    the label does not depend on the order of the leaves.
+
+    The leaves are taken in the spec's evaluation order, latest time first,
+    each in one array pass over the cells that no earlier leaf has
+    certified infeasible: such a cell's label is settled.  Each pass
+    evaluates the terms that depend on the vertex alone (the exact margin,
+    as `margins` gives it, among them) once per distinct vertex of those
+    cells, and gathers them per cell.  The held input branch and the tangent
+    are linear in tilde, so each is one n-vector per cell, and each bound at
+    a vertex is a vertex term plus one dot product.
     """
     if len(cells) == 0:
         return cells
-    centers, verts = _cell_arrays(cells.lower, cells.upper)
-    d = centers.shape[1]
+    centers = cells.center
+    points, vertex = _distinct_vertices(cells.lower, cells.upper)
     active = np.arange(len(cells))  # cells not yet certified infeasible
     feasible = np.ones(len(cells), bool)  # over the active cells
-    for g in spec._geometry:
-        shape = verts.shape[:2]  # (cell, vertex)
-        tl_v = g.gradients(verts.reshape(-1, d))
+    for g in spec._evaluation:
+        tl = g.gradients(points)
+        mean, worst, noise = g.terms(tl)
         tl_c = g.v0 + _mv(g.J, centers)
-        base = g.mean(tl_v).reshape(shape)
-        f_v = tl_v @ g.W
-        input_min = _input_min(f_v, g.lo_stack, g.hi_stack).reshape(shape)
         # The center's worst-case input branch, held fixed: affine, >= min.
         branch = np.where(_mv(g.W.T, tl_c) >= 0.0, g.lo_stack, g.hi_stack)
-        input_ub = _mv(f_v.reshape(*shape, -1), branch)
-        sigma_v = g.sigma(tl_v).reshape(shape)
+        held = _mv(g.W, branch)
         vc = _mv(g.V, tl_c)
         sigma_c = np.sqrt(np.maximum(_mv(tl_c[:, None, :], vc)[:, 0], 0.0))
-        tangent_v = np.divide(_mv(tl_v.reshape(*shape, -1), vc),
-                              sigma_c[:, None], out=np.zeros(shape),
-                              where=sigma_c[:, None] > 0.0)
-        q = g.noise_coeff
-        below, above = ((sigma_v, tangent_v) if q <= 0.0
-                        else (tangent_v, sigma_v))
-        feasible &= (base + input_min + q * below).min(axis=1) >= -FEAS_TOL
-        upper = base + input_ub + q * above
+        tangent = np.divide(g.noise_coeff * vc, sigma_c[:, None],
+                            out=np.zeros_like(vc),
+                            where=sigma_c[:, None] > 0.0)
+        tl_v = tl[vertex]  # (cell, vertex, n)
+        if g.noise_coeff <= 0.0:
+            lower = (mean + worst + noise)[vertex]
+            upper = mean[vertex] + _mv(tl_v, held + tangent)
+        else:
+            lower = (mean + worst)[vertex] + _mv(tl_v, tangent)
+            upper = (mean + noise)[vertex] + _mv(tl_v, held)
+        feasible &= lower.min(axis=1) >= -FEAS_TOL
         keep = ~(upper.max(axis=1) < -FEAS_TOL)  # not certified infeasible
         if not keep.all():
             active, feasible = active[keep], feasible[keep]
-            centers, verts = centers[keep], verts[keep]
+            centers, vertex = centers[keep], vertex[keep]
             if active.size == 0:
                 break
+            used = np.zeros(len(points), bool)
+            used[vertex] = True
+            points, vertex = points[used], (np.cumsum(used) - 1)[vertex]
     label = np.full(len(cells), INFEASIBLE_LABEL)
     label[active] = np.where(feasible, FEASIBLE, UNKNOWN)
     return Cells(cells.lower, cells.upper, label)
@@ -510,6 +553,10 @@ def restrict_region(spec: VerificationSpec, region: Box,
     Returns the restricted box and its labelled cells, which partition it;
     if every cell is certified infeasible, None and the first pass's cells,
     which partition `region`.
+
+    The result is a fixed point only up to that tolerance, 1% of the span
+    of the region given: a second call on the result takes 1% of the
+    smaller span, so it may shrink the box further.
     """
     tol = 1e-2 * (region.upper - region.lower)
     first = cells = classify_cells(pwa_partition(region, per_axis), spec)

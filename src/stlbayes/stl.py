@@ -440,9 +440,19 @@ class _Parser:
         raise StlSyntaxError("expected a formula", pos)
 
 
+# Words of the grammar, which no predicate may be named.
+GRAMMAR_WORDS = ("T", "F", "G", "U")
+
+
 def parse_stl(text: str, predicate_table: Mapping[str, Predicate]) -> Formula:
     """Parse the grammar `T | name | !f | (f & f) | (f | f) | (f U[a,b] f)
-    | F[a,b] f | G[a,b] f` against a table of named predicates."""
+    | F[a,b] f | G[a,b] f` against a table of named predicates.  A table
+    that names a word of the grammar raises StlError: the word would
+    shadow the predicate."""
+    for word in GRAMMAR_WORDS:
+        if word in predicate_table:
+            raise StlError(f"predicate name {word!r} is a word of the "
+                           f"formula grammar")
     parser = _Parser(text, predicate_table)
     node = parser.parse_formula()
     kind, _, pos = parser.peek()

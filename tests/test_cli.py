@@ -293,6 +293,13 @@ class TestSimulate:
             (out2 / "dataset.csv").read_bytes()
         assert (out1 / "dataset.json").exists()
 
+    def test_sections_it_does_not_read_are_not_checked(self, tmp_path):
+        # A misspelt field is rejected only in the sections simulate reads
+        # (CONFIG_ERRORS); a verify or table1 section is left to verify.
+        cfg = dict(BASE_CONFIG, table1=TABLE1, mc={"sample": 100})
+        path = write_config(tmp_path, cfg)
+        assert run(["simulate", "--config", path, "--out", tmp_path / "o"]) == 0
+
     def test_zero_measurements_rejected(self, tmp_path, capsys):
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["data"]["n_exp"] = 0
@@ -653,6 +660,14 @@ CONFIG_ERRORS = [
      "data.input"),
     ("simulate", "data.input", {"kind": "gaussian", "std": -1.0},
      "data.input"),
+    # Fields that simulate does not read in the sections it reads: a
+    # misspelt key, a matrix beside a preset, a std for a uniform input.
+    ("simulate", "data.input", {"kind": "uniform", "hihg": 5.0},
+     "data.input.hihg"),
+    ("simulate", "data.theta", [0.3, 0.3], "data.theta"),
+    ("simulate", "model.B", [[1.0], [0.0]], "model.B"),
+    ("simulate", "data.input", {"kind": "uniform", "std": 2.0},
+     "data.input.std"),
     # A removed field beside a one-leaf formula whose delta, 0.6, is in
     # range for the margin.
     ("verify", ("formula", "delta", "gamma_form"), ("mu1", 0.6,

@@ -175,28 +175,64 @@ class TestSatisfactionFn:
         _assert_rowwise_satisfaction(
             case_spec, np.random.default_rng(14).uniform(-3.5, 3.5, (500, 2)))
 
-    @pytest.mark.parametrize("low", [1.5, 0.6])
-    def test_leaves_see_only_rows_still_satisfied(self, low, safety_spec,
+    def test_time_terms_once_per_distinct_time(self, case_model,
+                                               case_formula, monkeypatch):
+        # The until spec has 30 leaves at 5 distinct times.  Leaves at one
+        # time share their time terms within a spec, never across specs.
+        times = []
+        original = sb.feasibility.noise_gram
+        monkeypatch.setattr(sb.feasibility, "noise_gram",
+                            lambda model, t: times.append(t)
+                            or original(model, t))
+        spec = sb.VerificationSpec(case_model, case_formula, 0.01)
+        assert len(spec.leaves()) == 30
+        assert sorted(times) == [0, 1, 2, 3, 4]
+        again = sb.VerificationSpec(case_model, case_formula, 0.01)
+        assert len(times) == 10
+        first = {g.time: g for g in spec._geometry}
+        assert all(g.W is first[g.time].W and g.V is first[g.time].V
+                   for g in spec._geometry)
+        assert all(g.W is not first[g.time].W for g in again._geometry)
+
+    def test_evaluation_order(self, safety_spec, case_spec):
+        # Every leaf once, the latest time first, ties in decomposition
+        # order; the report's per-leaf order is left as it is.
+        for spec in (safety_spec, case_spec):
+            position = {id(g): i for i, g in enumerate(spec._geometry)}
+            keys = [(-g.time, position[id(g)]) for g in spec._evaluation]
+            assert sorted(keys) == keys
+            assert sorted(position[id(g)] for g in spec._evaluation) == \
+                list(range(len(spec.leaves())))
+            assert [g.time for g in spec._geometry] == \
+                [leaf.time for leaf in spec.leaves()]
+
+    @pytest.mark.parametrize("radius", [0.05, 0.1])
+    def test_leaves_see_only_rows_still_satisfied(self, radius, case_spec,
                                                   monkeypatch):
-        # On [1.5, 2]^2 the third leaf rejects the whole batch; on [0.6, 2]^2
-        # it rejects all but a few rows, which a later leaf rejects.  Each
-        # leaf sees the rows that all earlier leaves admitted, and no leaf
-        # is evaluated once none is left.
-        thetas = np.random.default_rng(15).uniform(low, 2.0, size=(50, 2))
-        passed = np.cumprod([safety_spec.leaf_margins(t) >= -FEAS_TOL
+        # On [-radius, radius]^2 the until spec's first leaf in evaluation
+        # order admits some rows, and the seventh rejects all that the
+        # first six admitted.  Each leaf sees the rows that all leaves
+        # before it admitted, and no leaf is evaluated once none is left.
+        thetas = np.random.default_rng(15).uniform(-radius, radius,
+                                                   size=(50, 2))
+        passed = np.cumprod([[g.margins(t)[0] >= -FEAS_TOL
+                              for g in case_spec._evaluation]
                              for t in thetas], axis=1).sum(axis=0)
         last = int(np.argmin(passed))  # the first leaf that no row survives
-        assert passed[last] == 0 and 0 < last < len(safety_spec.leaves()) - 1
+        assert passed[last] == 0 and passed[0] > 0
+        assert 2 <= last < len(case_spec.leaves()) - 1
         seen = _rows_seen(monkeypatch, "margins")
-        sat = safety_spec.satisfaction_batch(thetas)
+        sat = case_spec.satisfaction_batch(thetas)
         assert sat.dtype == np.uint8 and not sat.any()
         assert seen == [len(thetas), *passed[:last].tolist()]
 
-    @pytest.mark.parametrize("which, bound", [("safety", 5.0), ("case", 4.0)])
+    @pytest.mark.parametrize("which, bound", [("safety", 2.0), ("case", 1.1)])
     def test_rows_evaluated_per_theta(self, which, bound, safety_spec,
                                       case_spec, safety_region, monkeypatch):
         # Evaluating each leaf on the whole batch, until no row is left,
-        # takes 8 rows per theta on the safety spec and 13 on the until spec.
+        # takes 8 rows per theta on the safety spec and 13 on the until spec;
+        # leaves in decomposition order, each on the rows still satisfied,
+        # took 3.78 and 3.04.  The latest leaves, run first, reject most.
         spec, region = ((safety_spec, safety_region) if which == "safety"
                         else (case_spec, CASE_REGION))
         n = 20_000
@@ -443,7 +479,49 @@ def _certified_sat(spec, cells, label, per_cell, gen):
         pts.shape[:2])
 
 
+def _reference_labels(cells, spec):
+    """The labels by the bounds' definition, taken with plain products:
+    every leaf in decomposition order on all 2^d vertices of every cell,
+    with no active set and no vertex shared between cells."""
+    verts = _vertices(cells.lower, cells.upper)  # (cell, vertex, d)
+    feasible = np.ones(len(cells), bool)
+    infeasible = np.zeros(len(cells), bool)
+    for g in spec._geometry:
+        tl = g.v0 + verts @ g.J.T  # (cell, vertex, n)
+        tl_c = g.v0 + cells.center @ g.J.T
+        f = tl @ g.W
+        mean = g.offset + tl @ g.a_t
+        worst = np.minimum(f * g.lo_stack, f * g.hi_stack).sum(axis=-1)
+        sigma = np.sqrt(np.clip(((tl @ g.V) * tl).sum(axis=-1), 0.0, None))
+        branch = np.where(tl_c @ g.W >= 0.0, g.lo_stack, g.hi_stack)
+        held = (f * branch[:, None]).sum(axis=-1)
+        vc = tl_c @ g.V
+        sigma_c = np.sqrt(np.clip((tl_c * vc).sum(axis=-1), 0.0, None))
+        tangent = np.divide((tl * vc[:, None]).sum(axis=-1), sigma_c[:, None],
+                            out=np.zeros(held.shape),
+                            where=sigma_c[:, None] > 0.0)
+        below, above = ((sigma, tangent) if g.noise_coeff <= 0.0
+                        else (tangent, sigma))
+        lower = mean + worst + g.noise_coeff * below
+        upper = mean + held + g.noise_coeff * above
+        feasible &= lower.min(axis=1) >= -FEAS_TOL
+        infeasible |= upper.max(axis=1) < -FEAS_TOL
+    return np.where(infeasible, INFEASIBLE_LABEL,
+                    np.where(feasible, FEASIBLE, UNKNOWN))
+
+
 class TestPwaClassify:
+    @pytest.mark.parametrize("which", ["safety", "case", "until", "or",
+                                       "positive-q"], ids="{}-stddev".format)
+    def test_labels_match_the_reference(self, which, classify_specs):
+        # The evaluation order, the active set and the shared vertices
+        # change only the work: the labels are those of the definition.
+        spec, region = classify_specs[which]
+        for per_axis in (16, 64):
+            cells = sb.pwa_partition(region, per_axis)
+            assert np.array_equal(sb.classify_cells(cells, spec).label,
+                                  _reference_labels(cells, spec))
+
     def test_feasible_cells_are_sound(self, classify_specs):
         gen = np.random.default_rng(10)
         for name, (spec, region) in classify_specs.items():
@@ -527,11 +605,43 @@ class TestPwaClassify:
     def test_vertex_rows_evaluated(self, safety_spec, safety_region,
                                    monkeypatch):
         # Carrying every cell through every leaf would pass each leaf the
-        # 4 vertices of all 4096 cells.
+        # 4 vertices of all 4096 cells, 131 072 rows; the 4 vertices of the
+        # cells not yet certified infeasible took 63 048.  Each leaf now
+        # sees each distinct vertex of those cells once: the first all
+        # 65^2 of the grid, the later ones far fewer.
         cells = sb.pwa_partition(safety_region, 64)
         seen = _rows_seen(monkeypatch, "gradients")
         sb.classify_cells(cells, safety_spec)
-        assert sum(seen) <= 0.6 * len(safety_spec.leaves()) * 4 * len(cells)
+        assert seen[0] == 65 ** 2
+        assert sum(seen) <= 2 * 65 ** 2
+
+    @pytest.mark.parametrize("case", ["grid", "permuted", "one-cell",
+                                      "random", "point-cells", "d=3"])
+    def test_distinct_vertices(self, case):
+        gen = np.random.default_rng(19)
+        region = sb.Box([-2.0, -1.0], [2.0, 3.0])
+        cells = sb.pwa_partition(region, 16)
+        lower, upper = cells.lower, cells.upper
+        if case == "permuted":
+            order = gen.permutation(len(cells))
+            lower, upper = lower[order], upper[order]
+        elif case == "one-cell":
+            lower, upper = lower[5:6], upper[5:6]
+        elif case == "random":
+            lower = gen.uniform(-2.0, 2.0, (300, 2))
+            upper = lower + gen.uniform(0.0, 1.0, (300, 2))
+        elif case == "point-cells":
+            lower = upper = gen.integers(-3, 3, (300, 2)).astype(float)
+        elif case == "d=3":
+            cells = sb.pwa_partition(sb.Box(np.zeros(3), np.ones(3)), 5)
+            lower, upper = cells.lower, cells.upper
+        points, vertex = sb.feasibility._distinct_vertices(lower, upper)
+        assert np.array_equal(points[vertex], _vertices(lower, upper))
+        assert len(np.unique(points, axis=0)) == len(points)
+        grid_points = {"grid": 17 ** 2, "permuted": 17 ** 2, "one-cell": 4,
+                       "d=3": 6 ** 3}
+        if case in grid_points:
+            assert len(points) == grid_points[case]
 
     def test_empty_cell_list(self, safety_spec):
         empty = sb.Cells(np.empty((0, 2)), np.empty((0, 2)))
@@ -593,6 +703,69 @@ class TestPwaClassify:
             assert feas >= prev_feasible - 1e-9
             assert unk <= prev_unknown + 1e-9
             prev_feasible, prev_unknown = feas, unk
+
+
+# --- three parameters --------------------------------------------------------
+
+def _laguerre_chain(order: int, a: float = 0.4):
+    """The order-`order` Laguerre chain: A lower-triangular with a on the
+    diagonal and (1 - a^2)(-a)^(i-j-1) below it, B_i = sqrt(1 - a^2)(-a)^i,
+    one parameter per state (the unit rows as C_basis), Sigma_w = 0.02 I,
+    Sigma_e = 0.5 and the input box [-0.2, 0.2]."""
+    A = np.diag(np.full(order, a))
+    for i, j in itertools.combinations(range(order), 2):
+        A[j, i] = (1.0 - a * a) * (-a) ** (j - i - 1)
+    return sb.ParametricLti(
+        A=A, B=np.sqrt(1.0 - a * a) * (-a) ** np.arange(order)[:, None],
+        G=np.eye(order), C0=np.zeros((1, order)),
+        C_basis=tuple(np.eye(order)[[i]] for i in range(order)),
+        Sigma_w=0.02 * np.eye(order), Sigma_e=[[0.5]],
+        input_box=sb.Box([-0.2], [0.2]))
+
+
+@pytest.fixture(scope="module")
+def chain3(safety_formula):
+    """The safety property on the order-3 chain and its classified cells,
+    8 per axis on [-1, 1]^3, where all three labels occur."""
+    spec = sb.VerificationSpec(_laguerre_chain(3), safety_formula, 0.05)
+    region = sb.Box(np.full(3, -1.0), np.full(3, 1.0))
+    return spec, sb.classify_cells(sb.pwa_partition(region, 8), spec)
+
+
+class TestThreeParameters:
+    def test_order_two_chain_is_the_safety_model(self, safety_model):
+        chain = _laguerre_chain(2)
+        for name in ("A", "B", "G", "C0", "Sigma_w", "Sigma_e"):
+            assert np.allclose(getattr(chain, name),
+                               getattr(safety_model, name)), name
+
+    def test_pinned_label_counts(self, chain3):
+        assert _counts(chain3[1]) == (30, 328, 154)
+
+    def test_feasible_exactly_when_all_vertices_admitted(self, chain3):
+        # q <= 0 on every leaf: the vertex test is exact.
+        spec, cells = chain3
+        assert max(g.noise_coeff for g in spec._geometry) <= 0.0
+        verts = _vertices(cells.lower, cells.upper)
+        assert verts.shape[1] == 8
+        admitted = spec.satisfaction_batch(
+            verts.reshape(-1, 3)).reshape(verts.shape[:2]).all(axis=1)
+        assert np.array_equal(cells.label == FEASIBLE, admitted)
+
+    def test_infeasible_cells_are_sound(self, chain3):
+        spec, cells = chain3
+        sat = _certified_sat(spec, cells, INFEASIBLE_LABEL, 60,
+                             np.random.default_rng(18))
+        assert sat.size and not sat.any()
+
+    def test_labels_match_the_reference(self, chain3):
+        spec, cells = chain3
+        assert np.array_equal(cells.label, _reference_labels(cells, spec))
+
+    def test_single_cell_calls_match_batch(self, chain3):
+        spec, cells = chain3
+        assert [sb.pwa_classify(c, spec) for c in cells] == \
+            [c.label for c in cells]
 
 
 # --- satisfaction read from certified cell labels ----------------------------

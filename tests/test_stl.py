@@ -44,6 +44,14 @@ class TestParser:
         with pytest.raises(StlSyntaxError, match="trailing"):
             sb.parse_stl("mu1)", case_predicates())
 
+    @pytest.mark.parametrize("word", ["T", "F", "G", "U"])
+    def test_table_naming_a_grammar_word_raises(self, word):
+        # Unchecked, the table's T would be shadowed by true, and F, G and U
+        # would parse as predicates where no interval follows them.
+        table = {**case_predicates(), word: P1}
+        with pytest.raises(sb.StlError, match=f"{word!r} is a word"):
+            sb.parse_stl(f"G[0,3] (mu1 & {word})", table)
+
     def test_nested_connectives(self):
         f = sb.parse_stl("!(mu1 | (mu2 & mu3))", case_predicates())
         assert isinstance(f, sb.Not) and isinstance(f.child, sb.Or)
