@@ -21,7 +21,7 @@ and relative error are reported alongside the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,8 +30,8 @@ from .lti import Box, DataSet, ParametricLti, mean_trajectory
 from .rng import RngStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
-# Most parameters per likelihood batch; the bundled configs' normalizers
-# (at most 8192 samples) stay one batch.
+# Most parameters per likelihood batch; a call on more rows is split into
+# near-equal chunks.
 _LIKELIHOOD_CHUNK = 8192
 
 
@@ -157,22 +157,31 @@ class _BatchLikelihood:
             raise ValueError("innovation variance is not positive inside a "
                              "likelihood batch at step 0")
         p, n, nb = C.shape
-        A, AA, Q, y = self.model.A, self.AA, self.Q, self.y
-        x = np.repeat(self.x0[:, None], nb, axis=1)
-        P, total = np.zeros((n * n, nb)), np.zeros(nb)
+        A, AA, y, D = self.model.A, self.AA, self.y, self.noise_var
+        last = y.shape[0] - 1
+        # A full-width Q: numpy buffers a broadcast operand, which at up to
+        # 4096 rows costs each step's add more than this copy.
+        Q = np.repeat(self.Q, nb, axis=1)
+        # P(0|-1) = 0, so step 0 has s = D and changes neither x nor P, and
+        # P(1|0) = Q.
+        x, P = np.repeat(self.x0[:, None], nb, axis=1), Q.copy()
+        total = np.zeros(nb)
         cp, gain = np.empty((n, nb)), np.empty((n, nb))
         prod = np.empty((n, n, nb))
         s, v, w, u = np.empty(nb), np.empty(nb), np.empty(nb), np.empty(nb)
         x2, P2 = np.empty_like(x), np.empty_like(P)
-        for t in range(y.shape[0]):
+        for t in range(last + 1):
             for k, c in enumerate(C):
                 # cp_j = sum_i c_i P_ij, s = sum_j cp_j c_j + D_k,
                 # v = y_k - sum_i c_i x_i.
-                np.multiply(c[:, None], P.reshape(n, n, nb), out=prod)
-                np.add.reduce(prod, axis=0, out=cp)
-                np.multiply(cp, c, out=gain)
-                np.add.reduce(gain, axis=0, out=s)
-                s += self.noise_var[k]
+                if t:
+                    np.multiply(c[:, None], P.reshape(n, n, nb), out=prod)
+                    np.add.reduce(prod, axis=0, out=cp)
+                    np.multiply(cp, c, out=gain)
+                    np.add.reduce(gain, axis=0, out=s)
+                    s += D[k]
+                else:
+                    s.fill(D[k])
                 np.multiply(c, x, out=gain)
                 np.add.reduce(gain, axis=0, out=w)
                 np.subtract(y[t, k], w, out=v)
@@ -185,18 +194,22 @@ class _BatchLikelihood:
                 u /= s
                 w += u
                 total += w
+                if t == 0 or t == last and k == p - 1:
+                    continue  # a zero gain, or no innovation left
                 # x += gain v and P -= gain (x) cp, with gain = cp / s.
                 np.divide(cp, s, out=gain)
                 np.multiply(gain, v, out=prod[0])
                 x += prod[0]
                 np.multiply(gain[:, None], cp, out=prod)
                 P -= prod.reshape(n * n, nb)
-            if t + 1 < y.shape[0]:
+            if t < last:
                 np.matmul(A, x, out=x2)
                 x2 += self.drive[t][:, None]
-                np.matmul(AA, P, out=P2)
-                P2 += Q
-                x, x2, P, P2 = x2, x, P2, P
+                x, x2 = x2, x
+                if t:
+                    np.matmul(AA, P, out=P2)
+                    P2 += Q
+                    P, P2 = P2, P
         return -0.5 * (total + y.size * _LOG_2PI)
 
 
@@ -215,6 +228,9 @@ class PosteriorDensity:
     """Unnormalized log posterior plus a Monte Carlo normalizer estimate.
 
     `z_rel_error` = `z_std_error` / `z` stays finite when `z` underflows.
+    `prefetched` holds (rows, log_unnormalized(rows)) for arrays scored in
+    the normalizer's pass; `log_density` of one of those very arrays reads
+    its values from there.
     """
 
     prior: Box
@@ -224,8 +240,12 @@ class PosteriorDensity:
     z_std_error: float
     z_rel_error: float
     mc_samples: int
+    prefetched: tuple = field(default=(), repr=False, compare=False)
 
     def log_density(self, thetas) -> np.ndarray:
+        for rows, logs in self.prefetched:
+            if thetas is rows:
+                return logs - self.log_z
         return self.log_unnormalized(thetas) - self.log_z
 
     def density(self, thetas) -> np.ndarray:
@@ -233,7 +253,8 @@ class PosteriorDensity:
 
 
 def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
-              mc_samples: int, rng: RngStream) -> PosteriorDensity:
+              mc_samples: int, rng: RngStream,
+              prefetch: tuple = ()) -> PosteriorDensity:
     """Posterior over theta given a dataset (or the prior itself if none),
     under the uniform prior over the box `prior`.
 
@@ -242,6 +263,13 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
     prior density * support volume; the estimate and its standard error are
     attached to the returned density.  With concentrated likelihoods the
     plain uniform estimate needs many samples; check `z_std_error`.
+
+    Given data, the likelihood runs once over the normalizer's samples and
+    the rows of every (m, d) array in `prefetch`, which the returned
+    density then reads (see `PosteriorDensity`).  A row's log likelihood
+    can change in its last bit with the batch it is in (a batch of one
+    takes another BLAS path), so the rows should depend only on the caller's
+    config and seed.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
@@ -260,16 +288,21 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         out = _log_prior(prior, thetas)
         inside = np.flatnonzero(np.isfinite(out))
-        # Chunks keep the filter's working memory flat in the batch size.
-        for start in range(0, inside.size, _LIKELIHOOD_CHUNK):
-            rows = inside[start:start + _LIKELIHOOD_CHUNK]
-            out[rows] += batch(thetas[rows])
+        # Near-equal chunks of at most _LIKELIHOOD_CHUNK rows keep the
+        # filter's working memory flat in the batch size, and leave no
+        # call a small tail.
+        if inside.size:
+            for rows in np.array_split(
+                    inside, -(-inside.size // _LIKELIHOOD_CHUNK)):
+                out[rows] += batch(thetas[rows])
         return out
 
     gen = rng.generator()
     samples = gen.uniform(prior.lower, prior.upper,
                           (int(mc_samples), prior.lower.shape[0]))
-    logs = log_un(samples)
+    logs, *scored = np.split(
+        log_un(np.vstack([samples, *prefetch])),
+        np.cumsum([mc_samples] + [len(rows) for rows in prefetch[:-1]]))
     finite = np.isfinite(logs)
     if not finite.any():
         raise ValueError(
@@ -287,4 +320,5 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
     z_rel = float(std_w / (mean_w * np.sqrt(mc_samples)))
     return PosteriorDensity(prior=prior, log_unnormalized=log_un,
                             log_z=float(log_z), z=z, z_std_error=z * z_rel,
-                            z_rel_error=z_rel, mc_samples=int(mc_samples))
+                            z_rel_error=z_rel, mc_samples=int(mc_samples),
+                            prefetched=tuple(zip(prefetch, scored)))

@@ -26,7 +26,13 @@ import numpy as np
 
 from .bayes import posterior
 from .chance import WeightError, WeightScheme
-from .confidence import chebyshev_sample_size, mc_confidence, pwa_confidence
+from .confidence import (
+    chebyshev_sample_size,
+    mc_confidence,
+    mc_draws,
+    pwa_confidence,
+    pwa_draws,
+)
 from .feasibility import (
     Cells,
     VerificationSpec,
@@ -308,16 +314,32 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     return problem
 
 
-def _estimate(problem: SimpleNamespace, data, stream: RngStream):
+def _estimate(problem: SimpleNamespace, data, stream: RngStream,
+              contour=None):
     """Posterior from `data`, then the confidences `problem.method` asks for.
 
     Returns the posterior and the ConfidenceEstimates by method name, "mc"
     and "pwa".  Draws from the substreams posterior, mc_size, mc and pwa.
     Given `problem.cells` (method both, or a restricted region), MC reads
-    satisfaction from the certified cells.
+    satisfaction from the certified cells.  The MC draws, the PWA rule's
+    first round and unknown-cell points, and the rows of `contour` are made
+    first, so that the normalizer's likelihood pass scores them too; only
+    pilot sizing and the rule's later rounds evaluate densities again.
     """
+    mc = pwa = None
+    if problem.method in ("mc", "both") and problem.mc_samples is not None:
+        mc = mc_draws(problem.spec, problem.region, problem.mc_samples,
+                      stream.child("mc"), problem.cells)
+    if problem.method in ("pwa", "both"):
+        pwa = pwa_draws(problem.prior, problem.cells,
+                        problem.per_cell_samples, stream.child("pwa"))
+    # The satisfying MC draws, the rule's first nodes and the unknown
+    # cells' points, and the contour grid.
+    rows = ((() if mc is None else mc[1:]) + (pwa or ())
+            + (() if contour is None else (contour,)))
     post = posterior(data, problem.model, problem.prior,
-                     problem.posterior_samples, stream.child("posterior"))
+                     problem.posterior_samples, stream.child("posterior"),
+                     prefetch=rows)
     estimates = {}
     if problem.method in ("mc", "both"):
         n, volume = problem.mc_samples, problem.region.volume
@@ -332,12 +354,12 @@ def _estimate(problem: SimpleNamespace, data, stream: RngStream):
         estimates["mc"] = mc_confidence(post, problem.spec, problem.region, n,
                                         stream.child("mc"),
                                         epsilon=problem.epsilon,
-                                        cells=problem.cells)
+                                        cells=problem.cells, draws=mc)
     if problem.method in ("pwa", "both"):
         estimates["pwa"] = pwa_confidence(post, problem.cells,
                                           problem.per_cell_samples,
                                           stream.child("pwa"),
-                                          epsilon=problem.epsilon)
+                                          epsilon=problem.epsilon, draws=pwa)
     return post, estimates
 
 
@@ -368,12 +390,17 @@ def _reprs(values: np.ndarray) -> list:
     return texts[index.reshape(values.shape)].tolist()
 
 
-def _write_contour(path: Path, post, region: Box, grid: int) -> None:
+def _contour_points(region: Box, grid: int):
+    """The contour's (grid^2, 2) points, theta_1 outer and theta_2 inner, or
+    None unless the region has 2 dimensions."""
     if region.lower.shape[0] != 2:
-        return
+        return None
     xs = np.linspace(region.lower[0], region.upper[0], grid)
     ys = np.linspace(region.lower[1], region.upper[1], grid)
-    points = np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
+    return np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
+
+
+def _write_contour(path: Path, post, points: np.ndarray) -> None:
     _write_csv(path, ["theta_1", "theta_2", "density"],
                _reprs(np.vstack([points.T, post.density(points)])))
 
@@ -396,8 +423,9 @@ def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
         dataset = collect_data(problem.model, data.theta_true, data.sampler,
                                data.n_exp, problem.spec.x0, root.child("data"))
         dataset.to_csv(out_dir / "dataset.csv")
-    post, estimates = _estimate(problem, dataset, root)
     region = problem.region
+    contour = _contour_points(region, problem.contour_grid)
+    post, estimates = _estimate(problem, dataset, root, contour)
     results = {
         "region": {"lower": region.lower.tolist(),
                    "upper": region.upper.tolist(),
@@ -411,8 +439,13 @@ def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
     }
     if problem.method != "mc":  # the PWA partition; mc may read its labels
         _write_cells(out_dir / "feasible_cells.csv", problem.cells)
-    _write_contour(out_dir / "posterior_contour.csv", post, region,
-                   problem.contour_grid)
+    if contour is None:
+        results["contour"] = {
+            "written": False,
+            "reason": f"posterior_contour.csv plots 2 parameters; the model "
+                      f"has {problem.model.d}"}
+    else:
+        _write_contour(out_dir / "posterior_contour.csv", post, contour)
     report = {"command": "verify", "config": cfg, "results": results}
     _write_json(out_dir / "report.json", report)
     return report

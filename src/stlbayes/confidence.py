@@ -13,6 +13,7 @@ uniform draws in each, as a bracket instead of a point value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -77,9 +78,23 @@ def _chebyshev_fields(var_est: float, epsilon: Optional[float]):
     return float(epsilon), max(0.0, 1.0 - var_est / (epsilon * epsilon))
 
 
+def mc_draws(sat, region: Box, n: int, rng: RngStream,
+             cells: Optional[Cells] = None) -> tuple:
+    """The uniform draws of `mc_confidence` that satisfy the property:
+    (indicator over all n draws, the satisfying draws' rows)."""
+    if n < 1:
+        raise ValueError("sample count must be positive")
+    gen = rng.generator()
+    thetas = gen.uniform(region.lower, region.upper,
+                         (int(n), region.lower.shape[0]))
+    hit = sat.satisfaction_batch(thetas, cells) > 0
+    return hit, thetas[hit]
+
+
 def mc_confidence(post: PosteriorDensity, sat, region: Box, n: int,
                   rng: RngStream, epsilon: Optional[float] = None,
-                  cells: Optional[Cells] = None) -> ConfidenceEstimate:
+                  cells: Optional[Cells] = None,
+                  draws: Optional[tuple] = None) -> ConfidenceEstimate:
     """Uniform Monte Carlo estimate of the confidence over a region.
 
     Q = (V / N) sum_i sat(theta_i) * posterior(theta_i); the density is only
@@ -90,19 +105,15 @@ def mc_confidence(post: PosteriorDensity, sat, region: Box, n: int,
     a `VerificationSpec`): with `cells`, a partition labelled by
     `classify_cells`, samples in certified cells take the cell's label and
     only the others are checked leaf by leaf, with the same indicator
-    either way.
+    either way.  `draws`, if given, is `mc_draws(sat, region, n, rng,
+    cells)` made ahead, so that the posterior could score its rows.
     """
-    if n < 1:
-        raise ValueError("sample count must be positive")
-    d = region.lower.shape[0]
-    gen = rng.generator()
-    thetas = gen.uniform(region.lower, region.upper, (int(n), d))
+    hit, rows = (mc_draws(sat, region, n, rng, cells) if draws is None
+                 else draws)
     volume = region.volume
-    sat_vals = sat.satisfaction_batch(thetas, cells).astype(float)
     k = np.zeros(n)
-    mask = sat_vals > 0.0
-    if mask.any():
-        k[mask] = sat_vals[mask] * post.density(thetas[mask])
+    if hit.any():
+        k[hit] = post.density(rows)
     raw = volume * float(k.mean())
     var_est = (volume * volume * float(k.var(ddof=1)) / n) if n > 1 else 0.0
     eps, prob = _chebyshev_fields(var_est, epsilon)
@@ -150,8 +161,32 @@ def _tensor_rule(rule, d: int):
             np.prod(_mesh([0.5 * np.array(weights)] * d), axis=1))
 
 
+@functools.lru_cache(maxsize=None)
+def _gl45(d: int) -> tuple:
+    """The GL4 then the GL5 tensor nodes on the unit cube, (4^d + 5^d, d),
+    and the two weight vectors, read-only; built once per dimension."""
+    (x4, w4), (x5, w5) = _tensor_rule(_GL4, d), _tensor_rule(_GL5, d)
+    rule = (np.vstack([x4, x5]), w4, w5)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
+def _rule_nodes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The GL4 then the GL5 tensor nodes of every box, box by box."""
+    return (lower[:, None] + (upper - lower)[:, None] * _gl45(lower.shape[1])[0]
+            ).reshape(-1, lower.shape[1])
+
+
+def _rule_boxes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Indices of the boxes of positive volume, the ones the rule
+    integrates."""
+    return np.flatnonzero(np.prod(upper - lower, axis=1) > 0.0)
+
+
 def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
-                 upper: np.ndarray) -> tuple:
+                 upper: np.ndarray, first: Optional[np.ndarray] = None
+                 ) -> tuple:
     """Posterior mass and error estimate of each box, by adaptive tensor
     Gauss-Legendre 4/5, and the number of densities evaluated.
 
@@ -162,8 +197,10 @@ def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
     that is not negligible (a peak or a tail the nodes do not resolve, whose
     small error estimate would otherwise be trusted).  Every round is one
     density call over the boxes still open; the last of RULE_ROUNDS rounds
-    accepts them all.  Boxes should lie inside the prior box, where the
-    density is smooth.
+    accepts them all.  `first`, if given, is the first round's nodes,
+    `_rule_nodes` of the boxes `_rule_boxes` picks, made ahead so that the
+    posterior could score them.  Boxes should lie inside the prior box,
+    where the density is smooth.
 
     The error is an estimate, not a bound: a box whose nodes see only the
     far tail of a peak beyond its edge is accepted as negligible, and may
@@ -171,22 +208,20 @@ def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
     """
     m, d = lower.shape
     mass, error, evaluations = np.zeros(m), np.zeros(m), 0
-    volume = np.prod(upper - lower, axis=1)
-    owner = np.flatnonzero(volume > 0.0)
+    owner = _rule_boxes(lower, upper)
     if owner.size == 0:
         return mass, error, evaluations
+    tol = RULE_TOL / float(np.prod(upper - lower, axis=1).sum())
     lower, upper = lower[owner], upper[owner]
-    tol = RULE_TOL / float(volume.sum())
-    (x4, w4), (x5, w5) = _tensor_rule(_GL4, d), _tensor_rule(_GL5, d)
-    nodes, n4 = np.vstack([x4, x5]), w4.size
+    _, w4, w5 = _gl45(d)
+    n4 = w4.size
     halves = _mesh([[False, True]] * d)
+    points = _rule_nodes(lower, upper) if first is None else first
     for last in [False] * (RULE_ROUNDS - 1) + [True]:
         if owner.size == 0:
             break
-        span = upper - lower
-        vol = np.prod(span, axis=1)
-        dens = post.density((lower[:, None] + span[:, None] * nodes)
-                            .reshape(-1, d)).reshape(owner.size, -1)
+        vol = np.prod(upper - lower, axis=1)
+        dens = post.density(points).reshape(owner.size, -1)
         evaluations += dens.size
         g4, g5 = vol * (dens[:, :n4] @ w4), vol * (dens[:, n4:] @ w5)
         err = np.abs(g5 - g4)
@@ -201,6 +236,7 @@ def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
         lower = np.where(halves, mid, lo).reshape(-1, d)
         upper = np.where(halves, hi, mid).reshape(-1, d)
         owner = np.repeat(owner[~done], halves.shape[0])
+        points = _rule_nodes(lower, upper)
     return mass, error, evaluations
 
 
@@ -218,9 +254,32 @@ def _cell_points(cells: Cells, integrated: np.ndarray, n: int,
     return pts
 
 
+def _feasible_boxes(prior: Box, cells: Cells) -> tuple:
+    """(lower, upper) of the feasible cells clipped to the box `prior`."""
+    feasible = cells.label == FEASIBLE
+    lo = np.maximum(cells.lower[feasible], prior.lower)
+    return lo, np.maximum(np.minimum(cells.upper[feasible], prior.upper), lo)
+
+
+def pwa_draws(prior: Box, cells: Cells, per_cell_samples: int,
+              rng: RngStream) -> tuple:
+    """The rows `pwa_confidence` scores first: the rule's first-round nodes
+    in the feasible cells clipped to the prior box `prior`, and the unknown
+    cells' uniform points, cell by cell."""
+    if per_cell_samples < 1:
+        raise ValueError("per_cell_samples must be positive")
+    lo, hi = _feasible_boxes(prior, cells)
+    integrated = _rule_boxes(lo, hi)
+    pts = _cell_points(cells, np.flatnonzero(cells.label == UNKNOWN),
+                       int(per_cell_samples), rng)
+    return (_rule_nodes(lo[integrated], hi[integrated]),
+            pts.reshape(-1, cells.lower.shape[1]))
+
+
 def pwa_confidence(post: PosteriorDensity, cells: Cells,
                    per_cell_samples: int, rng: RngStream,
-                   epsilon: Optional[float] = None) -> ConfidenceEstimate:
+                   epsilon: Optional[float] = None,
+                   draws: Optional[tuple] = None) -> ConfidenceEstimate:
     """Posterior mass of the feasible-labeled cells, bracketed by the mass
     of the unknown ones.
 
@@ -236,21 +295,21 @@ def pwa_confidence(post: PosteriorDensity, cells: Cells,
     [value, value + unknown mass].  `samples` counts the densities
     evaluated, rule nodes and draws.  `per_cell` has one entry per cell
     that carries mass, the feasible and unknown ones in partition order;
-    infeasible cells have mass 0 and are left out.
+    infeasible cells have mass 0 and are left out.  `draws`, if given, is
+    `pwa_draws(post.prior, cells, per_cell_samples, rng)` made ahead, so
+    that the posterior could score its rows.
     """
-    if per_cell_samples < 1:
-        raise ValueError("per_cell_samples must be positive")
-    n, d = int(per_cell_samples), cells.lower.shape[1]
+    first, pts = (pwa_draws(post.prior, cells, per_cell_samples, rng)
+                  if draws is None else draws)
+    n = int(per_cell_samples)
     feasible, unknown = cells.label == FEASIBLE, cells.label == UNKNOWN
     drawn = np.flatnonzero(unknown)
-    lo = np.maximum(cells.lower[feasible], post.prior.lower)
-    hi = np.maximum(np.minimum(cells.upper[feasible], post.prior.upper), lo)
     mass, se = np.zeros(len(cells)), np.zeros(len(cells))
-    mass[feasible], se[feasible], evaluations = _rule_masses(post, lo, hi)
+    mass[feasible], se[feasible], evaluations = _rule_masses(
+        post, *_feasible_boxes(post.prior, cells), first)
     if drawn.size:
-        pts = _cell_points(cells, drawn, n, rng)
         # One density call for every unknown cell's points, split by cell.
-        dens = post.density(pts.reshape(-1, d)).reshape(-1, n)
+        dens = post.density(pts).reshape(-1, n)
         vol = cells.volume[drawn]
         mass[drawn] = vol * dens.mean(axis=1)
         if n > 1:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
+from stlbayes.bayes import _BatchLikelihood
 
 
 def case_predicates():
@@ -16,6 +17,19 @@ def case_predicates():
         "mu3": sb.OutputPredicate(0.1, (1.0,)),
         "mu4": sb.OutputPredicate(0.1, (-1.0,)),
     }
+
+
+@pytest.fixture
+def filter_calls(monkeypatch) -> list:
+    """The row count of every `_BatchLikelihood` call the test makes."""
+    calls, real = [], _BatchLikelihood.__call__
+
+    def spy(self, thetas):
+        calls.append(len(thetas))
+        return real(self, thetas)
+
+    monkeypatch.setattr(_BatchLikelihood, "__call__", spy)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -429,3 +429,80 @@ class TestPosterior:
         assert post.z == 0.0 and post.z_std_error == 0.0
         assert np.isfinite(post.log_z)
         assert np.isfinite(post.z_rel_error) and post.z_rel_error >= 0.0
+
+
+def _laguerre_record(model, n_exp):
+    return sb.collect_data(model, [-0.5, 1.0],
+                           sb.InputSampler("uniform", low=-2, high=2),
+                           n_exp, [0, 0], RngStream(80))
+
+
+class TestSharedPass:
+    """The normalizer's pass also scores the rows the estimators ask for."""
+
+    @pytest.mark.parametrize("n_exp", [8, 50])
+    def test_row_bits_do_not_depend_on_its_batch(self, model, n_exp):
+        # The merged pass relies on this: a row keeps its bits in any batch
+        # of two or more rows, whatever the others are.
+        batch = _BatchLikelihood(model, _laguerre_record(model, n_exp))
+        thetas = np.random.default_rng(81).uniform(-10, 10, (700, 2))
+        whole = batch(thetas)
+        sizes = [2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 93]
+        parts = np.split(thetas, np.cumsum(sizes)[:-1])
+        assert np.array_equal(np.concatenate([batch(p) for p in parts]),
+                              whole)
+        picked = np.random.default_rng(82).permutation(len(thetas))[:333]
+        assert np.array_equal(batch(thetas[picked]), whole[picked])
+        pairs = thetas[:20].reshape(10, 2, 2)
+        assert np.array_equal(np.concatenate([batch(p) for p in pairs]),
+                              whole[:20])
+
+    def test_prefetched_rows_read_the_pass(self, model, request):
+        """One call scores the normalizer's samples and every row inside the
+        prior, and the density reads them to the bit."""
+        data = _laguerre_record(model, 50)
+        prior = sb.Box([-10, -10], [10, 10])
+        gen = np.random.default_rng(83)
+        rows = (gen.uniform(-3, 3, (300, 2)), gen.uniform(-12, 12, (41, 2)),
+                np.empty((0, 2)))
+        plain = sb.posterior(data, model, prior, 4096, RngStream(84))
+        expected = [plain.density(r) for r in rows]
+        # Rows outside the prior box have density 0 and are not scored.
+        inside = 300 + int(np.all(np.abs(rows[1]) <= 10, axis=1).sum())
+        assert inside < 341
+        calls = request.getfixturevalue("filter_calls")
+        merged = sb.posterior(data, model, prior, 4096, RngStream(84),
+                              prefetch=rows)
+        assert calls == [4096 + inside]
+        assert merged.log_z == plain.log_z
+        assert merged.z_std_error == plain.z_std_error
+        for r, dens in zip(rows, expected):
+            assert np.array_equal(merged.density(r), dens)
+        assert calls == [4096 + inside]
+        # An equal array that is not one of the rows is evaluated anew.
+        assert np.array_equal(merged.density(rows[0].copy()), expected[0])
+        assert calls == [4096 + inside, 300]
+
+    def test_passes_split_into_near_equal_chunks(self, model, filter_calls):
+        data = _laguerre_record(model, 8)
+        prior = sb.Box([-10, -10], [10, 10])
+        extra = np.random.default_rng(85).uniform(-10, 10, (4000, 2))
+        sb.posterior(data, model, prior, 8192, RngStream(86),
+                     prefetch=(extra,))
+        assert filter_calls == [6096, 6096]  # not 8192 and a 4000-row tail
+        filter_calls.clear()
+        sb.posterior(data, model, prior, 8192, RngStream(86))
+        assert filter_calls == [8192]
+
+    def test_empty_request_makes_no_call(self, model, request):
+        data = _laguerre_record(model, 8)
+        prior = sb.Box([-1, -1], [1, 1])
+        post = sb.posterior(data, model, prior, 256, RngStream(87),
+                            prefetch=(np.empty((0, 2)),))
+        calls = request.getfixturevalue("filter_calls")
+        empty = post.prefetched[0][0]
+        assert post.density(empty).shape == (0,)
+        assert post.density(np.empty((0, 2))).shape == (0,)
+        # Every row outside the prior: no row to score, no chunk.
+        assert np.array_equal(post.density(np.full((3, 2), 5.0)), np.zeros(3))
+        assert calls == []

@@ -526,7 +526,8 @@ def test_csv_files_match_the_csv_module(tmp_path):
                         3.0, 5e-324])
     post = types.SimpleNamespace(density=lambda points: density)
     region = cli.Box([-0.5, 0.0], [0.5, 1.0])
-    cli._write_contour(tmp_path / "posterior_contour.csv", post, region, 3)
+    cli._write_contour(tmp_path / "posterior_contour.csv", post,
+                       cli._contour_points(region, 3))
     axis_1, axis_2 = np.linspace(-0.5, 0.5, 3), np.linspace(0.0, 1.0, 3)
     table = np.column_stack([np.repeat(axis_1, 3), np.tile(axis_2, 3),
                              density])
@@ -552,7 +553,8 @@ def test_csv_files_match_the_csv_module(tmp_path):
     density = np.resize([0.0, 1e-05, -0.0, 0.1, 0.1, 2.5e-300, 1e-05], 25)
     density[-3:] = [7e22, 3.0, 5e-324]
     post = types.SimpleNamespace(density=lambda points: density)
-    cli._write_contour(tmp_path / "posterior_contour.csv", post, region, 5)
+    cli._write_contour(tmp_path / "posterior_contour.csv", post,
+                       cli._contour_points(region, 5))
     axis_1, axis_2 = np.linspace(-0.5, 0.5, 5), np.linspace(0.0, 1.0, 5)
     table = np.column_stack([np.repeat(axis_1, 5), np.tile(axis_2, 5),
                              density])
@@ -769,3 +771,100 @@ def test_one_field_mutation_is_never_a_numeric_failure(target, value):
                 assert (reported == field or field.startswith(reported + ".")
                         or reported.startswith((field + ".", field + "["))), \
                     err.getvalue()
+
+
+class TestSharedLikelihoodPass:
+    """Each estimate scores its MC, PWA and contour rows in the normalizer's
+    likelihood pass."""
+
+    def test_filter_calls_per_estimate(self, tmp_path, filter_calls):
+        cfg = json.loads((CONFIG_DIR / "case_study.json").read_text())
+        cfg["table1"]["theta_true_list"] = cfg["table1"]["theta_true_list"][:1]
+        cfg["table1"]["repetitions"] = 1
+        cli.cmd_table1(copy.deepcopy(cfg), tmp_path)
+        assert len(filter_calls) == 1
+        filter_calls.clear()
+        cli.cmd_verify(cfg, tmp_path)
+        # 4096 normalizer samples, 500 unknown-cell points and a 61 x 61
+        # contour: two near-equal chunks.
+        assert filter_calls == [4159, 4158]
+
+    @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
+                             ids=lambda p: p.name)
+    def test_merged_densities_match_separate_calls(self, config, monkeypatch):
+        problem = cli._problem(json.loads(config.read_text()), None)
+        root = RngStream(problem.seed)
+        data = problem.data
+        dataset = cli.collect_data(problem.model, data.theta_true,
+                                   data.sampler, data.n_exp, problem.spec.x0,
+                                   root.child("data"))
+        real, seen = cli.posterior, []
+
+        def spy(*args, **kwargs):
+            seen.append((args, kwargs, real(*args, **kwargs)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(cli, "posterior", spy)
+        contour = cli._contour_points(problem.region, problem.contour_grid)
+        _, estimates = cli._estimate(problem, dataset, root, contour)
+        [(args, kwargs, merged)] = seen
+        # MC's rows, the rule's first round, the unknown cells' points and
+        # the contour; under case_study no MC draw satisfies the property
+        # and no cell is feasible.
+        rows = kwargs["prefetch"]
+        assert len(rows) == 4 and rows[-1] is contour
+        assert [len(r) > 0 for r in rows] == (
+            [True] * 4 if config.name == "safety_demo.json"
+            else [False, False, True, True])
+        plain = real(*args)
+        assert merged.log_z == plain.log_z
+        for r in rows:
+            assert np.array_equal(merged.density(r), plain.density(r))
+        # The estimators on the posterior without the pass, drawing for
+        # themselves, give the same estimates.
+        assert estimates["mc"] == cli.mc_confidence(
+            plain, problem.spec, problem.region, problem.mc_samples,
+            root.child("mc"), epsilon=problem.epsilon, cells=problem.cells)
+        assert estimates["pwa"] == cli.pwa_confidence(
+            plain, problem.cells, problem.per_cell_samples, root.child("pwa"),
+            epsilon=problem.epsilon)
+
+
+def test_contour_skip_is_reported_beyond_two_parameters(tmp_path):
+    """The order-3 Laguerre chain: no contour, and the report says why; a
+    two-parameter report has no such entry."""
+    order, a = 3, 0.4
+    A = np.diag(np.full(order, a))
+    for i in range(order):
+        for j in range(i + 1, order):
+            A[j, i] = (1.0 - a * a) * (-a) ** (j - i - 1)
+    cfg = copy.deepcopy(BASE_CONFIG)
+    cfg["model"] = {
+        "A": A.tolist(),
+        "B": (np.sqrt(1.0 - a * a) * (-a) ** np.arange(order)[:, None])
+        .tolist(),
+        "G": np.eye(order).tolist(), "C0": [[0.0] * order],
+        "C_basis": [np.eye(order)[[i]].tolist() for i in range(order)],
+        "Sigma_w": (0.02 * np.eye(order)).tolist(), "Sigma_e": [[0.5]],
+        "input_box": [[-0.2], [0.2]]}
+    cfg["x0"] = [0.0] * order
+    for section in ("theta_region", "prior"):
+        cfg[section] = {**cfg[section], "lower": [-1.0] * order,
+                        "upper": [1.0] * order}
+    cfg["data"]["theta_true"] = [0.3, 0.3, 0.3]
+    cfg["pwa"]["per_axis"] = 3
+    out = tmp_path / "d3"
+    assert run(["verify", "--config", write_config(tmp_path, cfg),
+                "--out", out]) == 0
+    results = json.loads((out / "report.json").read_text())["results"]
+    assert results["contour"]["written"] is False
+    assert "3" in results["contour"]["reason"]
+    assert not (out / "posterior_contour.csv").exists()
+    assert (out / "feasible_cells.csv").exists()
+
+    out = tmp_path / "d2"
+    assert run(["verify", "--config", write_config(tmp_path, BASE_CONFIG),
+                "--out", out]) == 0
+    assert "contour" not in json.loads(
+        (out / "report.json").read_text())["results"]
+    assert (out / "posterior_contour.csv").exists()
