@@ -149,6 +149,11 @@ class _BatchLikelihood:
         einsums would, so a scalar-output result is the same to the bit.
         """
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+        # One row would take numpy's matrix-vector products, which can round
+        # differently from the same row in a batch: score it as a pair.
+        single = thetas.shape[0] == 1
+        if single:
+            thetas = np.repeat(thetas, 2, axis=0)
         C = self.c0[:, :, None] + np.einsum("dpn,bd->pnb", self.c_basis,
                                             thetas)
         # A non-finite C(theta) makes s NaN at step 0; raise before the
@@ -210,17 +215,25 @@ class _BatchLikelihood:
                     np.matmul(AA, P, out=P2)
                     P2 += Q
                     P, P2 = P2, P
-        return -0.5 * (total + y.size * _LOG_2PI)
+        out = -0.5 * (total + y.size * _LOG_2PI)
+        return out[:1] if single else out
+
+
+def _in_prior(prior: Box, thetas: np.ndarray) -> np.ndarray:
+    """Per row of `thetas` (N, d): inside the box `prior`, boundary included
+    and a NaN coordinate outside, tested one axis at a time."""
+    inside = np.ones(thetas.shape[0], dtype=bool)
+    for x, lo, hi in zip(thetas.T, prior.lower, prior.upper):
+        inside &= x >= lo
+        inside &= x <= hi
+    return inside
 
 
 def _log_prior(prior: Box, thetas) -> np.ndarray:
     """Uniform log density on the box `prior`, one value per row of `thetas`:
-    -log(volume) inside (boundary included), -inf outside."""
+    -log(volume) inside (`_in_prior`), -inf outside."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-    inside = np.all((thetas >= prior.lower) & (thetas <= prior.upper), axis=1)
-    out = np.full(thetas.shape[0], -np.inf)
-    out[inside] = -np.log(prior.volume)
-    return out
+    return np.where(_in_prior(prior, thetas), -np.log(prior.volume), -np.inf)
 
 
 @dataclass
@@ -266,10 +279,11 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
 
     Given data, the likelihood runs once over the normalizer's samples and
     the rows of every (m, d) array in `prefetch`, which the returned
-    density then reads (see `PosteriorDensity`).  A row's log likelihood
-    can change in its last bit with the batch it is in (a batch of one
-    takes another BLAS path), so the rows should depend only on the caller's
-    config and seed.
+    density then reads (see `PosteriorDensity`).  On some models a row's
+    log likelihood can change in its last bit with the batch it is in, so
+    the rows should depend only on the caller's config and seed.  When
+    every row lies inside the prior, the chunks are slices of the rows and
+    of the result, so nothing is gathered or scattered.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
@@ -285,15 +299,24 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
     batch = _BatchLikelihood(model, data)
 
     def log_un(thetas):
-        thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
-        out = _log_prior(prior, thetas)
-        inside = np.flatnonzero(np.isfinite(out))
+        # Contiguous, as the gathered rows are, so a slice gives the same bits.
+        thetas = np.atleast_2d(np.ascontiguousarray(thetas, dtype=float))
+        inside = _in_prior(prior, thetas)
+        out = np.where(inside, -np.log(prior.volume), -np.inf)
+        m = int(np.count_nonzero(inside))
+        if m == 0:
+            return out
         # Near-equal chunks of at most _LIKELIHOOD_CHUNK rows keep the
         # filter's working memory flat in the batch size, and leave no
         # call a small tail.
-        if inside.size:
-            for rows in np.array_split(
-                    inside, -(-inside.size // _LIKELIHOOD_CHUNK)):
+        chunks = -(-m // _LIKELIHOOD_CHUNK)
+        if m == out.size:
+            # Every row inside the prior: score the chunks in place.
+            for rows, part in zip(np.array_split(thetas, chunks),
+                                  np.array_split(out, chunks)):
+                part += batch(rows)
+        else:
+            for rows in np.array_split(np.flatnonzero(inside), chunks):
                 out[rows] += batch(thetas[rows])
         return out
 

@@ -31,7 +31,7 @@ certified label and evaluates the leaves only on the remaining rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -61,7 +61,13 @@ UNKNOWN = "unknown"
 @dataclass(frozen=True)
 class Cells(Box):
     """The C cells of a partition: bounds of shape (C, d), labels of shape
-    (C,), unknown by default; iteration builds one labelled `Box` per cell."""
+    (C,), unknown by default; iteration builds one labelled `Box` per cell.
+
+    `edges`, when given, are strictly increasing per-axis edges whose
+    `_mesh` the bounds are, as `pwa_partition` builds them; without them
+    `_grid` discovers the grid, or finds none."""
+
+    edges: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -93,17 +99,22 @@ class Cells(Box):
     @cached_property
     def _grid(self):
         """(per-axis edges, int8 label codes in grid shape) if the bounds are
-        exactly the `_mesh` of strictly increasing per-axis edges, else None.
+        exactly the `_mesh` of strictly increasing per-axis edges, else None;
+        the edges are `edges` when given, else found by sorting the bounds.
 
         Codes: 1 feasible, 0 infeasible, -1 unknown."""
         if len(self) == 0:
             return None
-        edges = [np.append(np.unique(lo), hi.max())
-                 for lo, hi in zip(self.lower.T, self.upper.T)]
-        if not (all((np.diff(e) > 0).all() for e in edges)
-                and np.array_equal(self.lower, _mesh([e[:-1] for e in edges]))
-                and np.array_equal(self.upper, _mesh([e[1:] for e in edges]))):
-            return None
+        edges = self.edges
+        if edges is None:
+            edges = [np.append(np.unique(lo), hi.max())
+                     for lo, hi in zip(self.lower.T, self.upper.T)]
+            if not (all((np.diff(e) > 0).all() for e in edges)
+                    and np.array_equal(self.lower,
+                                       _mesh([e[:-1] for e in edges]))
+                    and np.array_equal(self.upper,
+                                       _mesh([e[1:] for e in edges]))):
+                return None
         codes = np.full(len(self), -1, dtype=np.int8)
         codes[self.label == FEASIBLE] = 1
         codes[self.label == INFEASIBLE_LABEL] = 0
@@ -427,12 +438,15 @@ def _mesh(axes) -> np.ndarray:
 
 def pwa_partition(region: Box, per_axis: int) -> Cells:
     """Uniform grid of per_axis^d cells exactly covering the region, the
-    cell index running fastest along the last coordinate."""
+    cell index running fastest along the last coordinate.  The cells carry
+    their edges unless an axis has zero width, which repeats its edges."""
     if per_axis < 1:
         raise ValueError("per_axis must be at least 1")
-    edges = [np.linspace(lo, hi, per_axis + 1)
-             for lo, hi in zip(region.lower, region.upper)]
-    return Cells(_mesh([e[:-1] for e in edges]), _mesh([e[1:] for e in edges]))
+    edges = tuple(np.linspace(lo, hi, per_axis + 1)
+                  for lo, hi in zip(region.lower, region.upper))
+    grid = edges if all((np.diff(e) > 0).all() for e in edges) else None
+    return Cells(_mesh([e[:-1] for e in edges]), _mesh([e[1:] for e in edges]),
+                 edges=grid)
 
 
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -461,6 +475,21 @@ def _distinct_vertices(lower: np.ndarray, upper: np.ndarray):
     cell, corner = np.divmod(first, 2 ** d)
     points = np.where(upper_bit[corner], upper[cell], lower[cell])
     return points, code.reshape(C, 2 ** d)
+
+
+def _grid_vertices(edges):
+    """`_distinct_vertices` of the cells on strictly increasing per-axis
+    `edges`, by arithmetic: the vertices are `_mesh(edges)`, and a cell's
+    vertex indices are the mixed-radix index of its lower corner plus one
+    offset per corner, the last coordinate's bit fastest."""
+    sizes = [e.size for e in edges]
+    strides = np.cumprod([1] + sizes[:0:-1], dtype=np.intp)[::-1]
+    corner = np.zeros(1, dtype=np.intp)
+    for size, stride in zip(sizes, strides):
+        corner = (corner[:, None] + stride * np.arange(size - 1)).reshape(-1)
+    offset = np.array(list(itertools.product((0, 1), repeat=len(edges))),
+                      dtype=np.intp) @ strides
+    return _mesh(edges), corner[:, None] + offset
 
 
 def pwa_classify(cell: Box, spec: VerificationSpec) -> str:
@@ -493,14 +522,18 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     certified infeasible: such a cell's label is settled.  Each pass
     evaluates the terms that depend on the vertex alone (the exact margin,
     as `margins` gives it, among them) once per distinct vertex of those
-    cells, and gathers them per cell.  The held input branch and the tangent
+    cells, and gathers them per cell.  Cells that carry their grid's edges
+    take the distinct vertices from them (`_grid_vertices`), other cells
+    find them by sorting (`_distinct_vertices`); both give the same
+    vertices in the same order.  The held input branch and the tangent
     are linear in tilde, so each is one n-vector per cell, and each bound at
     a vertex is a vertex term plus one dot product.
     """
     if len(cells) == 0:
         return cells
     centers = cells.center
-    points, vertex = _distinct_vertices(cells.lower, cells.upper)
+    points, vertex = (_distinct_vertices(cells.lower, cells.upper)
+                      if cells.edges is None else _grid_vertices(cells.edges))
     active = np.arange(len(cells))  # cells not yet certified infeasible
     feasible = np.ones(len(cells), bool)  # over the active cells
     for g in spec._evaluation:
@@ -534,7 +567,7 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
             points, vertex = points[used], (np.cumsum(used) - 1)[vertex]
     label = np.full(len(cells), INFEASIBLE_LABEL)
     label[active] = np.where(feasible, FEASIBLE, UNKNOWN)
-    return Cells(cells.lower, cells.upper, label)
+    return Cells(cells.lower, cells.upper, label, edges=cells.edges)
 
 
 # --- search-region restriction ----------------------------------------------

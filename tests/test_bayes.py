@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
-from stlbayes.bayes import _LOG_2PI, _BatchLikelihood, gaussian_logpdf
+from stlbayes.bayes import (_LOG_2PI, _BatchLikelihood, _log_prior,
+                            gaussian_logpdf)
 from stlbayes.lti import simulate_states_batch
 from stlbayes.rng import RngStream
 
@@ -205,6 +206,11 @@ def _einsum_scalar_loglik(batch, thetas):
     return -0.5 * (total + n_exp * _LOG_2PI)
 
 
+def _as_scored(thetas):
+    """The rows the filter scores for `thetas`: a single row as a pair."""
+    return np.repeat(thetas, 2, axis=0) if len(thetas) == 1 else thetas
+
+
 _P1_SHAPES = {
     "singular_w_p1": dict(n=3, p=1, q=3, d=2, rank_w=2),
     "c0_p1": dict(n=3, p=1, q=2, d=1),
@@ -265,8 +271,8 @@ class TestBatchFilter:
                                n_exp, [0, 0], RngStream(77))
         thetas = np.random.default_rng(78).uniform(-3, 3, (nb, 2))
         batch = _BatchLikelihood(model, data)
-        assert np.array_equal(batch(thetas),
-                              _einsum_scalar_loglik(batch, thetas))
+        assert np.array_equal(batch(thetas), _einsum_scalar_loglik(
+            batch, _as_scored(thetas))[:nb])
 
     @pytest.mark.parametrize("nb", [1, 7, 4096])
     @pytest.mark.parametrize("shape", list(_P1_SHAPES.values()),
@@ -276,8 +282,8 @@ class TestBatchFilter:
         data = _record(model, 104, 15)
         thetas = np.random.default_rng(204).uniform(-2, 2, (nb, model.d))
         batch = _BatchLikelihood(model, data)
-        assert np.array_equal(batch(thetas),
-                              _einsum_scalar_loglik(batch, thetas))
+        assert np.array_equal(batch(thetas), _einsum_scalar_loglik(
+            batch, _as_scored(thetas))[:nb])
 
     @pytest.mark.parametrize("general", [False, True], ids=["p1", "p2"])
     def test_empty_batch(self, model, general):
@@ -442,8 +448,8 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("n_exp", [8, 50])
     def test_row_bits_do_not_depend_on_its_batch(self, model, n_exp):
-        # The merged pass relies on this: a row keeps its bits in any batch
-        # of two or more rows, whatever the others are.
+        # The merged pass relies on this: a row keeps its bits in any batch,
+        # whatever the others are; a single row is scored as a pair.
         batch = _BatchLikelihood(model, _laguerre_record(model, n_exp))
         thetas = np.random.default_rng(81).uniform(-10, 10, (700, 2))
         whole = batch(thetas)
@@ -456,6 +462,8 @@ class TestSharedPass:
         pairs = thetas[:20].reshape(10, 2, 2)
         assert np.array_equal(np.concatenate([batch(p) for p in pairs]),
                               whole[:20])
+        singles = np.concatenate([batch(t) for t in thetas[:429, None]])
+        assert np.array_equal(singles, whole[:429])
 
     def test_prefetched_rows_read_the_pass(self, model, request):
         """One call scores the normalizer's samples and every row inside the
@@ -506,3 +514,41 @@ class TestSharedPass:
         # Every row outside the prior: no row to score, no chunk.
         assert np.array_equal(post.density(np.full((3, 2), 5.0)), np.zeros(3))
         assert calls == []
+
+    def test_prior_mask_per_axis(self):
+        prior = sb.Box([-1.0, 2.0], [0.5, 3.0])
+        column = [np.nextafter(-1.0, -np.inf), -1.0, 0.0, 0.5,
+                  np.nextafter(0.5, np.inf), np.nan, np.inf, -np.inf]
+        other = [np.nextafter(2.0, -np.inf), 2.0, 2.5, 3.0,
+                 np.nextafter(3.0, np.inf), np.nan, np.inf, -np.inf]
+        thetas = sb.feasibility._mesh([column, other])
+        old = np.full(len(thetas), -np.inf)
+        old[np.all((thetas >= prior.lower) & (thetas <= prior.upper),
+                   axis=1)] = -np.log(prior.volume)
+        new = _log_prior(prior, thetas)
+        assert np.array_equal(new, old)
+        assert np.isfinite(new).sum() == 3 * 3  # the boundary is inside
+
+    def test_rows_inside_score_as_slices(self, model, filter_calls,
+                                         monkeypatch):
+        """A pass with every row inside the prior scores slices of the rows
+        in place, in the chunks and to the bits of a pass that gathers."""
+        post = sb.posterior(_laguerre_record(model, 8), model,
+                            sb.Box([-10, -10], [10, 10]), 64, RngStream(88))
+        filter_calls.clear()
+        seen, spied = [], _BatchLikelihood.__call__  # the fixture's spy
+
+        def spy(self, thetas):
+            seen.append(thetas)
+            return spied(self, thetas)
+
+        monkeypatch.setattr(_BatchLikelihood, "__call__", spy)
+        rows = np.random.default_rng(89).uniform(-10, 10, (9000, 2))
+        inside = post.log_unnormalized(rows)
+        mixed = np.insert(rows, 1234, [11.0, 0.0], axis=0)
+        gathered = post.log_unnormalized(mixed)
+        assert filter_calls == [4500] * 4
+        assert all(np.shares_memory(t, rows) for t in seen[:2])
+        assert not any(np.shares_memory(t, mixed) for t in seen[2:])
+        assert gathered[1234] == -np.inf
+        assert np.array_equal(np.delete(gathered, 1234), inside)

@@ -485,6 +485,25 @@ def test_import_and_build_load_no_scipy():
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
+def test_outputs_tool_writes_a_workload(tmp_path):
+    """`tools/outputs.py` writes every file of both commands of a workload
+    at a seed, from this checkout's package."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "outputs.py"), "--workload",
+         "prior-grid64", "7311", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert str(root / "src" / "stlbayes") in done.stderr
+    out = tmp_path / "prior-grid64" / "7311"
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                  if p.is_file()) == [
+        "table1/report.json", "table1/table1.csv", "verify/feasible_cells.csv",
+        "verify/posterior_contour.csv", "verify/report.json"]
+    assert [p.name for p in tmp_path.iterdir()] == ["prior-grid64"]
+    assert json.loads((out / "verify" / "report.json").read_text())
+
+
 def test_weight_vector_moves_the_leaf_thresholds():
     cfg = dict(BASE_CONFIG, formula="mu1 & mu2",
                weights={"weights": {"": [0.9, 0.1]}})

@@ -643,6 +643,58 @@ class TestPwaClassify:
         if case in grid_points:
             assert len(points) == grid_points[case]
 
+    @pytest.mark.parametrize("d, per_axis", [
+        (1, 5), (2, 1), (2, 2), (2, 7), (2, 64), (3, 8)])
+    def test_grid_vertices(self, d, per_axis):
+        # d = 3 at 8 per axis is the order-3 chain's partition.
+        cells = sb.pwa_partition(sb.Box(np.linspace(-1.0, -0.5, d),
+                                        np.linspace(1.0, 2.5, d)), per_axis)
+        points, vertex = sb.feasibility._grid_vertices(cells.edges)
+        expected = sb.feasibility._distinct_vertices(cells.lower, cells.upper)
+        assert np.array_equal(points, expected[0])
+        assert np.array_equal(vertex, expected[1])
+
+    @pytest.mark.parametrize("lower, upper, per_axis", [
+        ([-2.0, -1.0], [2.0, 3.0], 16), ([0.5], [0.75], 3),
+        ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], 8), ([0.0, 1.0], [0.0, 2.0], 4),
+    ], ids=["d=2", "d=1", "d=3", "zero-width"])
+    def test_partition_hands_over_its_grid(self, lower, upper, per_axis,
+                                           safety_spec, chain3):
+        # The labelled copy carries the grid on, with codes from its labels.
+        partitions = [sb.pwa_partition(sb.Box(lower, upper), per_axis)]
+        spec = {2: safety_spec, 3: chain3[0]}.get(len(lower))
+        if spec is not None:
+            partitions.append(sb.classify_cells(partitions[0], spec))
+        for cells in partitions:
+            plain = sb.Cells(cells.lower, cells.upper, cells.label)
+            assert plain.edges is None
+            if plain._grid is None:  # a zero-width axis makes no grid
+                assert cells.edges is None and cells._grid is None
+                continue
+            assert cells.edges is not None
+            (edges, codes), (found, found_codes) = cells._grid, plain._grid
+            assert len(edges) == len(found)
+            assert all(np.array_equal(e, f) for e, f in zip(edges, found))
+            assert np.array_equal(codes, found_codes)
+
+    def test_classifying_a_partition_sorts_nothing(self, safety_spec,
+                                                   safety_region, monkeypatch):
+        calls, unique = [], np.unique
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counted)
+        grid = sb.pwa_partition(safety_region, 64)
+        cells = sb.classify_cells(grid, safety_spec)
+        cells.label_codes(grid.center)
+        assert calls == []
+        plain = sb.Cells(grid.lower, grid.upper)
+        assert np.array_equal(sb.classify_cells(plain, safety_spec).label,
+                              cells.label)
+        assert calls  # the count sees a partition without its edges
+
     def test_empty_cell_list(self, safety_spec):
         empty = sb.Cells(np.empty((0, 2)), np.empty((0, 2)))
         assert list(sb.classify_cells(empty, safety_spec)) == []
