@@ -643,12 +643,13 @@ class TestPwaClassify:
         if case in grid_points:
             assert len(points) == grid_points[case]
 
-    @pytest.mark.parametrize("d, per_axis", [
-        (1, 5), (2, 1), (2, 2), (2, 7), (2, 64), (3, 8)])
-    def test_grid_vertices(self, d, per_axis):
-        # d = 3 at 8 per axis is the order-3 chain's partition.
-        cells = sb.pwa_partition(sb.Box(np.linspace(-1.0, -0.5, d),
-                                        np.linspace(1.0, 2.5, d)), per_axis)
+    @pytest.mark.parametrize("lower, upper, per_axis", [
+        ([-1.0], [2.5], 5), ([-1.0, -0.5], [1.0, 2.5], 1),
+        ([-1.0, -0.5], [1.0, 2.5], 2), ([-1.0, -0.5], [1.0, 2.5], 7),
+        ([-2.0, -2.0], [2.0, 2.0], 64), ([-1.0] * 3, [1.0] * 3, 8),
+    ], ids=["d=1", "d=2-1", "d=2-2", "d=2-7", "d=2-64", "chain3"])
+    def test_grid_vertices(self, lower, upper, per_axis):
+        cells = sb.pwa_partition(sb.Box(lower, upper), per_axis)
         points, vertex = sb.feasibility._grid_vertices(cells.edges)
         expected = sb.feasibility._distinct_vertices(cells.lower, cells.upper)
         assert np.array_equal(points, expected[0])
