@@ -15,6 +15,7 @@ config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -368,14 +369,21 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
+_CSV_BLOCK_LINES = 4096
+
+
 def _write_csv(path: Path, header: list, columns) -> None:
     # Every field is a header, a label or a repr'd float, none of which the
     # csv module would quote, so each line is the fields joined by "," and
-    # ended by "\r\n", the bytes csv.writer gives.  Lines are streamed from
-    # the equal-length `columns`, so the file is never held whole in memory.
+    # ended by "\r\n", the bytes csv.writer gives.  The lines of the
+    # equal-length `columns` are joined in blocks of _CSV_BLOCK_LINES, so the
+    # file is never held whole in memory.
+    lines = map(",".join, zip(*columns))
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(line + "\r\n" for line in map(",".join, zip(*columns)))
+        while block := list(itertools.islice(lines, _CSV_BLOCK_LINES)):
+            fh.write("\r\n".join(block))
+            fh.write("\r\n")
 
 
 def _reprs(values: np.ndarray) -> list:
@@ -409,9 +417,18 @@ def _write_cells(path: Path, cells: Cells) -> None:
     d = cells.lower.shape[1]
     header = ([f"theta_lo_{i+1}" for i in range(d)]
               + [f"theta_hi_{i+1}" for i in range(d)] + ["label"])
-    _write_csv(path, header, [*_reprs(np.vstack([cells.lower.T,
-                                                  cells.upper.T])),
-                              cells.label.tolist()])
+    if cells.edges is None:
+        bounds = _reprs(np.vstack([cells.lower.T, cells.upper.T]))
+    else:
+        # Cell c's bounds on axis i are edges[i][k] and edges[i][k + 1],
+        # with k its index on that axis.
+        index = np.unravel_index(np.arange(len(cells)),
+                                 [e.size - 1 for e in cells.edges])
+        texts = [np.array([repr(v) for v in e.tolist()], dtype=object)
+                 for e in cells.edges]
+        bounds = ([t[k].tolist() for t, k in zip(texts, index)]
+                  + [t[k + 1].tolist() for t, k in zip(texts, index)])
+    _write_csv(path, header, [*bounds, cells.label.tolist()])
 
 
 def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:

@@ -13,17 +13,18 @@ the internal simplex, and the two routes are required to agree.
 
 The satisfaction map theta -> {0, 1} is the conjunction of all leaf
 feasibility checks, evaluated leaf by leaf on the rows that every earlier
-leaf admitted.  Over an axis-aligned parameter cell a leaf margin is an
-affine mean, plus a concave input term, plus Phi^-1(delta_i) times the
-convex noise standard deviation, so a lower bound and an upper bound on it
-are each extreme at a vertex: the lower bound is the exact margin when
-Phi^-1(delta_i) <= 0, and the standard deviation's tangent at the cell
-center, which lies below it everywhere, serves in the other bound.  Cells
-are certified feasible or infeasible by these vertex evaluations, with
-"unknown" for the remainder.  A partition is one `Cells` value, the array
-form of `Box` with bound and label arrays, which `classify_cells` labels in
-one array pass per leaf over the cells that no earlier leaf has certified
-infeasible.
+leaf admitted, once per distinct leaf margin: with x0 = 0 and an input box
+symmetric about 0 the two half-space leaves of a band are mirror twins.
+Over an axis-aligned parameter cell a leaf margin is an affine mean, plus a
+concave input term, plus Phi^-1(delta_i) times the convex noise standard
+deviation, so a lower bound and an upper bound on it are each extreme at a
+vertex: the lower bound is the exact margin when Phi^-1(delta_i) <= 0, and
+the standard deviation's tangent at the cell center, which lies below it
+everywhere, serves in the other bound.  Cells are certified feasible or
+infeasible by these vertex evaluations, with "unknown" for the remainder.
+A partition is one `Cells` value, the array form of `Box` with bound and
+label arrays, which `classify_cells` labels in one array pass per leaf over
+the cells that no earlier leaf has certified infeasible.
 Given such labels on a tensor grid, the satisfaction map reads each row's
 certified label and evaluates the leaves only on the remaining rows.
 """
@@ -346,6 +347,39 @@ def to_affine(leaf: ChanceConstraint, model: ParametricLti,
                                  time=leaf.time, m=model.m)
 
 
+def _distinct_margins(order: list, at_time: dict) -> tuple:
+    """The leaves of `order` that are no twin of an earlier one, and for
+    each kept leaf whether a twin of it is its mirror; `at_time` holds the
+    `_time_terms` by leaf time.
+
+    Twins have equal margins at every theta: equal (time, offset,
+    noise_coeff, v0, J), or, at a time whose margins are even in tilde
+    (a_t = 0 and stacked input bounds with lo = -hi exactly), equal but for
+    negated (v0, J), a mirror twin.  Negation is exact, so a mirror twin's
+    gradients are the negated ones and its mean, worst-case input term and
+    sigma are the same numbers.  Each leaf is keyed once, by a hash of
+    Python floats, under which -0.0 and 0.0 are one key; where margins are
+    even, (v0, J) is signed so that its first nonzero entry is positive."""
+    even = {t: not terms["a_t"].any()
+            and bool((terms["lo_stack"] == -terms["hi_stack"]).all())
+            for t, terms in at_time.items()}
+    kept, mirrored, first = [], [], {}
+    for g in order:
+        vec = g.v0.tolist() + g.J.ravel().tolist()
+        flip = even[g.time] and next((x < 0.0 for x in vec if x != 0.0),
+                                     False)
+        if flip:
+            vec = [-x for x in vec]
+        i, i_flip = first.setdefault(
+            (g.time, g.offset, g.noise_coeff, *vec), (len(kept), flip))
+        if i == len(kept):
+            kept.append(g)
+            mirrored.append(False)
+        elif i_flip != flip:
+            mirrored[i] = True
+    return kept, mirrored
+
+
 # --- verification spec ------------------------------------------------------
 
 class VerificationSpec:
@@ -375,9 +409,11 @@ class VerificationSpec:
         self._geometry = [_leaf_geometry(leaf, model, at_time[leaf.time])
                           for leaf in leaves]
         # The evaluation order: the latest leaf time first, ties kept in
-        # decomposition order.  The indicator is a conjunction and the cell
-        # label does not depend on the order, so only the work does.
-        self._evaluation = sorted(self._geometry, key=lambda g: -g.time)
+        # decomposition order, one leaf per distinct margin.  The indicator
+        # is a conjunction and the cell label does not depend on the order,
+        # so only the work does.
+        self._evaluation, self._mirrored = _distinct_margins(
+            sorted(self._geometry, key=lambda g: -g.time), at_time)
 
     @property
     def horizon(self) -> int:
@@ -398,9 +434,9 @@ class VerificationSpec:
 
     def satisfaction_batch(self, thetas,
                            cells: Optional[Cells] = None) -> np.ndarray:
-        """Vectorized satisfaction map over rows of `thetas`: the leaves
-        run in evaluation order, latest time first, and each sees only the
-        rows that every leaf before it admitted.
+        """Vectorized satisfaction map over rows of `thetas`: one leaf per
+        distinct margin runs, in evaluation order, latest time first, and
+        each sees only the rows that every leaf before it admitted.
 
         With `cells` labelled by `classify_cells` for this spec, a row in a
         certified cell takes its label and only the rest reach the leaves.
@@ -517,17 +553,22 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     vertex test is exact.  The upper bound is never below the lower one, so
     the label does not depend on the order of the leaves.
 
-    The leaves are taken in the spec's evaluation order, latest time first,
-    each in one array pass over the cells that no earlier leaf has
-    certified infeasible: such a cell's label is settled.  Each pass
-    evaluates the terms that depend on the vertex alone (the exact margin,
-    as `margins` gives it, among them) once per distinct vertex of those
-    cells, and gathers them per cell.  Cells that carry their grid's edges
-    take the distinct vertices from them (`_grid_vertices`), other cells
-    find them by sorting (`_distinct_vertices`); both give the same
-    vertices in the same order.  The held input branch and the tangent
-    are linear in tilde, so each is one n-vector per cell, and each bound at
-    a vertex is a vertex term plus one dot product.
+    The leaves are taken in the spec's evaluation order, latest time first
+    and one per distinct margin, each in one array pass over the cells that
+    no earlier leaf has certified infeasible: such a cell's label is
+    settled.  A mirror twin has the same margin, lower bound and tangent
+    term, and the same upper bound except where the center's input slope
+    W' tilde_c has a zero entry: the twin's held branch breaks that tie the
+    other way, so on the active cells with such a tie its upper bound is
+    evaluated as well.  Each pass evaluates the terms that depend on the
+    vertex alone (the exact margin, as `margins` gives it, among them) once
+    per distinct vertex of those cells, and gathers them per cell.  Cells
+    that carry their grid's edges take the distinct vertices from them
+    (`_grid_vertices`), other cells find them by sorting
+    (`_distinct_vertices`); both give the same vertices in the same order.
+    The held input branch and the tangent are linear in tilde, so each is
+    one n-vector per cell, and each bound at a vertex is a vertex term plus
+    one dot product.
     """
     if len(cells) == 0:
         return cells
@@ -536,27 +577,42 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
                       if cells.edges is None else _grid_vertices(cells.edges))
     active = np.arange(len(cells))  # cells not yet certified infeasible
     feasible = np.ones(len(cells), bool)  # over the active cells
-    for g in spec._evaluation:
+    for g, mirrored in zip(spec._evaluation, spec._mirrored):
         tl = g.gradients(points)
         mean, worst, noise = g.terms(tl)
         tl_c = g.v0 + _mv(g.J, centers)
         # The center's worst-case input branch, held fixed: affine, >= min.
-        branch = np.where(_mv(g.W.T, tl_c) >= 0.0, g.lo_stack, g.hi_stack)
-        held = _mv(g.W, branch)
+        slope = _mv(g.W.T, tl_c)
+        held = _mv(g.W, np.where(slope >= 0.0, g.lo_stack, g.hi_stack))
         vc = _mv(g.V, tl_c)
         sigma_c = np.sqrt(np.maximum(_mv(tl_c[:, None, :], vc)[:, 0], 0.0))
         tangent = np.divide(g.noise_coeff * vc, sigma_c[:, None],
                             out=np.zeros_like(vc),
                             where=sigma_c[:, None] > 0.0)
         tl_v = tl[vertex]  # (cell, vertex, n)
+        # The upper bound is a vertex term plus tl_v . (held + tangent) for
+        # q <= 0, plus tl_v . held for q > 0.
         if g.noise_coeff <= 0.0:
             lower = (mean + worst + noise)[vertex]
-            upper = mean[vertex] + _mv(tl_v, held + tangent)
+            at_vertex, slack = mean, tangent
         else:
             lower = (mean + worst)[vertex] + _mv(tl_v, tangent)
-            upper = (mean + noise)[vertex] + _mv(tl_v, held)
+            at_vertex, slack = mean + noise, None
+        upper = at_vertex[vertex] + _mv(
+            tl_v, held if slack is None else held + slack)
         feasible &= lower.min(axis=1) >= -FEAS_TOL
         keep = ~(upper.max(axis=1) < -FEAS_TOL)  # not certified infeasible
+        if mirrored:
+            # A mirror twin's held branch, taken in this leaf's terms, breaks
+            # a tie slope_k = 0 toward hi, not lo; elsewhere it is this one.
+            tie = np.flatnonzero(keep & (slope == 0.0).any(axis=1))
+            if tie.size:
+                held = _mv(g.W, np.where(slope[tie] > 0.0, g.lo_stack,
+                                         g.hi_stack))
+                if slack is not None:
+                    held += slack[tie]
+                upper = at_vertex[vertex[tie]] + _mv(tl_v[tie], held)
+                keep[tie] = ~(upper.max(axis=1) < -FEAS_TOL)
         if not keep.all():
             active, feasible = active[keep], feasible[keep]
             centers, vertex = centers[keep], vertex[keep]

@@ -594,6 +594,49 @@ def test_csv_files_match_the_csv_module(tmp_path):
     assert (tmp_path / "table1.csv").read_bytes().count(b"-0.0 0.3,") == 1
 
 
+@pytest.mark.parametrize("lower, upper, per_axis", [
+    ([-1.0], [2.5], 7), ([-1.0, -1.0], [-0.0, 1.0], 64),
+    ([-1.0, 0.0, 0.5], [1.0, 1e-05, 3.0], 5), ([0.0, 1.0], [0.0, 2.0], 4),
+], ids=["d=1", "d=2", "d=3", "zero-width"])
+def test_cells_from_edges_match_the_bounds(tmp_path, monkeypatch, lower,
+                                           upper, per_axis):
+    """A partition that carries its edges is written from their reprs by
+    index arithmetic, byte-equal to the bound arrays' reprs; an axis of zero
+    width leaves no edges, and its bounds are written as they are."""
+    grid = cli.pwa_partition(cli.Box(lower, upper), per_axis)
+    labels = np.resize(["feasible", "infeasible", "unknown"], len(grid))
+    cells = cli.Cells(grid.lower, grid.upper, labels, edges=grid.edges)
+    plain = cli.Cells(grid.lower, grid.upper, labels)
+    cli._write_cells(tmp_path / "plain.csv", plain)
+    reprs, calls = cli._reprs, []
+    monkeypatch.setattr(cli, "_reprs",
+                        lambda values: calls.append(1) or reprs(values))
+    cli._write_cells(tmp_path / "edges.csv", cells)
+    assert len(calls) == (grid.edges is None)
+    written = (tmp_path / "edges.csv").read_bytes()
+    assert written == (tmp_path / "plain.csv").read_bytes()
+    assert written.count(b"\r\n") == len(grid) + 1
+
+
+def test_empty_outputs_are_one_header_line(tmp_path):
+    empty = cli.Cells(np.empty((0, 2)), np.empty((0, 2)))
+    cli._write_cells(tmp_path / "cells.csv", empty)
+    assert (tmp_path / "cells.csv").read_bytes() == \
+        b"theta_lo_1,theta_lo_2,theta_hi_1,theta_hi_2,label\r\n"
+    cli._write_csv(tmp_path / "rows.csv", ["a", "b"], [[], []])
+    assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n"
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, cli._CSV_BLOCK_LINES])
+def test_csv_blocks_keep_every_line(tmp_path, extra):
+    # Line counts just below, at and past a block boundary, and two blocks.
+    n = cli._CSV_BLOCK_LINES + extra
+    columns = [[repr(0.5 * i) for i in range(n)], [str(i) for i in range(n)]]
+    cli._write_csv(tmp_path / "rows.csv", ["x", "i"], columns)
+    assert (tmp_path / "rows.csv").read_bytes() == _csv_module_bytes(
+        [["x", "i"], *zip(*columns)])
+
+
 # Each case: command, mutated field, value, the path the error must name.
 # The first block is a probe of the loader that once exited 3 or raised.
 CONFIG_ERRORS = [

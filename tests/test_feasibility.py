@@ -195,14 +195,22 @@ class TestSatisfactionFn:
         assert all(g.W is not first[g.time].W for g in again._geometry)
 
     def test_evaluation_order(self, safety_spec, case_spec):
-        # Every leaf once, the latest time first, ties in decomposition
-        # order; the report's per-leaf order is left as it is.
-        for spec in (safety_spec, case_spec):
+        # One leaf per distinct margin, the first of its twins in
+        # decomposition order; the latest time first, ties in decomposition
+        # order; the report's per-leaf order is left as it is.  Every leaf
+        # has the margin bytes, at random theta, of a kept leaf at or before
+        # it.  (At time 0 the until spec's margins are constants, so some
+        # leaves that are no twins share them too.)
+        thetas = np.random.default_rng(20).uniform(-3.0, 3.0, (200, 2))
+        for spec, distinct in ((safety_spec, 4), (case_spec, 15)):
             position = {id(g): i for i, g in enumerate(spec._geometry)}
             keys = [(-g.time, position[id(g)]) for g in spec._evaluation]
-            assert sorted(keys) == keys
-            assert sorted(position[id(g)] for g in spec._evaluation) == \
-                list(range(len(spec.leaves())))
+            assert sorted(keys) == keys and len(keys) == distinct
+            kept = {position[id(g)]: g.margins(thetas).tobytes()
+                    for g in spec._evaluation}
+            for i, g in enumerate(spec._geometry):
+                margins = g.margins(thetas).tobytes()
+                assert any(j <= i and m == margins for j, m in kept.items())
             assert [g.time for g in spec._geometry] == \
                 [leaf.time for leaf in spec.leaves()]
 
@@ -210,8 +218,8 @@ class TestSatisfactionFn:
     def test_leaves_see_only_rows_still_satisfied(self, radius, case_spec,
                                                   monkeypatch):
         # On [-radius, radius]^2 the until spec's first leaf in evaluation
-        # order admits some rows, and the seventh rejects all that the
-        # first six admitted.  Each leaf sees the rows that all leaves
+        # order admits some rows, and the fourth rejects all that the
+        # first three admitted.  Each leaf sees the rows that all leaves
         # before it admitted, and no leaf is evaluated once none is left.
         thetas = np.random.default_rng(15).uniform(-radius, radius,
                                                    size=(50, 2))
@@ -220,19 +228,22 @@ class TestSatisfactionFn:
                              for t in thetas], axis=1).sum(axis=0)
         last = int(np.argmin(passed))  # the first leaf that no row survives
         assert passed[last] == 0 and passed[0] > 0
-        assert 2 <= last < len(case_spec.leaves()) - 1
+        assert 2 <= last < len(case_spec._evaluation) - 1
         seen = _rows_seen(monkeypatch, "margins")
         sat = case_spec.satisfaction_batch(thetas)
         assert sat.dtype == np.uint8 and not sat.any()
         assert seen == [len(thetas), *passed[:last].tolist()]
 
-    @pytest.mark.parametrize("which, bound", [("safety", 2.0), ("case", 1.1)])
+    @pytest.mark.parametrize("which, bound", [("safety", 1.3),
+                                              ("case", 1.001)])
     def test_rows_evaluated_per_theta(self, which, bound, safety_spec,
                                       case_spec, safety_region, monkeypatch):
         # Evaluating each leaf on the whole batch, until no row is left,
         # takes 8 rows per theta on the safety spec and 13 on the until spec;
         # leaves in decomposition order, each on the rows still satisfied,
-        # took 3.78 and 3.04.  The latest leaves, run first, reject most.
+        # took 3.78 and 3.04, and every leaf latest time first 1.63 and
+        # 1.007.  The latest leaves, run first, reject most, and one leaf
+        # per distinct margin takes 1.27 and 1.0008.
         spec, region = ((safety_spec, safety_region) if which == "safety"
                         else (case_spec, CASE_REGION))
         n = 20_000
@@ -479,14 +490,15 @@ def _certified_sat(spec, cells, label, per_cell, gen):
         pts.shape[:2])
 
 
-def _reference_labels(cells, spec):
+def _reference_labels(cells, spec, leaves=None):
     """The labels by the bounds' definition, taken with plain products:
-    every leaf in decomposition order on all 2^d vertices of every cell,
-    with no active set and no vertex shared between cells."""
+    every leaf (or each of `leaves`) in decomposition order on all 2^d
+    vertices of every cell, with no active set and no vertex shared between
+    cells."""
     verts = _vertices(cells.lower, cells.upper)  # (cell, vertex, d)
     feasible = np.ones(len(cells), bool)
     infeasible = np.zeros(len(cells), bool)
-    for g in spec._geometry:
+    for g in spec._geometry if leaves is None else leaves:
         tl = g.v0 + verts @ g.J.T  # (cell, vertex, n)
         tl_c = g.v0 + cells.center @ g.J.T
         f = tl @ g.W
@@ -608,12 +620,13 @@ class TestPwaClassify:
         # 4 vertices of all 4096 cells, 131 072 rows; the 4 vertices of the
         # cells not yet certified infeasible took 63 048.  Each leaf now
         # sees each distinct vertex of those cells once: the first all
-        # 65^2 of the grid, the later ones far fewer.
+        # 65^2 of the grid, the later ones far fewer (7 488 rows over every
+        # leaf, 5 624 over one leaf per distinct margin).
         cells = sb.pwa_partition(safety_region, 64)
         seen = _rows_seen(monkeypatch, "gradients")
         sb.classify_cells(cells, safety_spec)
-        assert seen[0] == 65 ** 2
-        assert sum(seen) <= 2 * 65 ** 2
+        assert seen[0] == 65 ** 2 and len(seen) == 4
+        assert sum(seen) <= 1.35 * 65 ** 2
 
     @pytest.mark.parametrize("case", ["grid", "permuted", "one-cell",
                                       "random", "point-cells", "d=3"])
@@ -819,6 +832,120 @@ class TestThreeParameters:
         spec, cells = chain3
         assert [sb.pwa_classify(c, spec) for c in cells] == \
             [c.label for c in cells]
+
+
+# --- one pass per distinct leaf margin ----------------------------------------
+
+def _every_leaf_sat(spec, thetas):
+    """The satisfaction indicator with every leaf on every row."""
+    return np.all([g.margins(thetas) >= -FEAS_TOL for g in spec._geometry],
+                  axis=0).astype(np.uint8)
+
+
+def _assert_every_leaf_agrees(spec, cells, gen):
+    """Labels and satisfaction bits (at the vertices, the centers and
+    uniform rows) equal the every-leaf references."""
+    assert np.array_equal(sb.classify_cells(cells, spec).label,
+                          _reference_labels(cells, spec))
+    d = cells.lower.shape[1]
+    thetas = np.vstack([_vertices(cells.lower, cells.upper).reshape(-1, d),
+                        cells.center,
+                        gen.uniform(cells.lower.min(axis=0),
+                                    cells.upper.max(axis=0), (200, d))])
+    assert np.array_equal(spec.satisfaction_batch(thetas),
+                          _every_leaf_sat(spec, thetas))
+
+
+def _tie_spec():
+    """The safety property on a model whose held input branch ties off
+    tilde = 0: with A diagonal and B = e1 the center's slope W' tilde_c is
+    a multiple of tilde_1 = -+theta_1, while C(theta) = (theta_1, theta_1 +
+    theta_2) keeps tilde_2 nonzero; and a cell whose center has theta_1 = 0
+    that only the mirror twin of a leaf certifies infeasible."""
+    model = sb.ParametricLti(
+        A=np.diag([0.5, 0.8]), B=[[1.0], [0.0]], G=np.eye(2),
+        C0=[[0.0, 0.0]], C_basis=([[1.0, 1.0]], [[0.0, 1.0]]),
+        Sigma_w=0.02 * np.eye(2), Sigma_e=[[0.1]],
+        input_box=sb.Box([-0.5], [0.5]))
+    preds = {"mu1": sb.OutputPredicate(0.2, (-1.0,)),
+             "mu2": sb.OutputPredicate(0.2, (1.0,))}
+    return sb.VerificationSpec(
+        model, sb.parse_stl("G[0,3] (mu1 & mu2)", preds), 0.3)
+
+
+class TestDistinctMargins:
+    @pytest.mark.parametrize("name, distinct, every", [
+        ("safety_demo.json", 4, 8), ("case_study.json", 15, 30)])
+    def test_bundled_specs(self, name, distinct, every):
+        # x0 = 0 and an input box symmetric about 0: each band's two
+        # half-space leaves are mirror twins.
+        spec = _bundled_problem(name).spec
+        assert len(spec._geometry) == len(spec.leaves()) == every
+        assert len(spec._evaluation) == distinct and all(spec._mirrored)
+
+    @pytest.mark.parametrize("change, distinct", [
+        ("x0", 8), ("asymmetric-box", 7), ("offset", 8), ("q", 8)])
+    def test_no_twins_without_equal_margins(self, change, distinct,
+                                            safety_model):
+        # A nonzero x0 or an asymmetric input box breaks the mirror, except
+        # at time 0, where x0 = 0 and there is no input term; unequal
+        # offsets or budgets (q) break any twin.
+        preds, model, kw = case_predicates(), safety_model, {}
+        if change == "x0":
+            kw["x0"] = [0.1, 0.0]
+        elif change == "asymmetric-box":
+            model = model.with_overrides(input_box=sb.Box([-0.5], [0.7]))
+        elif change == "offset":
+            preds["mu2"] = sb.OutputPredicate(0.6, (-1.0,))
+        else:
+            kw["weights"] = sb.WeightScheme({"": [0.2, 0.05] * 4})
+        spec = sb.VerificationSpec(
+            model, sb.parse_stl("G[0,3] (mu1 & mu2)", preds), 0.05, **kw)
+        assert len(spec._evaluation) == distinct
+        # The merged time-0 pair, last in evaluation order, are mirrors.
+        assert spec._mirrored == \
+            [False] * (distinct - 1) + [change == "asymmetric-box"]
+
+    def test_equal_twins(self, safety_model):
+        # The same leaf twice at times 1 and 2, from a nonzero x0: twins
+        # with equal (v0, J), none a mirror.
+        spec = sb.VerificationSpec(
+            safety_model, sb.parse_stl("G[0,2] mu1 & G[1,3] mu1",
+                                       case_predicates()),
+            0.05, x0=[0.1, 0.0])
+        assert [g.time for g in spec._evaluation] == [3, 2, 1, 0]
+        assert spec._mirrored == [False] * 4
+
+    @pytest.mark.parametrize("name", ["safety_demo.json", "case_study.json"])
+    def test_bundled_specs_agree_with_every_leaf(self, name):
+        # Odd per_axis puts a cell center at theta = 0, where every
+        # slope ties.
+        problem = _bundled_problem(name)
+        gen = np.random.default_rng(21)
+        for per_axis in range(1, 18):
+            _assert_every_leaf_agrees(
+                problem.spec, sb.pwa_partition(problem.region, per_axis), gen)
+
+    def test_chain3_agrees_with_every_leaf(self, chain3):
+        spec, cells = chain3
+        assert len(spec._evaluation) == 4
+        _assert_every_leaf_agrees(spec, sb.pwa_partition(
+            sb.Box(cells.lower.min(axis=0), cells.upper.max(axis=0)), 7),
+            np.random.default_rng(22))
+
+    def test_partial_branch_tie(self):
+        spec = _tie_spec()
+        assert len(spec._evaluation) == 4 and all(spec._mirrored)
+        cells = sb.pwa_partition(sb.Box([-1.0, -1.0], [1.0, 1.5]), 11)
+        on_tie = cells.center[:, 0] == 0.0
+        assert on_tie.sum() == 11
+        _assert_every_leaf_agrees(spec, cells, np.random.default_rng(23))
+        labels = sb.classify_cells(cells, spec).label
+        assert len(set(labels)) == 3
+        # The twins' held branches differ on the tie cells, and a twin
+        # certifies a cell that its kept leaf alone does not.
+        alone = _reference_labels(cells, spec, spec._evaluation)
+        assert (labels != alone).any() and (on_tie | (labels == alone)).all()
 
 
 # --- satisfaction read from certified cell labels ----------------------------
