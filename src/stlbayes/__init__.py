@@ -34,7 +34,6 @@ from .feasibility import (
     VerificationSpec,
     classify_cells,
     farkas_feasible,
-    pwa_classify,
     pwa_partition,
     restrict_region,
     satisfaction_fn,

@@ -417,17 +417,14 @@ def _write_cells(path: Path, cells: Cells) -> None:
     d = cells.lower.shape[1]
     header = ([f"theta_lo_{i+1}" for i in range(d)]
               + [f"theta_hi_{i+1}" for i in range(d)] + ["label"])
-    if cells.edges is None:
-        bounds = _reprs(np.vstack([cells.lower.T, cells.upper.T]))
-    else:
-        # Cell c's bounds on axis i are edges[i][k] and edges[i][k + 1],
-        # with k its index on that axis.
-        index = np.unravel_index(np.arange(len(cells)),
-                                 [e.size - 1 for e in cells.edges])
-        texts = [np.array([repr(v) for v in e.tolist()], dtype=object)
-                 for e in cells.edges]
-        bounds = ([t[k].tolist() for t, k in zip(texts, index)]
-                  + [t[k + 1].tolist() for t, k in zip(texts, index)])
+    # Cell c's bounds on axis i are edges[i][k] and edges[i][k + 1], with k
+    # its index on that axis.
+    index = np.unravel_index(np.arange(len(cells)),
+                             [e.size - 1 for e in cells.edges])
+    texts = [np.array([repr(v) for v in e.tolist()], dtype=object)
+             for e in cells.edges]
+    bounds = ([t[k].tolist() for t, k in zip(texts, index)]
+              + [t[k + 1].tolist() for t, k in zip(texts, index)])
     _write_csv(path, header, [*bounds, cells.label.tolist()])
 
 

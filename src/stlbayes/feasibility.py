@@ -22,17 +22,18 @@ vertex: the lower bound is the exact margin when Phi^-1(delta_i) <= 0, and
 the standard deviation's tangent at the cell center, which lies below it
 everywhere, serves in the other bound.  Cells are certified feasible or
 infeasible by these vertex evaluations, with "unknown" for the remainder.
-A partition is one `Cells` value, the array form of `Box` with bound and
-label arrays, which `classify_cells` labels in one array pass per leaf over
-the cells that no earlier leaf has certified infeasible.
-Given such labels on a tensor grid, the satisfaction map reads each row's
-certified label and evaluates the leaves only on the remaining rows.
+A partition is one `Cells` value, the array form of `Box`: the tensor grid
+of its per-axis edges, with one label per cell.  `classify_cells` labels it
+in one array pass per leaf over the cells that no earlier leaf has
+certified infeasible, taking each distinct vertex once from the edges.
+Given such labels, the satisfaction map reads each row's certified label
+and evaluates the leaves only on the remaining rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -59,31 +60,36 @@ INFEASIBLE_LABEL = "infeasible"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
 class Cells(Box):
-    """The C cells of a partition: bounds of shape (C, d), labels of shape
-    (C,), unknown by default; iteration builds one labelled `Box` per cell.
+    """The cells of a tensor grid, built from strictly increasing per-axis
+    `edges` and optional labels, one per cell and unknown by default.  The
+    bounds `lower` and `upper`, of shape (C, d), are the `_mesh` of the
+    edges, the last axis fastest; iteration builds one labelled `Box` per
+    cell."""
 
-    `edges`, when given, are strictly increasing per-axis edges whose
-    `_mesh` the bounds are, as `pwa_partition` builds them; without them
-    `_grid` discovers the grid, or finds none."""
+    def __init__(self, edges, label=None):
+        edges = tuple(np.asarray(e, dtype=float) for e in edges)
+        if not edges:
+            raise ValueError("cells need at least one axis")
+        for i, e in enumerate(edges):
+            if e.ndim != 1 or e.size < 2 or not (np.diff(e) > 0).all():
+                raise ValueError(f"the edges on axis {i} must be two or more "
+                                 f"strictly increasing values")
+        self._fill(edges, _mesh([e[:-1] for e in edges]),
+                   _mesh([e[1:] for e in edges]), label)
 
-    edges: Optional[tuple] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        label = (np.full(len(self), UNKNOWN) if self.label is None
-                 else np.asarray(self.label, dtype=str))
-        if label.shape != (len(self),):
+    def _fill(self, edges, lower, upper, label) -> None:
+        label = (np.full(lower.shape[0], UNKNOWN) if label is None
+                 else np.asarray(label, dtype=str))
+        if label.shape != (lower.shape[0],):
             raise ValueError("cells need one label each")
-        object.__setattr__(self, "label", label)
+        vars(self).update(edges=edges, lower=lower, upper=upper, label=label)
 
-    @staticmethod
-    def _bounds(values) -> np.ndarray:
-        bounds = np.asarray(values, dtype=float)
-        if bounds.ndim != 2:
-            raise ValueError("cell bounds must have shape (C, d)")
-        return bounds
+    def _labelled(self, label) -> Cells:
+        """A copy with `label`, sharing the edge and bound arrays."""
+        cells = object.__new__(Cells)
+        cells._fill(self.edges, self.lower, self.upper, label)
+        return cells
 
     def __len__(self) -> int:
         return self.lower.shape[0]
@@ -98,34 +104,19 @@ class Cells(Box):
             yield box
 
     @cached_property
-    def _grid(self):
-        """(per-axis edges, int8 label codes in grid shape) if the bounds are
-        exactly the `_mesh` of strictly increasing per-axis edges, else None;
-        the edges are `edges` when given, else found by sorting the bounds.
-
-        Codes: 1 feasible, 0 infeasible, -1 unknown."""
-        if len(self) == 0:
-            return None
-        edges = self.edges
-        if edges is None:
-            edges = [np.append(np.unique(lo), hi.max())
-                     for lo, hi in zip(self.lower.T, self.upper.T)]
-            if not (all((np.diff(e) > 0).all() for e in edges)
-                    and np.array_equal(self.lower,
-                                       _mesh([e[:-1] for e in edges]))
-                    and np.array_equal(self.upper,
-                                       _mesh([e[1:] for e in edges]))):
-                return None
+    def _codes(self) -> np.ndarray:
+        """The int8 label codes in grid shape: 1 feasible, 0 infeasible, -1
+        unknown."""
         codes = np.full(len(self), -1, dtype=np.int8)
         codes[self.label == FEASIBLE] = 1
         codes[self.label == INFEASIBLE_LABEL] = 0
-        return edges, codes.reshape([e.size - 1 for e in edges])
+        return codes.reshape([e.size - 1 for e in self.edges])
 
     def label_codes(self, thetas: np.ndarray) -> np.ndarray:
         """Per row of `thetas` (N, d): 1 in a feasible cell, 0 in an
-        infeasible one, -1 in an unknown cell, in no cell, or everywhere if
-        the cells are not a tensor grid.  A row on a shared edge may take
-        either cell's code: labels hold on closed cells.
+        infeasible one, -1 in an unknown cell or in no cell.  A row on a
+        shared edge may take either cell's code: labels hold on closed
+        cells.
 
         Each coordinate is located by an arithmetic index into its edges;
         where the exact edges do not contain it, the index moves by one
@@ -133,12 +124,9 @@ class Cells(Box):
         if thetas.shape[1] != self.lower.shape[1]:
             raise ValueError(f"thetas have {thetas.shape[1]} coordinates, "
                              f"cells have {self.lower.shape[1]}")
-        if self._grid is None:
-            return np.full(thetas.shape[0], -1, dtype=np.int8)
-        edges, codes = self._grid
         flat = np.zeros(thetas.shape[0], dtype=np.intp)
         found = np.ones(thetas.shape[0], dtype=bool)
-        for x, e in zip(thetas.T, edges):
+        for x, e in zip(thetas.T, self.edges):
             n, lo, hi = e.size - 1, e[:-1], e[1:]
             t = x - e[0]
             t *= n / (e[-1] - e[0])
@@ -157,7 +145,7 @@ class Cells(Box):
                 found &= inside
             flat *= n
             flat += i
-        out = codes.reshape(-1)[flat]
+        out = self._codes.reshape(-1)[flat]
         out[~found] = -1
         return out
 
@@ -474,15 +462,15 @@ def _mesh(axes) -> np.ndarray:
 
 def pwa_partition(region: Box, per_axis: int) -> Cells:
     """Uniform grid of per_axis^d cells exactly covering the region, the
-    cell index running fastest along the last coordinate.  The cells carry
-    their edges unless an axis has zero width, which repeats its edges."""
+    cell index running fastest along the last coordinate.  A region of zero
+    width on some axis has no such grid."""
     if per_axis < 1:
         raise ValueError("per_axis must be at least 1")
-    edges = tuple(np.linspace(lo, hi, per_axis + 1)
-                  for lo, hi in zip(region.lower, region.upper))
-    grid = edges if all((np.diff(e) > 0).all() for e in edges) else None
-    return Cells(_mesh([e[:-1] for e in edges]), _mesh([e[1:] for e in edges]),
-                 edges=grid)
+    for i, (lo, hi) in enumerate(zip(region.lower, region.upper)):
+        if lo == hi:
+            raise ValueError(f"the region has zero width on axis {i}")
+    return Cells(np.linspace(lo, hi, per_axis + 1)
+                 for lo, hi in zip(region.lower, region.upper))
 
 
 def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -491,33 +479,12 @@ def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", M, x)
 
 
-def _distinct_vertices(lower: np.ndarray, upper: np.ndarray):
-    """The distinct vertices of boxes, (P, d), and the index of each box's
-    vertices among them, (C, 2^d), the last coordinate's bit fastest.
-
-    A coordinate is coded by its rank among the bounds on its axis; a
-    vertex's code is built one axis at a time and renumbered densely after
-    each, so it stays below the number of vertex rows."""
-    C, d = lower.shape
-    code = np.zeros((C, 1), dtype=np.intp)
-    first = np.zeros(1, dtype=np.intp)  # d = 0: one vertex, shared
-    for lo, hi in zip(lower.T, upper.T):
-        rank = np.unique(np.concatenate([lo, hi]), return_inverse=True)[1]
-        code = code[:, :, None] * (2 * C) + rank.reshape(2, C).T[:, None, :]
-        _, first, code = np.unique(code.reshape(C, -1), return_index=True,
-                                   return_inverse=True)
-    upper_bit = np.array(list(itertools.product((False, True), repeat=d)),
-                         dtype=bool).reshape(2 ** d, d)
-    cell, corner = np.divmod(first, 2 ** d)
-    points = np.where(upper_bit[corner], upper[cell], lower[cell])
-    return points, code.reshape(C, 2 ** d)
-
-
 def _grid_vertices(edges):
-    """`_distinct_vertices` of the cells on strictly increasing per-axis
-    `edges`, by arithmetic: the vertices are `_mesh(edges)`, and a cell's
-    vertex indices are the mixed-radix index of its lower corner plus one
-    offset per corner, the last coordinate's bit fastest."""
+    """The distinct vertices of the cells on strictly increasing per-axis
+    `edges`, (P, d), and the index of each cell's vertices among them,
+    (C, 2^d), the last coordinate's bit fastest.  The vertices are
+    `_mesh(edges)`, and a cell's vertex indices are the mixed-radix index of
+    its lower corner plus one offset per corner."""
     sizes = [e.size for e in edges]
     strides = np.cumprod([1] + sizes[:0:-1], dtype=np.intp)[::-1]
     corner = np.zeros(1, dtype=np.intp)
@@ -528,15 +495,9 @@ def _grid_vertices(edges):
     return _mesh(edges), corner[:, None] + offset
 
 
-def pwa_classify(cell: Box, spec: VerificationSpec) -> str:
-    """Label one cell feasible, infeasible or unknown (see `classify_cells`)."""
-    return str(classify_cells(Cells(cell.lower[None], cell.upper[None]),
-                              spec).label[0])
-
-
 def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     """A copy of `cells` with each cell labelled feasible, infeasible or
-    unknown; the bound arrays are shared, not copied.
+    unknown; the edge and bound arrays are shared, not copied.
 
     A leaf margin is mean + input + q * sigma with q = Phi^-1(delta_i): the
     mean is affine in theta, the worst-case input term is concave and sigma
@@ -562,19 +523,14 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     other way, so on the active cells with such a tie its upper bound is
     evaluated as well.  Each pass evaluates the terms that depend on the
     vertex alone (the exact margin, as `margins` gives it, among them) once
-    per distinct vertex of those cells, and gathers them per cell.  Cells
-    that carry their grid's edges take the distinct vertices from them
-    (`_grid_vertices`), other cells find them by sorting
-    (`_distinct_vertices`); both give the same vertices in the same order.
-    The held input branch and the tangent are linear in tilde, so each is
-    one n-vector per cell, and each bound at a vertex is a vertex term plus
-    one dot product.
+    per distinct vertex of those cells, and gathers them per cell.  The
+    distinct vertices are the grid's, and each cell's indices among them
+    are arithmetic on the edges (`_grid_vertices`).  The held input branch
+    and the tangent are linear in tilde, so each is one n-vector per cell,
+    and each bound at a vertex is a vertex term plus one dot product.
     """
-    if len(cells) == 0:
-        return cells
     centers = cells.center
-    points, vertex = (_distinct_vertices(cells.lower, cells.upper)
-                      if cells.edges is None else _grid_vertices(cells.edges))
+    points, vertex = _grid_vertices(cells.edges)
     active = np.arange(len(cells))  # cells not yet certified infeasible
     feasible = np.ones(len(cells), bool)  # over the active cells
     for g, mirrored in zip(spec._evaluation, spec._mirrored):
@@ -623,7 +579,7 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
             points, vertex = points[used], (np.cumsum(used) - 1)[vertex]
     label = np.full(len(cells), INFEASIBLE_LABEL)
     label[active] = np.where(feasible, FEASIBLE, UNKNOWN)
-    return Cells(cells.lower, cells.upper, label, edges=cells.edges)
+    return cells._labelled(label)
 
 
 # --- search-region restriction ----------------------------------------------

@@ -69,17 +69,14 @@ class Box:
     label: Optional[str] = None
 
     def __post_init__(self):
-        lo, hi = self._bounds(self.lower), self._bounds(self.upper)
+        lo, hi = (np.asarray(v, dtype=float).reshape(-1)
+                  for v in (self.lower, self.upper))
         if lo.shape != hi.shape:
             raise ValueError("box bounds must have matching shapes")
         if (lo > hi).any():
             raise ValueError("box lower bounds must not exceed upper bounds")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-
-    @staticmethod
-    def _bounds(values) -> np.ndarray:
-        return np.asarray(values, dtype=float).reshape(-1)
 
     @property
     def volume(self):

@@ -531,15 +531,17 @@ def _csv_module_bytes(rows) -> bytes:
 def test_csv_files_match_the_csv_module(tmp_path):
     """The writers give the bytes of csv.writer for the same repr'd fields,
     a negative zero and floats in exponent form included."""
-    cells = cli.Cells([[-0.0, 0.1], [1e-05, -2.5]], [[0.0, 0.2], [3.0, 1e20]],
-                      ["feasible", "unknown"])
+    cells = cli.Cells([[-0.0, 1e-05, 3.0], [-2.5, 0.1, 0.2, 1e20]],
+                      ["feasible", "unknown", "infeasible"] * 2)
     cli._write_cells(tmp_path / "feasible_cells.csv", cells)
     header = ["theta_lo_1", "theta_lo_2", "theta_hi_1", "theta_hi_2", "label"]
     bounds = np.hstack([cells.lower, cells.upper])
-    assert (tmp_path / "feasible_cells.csv").read_bytes() == _csv_module_bytes(
+    written = (tmp_path / "feasible_cells.csv").read_bytes()
+    assert written == _csv_module_bytes(
         [header] + [[repr(float(v)) for v in row] + [label]
                     for row, label in zip(bounds, cells.label)])
-    assert b"-0.0,0.1,0.0" in (tmp_path / "feasible_cells.csv").read_bytes()
+    assert b"\r\n-0.0,-2.5,1e-05,0.1,feasible\r\n" in written
+    assert b",3.0,1e+20,infeasible\r\n" in written
 
     density = np.array([1e-05, -0.0, 2.5e-300, 123456789.0, 0.1, 1.0, 7e22,
                         3.0, 5e-324])
@@ -559,7 +561,7 @@ def test_csv_files_match_the_csv_module(tmp_path):
     # A 64-per-axis partition with -0.0 and 0.0 among its edges, and a
     # contour whose densities repeat: each value keeps its own text.
     grid = cli.pwa_partition(cli.Box([-1.0, -1.0], [-0.0, 1.0]), 64)
-    cells = cli.Cells(grid.lower, grid.upper,
+    cells = cli.Cells(grid.edges,
                       np.resize(["feasible", "infeasible", "unknown"],
                                 len(grid)))
     bounds = np.hstack([cells.lower, cells.upper])
@@ -596,33 +598,30 @@ def test_csv_files_match_the_csv_module(tmp_path):
 
 @pytest.mark.parametrize("lower, upper, per_axis", [
     ([-1.0], [2.5], 7), ([-1.0, -1.0], [-0.0, 1.0], 64),
-    ([-1.0, 0.0, 0.5], [1.0, 1e-05, 3.0], 5), ([0.0, 1.0], [0.0, 2.0], 4),
-], ids=["d=1", "d=2", "d=3", "zero-width"])
+    ([-1.0, 0.0, 0.5], [1.0, 1e-05, 3.0], 5),
+], ids=["d=1", "d=2", "d=3"])
 def test_cells_from_edges_match_the_bounds(tmp_path, monkeypatch, lower,
                                            upper, per_axis):
-    """A partition that carries its edges is written from their reprs by
-    index arithmetic, byte-equal to the bound arrays' reprs; an axis of zero
-    width leaves no edges, and its bounds are written as they are."""
+    """A partition is written from one repr per edge by index arithmetic,
+    byte-equal to csv.writer on the reprs of its bound arrays."""
     grid = cli.pwa_partition(cli.Box(lower, upper), per_axis)
     labels = np.resize(["feasible", "infeasible", "unknown"], len(grid))
-    cells = cli.Cells(grid.lower, grid.upper, labels, edges=grid.edges)
-    plain = cli.Cells(grid.lower, grid.upper, labels)
-    cli._write_cells(tmp_path / "plain.csv", plain)
+    cells = cli.Cells(grid.edges, labels)
     reprs, calls = cli._reprs, []
     monkeypatch.setattr(cli, "_reprs",
                         lambda values: calls.append(1) or reprs(values))
-    cli._write_cells(tmp_path / "edges.csv", cells)
-    assert len(calls) == (grid.edges is None)
-    written = (tmp_path / "edges.csv").read_bytes()
-    assert written == (tmp_path / "plain.csv").read_bytes()
-    assert written.count(b"\r\n") == len(grid) + 1
+    cli._write_cells(tmp_path / "cells.csv", cells)
+    assert calls == []
+    d = len(lower)
+    header = ([f"theta_lo_{i + 1}" for i in range(d)]
+              + [f"theta_hi_{i + 1}" for i in range(d)] + ["label"])
+    bounds = np.hstack([cells.lower, cells.upper])
+    assert (tmp_path / "cells.csv").read_bytes() == _csv_module_bytes(
+        [header] + [[repr(float(v)) for v in row] + [label]
+                    for row, label in zip(bounds, cells.label)])
 
 
 def test_empty_outputs_are_one_header_line(tmp_path):
-    empty = cli.Cells(np.empty((0, 2)), np.empty((0, 2)))
-    cli._write_cells(tmp_path / "cells.csv", empty)
-    assert (tmp_path / "cells.csv").read_bytes() == \
-        b"theta_lo_1,theta_lo_2,theta_hi_1,theta_hi_2,label\r\n"
     cli._write_csv(tmp_path / "rows.csv", ["a", "b"], [[], []])
     assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n"
 
@@ -705,8 +704,12 @@ CONFIG_ERRORS = [
     # A two-input box for the one-input Laguerre preset: a cross-field check
     # inside the model's constructor.
     ("verify", "model.input_box", [[-1, -1], [1, 1]], "model"),
-    # Boxes with a lower bound above the upper one, or no volume.
+    # Boxes with a lower bound above the upper one, or no volume.  A region
+    # of zero width on an axis has no positive-volume overlap with the prior,
+    # so it exits here, before `pwa_partition` would reject it.
     ("verify", "theta_region", {"lower": [1.0, -2.0], "upper": [0.0, 2.0]},
+     "theta_region"),
+    ("verify", "theta_region", {"lower": [0.0, -2.0], "upper": [0.0, 2.0]},
      "theta_region"),
     ("verify", "model.input_box", [[0.2], [-0.2]], "model.input_box"),
     ("verify", "prior", {"lower": [2.0, -2.0], "upper": [-2.0, 2.0]},

@@ -100,21 +100,20 @@ def _uniform_cell_points(cells, integrated, n, rng):
 class TestPwaConfidence:
     def test_no_feasible_cells(self, uniform_post, region):
         cells = sb.pwa_partition(region, 3)
-        labeled = sb.Cells(cells.lower, cells.upper, ["infeasible"] * 9)
+        labeled = sb.Cells(cells.edges, ["infeasible"] * 9)
         est = sb.pwa_confidence(uniform_post, labeled, 100, RngStream(8))
         assert est.value == 0.0
         assert est.interval == (0.0, 0.0)
 
     def test_uniform_mass_adds_up(self, uniform_post, region):
         cells = sb.pwa_partition(region, 4)
-        labeled = sb.Cells(cells.lower, cells.upper, ["feasible"] * 16)
+        labeled = sb.Cells(cells.edges, ["feasible"] * 16)
         est = sb.pwa_confidence(uniform_post, labeled, 200, RngStream(9))
         assert est.value == pytest.approx(1.0)
 
     def test_unknown_cells_widen_interval(self, uniform_post, region):
         cells = sb.pwa_partition(region, 2)
-        labeled = sb.Cells(cells.lower, cells.upper,
-                           ["feasible"] + ["unknown"] * 3)
+        labeled = sb.Cells(cells.edges, ["feasible"] + ["unknown"] * 3)
         est = sb.pwa_confidence(uniform_post, labeled, 400, RngStream(10))
         assert est.value == pytest.approx(0.25)
         assert est.interval[0] == pytest.approx(0.25)
@@ -123,8 +122,7 @@ class TestPwaConfidence:
 
     def test_draws_match_per_cell_uniform(self, uniform_post, monkeypatch):
         grid = sb.pwa_partition(sb.Box([-2.0, -1.0], [1.5, 2.5]), 3)
-        cells = sb.Cells(grid.lower, grid.upper,
-                         ["feasible", "unknown", "infeasible"] * 3)
+        cells = sb.Cells(grid.edges, ["feasible", "unknown", "infeasible"] * 3)
         integrated = np.flatnonzero(cells.label != "infeasible")
         rng = RngStream(22, ("pwa",))
         assert np.array_equal(
@@ -137,7 +135,7 @@ class TestPwaConfidence:
 
     def test_deterministic(self, uniform_post, region):
         grid = sb.pwa_partition(region, 3)
-        cells = sb.Cells(grid.lower, grid.upper, ["feasible"] * 9)
+        cells = sb.Cells(grid.edges, ["feasible"] * 9)
         a = sb.pwa_confidence(uniform_post, cells, 128, RngStream(11))
         b = sb.pwa_confidence(uniform_post, cells, 128, RngStream(11))
         assert a == b
@@ -274,7 +272,7 @@ class TestRuleMasses:
         mass of the clipped cell."""
         prior = sb.Box([-2, -2], [2, 2])
         grid = sb.pwa_partition(sb.Box([-3, -3], [3, 3]), 3)
-        cells = sb.Cells(grid.lower, grid.upper, ["feasible"] * 9)
+        cells = sb.Cells(grid.edges, ["feasible"] * 9)
         lower = np.maximum(cells.lower, prior.lower)
         upper = np.minimum(cells.upper, prior.upper)
         flat = sb.posterior(None, safety_spec.model, prior, 1, RngStream(0))
@@ -293,31 +291,6 @@ class TestRuleMasses:
         errors = np.array([c["std_error"] for c in est.per_cell])
         masses = np.array([c["mass"] for c in est.per_cell])
         assert np.all(np.abs(masses - reference) <= errors + 1e-15)
-
-    def test_permuted_partition_permutes_masses(self, safety_spec,
-                                                safety_region):
-        model = safety_spec.model
-        data = sb.collect_data(model, [0.3, 0.3],
-                               sb.InputSampler("uniform", low=-2, high=2),
-                               50, [0, 0], RngStream(4))
-        post = sb.posterior(data, model, safety_region, 1024, RngStream(5))
-        grid = sb.classify_cells(sb.pwa_partition(safety_region, 16),
-                                 safety_spec)
-        # Unknown cells draw from substreams named by their position, so
-        # only the rule's masses are compared.
-        labels = np.where(grid.label == "unknown", "infeasible", grid.label)
-        cells = sb.Cells(grid.lower, grid.upper, labels)
-        perm = np.random.default_rng(6).permutation(len(cells))
-        shuffled = sb.Cells(cells.lower[perm], cells.upper[perm],
-                            cells.label[perm])
-        masses = [np.zeros(len(cells)), np.zeros(len(cells))]
-        for out, c in zip(masses, (cells, shuffled)):
-            # per_cell lists the cells not certified infeasible, in order.
-            est = sb.pwa_confidence(post, c, 10, RngStream(7))
-            out[c.label != "infeasible"] = [r["mass"] for r in est.per_cell]
-        assert np.count_nonzero(masses[0]) > 0
-        np.testing.assert_allclose(masses[1], masses[0][perm], rtol=1e-12,
-                                   atol=0.0)
 
     def test_prior_only_mass_is_the_volume_share(self, safety_spec,
                                                  safety_region):
@@ -343,7 +316,7 @@ class TestRuleMasses:
             "                    RngStream(0))\n"
             "grid = sb.pwa_partition(prior, 2)\n"
             "labels = ['feasible', 'unknown', 'infeasible', 'feasible']\n"
-            "cells = sb.Cells(grid.lower, grid.upper, labels)\n"
+            "cells = sb.Cells(grid.edges, labels)\n"
             "est = sb.pwa_confidence(post, cells, 10, RngStream(1))\n"
             "assert est.value > 0\n"
             "print(sorted(m for m in sys.modules\n"

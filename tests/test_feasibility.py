@@ -389,24 +389,31 @@ class TestPwaPartition:
             assert np.array_equal(upper_face, lower_face)
         assert cells.volume.sum() == pytest.approx(region.volume, rel=1e-12)
 
+    @pytest.mark.parametrize("lower, upper, axis", [
+        ([0.0, 1.0], [0.0, 2.0], 0), ([-1.0, 0.5, 0.0], [1.0, 0.5, 1.0], 1),
+    ], ids=["d=2", "d=3"])
+    def test_zero_width_axis_is_rejected(self, lower, upper, axis):
+        # Such a region has no grid: its edges on that axis would repeat.
+        with pytest.raises(ValueError, match=f"zero width on axis {axis}"):
+            sb.pwa_partition(sb.Box(lower, upper), 4)
+
 
 class TestBoxValidation:
     @pytest.mark.parametrize("make", [
         lambda: sb.Box([0.0, 1.0], [1.0, 0.5]),
         lambda: sb.Box([0.0, 0.0], [1.0, 1.0, 1.0]),
-        lambda: sb.Cells([[0.0, 1.0]], [[1.0, 0.5]]),
-        lambda: sb.Cells([[0.0, 0.0]], [[1.0, 1.0, 1.0]]),
-        lambda: sb.Cells([[0.0, 0.0]], [[1.0, 1.0], [2.0, 2.0]]),
-        lambda: sb.Cells([0.0, 0.0], [1.0, 1.0]),
-        lambda: sb.Cells([[0.0, 0.0]], [[1.0, 1.0]], [UNKNOWN, UNKNOWN]),
+        lambda: sb.Cells([[0.0, 1.0], [1.0, 0.5]]),  # decreasing edges
+        lambda: sb.Cells([[0.0, 1.0], [0.0, 0.0, 1.0]]),  # a repeated edge
+        lambda: sb.Cells([[0.0, 1.0], [0.5]]),  # a single edge on an axis
+        lambda: sb.Cells([]),  # no axes
+        lambda: sb.Cells([[0.0, 1.0], [0.0, 1.0]], [UNKNOWN, UNKNOWN]),
     ])
     def test_rejects_bad_bounds(self, make):
         with pytest.raises(ValueError):
             make()
 
     def test_cells_iterate_as_labelled_boxes(self):
-        cells = sb.Cells([[0.0, 0.0], [1.0, 0.0]], [[1.0, 2.0], [3.0, 2.0]],
-                         [FEASIBLE, UNKNOWN])
+        cells = sb.Cells([[0.0, 1.0, 3.0], [0.0, 2.0]], [FEASIBLE, UNKNOWN])
         assert len(cells) == 2
         boxes = list(cells)
         assert [b.label for b in boxes] == [FEASIBLE, UNKNOWN]
@@ -476,6 +483,11 @@ def _vertices(lower, upper):
     upper_bit = np.array(list(itertools.product(
         (False, True), repeat=lower.shape[-1])), dtype=bool)
     return np.where(upper_bit, upper[:, None], lower[:, None])
+
+
+def _classify_one(cell, spec) -> str:
+    """The label of the one cell `cell` (a `Box`), classified alone."""
+    return str(sb.classify_cells(sb.pwa_partition(cell, 1), spec).label[0])
 
 
 def _certified_sat(spec, cells, label, per_cell, gen):
@@ -599,20 +611,8 @@ class TestPwaClassify:
         spec, region = classify_specs[which]
         per_axis = 8 if which == "case" else 16
         cells = sb.classify_cells(sb.pwa_partition(region, per_axis), spec)
-        assert [sb.pwa_classify(c, spec) for c in cells] == \
+        assert [_classify_one(c, spec) for c in cells] == \
             [c.label for c in cells]
-
-    @pytest.mark.parametrize("which", ["safety", "until", "or", "positive-q"],
-                             ids="{}-stddev".format)
-    def test_permuted_partition_permutes_labels(self, which, classify_specs):
-        spec, region = classify_specs[which]
-        cells = sb.pwa_partition(region, 16)
-        labels = sb.classify_cells(cells, spec).label
-        assert len(set(labels)) == 3
-        order = np.random.default_rng(17).permutation(len(cells))
-        permuted = sb.Cells(cells.lower[order], cells.upper[order])
-        assert np.array_equal(sb.classify_cells(permuted, spec).label,
-                              labels[order])
 
     def test_vertex_rows_evaluated(self, safety_spec, safety_region,
                                    monkeypatch):
@@ -628,68 +628,45 @@ class TestPwaClassify:
         assert seen[0] == 65 ** 2 and len(seen) == 4
         assert sum(seen) <= 1.35 * 65 ** 2
 
-    @pytest.mark.parametrize("case", ["grid", "permuted", "one-cell",
-                                      "random", "point-cells", "d=3"])
-    def test_distinct_vertices(self, case):
-        gen = np.random.default_rng(19)
-        region = sb.Box([-2.0, -1.0], [2.0, 3.0])
-        cells = sb.pwa_partition(region, 16)
-        lower, upper = cells.lower, cells.upper
-        if case == "permuted":
-            order = gen.permutation(len(cells))
-            lower, upper = lower[order], upper[order]
-        elif case == "one-cell":
-            lower, upper = lower[5:6], upper[5:6]
-        elif case == "random":
-            lower = gen.uniform(-2.0, 2.0, (300, 2))
-            upper = lower + gen.uniform(0.0, 1.0, (300, 2))
-        elif case == "point-cells":
-            lower = upper = gen.integers(-3, 3, (300, 2)).astype(float)
-        elif case == "d=3":
-            cells = sb.pwa_partition(sb.Box(np.zeros(3), np.ones(3)), 5)
-            lower, upper = cells.lower, cells.upper
-        points, vertex = sb.feasibility._distinct_vertices(lower, upper)
-        assert np.array_equal(points[vertex], _vertices(lower, upper))
-        assert len(np.unique(points, axis=0)) == len(points)
-        grid_points = {"grid": 17 ** 2, "permuted": 17 ** 2, "one-cell": 4,
-                       "d=3": 6 ** 3}
-        if case in grid_points:
-            assert len(points) == grid_points[case]
-
-    @pytest.mark.parametrize("lower, upper, per_axis", [
-        ([-1.0], [2.5], 5), ([-1.0, -0.5], [1.0, 2.5], 1),
-        ([-1.0, -0.5], [1.0, 2.5], 2), ([-1.0, -0.5], [1.0, 2.5], 7),
-        ([-2.0, -2.0], [2.0, 2.0], 64), ([-1.0] * 3, [1.0] * 3, 8),
-    ], ids=["d=1", "d=2-1", "d=2-2", "d=2-7", "d=2-64", "chain3"])
-    def test_grid_vertices(self, lower, upper, per_axis):
-        cells = sb.pwa_partition(sb.Box(lower, upper), per_axis)
+    @pytest.mark.parametrize("make", [
+        lambda: sb.pwa_partition(sb.Box([-1.0], [2.5]), 5),
+        lambda: sb.pwa_partition(sb.Box([-1.0, -0.5], [1.0, 2.5]), 1),
+        lambda: sb.pwa_partition(sb.Box([-1.0, -0.5], [1.0, 2.5]), 2),
+        lambda: sb.pwa_partition(sb.Box([-1.0, -0.5], [1.0, 2.5]), 7),
+        lambda: sb.pwa_partition(sb.Box([-2.0, -2.0], [2.0, 2.0]), 64),
+        lambda: sb.pwa_partition(sb.Box([-1.0] * 3, [1.0] * 3), 8),
+        lambda: sb.Cells([[-1.0, -0.9, 0.5, 2.0], [0.0, 3.0, 3.5],
+                          [1e-3, 1.0]]),
+    ], ids=["d=1", "d=2-1", "d=2-2", "d=2-7", "d=2-64", "chain3", "irregular"])
+    def test_grid_vertices(self, make):
+        cells = make()
         points, vertex = sb.feasibility._grid_vertices(cells.edges)
-        expected = sb.feasibility._distinct_vertices(cells.lower, cells.upper)
-        assert np.array_equal(points, expected[0])
-        assert np.array_equal(vertex, expected[1])
+        assert np.array_equal(points[vertex],
+                              _vertices(cells.lower, cells.upper))
+        assert len(np.unique(points, axis=0)) == len(points) == \
+            np.prod([e.size for e in cells.edges])
 
     @pytest.mark.parametrize("lower, upper, per_axis", [
         ([-2.0, -1.0], [2.0, 3.0], 16), ([0.5], [0.75], 3),
-        ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], 8), ([0.0, 1.0], [0.0, 2.0], 4),
-    ], ids=["d=2", "d=1", "d=3", "zero-width"])
+        ([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], 8),
+    ], ids=["d=2", "d=1", "d=3"])
     def test_partition_hands_over_its_grid(self, lower, upper, per_axis,
                                            safety_spec, chain3):
-        # The labelled copy carries the grid on, with codes from its labels.
-        partitions = [sb.pwa_partition(sb.Box(lower, upper), per_axis)]
+        # The labelled copy shares the partition's edge and bound arrays, and
+        # its codes in grid shape come from its labels.
+        grid = sb.pwa_partition(sb.Box(lower, upper), per_axis)
+        partitions = [grid]
         spec = {2: safety_spec, 3: chain3[0]}.get(len(lower))
         if spec is not None:
-            partitions.append(sb.classify_cells(partitions[0], spec))
+            cells = sb.classify_cells(grid, spec)
+            assert cells.edges is grid.edges
+            assert cells.lower is grid.lower and cells.upper is grid.upper
+            partitions.append(cells)
         for cells in partitions:
-            plain = sb.Cells(cells.lower, cells.upper, cells.label)
-            assert plain.edges is None
-            if plain._grid is None:  # a zero-width axis makes no grid
-                assert cells.edges is None and cells._grid is None
-                continue
-            assert cells.edges is not None
-            (edges, codes), (found, found_codes) = cells._grid, plain._grid
-            assert len(edges) == len(found)
-            assert all(np.array_equal(e, f) for e, f in zip(edges, found))
-            assert np.array_equal(codes, found_codes)
+            codes = np.select([cells.label == FEASIBLE,
+                               cells.label == INFEASIBLE_LABEL], [1, 0], -1)
+            assert cells._codes.shape == (per_axis,) * len(lower)
+            assert np.array_equal(cells._codes.reshape(-1), codes)
 
     def test_classifying_a_partition_sorts_nothing(self, safety_spec,
                                                    safety_region, monkeypatch):
@@ -704,14 +681,6 @@ class TestPwaClassify:
         cells = sb.classify_cells(grid, safety_spec)
         cells.label_codes(grid.center)
         assert calls == []
-        plain = sb.Cells(grid.lower, grid.upper)
-        assert np.array_equal(sb.classify_cells(plain, safety_spec).label,
-                              cells.label)
-        assert calls  # the count sees a partition without its edges
-
-    def test_empty_cell_list(self, safety_spec):
-        empty = sb.Cells(np.empty((0, 2)), np.empty((0, 2)))
-        assert list(sb.classify_cells(empty, safety_spec)) == []
 
     def test_one_parameter_partition(self, safety_model, safety_formula):
         model = _model_with_parameters(safety_model, [[1.0, 0.0]])
@@ -730,17 +699,13 @@ class TestPwaClassify:
                 assert not sat.any()
 
     def test_cone_point_center_without_warning(self, safety_spec):
-        # sigma vanishes at theta = 0 (C0 = 0), the center of both cells, so
-        # the tangent of sigma there is 0; on the point cell both bounds are
-        # the exact margin.
-        cells = sb.Cells([[-0.2, -0.2], [0.0, 0.0]], [[0.2, 0.2], [0.0, 0.0]])
+        # sigma vanishes at theta = 0 (C0 = 0), the center of the cell, so
+        # the tangent of sigma there is 0.
+        cells = sb.pwa_partition(sb.Box([-0.2, -0.2], [0.2, 0.2]), 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            labels = [c.label for c in sb.classify_cells(cells, safety_spec)]
-        assert labels[0] in (FEASIBLE, INFEASIBLE_LABEL, UNKNOWN)
-        assert labels[1] == (FEASIBLE if sb.satisfaction_fn([0.0, 0.0],
-                                                            safety_spec)
-                             else INFEASIBLE_LABEL)
+            labels = sb.classify_cells(cells, safety_spec).label
+        assert np.array_equal(labels, _reference_labels(cells, safety_spec))
 
     def test_runtime_per_axis_64(self, safety_spec, safety_region):
         cells = sb.pwa_partition(safety_region, 64)
@@ -752,12 +717,12 @@ class TestPwaClassify:
         # A small cell around a parameter outside the feasible set must not
         # be certified feasible.
         cell = sb.Box([1.9, -1.1], [2.1, -0.9])
-        label = sb.pwa_classify(cell, case_spec)
+        label = _classify_one(cell, case_spec)
         assert label in (INFEASIBLE_LABEL, UNKNOWN)
 
     def test_interior_point_cell_feasible(self, safety_spec):
         cell = sb.Box([0.25, 0.25], [0.35, 0.35])
-        assert sb.pwa_classify(cell, safety_spec) == FEASIBLE
+        assert _classify_one(cell, safety_spec) == FEASIBLE
 
     def test_refinement_trend(self, safety_spec, safety_region):
         prev_feasible, prev_unknown = -1.0, float("inf")
@@ -830,7 +795,7 @@ class TestThreeParameters:
 
     def test_single_cell_calls_match_batch(self, chain3):
         spec, cells = chain3
-        assert [sb.pwa_classify(c, spec) for c in cells] == \
+        assert [_classify_one(c, spec) for c in cells] == \
             [c.label for c in cells]
 
 
@@ -991,13 +956,12 @@ def _edge_rows(cells, gen, per_edge=8):
 def _searched_codes(cells, thetas):
     """Label codes by `np.searchsorted` on the grid edges, for rows of
     `thetas` inside the grid and on no edge; -2 for the other rows."""
-    edges, codes = cells._grid
     index, exact = [], np.ones(len(thetas), bool)
-    for x, e in zip(thetas.T, edges):
+    for x, e in zip(thetas.T, cells.edges):
         i = np.searchsorted(e, x, side="right") - 1
         exact &= (i >= 0) & (i < e.size - 1) & ~np.isin(x, e)
         index.append(np.clip(i, 0, e.size - 2))
-    return np.where(exact, codes[tuple(index)], -2)
+    return np.where(exact, cells._codes[tuple(index)], -2)
 
 
 class TestSatisfactionFromCells:
@@ -1051,36 +1015,12 @@ class TestSatisfactionFromCells:
         problem.spec.satisfaction_batch(thetas, problem.cells)
         assert seen[0] == unknown < 0.1 * len(thetas)
 
-    @pytest.mark.parametrize("name", ["case_study.json", "safety_demo.json"])
-    def test_cells_not_a_tensor_grid_fall_back_to_the_leaves(self, name):
-        problem = _bundled_problem(name)
-        spec, region, cells = problem.spec, problem.region, problem.cells
-        gen = np.random.default_rng(34)
-        thetas = np.vstack([gen.uniform(region.lower, region.upper,
-                                        size=(5_000, 2)),
-                            _edge_rows(cells, gen, per_edge=2)])
-        order = gen.permutation(len(cells))
-        shuffled = sb.Cells(cells.lower[order], cells.upper[order],
-                            cells.label[order])
-        # The first cell split in two along its first axis.
-        mid = cells.center[0, 0]
-        lower = np.vstack([cells.lower, cells.lower[:1]])
-        upper = np.vstack([cells.upper, cells.upper[:1]])
-        upper[0, 0] = lower[-1, 0] = mid
-        split = sb.classify_cells(sb.Cells(lower, upper), spec)
-        for other in (shuffled, split):
-            assert (other.label_codes(thetas) == -1).all()
-            _assert_same_indicator(spec, thetas, other)
-
     def test_irregular_tensor_grid(self, safety_spec, safety_region):
         # Edges far from evenly spaced: the arithmetic index misses by more
         # than one edge, and those rows go to the leaves.
         t = np.linspace(-1.0, 1.0, 17)
         e = 2.0 * np.sign(t) * t * t
-        cells = sb.classify_cells(
-            sb.Cells(sb.feasibility._mesh([e[:-1], e[:-1]]),
-                     sb.feasibility._mesh([e[1:], e[1:]])), safety_spec)
-        assert cells._grid is not None
+        cells = sb.classify_cells(sb.Cells([e, e]), safety_spec)
         gen = np.random.default_rng(35)
         thetas = np.vstack([gen.uniform(safety_region.lower,
                                         safety_region.upper, size=(10_000, 2)),
@@ -1119,4 +1059,4 @@ class TestSatisfactionFromCells:
 
     def test_grid_is_derived_once(self):
         cells = _bundled_problem("safety_demo.json").cells
-        assert cells._grid is cells._grid
+        assert cells._codes is cells._codes
