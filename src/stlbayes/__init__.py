@@ -1,23 +1,12 @@
 """Bayesian confidence for probabilistic STL satisfaction of stochastic
 parametric LTI systems."""
 
-from .bayes import (
-    GaussianJoint,
-    PosteriorDensity,
-    build_M,
-    gaussian_logpdf,
-    joint_distribution,
-    log_likelihood,
-    posterior,
-)
+from .bayes import PosteriorDensity, posterior
 from .chance import (
-    AffineInputConstraint,
     ChanceConstraint,
     DecompositionResult,
     WeightScheme,
     decompose,
-    gamma,
-    gamma_gradient,
     gaussian_quantile,
     noise_gram,
     until_events,
@@ -30,15 +19,10 @@ from .confidence import (
 )
 from .feasibility import (
     Cells,
-    FarkasCertificate,
     VerificationSpec,
     classify_cells,
-    farkas_feasible,
     pwa_partition,
     restrict_region,
-    satisfaction_fn,
-    to_affine,
-    worst_case_margin,
 )
 from .lti import (
     Box,
@@ -66,7 +50,6 @@ from .stl import (
     bind_formula,
     horizon,
     parse_stl,
-    robustness,
     satisfies,
     satisfies_batch,
     to_nnf,

@@ -5,10 +5,10 @@ Process noise makes successive measurements dependent, so the likelihood of a
 dataset is a single multivariate Gaussian over the stacked outputs.  Its mean
 stacks the noise-free responses ybar(0 .. N-1) and its covariance is
 M Sigma_W M^T + Sigma_E with M the block lower-triangular impulse map from
-stacked process noise to stacked outputs (first block row zero).
-`log_likelihood` factors that dense covariance and is the reference; the
-posterior evaluates the same density at many parameters with a Kalman
-filter (`_BatchLikelihood`), in O(N) instead of O(N^3) per parameter.  The
+stacked process noise to stacked outputs (first block row zero).  The
+posterior evaluates that density at many parameters with a Kalman filter
+(`_BatchLikelihood`), in O(N) instead of the O(N^3) of factoring the dense
+covariance, which the tests keep as its reference.  The
 filter has one loop for every output dimension: in the eigenbasis of
 Sigma_e the measurement noises are independent, so each output is one
 scalar update.
@@ -21,12 +21,12 @@ and relative error are reported alongside the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .lti import Box, DataSet, ParametricLti, mean_trajectory
+from .lti import Box, DataSet, ParametricLti
+from .record import Record
 from .rng import RngStream
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -35,89 +35,12 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 _LIKELIHOOD_CHUNK = 8192
 
 
-def build_M(model: ParametricLti, theta, n_exp: int) -> np.ndarray:
-    """Noise-to-output map: block (r, c) = C(theta) A^{r-c-1} G for r > c.
-
-    Shape (p n_exp, q n_exp); the first block row is zero because y(0)
-    precedes any process noise.
-    """
-    if n_exp < 1:
-        raise ValueError("n_exp must be at least 1")
-    c = model.c_matrix(theta)
-    p, q, n = model.p, model.q, model.n
-    blocks = []
-    Ak = np.eye(n)
-    for _ in range(n_exp - 1):
-        blocks.append(c @ Ak @ model.G)
-        Ak = model.A @ Ak
-    M = np.zeros((p * n_exp, q * n_exp))
-    for r in range(1, n_exp):
-        for col in range(r):
-            M[r * p:(r + 1) * p, col * q:(col + 1) * q] = blocks[r - col - 1]
-    return M
-
-
-@dataclass(frozen=True)
-class GaussianJoint:
-    """Mean and covariance of the stacked noisy outputs for one parameter."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    singular: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float).reshape(-1))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-
-
-def joint_distribution(model: ParametricLti, theta, x0, inputs) -> GaussianJoint:
-    """Joint Gaussian of y(0 .. N-1) under process and measurement noise."""
-    u = np.asarray(inputs, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    n_exp = u.shape[0]
-    c = model.c_matrix(theta)
-    xbar = mean_trajectory(model, x0, u)
-    mean = (xbar[:n_exp] @ c.T).reshape(-1)
-
-    M = build_M(model, theta, n_exp)
-    sigma_w_big = np.kron(np.eye(n_exp), model.Sigma_w)
-    sigma_e_big = np.kron(np.eye(n_exp), model.Sigma_e)
-    cov = M @ sigma_w_big @ M.T + sigma_e_big
-    cov = 0.5 * (cov + cov.T)
-    eigs = np.linalg.eigvalsh(cov)
-    return GaussianJoint(mean=mean, cov=cov, singular=bool(eigs.min() <= 1e-12))
-
-
-def gaussian_logpdf(resid, cov) -> float:
-    """Centered multivariate Gaussian log density via Cholesky (no inverse)."""
-    resid = np.asarray(resid, dtype=float).reshape(-1)
-    cov = np.asarray(cov, dtype=float)
-    L = np.linalg.cholesky(cov)
-    half = np.linalg.solve(L, resid)
-    logdet = 2.0 * float(np.log(np.diag(L)).sum())
-    k = resid.shape[0]
-    return -0.5 * (float(half @ half) + logdet + k * _LOG_2PI)
-
-
-def log_likelihood(theta, data: DataSet, model: ParametricLti) -> float:
-    """Log density of the observed stacked outputs at one parameter value."""
-    joint = joint_distribution(model, theta, data.x0, data.inputs)
-    resid = data.outputs.reshape(-1) - joint.mean
-    try:
-        return gaussian_logpdf(resid, joint.cov)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"covariance factorization failed at theta={np.asarray(theta).tolist()}: "
-            f"{exc}") from exc
-
-
 class _BatchLikelihood:
     """Log likelihood of one record at many parameters, by a Kalman filter.
 
     The prediction-error decomposition sums log N(v; 0, s) over the scalar
-    innovations of the record; x(0) = x0 is known, so P(0|-1) = 0 as in the
-    first block row of `build_M`.  The outputs are first rotated into the
+    innovations of the record; x(0) = x0 is known, so P(0|-1) = 0: y(0)
+    precedes any process noise.  The outputs are first rotated into the
     eigenbasis of Sigma_e = U diag(D) U', where their noises are independent
     with variances D, so each step takes one scalar measurement update per
     rotated output and then one time update (the univariate treatment of
@@ -236,8 +159,7 @@ def _log_prior(prior: Box, thetas) -> np.ndarray:
     return np.where(_in_prior(prior, thetas), -np.log(prior.volume), -np.inf)
 
 
-@dataclass
-class PosteriorDensity:
+class PosteriorDensity(Record):
     """Unnormalized log posterior plus a Monte Carlo normalizer estimate.
 
     `z_rel_error` = `z_std_error` / `z` stays finite when `z` underflows.
@@ -253,7 +175,7 @@ class PosteriorDensity:
     z_std_error: float
     z_rel_error: float
     mc_samples: int
-    prefetched: tuple = field(default=(), repr=False, compare=False)
+    prefetched: tuple = ()
 
     def log_density(self, thetas) -> np.ndarray:
         for rows, logs in self.prefetched:

@@ -4,14 +4,14 @@ A requirement Pr(xi |= psi at time 0) >= 1 - delta is transformed, by
 structural recursion over the formula, into a conjunction of constraints of
 the form Pr(alpha(x(t)) >= 0) {>=,<=} threshold on single predicates at fixed
 times.
-This module also holds the Gaussian noise margin of a leaf (`gamma`); the
-reduction of a leaf to an affine input constraint lives with the leaf
-geometry in `feasibility` (`to_affine`).
+This module also holds the two factors of a leaf's Gaussian noise margin
+sigma * Phi^-1(delta): the noise Gram matrix of sigma^2 (`noise_gram`) and
+the normal quantile (`gaussian_quantile`); the leaf geometry in
+`feasibility` combines them.
 
-The special functions come from the standard library, so that importing the
-package loads numpy and nothing heavier: the normal quantile is
-`statistics.NormalDist.inv_cdf` (Wichura's algorithm AS 241, accurate to
-double precision) and the normal cdf is `math.erfc`.
+The quantile comes from the standard library, so that importing the package
+loads numpy and nothing heavier: it is `statistics.NormalDist.inv_cdf`
+(Wichura's algorithm AS 241, accurate to double precision).
 
 Budget rules (node required with probability p):
 
@@ -38,14 +38,13 @@ README for the conservativeness discussion.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Optional, Union
 
 import numpy as np
 
 from .lti import ParametricLti
+from .record import Factory, Record
 from .stl import (
     Always,
     And,
@@ -84,15 +83,6 @@ def gaussian_quantile(delta: float) -> float:
     return _STANDARD_NORMAL.inv_cdf(delta)
 
 
-def gaussian_cdf(x: float) -> float:
-    """Standard normal cdf Phi(x) = erfc(-x / sqrt 2) / 2.
-
-    The erfc form keeps full relative accuracy in the lower tail, where
-    (1 + erf(x / sqrt 2)) / 2 would cancel.
-    """
-    return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
-
-
 def noise_gram(model: ParametricLti, t: int) -> np.ndarray:
     """Gram matrix V_t = sum_{i=1..t} A^{i-1} G Sigma_w G^T (A^T)^{i-1}.
 
@@ -111,42 +101,6 @@ def noise_gram(model: ParametricLti, t: int) -> np.ndarray:
     return V
 
 
-def gamma(theta_tilde, delta: float, model: ParametricLti, t: int) -> float:
-    """Noise margin added to the mean constraint for a predicate at time t.
-
-    sigma^2 = theta_tilde^T V_t theta_tilde is the variance of alpha(x(t))
-    due to the process noise, and the margin is sigma * Phi^{-1}(delta):
-    `mean + gamma >= 0` is equivalent to Pr(alpha(x(t)) >= 0) >= 1 - delta
-    for Gaussian states.
-    """
-    theta_tilde = np.asarray(theta_tilde, dtype=float).reshape(-1)
-    if theta_tilde.shape != (model.n,):
-        raise ValueError(
-            f"theta_tilde must have length {model.n}, got {theta_tilde.shape}")
-    var = max(float(theta_tilde @ noise_gram(model, t) @ theta_tilde), 0.0)
-    return float(gaussian_quantile(delta) * np.sqrt(var))
-
-
-def gamma_gradient(theta_tilde, delta: float, model: ParametricLti, t: int):
-    """Analytic (d gamma / d theta_tilde, d gamma / d delta).
-
-    Undefined where the noise variance vanishes (the cone point of sigma).
-    """
-    theta_tilde = np.asarray(theta_tilde, dtype=float).reshape(-1)
-    V = noise_gram(model, t)
-    v = V @ theta_tilde
-    var = float(theta_tilde @ v)
-    if var <= 0.0:
-        raise ValueError("gamma is not differentiable where the noise "
-                         "variance vanishes")
-    sigma = np.sqrt(var)
-    z = gaussian_quantile(delta)
-    d_tilde = z * v / sigma
-    pdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-    d_delta = sigma / pdf
-    return d_tilde, float(d_delta)
-
-
 # --- leaf constraints -------------------------------------------------------
 
 def _path_key(path: tuple) -> str:
@@ -154,8 +108,7 @@ def _path_key(path: tuple) -> str:
     return "/".join(map(str, path))
 
 
-@dataclass(frozen=True)
-class ChanceConstraint:
+class ChanceConstraint(Record, eq=True):
     """Pr(alpha(x(time)) >= 0) {>=, <=} threshold for one predicate."""
 
     predicate: Union[LinearPredicate, OutputPredicate]
@@ -175,14 +128,6 @@ class ChanceConstraint:
         if self.time < 0:
             raise ValueError("time index must be nonnegative")
 
-    def bind(self, c_matrix: np.ndarray) -> "ChanceConstraint":
-        """Fold an output-space predicate into state space using C(theta)."""
-        if isinstance(self.predicate, OutputPredicate):
-            return ChanceConstraint(self.predicate.bind(c_matrix), self.time,
-                                    self.direction, self.threshold,
-                                    self.label, self.path)
-        return self
-
     def to_json_dict(self) -> dict:
         pred = self.predicate
         return {
@@ -197,8 +142,7 @@ class ChanceConstraint:
         }
 
 
-@dataclass(frozen=True)
-class ConstraintGroup:
+class ConstraintGroup(Record, eq=True):
     """A conjunctive bundle of leaves; until windows yield one group per event."""
 
     name: str
@@ -213,8 +157,7 @@ class ConstraintGroup:
         }
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record, eq=True):
     groups: tuple
 
     def all_leaves(self) -> tuple:
@@ -229,8 +172,7 @@ class WeightError(ValueError):
     the node's child count, or its key names no decomposition node."""
 
 
-@dataclass(frozen=True)
-class WeightScheme:
+class WeightScheme(Record, eq=True):
     """Child weights for decomposition nodes.
 
     A node whose formula-tree path (joined with '/') has an entry in
@@ -239,7 +181,7 @@ class WeightScheme:
     keys and lengths are checked against the nodes in decomposition.
     """
 
-    weights: dict = field(default_factory=dict)
+    weights: dict = Factory(dict)
 
     def __post_init__(self):
         for key, vector in self.weights.items():
@@ -436,23 +378,3 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
         return
 
     raise StlError(f"unknown formula node {f!r}")
-
-
-# --- affine input constraint ------------------------------------------------
-
-@dataclass(frozen=True)
-class AffineInputConstraint:
-    """Constraint f . u_stacked + b >= 0 over inputs u(0) .. u(time-1)."""
-
-    f: np.ndarray
-    b: float
-    time: int
-    m: int
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=float).reshape(-1)
-        if f.shape != (self.m * self.time,):
-            raise ValueError(
-                f"f must have length m*t = {self.m * self.time}, got {f.size}")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "b", float(self.b))

@@ -15,18 +15,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .bayes import PosteriorDensity
 from .feasibility import FEASIBLE, UNKNOWN, Box, Cells, _mesh
+from .record import Record
 from .rng import RngStream
 
 
-@dataclass(frozen=True)
-class ConfidenceEstimate:
+class ConfidenceEstimate(Record, eq=True):
     """Point estimate with its error diagnostics.
 
     `value` is clamped to [0, 1] for reporting; `raw_value` keeps the

@@ -3,13 +3,12 @@
 `_leaf_geometry` is the one reduction of a leaf chance constraint to data
 affine in theta: the predicate gradient v0 + J theta, the initial-state
 term, the input map and the Gaussian noise margin.  At a fixed parameter a
-leaf is an affine inequality f.u + b >= 0 (`to_affine`) that must hold for
-every admissible input trajectory; over the model's input box (a `Box`,
-defined in `lti`) the worst case has the closed form
-b + sum_k min(f_k l_k, f_k u_k), the one input term that `worst_case_margin`,
-the satisfaction map and `classify_cells` share.  The same question is also
-answered through the Farkas dual of the robust linear program, solved with
-the internal simplex, and the two routes are required to agree.
+leaf is an affine inequality f.u + b >= 0 that must hold for every
+admissible input trajectory; over the model's input box (a `Box`, defined
+in `lti`) the worst case has the closed form b + sum_k min(f_k l_k, f_k u_k)
+(`_input_min`), the one input term that the satisfaction map and
+`classify_cells` share.  The tests answer the same question through the
+Farkas dual of the robust linear program and require the routes to agree.
 
 The satisfaction map theta -> {0, 1} is the conjunction of all leaf
 feasibility checks, evaluated leaf by leaf on the rows that every earlier
@@ -33,7 +32,6 @@ and evaluates the leaves only on the remaining rows.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -41,7 +39,6 @@ import numpy as np
 
 from .chance import (
     AT_MOST,
-    AffineInputConstraint,
     ChanceConstraint,
     DecompositionResult,
     WeightScheme,
@@ -50,8 +47,8 @@ from .chance import (
     noise_gram,
 )
 from .lti import Box, ParametricLti
-from .simplex import INFEASIBLE, OPTIMAL, solve_standard_lp
-from .stl import Formula, OutputPredicate, StlError, horizon
+from .record import Record
+from .stl import Formula, OutputPredicate, horizon
 
 FEAS_TOL = 1e-9
 
@@ -90,6 +87,9 @@ class Cells(Box):
         cells = object.__new__(Cells)
         cells._fill(self.edges, self.lower, self.upper, label)
         return cells
+
+    def __repr__(self) -> str:
+        return f"Cells(edges={self.edges!r}, label={self.label!r})"
 
     def __len__(self) -> int:
         return self.lower.shape[0]
@@ -155,67 +155,9 @@ def _input_min(f: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return np.minimum(f * lo, f * hi).sum(axis=-1)
 
 
-def worst_case_margin(c: AffineInputConstraint, box: Box) -> float:
-    """min over admissible stacked inputs of f.u + b (closed form)."""
-    if box.lower.size != c.m:
-        raise ValueError(f"box has {box.lower.size} input coordinates, "
-                         f"constraint has {c.m}")
-    lo, hi = box.stacked(c.time)
-    return c.b + float(_input_min(c.f, lo, hi))
-
-
-@dataclass(frozen=True)
-class FarkasCertificate:
-    """Nonnegative multipliers P with D^T P = -f and d.P <= b."""
-
-    P: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float).reshape(-1)
-        if P.size and P.min() < -1e-9:
-            raise ValueError("certificate multipliers must be nonnegative")
-        object.__setattr__(self, "P", P)
-
-
-def farkas_feasible(c: AffineInputConstraint, box: Box):
-    """Robust feasibility via the Farkas dual of the box-constrained LP.
-
-    The input polytope is written D u <= d with interleaved rows
-    (+e_k, hi_k), (-e_k, -lo_k).  Robust feasibility of f.u + b >= 0 holds
-    iff some P >= 0 satisfies D^T P = -f and d.P <= b; the minimum of d.P
-    subject to the equalities is found by the two-phase simplex, so the
-    certificate is the optimizer itself.
-    """
-    if box.lower.size != c.m:
-        raise ValueError(f"box has {box.lower.size} input coordinates, "
-                         f"constraint has {c.m}")
-    t = c.time
-    if t == 0:
-        ok = c.b >= -FEAS_TOL
-        return ok, (FarkasCertificate(np.zeros(0)) if ok else None)
-    lo, hi = box.stacked(t)
-    k = c.f.shape[0]
-    d = np.empty(2 * k)
-    d[0::2] = hi
-    d[1::2] = -lo
-    a_eq = np.zeros((k, 2 * k))
-    idx = np.arange(k)
-    a_eq[idx, 2 * idx] = 1.0
-    a_eq[idx, 2 * idx + 1] = -1.0
-    res = solve_standard_lp(d, a_eq, -c.f)
-    if res.status == INFEASIBLE:
-        return False, None
-    if res.status != OPTIMAL:
-        raise RuntimeError(f"unexpected LP status {res.status} in Farkas dual")
-    if res.objective <= c.b + FEAS_TOL:
-        return True, FarkasCertificate(res.x)
-    return False, None
-
-
 # --- per-leaf geometry ------------------------------------------------------
 
-@dataclass(frozen=True)
-class _LeafGeometry:
+class _LeafGeometry(Record):
     """One leaf, normalized to at-least form, as affine data in theta.
 
     The state-space predicate gradient is tilde(theta) = v0 + J theta (J = 0
@@ -313,28 +255,6 @@ def _leaf_geometry(leaf: ChanceConstraint, model: ParametricLti,
                          J=J, noise_coeff=gaussian_quantile(delta), **at_time)
 
 
-def to_affine(leaf: ChanceConstraint, model: ParametricLti,
-              x0) -> AffineInputConstraint:
-    """Reduce one leaf chance constraint on a state predicate to an affine
-    input constraint: its `_leaf_geometry` at the leaf's own gradient.
-
-    An `at_most` leaf negates the predicate and complements the threshold
-    first, and the noise margin uses delta = 1 - threshold.  The offset b
-    collects the predicate offset, the mean contribution of the initial
-    state, tilde^T A^t x0, and the noise margin; at time 0 the constraint
-    has no input coefficients and reduces to a sign check.
-    """
-    if isinstance(leaf.predicate, OutputPredicate):
-        raise StlError(
-            "bind output predicates to a model parameter before the affine "
-            "reduction")
-    g = _leaf_geometry(leaf, model, _time_terms(model, x0, leaf.time))
-    tl = g.v0[None]  # J = 0 for a state predicate
-    return AffineInputConstraint(f=(tl @ g.W)[0],
-                                 b=(g.mean(tl) + g.noise(tl))[0],
-                                 time=leaf.time, m=model.m)
-
-
 def _distinct_margins(order: list, at_time: dict) -> tuple:
     """The leaves of `order` that are no twin of an earlier one, and for
     each kept leaf whether a twin of it is its mirror; `at_time` holds the
@@ -410,16 +330,6 @@ class VerificationSpec:
     def leaves(self) -> tuple:
         return self.decomposition.all_leaves()
 
-    def affine_constraints(self, theta) -> list:
-        """Per-leaf affine input constraints at a fixed parameter, each
-        leaf bound to C(theta) first."""
-        c = self.model.c_matrix(theta)
-        return [to_affine(leaf.bind(c), self.model, self.x0)
-                for leaf in self.leaves()]
-
-    def leaf_margins(self, theta) -> np.ndarray:
-        return np.array([g.margins(theta)[0] for g in self._geometry])
-
     def satisfaction_batch(self, thetas,
                            cells: Optional[Cells] = None) -> np.ndarray:
         """Vectorized satisfaction map over rows of `thetas`: one leaf per
@@ -445,11 +355,6 @@ class VerificationSpec:
             rows = rows[g.margins(thetas[rows]) >= -FEAS_TOL]
         ok[rows] = 1
         return ok
-
-
-def satisfaction_fn(theta, spec: VerificationSpec) -> int:
-    """Indicator that every decomposed constraint holds robustly at theta."""
-    return int(spec.satisfaction_batch(np.reshape(theta, (1, -1)))[0])
 
 
 # --- piecewise-affine relaxation over parameter cells ------------------------

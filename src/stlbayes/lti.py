@@ -13,14 +13,13 @@ search region and, as `Cells`, a partition of PWA cells.
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .record import Record
 from .rng import RngStream
 
 _PSD_TOL = 1e-9
@@ -59,8 +58,7 @@ def psd_factor(m: np.ndarray) -> np.ndarray:
         return v * np.sqrt(w)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """Axis-aligned box lower <= x <= upper: a theta search region, a
     per-step input box, a prior's support, or a PWA cell with its `label`."""
 
@@ -92,8 +90,7 @@ class Box:
         return np.tile(self.lower, t), np.tile(self.upper, t)
 
 
-@dataclass(frozen=True)
-class ParametricLti:
+class ParametricLti(Record):
     """LTI system with parameter-affine output map, Gaussian noises and an
     admissible per-step input box."""
 
@@ -228,29 +225,7 @@ def simulate(model: ParametricLti, theta, x0, inputs, rng: RngStream):
     return states, clean, noisy
 
 
-def simulate_states_batch(model: ParametricLti, x0, inputs, n_paths: int,
-                          rng: RngStream) -> np.ndarray:
-    """Simulate `n_paths` independent noise realizations of the state equation.
-
-    All paths share the same input sequence.  Returns shape (n_paths, T+1, n).
-    """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    u = np.asarray(inputs, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    T = u.shape[0]
-    gen = rng.generator()
-    w = gen.standard_normal((n_paths, T, model.q)) @ psd_factor(model.Sigma_w).T
-    states = np.empty((n_paths, T + 1, model.n))
-    states[:, 0, :] = x0
-    for t in range(T):
-        states[:, t + 1, :] = (states[:, t, :] @ model.A.T
-                               + model.B @ u[t] + w[:, t, :] @ model.G.T)
-    return states
-
-
-@dataclass(frozen=True)
-class DataSet:
+class DataSet(Record):
     """Input/output pairs collected from the noisy system."""
 
     inputs: np.ndarray
@@ -278,13 +253,14 @@ class DataSet:
         path = Path(path)
         m, p = self.inputs.shape[1], self.outputs.shape[1]
         header = ["t"] + [f"u_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(p)]
+        # Python ints and floats, so each field is the plain shortest repr,
+        # which csv.writer would not quote: a line is the fields joined by
+        # "," and ended by "\r\n", the bytes csv.writer gives.
+        rows = zip(self.inputs.tolist(), self.outputs.tolist())
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            # Python floats, so each field is the plain shortest repr.
-            rows = zip(self.inputs.tolist(), self.outputs.tolist())
+            fh.write(",".join(header) + "\r\n")
             for t, (u, y) in enumerate(rows):
-                writer.writerow([t] + u + y)
+                fh.write(",".join(map(repr, [t] + u + y)) + "\r\n")
 
     def to_json(self, path) -> None:
         payload = {
@@ -302,8 +278,7 @@ class DataSet:
                        x0=np.asarray(payload["x0"], dtype=float))
 
 
-@dataclass(frozen=True)
-class InputSampler:
+class InputSampler(Record, eq=True):
     """IID excitation distribution for data collection."""
 
     kind: str
@@ -339,17 +314,3 @@ def collect_data(model: ParametricLti, theta_true, input_sampler: InputSampler,
     u = input_sampler.draw(gen, (n_exp, model.m))
     _, _, noisy = simulate(model, theta_true, x0, u, rng.child("noise"))
     return DataSet(inputs=u, outputs=noisy[:n_exp], x0=np.asarray(x0, dtype=float))
-
-
-def mean_trajectory(model: ParametricLti, x0, inputs) -> np.ndarray:
-    """Noise-free state trajectory (the mean of the stochastic dynamics)."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    u = np.asarray(inputs, dtype=float)
-    if u.ndim == 1:
-        u = u[:, None]
-    T = u.shape[0]
-    states = np.empty((T + 1, model.n))
-    states[0] = x0
-    for t in range(T):
-        states[t + 1] = model.A @ states[t] + model.B @ u[t]
-    return states

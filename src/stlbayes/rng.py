@@ -10,9 +10,9 @@ derive independent substreams without sharing mutable state.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-
 import numpy as np
+
+from .record import Record
 
 
 def _label_entropy(label: object) -> int:
@@ -22,8 +22,7 @@ def _label_entropy(label: object) -> int:
     return zlib.crc32(str(label).encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(Record, eq=True):
     """A named, reproducible random stream rooted at a 64-bit seed."""
 
     seed: int

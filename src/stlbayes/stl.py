@@ -1,22 +1,23 @@
 """Signal temporal logic over finite discrete-time trajectories.
 
-Formulas are trees of immutable nodes over linear predicates.  Intervals on
-temporal operators are integer step counts.  Boolean satisfaction and
-quantitative robustness are one evaluator, `_evaluate`, run with two
-semantics; the until operator requires its left operand on the closed prefix
-``[t, t']`` in both, so the sign of a nonzero robustness always matches the
-Boolean verdict.  Every other walk of the tree goes through `_children` and
-`_rebuild`.
+Formulas are trees of immutable records over linear predicates, equal when
+their fields are.  Intervals on temporal operators are integer step counts.
+Boolean satisfaction is one evaluator, `_evaluate`, which takes the
+semantics as an argument, so that the tests run the same walk with
+quantitative robustness; the until operator requires its left operand on
+the closed prefix ``[t, t']`` under any semantics, so the sign of a nonzero
+robustness always matches the Boolean verdict.  Every other walk of the tree
+goes through `_children` and `_rebuild`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Mapping, Union
 
 import numpy as np
+
+from .record import Record, replace
 
 
 class StlError(ValueError):
@@ -31,8 +32,7 @@ class StlSyntaxError(StlError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Affine:
+class _Affine(Record, eq=True):
     """`offset + gradient . v >= 0`, its numbers kept as floats."""
 
     offset: float
@@ -43,7 +43,6 @@ class _Affine:
         object.__setattr__(self, "gradient", tuple(float(g) for g in self.gradient))
 
 
-@dataclass(frozen=True)
 class LinearPredicate(_Affine):
     """State predicate `offset + gradient . x >= 0`."""
 
@@ -51,21 +50,11 @@ class LinearPredicate(_Affine):
     def gradient_array(self) -> np.ndarray:
         return np.asarray(self.gradient, dtype=float)
 
-    def value(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (len(self.gradient),):
-            raise StlError(
-                f"predicate gradient has length {len(self.gradient)} but the "
-                f"state has shape {x.shape}"
-            )
-        return self.offset + float(self.gradient_array @ x)
-
     def negated(self) -> "LinearPredicate":
         """Complement `{alpha >= 0}` as `{-alpha >= 0}` (boundary ignored)."""
         return LinearPredicate(-self.offset, tuple(-g for g in self.gradient))
 
 
-@dataclass(frozen=True)
 class OutputPredicate(_Affine):
     """Predicate `offset + gradient . y >= 0` on the model output y = C(theta) x.
 
@@ -86,14 +75,12 @@ class OutputPredicate(_Affine):
 Predicate = Union[LinearPredicate, OutputPredicate]
 
 
-@dataclass(frozen=True)
-class TrueNode:
+class TrueNode(Record, eq=True):
     def __str__(self):
         return "T"
 
 
-@dataclass(frozen=True)
-class Pred:
+class Pred(Record, eq=True):
     name: str
     predicate: Predicate
 
@@ -101,16 +88,14 @@ class Pred:
         return self.name
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record, eq=True):
     child: "Formula"
 
     def __str__(self):
         return f"!{self.child}"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record, eq=True):
     left: "Formula"
     right: "Formula"
 
@@ -118,8 +103,7 @@ class And:
         return f"({self.left} & {self.right})"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record, eq=True):
     left: "Formula"
     right: "Formula"
 
@@ -127,7 +111,7 @@ class Or:
         return f"({self.left} | {self.right})"
 
 
-class _Window:
+class _Window(Record, eq=True):
     """Checks the step interval [a, b] of a temporal operator."""
 
     def __post_init__(self):
@@ -141,7 +125,6 @@ class _Window:
                            "exceeds upper")
 
 
-@dataclass(frozen=True)
 class Until(_Window):
     left: "Formula"
     right: "Formula"
@@ -152,7 +135,6 @@ class Until(_Window):
         return f"({self.left} U[{self.a},{self.b}] {self.right})"
 
 
-@dataclass(frozen=True)
 class Eventually(_Window):
     child: "Formula"
     a: int
@@ -162,7 +144,6 @@ class Eventually(_Window):
         return f"F[{self.a},{self.b}] {self.child}"
 
 
-@dataclass(frozen=True)
 class Always(_Window):
     child: "Formula"
     a: int
@@ -242,41 +223,15 @@ def satisfies(xi, f: Formula, t: int = 0) -> bool:
     """Boolean satisfaction of `f` by trajectory `xi` at time `t`."""
     xi = as_trajectory(xi)
     _require_length(xi.shape[0], f, t)
-    return _satisfies(xi, f, t)
-
-
-def _satisfies(xi: np.ndarray, f: Formula, t: int) -> bool:
-    """Scalar reference for `_evaluate` under `_BOOLEAN`."""
-    if isinstance(f, TrueNode):
-        return True
-    if isinstance(f, Pred):
-        return _state_predicate(f).value(xi[t]) >= 0.0
-    if isinstance(f, Not):
-        return not _satisfies(xi, f.child, t)
-    if isinstance(f, And):
-        return _satisfies(xi, f.left, t) and _satisfies(xi, f.right, t)
-    if isinstance(f, Or):
-        return _satisfies(xi, f.left, t) or _satisfies(xi, f.right, t)
-    if isinstance(f, Until):
-        for tp in range(t + f.a, t + f.b + 1):
-            if _satisfies(xi, f.right, tp) and all(
-                _satisfies(xi, f.left, tpp) for tpp in range(t, tp + 1)
-            ):
-                return True
-        return False
-    if isinstance(f, Eventually):
-        return any(_satisfies(xi, f.child, t + i) for i in range(f.a, f.b + 1))
-    if isinstance(f, Always):
-        return all(_satisfies(xi, f.child, t + i) for i in range(f.a, f.b + 1))
-    raise StlError(f"unknown formula node {f!r}")
+    return bool(_evaluate(xi[None], f, t, _BOOLEAN)[0])
 
 
 # A semantics: (leaf map of the predicate values, and, or, not, value of
-# true).  The Boolean one is the robustness one with min/max/negation
-# replaced by and/or/not and each predicate value by its sign.
+# true).  The Boolean one is robustness (min, max, negation and +inf on the
+# predicate values themselves) with min/max/negation replaced by
+# and/or/not and each predicate value by its sign.
 _BOOLEAN = (lambda v: v >= 0.0, np.logical_and, np.logical_or,
             np.logical_not, True)
-_ROBUSTNESS = (lambda v: v, np.minimum, np.maximum, np.negative, math.inf)
 
 
 def _evaluate(arr: np.ndarray, f: Formula, t: int, sem) -> np.ndarray:
@@ -310,13 +265,6 @@ def _evaluate(arr: np.ndarray, f: Formula, t: int, sem) -> np.ndarray:
         return reduce(op, (_evaluate(arr, f.child, t + i, sem)
                            for i in range(f.a, f.b + 1)))
     raise StlError(f"unknown formula node {f!r}")
-
-
-def robustness(xi, f: Formula, t: int = 0) -> float:
-    """Quantitative robustness margin; positive implies satisfaction."""
-    xi = as_trajectory(xi)
-    _require_length(xi.shape[0], f, t)
-    return float(_evaluate(xi[None], f, t, _ROBUSTNESS)[0])
 
 
 def satisfies_batch(batch, f: Formula, t: int = 0) -> np.ndarray:

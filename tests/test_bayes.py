@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
-from stlbayes.bayes import (_LOG_2PI, _BatchLikelihood, _log_prior,
-                            gaussian_logpdf)
-from stlbayes.lti import simulate_states_batch
+from stlbayes.bayes import _LOG_2PI, _BatchLikelihood, _log_prior
 from stlbayes.rng import RngStream
+
+from oracles import (
+    build_M,
+    gaussian_logpdf,
+    joint_distribution,
+    log_likelihood,
+    simulate_states_batch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +31,7 @@ def dataset(model):
 
 class TestBuildM:
     def test_single_measurement_is_zero(self, model):
-        M = sb.build_M(model, [1.0, 0.0], 1)
+        M = build_M(model, [1.0, 0.0], 1)
         assert M.shape == (1, 2)
         assert not M.any()
 
@@ -35,7 +41,7 @@ class TestBuildM:
                              C_basis=([[1.0, 0.0]], [[0.0, 1.0]]),
                              Sigma_w=np.eye(2), Sigma_e=[[1.0]],
                              input_box=sb.Box([-1], [1]))
-        M = sb.build_M(m, [2.0, 3.0], 3)
+        M = build_M(m, [2.0, 3.0], 3)
         cg = np.array([[2.0, 3.0]])
         for r in range(1, 3):
             for c in range(r):
@@ -44,7 +50,7 @@ class TestBuildM:
         assert not M[0:1, 2:].any()
 
     def test_strictly_lower_triangular(self, model):
-        M = sb.build_M(model, [0.3, -0.2], 5)
+        M = build_M(model, [0.3, -0.2], 5)
         assert M.shape == (5, 10)
         for r in range(5):
             assert not M[r, 2 * r:].any()
@@ -55,13 +61,13 @@ class TestJointDistribution:
         quiet = model.with_overrides(Sigma_w=np.zeros((2, 2)),
                                      Sigma_e=np.eye(1) * 1e-4)
         u = np.linspace(-1, 1, 6)[:, None]
-        joint = sb.joint_distribution(quiet, [0.5, 0.5], [0, 0], u)
+        joint = joint_distribution(quiet, [0.5, 0.5], [0, 0], u)
         assert np.allclose(joint.cov, 1e-4 * np.eye(6))
         _, clean, _ = sb.simulate(quiet, [0.5, 0.5], [0, 0], u, RngStream(0))
         assert joint.mean == pytest.approx(clean[:6].ravel())
 
     def test_cov_dominates_measurement_noise(self, model, dataset):
-        joint = sb.joint_distribution(model, [1.0, -1.0], dataset.x0,
+        joint = joint_distribution(model, [1.0, -1.0], dataset.x0,
                                       dataset.inputs)
         eigs = np.linalg.eigvalsh(joint.cov)
         assert eigs.min() >= 0.5 - 1e-9
@@ -70,7 +76,7 @@ class TestJointDistribution:
     def test_singular_flag(self, model):
         silent = model.with_overrides(Sigma_w=np.zeros((2, 2)),
                                       Sigma_e=np.zeros((1, 1)))
-        joint = sb.joint_distribution(silent, [1.0, 0.0], [0, 0],
+        joint = joint_distribution(silent, [1.0, 0.0], [0, 0],
                                       np.zeros((3, 1)))
         assert joint.singular
 
@@ -80,7 +86,7 @@ class TestJointDistribution:
         n_exp = 10
         gen = np.random.default_rng(55)
         u = gen.uniform(-2, 2, size=(n_exp, 1))
-        joint = sb.joint_distribution(model, theta, [0, 0], u)
+        joint = joint_distribution(model, theta, [0, 0], u)
         reps = 10 ** 5
         states = simulate_states_batch(model, [0, 0], u, reps,
                                        RngStream(56).child("emp"))
@@ -95,7 +101,7 @@ class TestJointDistribution:
 
 class TestLogLikelihood:
     def test_maximal_at_zero_residual(self, model, dataset):
-        joint = sb.joint_distribution(model, [-0.5, 1.0], dataset.x0,
+        joint = joint_distribution(model, [-0.5, 1.0], dataset.x0,
                                       dataset.inputs)
         peak = gaussian_logpdf(np.zeros(joint.mean.size), joint.cov)
         sign, logdet = np.linalg.slogdet(joint.cov)
@@ -116,13 +122,13 @@ class TestLogLikelihood:
             data = sb.collect_data(model, [-0.5, 1.0],
                                    sb.InputSampler("uniform", low=-2, high=2),
                                    50, [0, 0], RngStream(200).child(trial))
-            good = sb.log_likelihood([-0.5, 1.0], data, model)
-            bad = sb.log_likelihood([2.0, -2.0], data, model)
+            good = log_likelihood([-0.5, 1.0], data, model)
+            bad = log_likelihood([2.0, -2.0], data, model)
             wins += int(good > bad)
         assert wins >= 95
 
     def test_permutation_invariance(self, model, dataset):
-        joint = sb.joint_distribution(model, [0.2, 0.4], dataset.x0,
+        joint = joint_distribution(model, [0.2, 0.4], dataset.x0,
                                       dataset.inputs)
         resid = dataset.outputs.ravel() - joint.mean
         base = gaussian_logpdf(resid, joint.cov)
@@ -138,7 +144,7 @@ class TestLogLikelihood:
         gen = np.random.default_rng(59)
         thetas = gen.uniform(-2, 2, size=(20, 2))
         vec = batch(thetas)
-        ref = np.array([sb.log_likelihood(t, dataset, model) for t in thetas])
+        ref = np.array([log_likelihood(t, dataset, model) for t in thetas])
         assert vec == pytest.approx(ref, abs=1e-8)
 
     def test_factorization_failure_reports_theta(self, model):
@@ -147,7 +153,7 @@ class TestLogLikelihood:
         data = sb.DataSet(inputs=np.zeros((3, 1)), outputs=np.zeros((3, 1)),
                           x0=[0, 0])
         with pytest.raises(ValueError, match="theta"):
-            sb.log_likelihood([1.0, 0.0], data, silent)
+            log_likelihood([1.0, 0.0], data, silent)
 
 
 def _random_model(seed, n, p, q, d, rank_w=None, zero_c0=False):
@@ -174,7 +180,7 @@ def _record(model, seed, n_exp):
 
 def _assert_matches_oracle(model, data, thetas):
     vec = _BatchLikelihood(model, data)(thetas)
-    ref = np.array([sb.log_likelihood(t, data, model) for t in thetas])
+    ref = np.array([log_likelihood(t, data, model) for t in thetas])
     np.testing.assert_allclose(vec, ref, rtol=1e-9, atol=0.0)
 
 

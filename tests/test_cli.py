@@ -485,6 +485,24 @@ def test_import_and_build_load_no_scipy():
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
+def test_cli_import_loads_no_test_oracle_and_no_dataclasses():
+    """Importing the front end compiles no test-side reference and builds
+    no dataclass: a fresh process that writes no bytecode, as the
+    benchmark's set-up probe runs, with the tests directory importable."""
+    names = ["dataclasses", "stlbayes.simplex", "oracles"]
+    script = ("import json, sys\n"
+              "import stlbayes.cli\n"
+              f"print(json.dumps([m for m in {names!r} if m in sys.modules]))\n")
+    tests = Path(__file__).resolve().parent
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)]),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
 def test_outputs_tool_writes_a_workload(tmp_path):
     """`tools/outputs.py` writes every file of both commands of a workload
     at a seed, from this checkout's package."""

@@ -4,10 +4,17 @@ import pytest
 
 import stlbayes as sb
 from stlbayes.chance import AT_LEAST, AT_MOST, WeightError
-from stlbayes.lti import simulate_states_batch
 from stlbayes.rng import RngStream
 
 from conftest import case_predicates
+from oracles import (
+    bind_leaf,
+    gamma,
+    gamma_gradient,
+    gaussian_cdf,
+    simulate_states_batch,
+    to_affine,
+)
 
 mpmath.mp.dps = 40
 
@@ -39,7 +46,6 @@ class TestGaussianQuantile:
         assert sb.gaussian_quantile(0.01) == pytest.approx(-2.3263478740, abs=1e-8)
 
     def test_roundtrip(self):
-        from stlbayes.chance import gaussian_cdf
         for x in np.linspace(0.001, 0.999, 999):
             assert abs(gaussian_cdf(sb.gaussian_quantile(x)) - x) < 1e-9
 
@@ -64,13 +70,13 @@ class TestGamma:
     def test_noiseless_is_zero(self, model):
         quiet = model.with_overrides(Sigma_w=np.zeros((2, 2)))
         for t in range(4):
-            assert sb.gamma([1.0, -2.0], 0.01, quiet, t) == 0.0
+            assert gamma([1.0, -2.0], 0.01, quiet, t) == 0.0
 
     def test_single_term_scalar_system(self):
         m = sb.ParametricLti(A=[[0.0]], B=[[1.0]], G=[[1.0]], C0=[[1.0]],
                              C_basis=(), Sigma_w=[[1.0]], Sigma_e=[[0.1]],
                              input_box=sb.Box([-1], [1]))
-        val = sb.gamma([1.0], 0.01, m, 1)
+        val = gamma([1.0], 0.01, m, 1)
         assert val == pytest.approx(-2.3263478740, abs=1e-6)
 
     def test_matches_simulated_variance(self, model):
@@ -81,10 +87,10 @@ class TestGamma:
                                        10 ** 6, RngStream(42).child("gamma"))
         alpha = states[:, t, :] @ tilde
         sim = -2.3263478740 * float(alpha.std(ddof=1))
-        assert sb.gamma(tilde, 0.01, model, t) == pytest.approx(sim, rel=0.01)
+        assert gamma(tilde, 0.01, model, t) == pytest.approx(sim, rel=0.01)
 
     def test_zero_time(self, model):
-        assert sb.gamma([1.0, 1.0], 0.2, model, 0) == 0.0
+        assert gamma([1.0, 1.0], 0.2, model, 0) == 0.0
 
     def test_gradient_matches_finite_differences(self, model):
         gen = np.random.default_rng(7)
@@ -95,20 +101,20 @@ class TestGamma:
                 tilde = tilde + 0.5
             delta = float(gen.uniform(0.02, 0.4))
             t = int(gen.integers(1, 6))
-            grad, ddelta = sb.gamma_gradient(tilde, delta, model, t)
+            grad, ddelta = gamma_gradient(tilde, delta, model, t)
             for i in range(2):
                 e = np.zeros(2)
                 e[i] = h
-                fd = (sb.gamma(tilde + e, delta, model, t)
-                      - sb.gamma(tilde - e, delta, model, t)) / (2 * h)
+                fd = (gamma(tilde + e, delta, model, t)
+                      - gamma(tilde - e, delta, model, t)) / (2 * h)
                 assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-            fd = (sb.gamma(tilde, delta + h, model, t)
-                  - sb.gamma(tilde, delta - h, model, t)) / (2 * h)
+            fd = (gamma(tilde, delta + h, model, t)
+                  - gamma(tilde, delta - h, model, t)) / (2 * h)
             assert ddelta == pytest.approx(fd, rel=1e-5)
 
     def test_gradient_undefined_at_cone(self, model):
         with pytest.raises(ValueError, match="differentiable"):
-            sb.gamma_gradient([0.0, 0.0], 0.1, model, 2)
+            gamma_gradient([0.0, 0.0], 0.1, model, 2)
 
 
 class TestUntilEvents:
@@ -280,7 +286,7 @@ class TestToAffine:
     def test_time_zero_constant(self, model):
         leaf = sb.ChanceConstraint(sb.LinearPredicate(0.5, (0.0, 0.0)), 0,
                                    AT_LEAST, 0.99)
-        c = sb.to_affine(leaf, model, [0, 0])
+        c = to_affine(leaf, model, [0, 0])
         assert c.f.size == 0
         assert c.b == pytest.approx(0.5)
 
@@ -290,7 +296,7 @@ class TestToAffine:
         tilde = -model.c_matrix(theta).ravel()
         leaf = sb.ChanceConstraint(sb.LinearPredicate(0.5, tuple(tilde)), 2,
                                    AT_LEAST, 0.99)
-        c = sb.to_affine(leaf, model, [0, 0])
+        c = to_affine(leaf, model, [0, 0])
         expected = [float((tilde @ model.A @ model.B)[0]),
                     float((tilde @ model.B)[0])]
         assert c.f == pytest.approx(expected)
@@ -299,7 +305,7 @@ class TestToAffine:
         tilde = np.array([0.3, -0.7])
         leaf = sb.ChanceConstraint(sb.LinearPredicate(0.0, tuple(tilde)), 3,
                                    AT_LEAST, 0.9)
-        f = sb.to_affine(leaf, model, [0, 0]).f
+        f = to_affine(leaf, model, [0, 0]).f
         ref = [float((tilde @ np.linalg.matrix_power(model.A, 3 - 1 - k)
                       @ model.B)[0]) for k in range(3)]
         assert f == pytest.approx(ref)
@@ -310,7 +316,7 @@ class TestToAffine:
         for thr in (0.5, 0.9, 0.99, 0.999):
             leaf = sb.ChanceConstraint(sb.LinearPredicate(0.1, tilde), 3,
                                        AT_LEAST, thr)
-            b = sb.to_affine(leaf, model, [0, 0]).b
+            b = to_affine(leaf, model, [0, 0]).b
             if previous is not None:
                 assert b < previous
             previous = b
@@ -319,7 +325,7 @@ class TestToAffine:
         pred = sb.LinearPredicate(0.1, (1.0, 0.0))
         lo = sb.ChanceConstraint(pred, 2, AT_MOST, 0.3)
         hi = sb.ChanceConstraint(pred.negated(), 2, AT_LEAST, 0.7)
-        ca, cb = sb.to_affine(lo, model, [0, 0]), sb.to_affine(hi, model, [0, 0])
+        ca, cb = to_affine(lo, model, [0, 0]), to_affine(hi, model, [0, 0])
         assert ca.f == pytest.approx(cb.f)
         assert ca.b == pytest.approx(cb.b)
 
@@ -327,8 +333,8 @@ class TestToAffine:
         pred = sb.LinearPredicate(0.0, (1.0, 0.5))
         leaf = sb.ChanceConstraint(pred, 2, AT_LEAST, 0.9)
         x0 = np.array([0.3, -0.4])
-        with_x0 = sb.to_affine(leaf, model, x0)
-        without = sb.to_affine(leaf, model, [0, 0])
+        with_x0 = to_affine(leaf, model, x0)
+        without = to_affine(leaf, model, [0, 0])
         tilde = np.array([1.0, 0.5])
         shift = float(tilde @ np.linalg.matrix_power(model.A, 2) @ x0)
         assert with_x0.b - without.b == pytest.approx(shift)
@@ -345,7 +351,7 @@ class TestToAffine:
             def affine(g):
                 leaf = sb.ChanceConstraint(sb.LinearPredicate(0.0, tuple(g)),
                                            3, AT_LEAST, 0.9)
-                return sb.to_affine(leaf, quiet, x0)
+                return to_affine(leaf, quiet, x0)
 
             combo = affine(a * g1 + b * g2)
             one, two = affine(g1), affine(g2)
@@ -356,6 +362,6 @@ class TestToAffine:
         leaf = sb.ChanceConstraint(sb.OutputPredicate(0.5, (1.0,)), 2,
                                    AT_LEAST, 0.9)
         with pytest.raises(sb.StlError, match="bind"):
-            sb.to_affine(leaf, model, [0, 0])
-        bound = leaf.bind(model.c_matrix([1.0, 0.0]))
-        assert sb.to_affine(bound, model, [0, 0]).f.size == 2
+            to_affine(leaf, model, [0, 0])
+        bound = bind_leaf(leaf, model.c_matrix([1.0, 0.0]))
+        assert to_affine(bound, model, [0, 0]).f.size == 2

@@ -9,7 +9,6 @@ import pytest
 
 import stlbayes as sb
 from stlbayes import cli
-from stlbayes.chance import AffineInputConstraint
 from stlbayes.feasibility import (
     FEAS_TOL,
     FEASIBLE,
@@ -19,6 +18,14 @@ from stlbayes.feasibility import (
 )
 
 from conftest import case_predicates
+from oracles import (
+    AffineInputConstraint,
+    affine_constraints,
+    farkas_feasible,
+    leaf_margins,
+    satisfaction_fn,
+    worst_case_margin,
+)
 
 
 def random_constraint(gen, max_m=3, max_t=4):
@@ -35,11 +42,11 @@ def random_constraint(gen, max_m=3, max_t=4):
 class TestWorstCaseMargin:
     def test_constant_constraint(self):
         c = AffineInputConstraint(f=np.zeros(0), b=0.7, time=0, m=1)
-        assert sb.worst_case_margin(c, sb.Box([-1], [1])) == 0.7
+        assert worst_case_margin(c, sb.Box([-1], [1])) == 0.7
 
     def test_symmetric_box(self):
         c = AffineInputConstraint(f=[1.0, -2.0], b=0.0, time=2, m=1)
-        assert sb.worst_case_margin(c, sb.Box([-1], [1])) == pytest.approx(-3.0)
+        assert worst_case_margin(c, sb.Box([-1], [1])) == pytest.approx(-3.0)
 
     def test_corner_enumeration_oracle(self):
         gen = np.random.default_rng(1)
@@ -52,7 +59,7 @@ class TestWorstCaseMargin:
             best = min(c.b + float(c.f @ np.array(corner))
                        for corner in itertools.product(
                            *[(lo[i], hi[i]) for i in range(k)]))
-            assert sb.worst_case_margin(c, box) == pytest.approx(best)
+            assert worst_case_margin(c, box) == pytest.approx(best)
 
 
 class TestFarkas:
@@ -60,8 +67,8 @@ class TestFarkas:
         gen = np.random.default_rng(2)
         for _ in range(400):
             c, box = random_constraint(gen)
-            margin = sb.worst_case_margin(c, box)
-            ok, cert = sb.farkas_feasible(c, box)
+            margin = worst_case_margin(c, box)
+            ok, cert = farkas_feasible(c, box)
             if margin > 1e-9:
                 assert ok
             elif margin < -1e-9:
@@ -74,7 +81,7 @@ class TestFarkas:
             c, box = random_constraint(gen)
             if c.time == 0:
                 continue
-            ok, cert = sb.farkas_feasible(c, box)
+            ok, cert = farkas_feasible(c, box)
             if not ok:
                 continue
             found += 1
@@ -94,8 +101,8 @@ class TestFarkas:
         box = sb.Box([-1], [1])
         bad = AffineInputConstraint(f=np.zeros(0), b=-1.0, time=0, m=1)
         good = AffineInputConstraint(f=np.zeros(0), b=0.0, time=0, m=1)
-        assert sb.farkas_feasible(bad, box)[0] is False
-        assert sb.farkas_feasible(good, box)[0] is True
+        assert farkas_feasible(bad, box)[0] is False
+        assert farkas_feasible(good, box)[0] is True
 
 
 @pytest.fixture(params=["output", "state"], ids="{}-stddev".format)
@@ -128,7 +135,7 @@ def _assert_rowwise_satisfaction(spec, thetas):
     on the whole batch, on single rows and on an empty batch."""
     sat = spec.satisfaction_batch(thetas)
     assert sat.dtype == np.uint8 and sat.shape == (len(thetas),)
-    assert sat.tolist() == [int(np.all(spec.leaf_margins(t) >= -FEAS_TOL))
+    assert sat.tolist() == [int(np.all(leaf_margins(spec, t) >= -FEAS_TOL))
                             for t in thetas]
     for i in range(3):
         assert spec.satisfaction_batch(thetas[i:i + 1]).tolist() == [sat[i]]
@@ -151,21 +158,21 @@ class TestSatisfactionFn:
         gen = np.random.default_rng(5)
         box = route_spec.model.input_box
         for theta in gen.uniform(-2, 2, size=(25, 2)):
-            margins = route_spec.leaf_margins(theta)
-            ref = np.array([sb.worst_case_margin(c, box)
-                            for c in route_spec.affine_constraints(theta)])
+            margins = leaf_margins(route_spec, theta)
+            ref = np.array([worst_case_margin(c, box)
+                            for c in affine_constraints(route_spec, theta)])
             assert margins == pytest.approx(ref, abs=1e-10)
             expected = int(np.all(ref >= -1e-9))
-            assert sb.satisfaction_fn(theta, route_spec) == expected
+            assert satisfaction_fn(theta, route_spec) == expected
 
     def test_farkas_agrees_on_spec_leaves(self, route_spec):
         gen = np.random.default_rng(6)
         box = route_spec.model.input_box
         for theta in gen.uniform(-1.5, 1.5, size=(10, 2)):
-            for c in route_spec.affine_constraints(theta):
-                margin = sb.worst_case_margin(c, box)
+            for c in affine_constraints(route_spec, theta):
+                margin = worst_case_margin(c, box)
                 if abs(margin) > 1e-9:
-                    assert sb.farkas_feasible(c, box)[0] == (margin >= 0)
+                    assert farkas_feasible(c, box)[0] == (margin >= 0)
 
     def test_batch_matches_rowwise_margins(self, route_spec):
         _assert_rowwise_satisfaction(
@@ -424,6 +431,40 @@ class TestBoxValidation:
             assert type(box) is sb.Box
             assert (box.lower.tolist(), box.upper.tolist(), box.label) == \
                 (lower.tolist(), upper.tolist(), label)
+
+
+class TestArrayRecordsByIdentity:
+    """Records with array fields compare and hash by identity: `==` on
+    their arrays has no single truth value."""
+
+    def test_box(self):
+        box = sb.Box([0.0, 0.0], [1.0, 1.0])
+        twin = sb.Box([0.0, 0.0], [1.0, 1.0])
+        assert box == box and box != twin
+        assert {box: 1}[box] == 1 and twin not in {box}
+
+    def test_cells(self):
+        cells = sb.pwa_partition(sb.Box([0.0, 0.0], [1.0, 1.0]), 2)
+        again = sb.pwa_partition(sb.Box([0.0, 0.0], [1.0, 1.0]), 2)
+        assert cells == cells and cells != again
+        assert len({cells, again, cells}) == 2
+
+    def test_model_and_dataset(self):
+        model = sb.laguerre_model(0.4)
+        assert model == model and model != sb.laguerre_model(0.4)
+        data = sb.DataSet([[0.0]], [[1.0]], [0.0, 0.0])
+        assert data == data and hash(data) == hash(data)
+        assert data != sb.DataSet([[0.0]], [[1.0]], [0.0, 0.0])
+
+
+def test_cells_repr_shows_the_edges_and_labels():
+    cells = sb.Cells([[0.0, 0.5, 1.0], [-1.0, 1.0]], [FEASIBLE, UNKNOWN])
+    text = repr(cells)
+    assert text.startswith("Cells(edges=(array([0. , 0.5, 1. ]), "
+                           "array([-1.,  1.])), label=array(")
+    back = eval(text, {"Cells": sb.Cells, "array": np.array})
+    assert [e.tolist() for e in back.edges] == [[0.0, 0.5, 1.0], [-1.0, 1.0]]
+    assert back.label.tolist() == [FEASIBLE, UNKNOWN]
 
 
 CASE_REGION = sb.Box([-3.5, -3.5], [3.5, 3.5])

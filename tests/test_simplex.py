@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from stlbayes.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lp
+from oracles import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_standard_lp
 
 
 def test_known_minimum():
