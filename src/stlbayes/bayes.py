@@ -183,6 +183,12 @@ class PosteriorDensity(Record):
                 return logs - self.log_z
         return self.log_unnormalized(thetas) - self.log_z
 
+    def __repr__(self) -> str:
+        # `prefetched` holds whole arrays of rows and their scores.
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields if name != "prefetched")
+        return f"PosteriorDensity({fields})"
+
     def density(self, thetas) -> np.ndarray:
         return np.exp(self.log_density(thetas))
 

@@ -13,6 +13,7 @@ search region and, as `Cells`, a partition of PWA cells.
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 from typing import Optional
@@ -253,14 +254,13 @@ class DataSet(Record):
         path = Path(path)
         m, p = self.inputs.shape[1], self.outputs.shape[1]
         header = ["t"] + [f"u_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(p)]
-        # Python ints and floats, so each field is the plain shortest repr,
-        # which csv.writer would not quote: a line is the fields joined by
-        # "," and ended by "\r\n", the bytes csv.writer gives.
-        rows = zip(self.inputs.tolist(), self.outputs.tolist())
         with path.open("w", newline="") as fh:
-            fh.write(",".join(header) + "\r\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            # Python floats, so each field is the plain shortest repr.
+            rows = zip(self.inputs.tolist(), self.outputs.tolist())
             for t, (u, y) in enumerate(rows):
-                fh.write(",".join(map(repr, [t] + u + y)) + "\r\n")
+                writer.writerow([t] + u + y)
 
     def to_json(self, path) -> None:
         payload = {

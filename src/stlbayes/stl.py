@@ -242,6 +242,11 @@ def _evaluate(arr: np.ndarray, f: Formula, t: int, sem) -> np.ndarray:
         return np.full(arr.shape[0], top)
     if isinstance(f, Pred):
         p = _state_predicate(f)
+        if arr.shape[2] != len(p.gradient):
+            raise StlError(
+                f"predicate {f.name!r} has a gradient of length "
+                f"{len(p.gradient)} but the states have {arr.shape[2]} entries"
+            )
         return leaf(arr[:, t, :] @ p.gradient_array + p.offset)
     if isinstance(f, Not):
         return not_(_evaluate(arr, f.child, t, sem))

@@ -30,6 +30,7 @@ from oracles import (
     gaussian_cdf,
     joint_distribution,
     robustness,
+    scalar_satisfies,
     simulate_states_batch,
     worst_case_margin,
 )
@@ -332,7 +333,7 @@ def test_criterion_8_stl_sign_agreement():
         if rho == 0.0:
             continue
         checked += 1
-        if (rho > 0) != sb.satisfies(xi, f, 0):
+        if (rho > 0) != scalar_satisfies(xi, f, 0):
             mismatches += 1
     criterion(8, "robustness sign matches Boolean semantics", [
         ("1000 nonzero-robustness cases agree", mismatches == 0,

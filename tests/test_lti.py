@@ -1,6 +1,3 @@
-import csv
-import io
-
 import numpy as np
 import pytest
 
@@ -160,20 +157,6 @@ class TestCollectData:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t,u_1,y_1"
         assert len(lines) == 5
-
-    def test_csv_matches_the_csv_module(self, tmp_path):
-        """The rows are the bytes csv.writer gives for the same fields, a
-        negative zero, exponent forms and non-finite values included."""
-        inputs = [[-0.0, 1e-05], [2.5e-300, float("inf")], [0.1, 7e22]]
-        outputs = [[float("nan")], [-1.0], [5e-324]]
-        data = sb.DataSet(inputs, outputs, [0.0])
-        data.to_csv(tmp_path / "d.csv")
-        buffer = io.StringIO(newline="")
-        writer = csv.writer(buffer)
-        writer.writerow(["t", "u_1", "u_2", "y_1"])
-        writer.writerows([t] + u + y
-                         for t, (u, y) in enumerate(zip(inputs, outputs)))
-        assert (tmp_path / "d.csv").read_bytes() == buffer.getvalue().encode()
 
     def test_csv_fields_parse_back_exactly(self, tmp_path):
         model = sb.ParametricLti(

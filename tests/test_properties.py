@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import stlbayes as sb
 
-from oracles import robustness
+from oracles import robustness, scalar_satisfies
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 _interval = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(
@@ -53,9 +53,9 @@ def test_positive_robustness_implies_satisfaction(f, data):
     xi = _trajectory_for(f, data)
     rho = robustness(xi, f, 0)
     if rho > 0:
-        assert sb.satisfies(xi, f, 0)
+        assert scalar_satisfies(xi, f, 0)
     elif rho < 0:
-        assert not sb.satisfies(xi, f, 0)
+        assert not scalar_satisfies(xi, f, 0)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -73,8 +73,8 @@ def test_batch_evaluator_matches_scalar(f, data):
     xi = _trajectory_for(f, data)
     batch = np.stack([xi, xi[::-1].copy()])
     vec = sb.satisfies_batch(batch, f, 0)
-    assert vec[0] == sb.satisfies(batch[0], f, 0)
-    assert vec[1] == sb.satisfies(batch[1], f, 0)
+    assert vec[0] == scalar_satisfies(batch[0], f, 0)
+    assert vec[1] == scalar_satisfies(batch[1], f, 0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -180,6 +180,15 @@ def test_weights_compare_but_do_not_hash():
         hash(sb.WeightScheme())
 
 
+def test_posterior_repr_leaves_out_the_prefetched_arrays():
+    rows = np.zeros((3, 1))
+    post = sb.PosteriorDensity(_BOX, len, 0.0, 1.0, 0.0, 0.0, 3,
+                               ((rows, np.ones(3)),))
+    assert "prefetched" not in repr(post)
+    assert repr(post) == repr(replace(post, prefetched=()))
+    assert repr(post).startswith(f"PosteriorDensity(prior={_BOX!r}, ")
+
+
 def test_formula_value_semantics():
     gen = np.random.default_rng(5)
     for _ in range(100):

@@ -115,6 +115,15 @@ class TestSatisfies:
         with pytest.raises(sb.StlError, match="too short"):
             sb.satisfies(np.zeros((3, 1)), f, 0)
 
+    def test_state_width_must_match_the_gradient(self):
+        f = sb.Always(sb.Pred("p", sb.LinearPredicate(0.0, (1.0, 2.0))), 0, 1)
+        for width in (1, 3):
+            match = f"length 2 but the states have {width} entries"
+            with pytest.raises(sb.StlError, match=match):
+                sb.satisfies(np.zeros((2, width)), f, 0)
+            with pytest.raises(sb.StlError, match=match):
+                sb.satisfies_batch(np.zeros((4, 2, width)), f, 0)
+
     def test_until_requires_left_at_witness(self):
         # left fails exactly at the witness time: closed-interval semantics
         # rejects the witness.
@@ -175,7 +184,7 @@ class TestSoundness:
             if rho == 0.0:
                 continue
             checked += 1
-            assert (rho > 0) == sb.satisfies(xi, f, 0)
+            assert (rho > 0) == scalar_satisfies(xi, f, 0)
         assert checked >= 1000
 
     def test_desugaring_coherence(self):
