@@ -7,8 +7,6 @@ from .chance import (
     DecompositionResult,
     WeightScheme,
     decompose,
-    gaussian_quantile,
-    noise_gram,
     until_events,
 )
 from .confidence import (
@@ -21,6 +19,8 @@ from .feasibility import (
     Cells,
     VerificationSpec,
     classify_cells,
+    gaussian_quantile,
+    noise_gram,
     pwa_partition,
     restrict_region,
 )

@@ -3,15 +3,9 @@
 A requirement Pr(xi |= psi at time 0) >= 1 - delta is transformed, by
 structural recursion over the formula, into a conjunction of constraints of
 the form Pr(alpha(x(t)) >= 0) {>=,<=} threshold on single predicates at fixed
-times.
-This module also holds the two factors of a leaf's Gaussian noise margin
-sigma * Phi^-1(delta): the noise Gram matrix of sigma^2 (`noise_gram`) and
-the normal quantile (`gaussian_quantile`); the leaf geometry in
-`feasibility` combines them.
-
-The quantile comes from the standard library, so that importing the package
-loads numpy and nothing heavier: it is `statistics.NormalDist.inv_cdf`
-(Wichura's algorithm AS 241, accurate to double precision).
+times.  The result is the flat list of these leaves in depth-first order of
+the formula tree, the order in which the report lists them; each leaf keeps
+its tree path, so `e3/c1` is conjunct 1 of until event 3.
 
 Budget rules (node required with probability p):
 
@@ -38,13 +32,11 @@ README for the conservativeness discussion.
 
 from __future__ import annotations
 
-from statistics import NormalDist
 from typing import Optional, Union
 
 import numpy as np
 
-from .lti import ParametricLti
-from .record import Factory, Record
+from .record import Record
 from .stl import (
     Always,
     And,
@@ -64,41 +56,6 @@ from .stl import (
 
 AT_LEAST = "at_least"
 AT_MOST = "at_most"
-
-
-# --- Gaussian quantile and noise margin ------------------------------------
-
-_STANDARD_NORMAL = NormalDist()
-
-
-def gaussian_quantile(delta: float) -> float:
-    """Standard normal quantile Phi^{-1}(delta) for delta in (0, 1).
-
-    Wichura's AS 241 through `statistics.NormalDist.inv_cdf`, accurate to
-    double precision over the whole open interval.
-    """
-    delta = float(delta)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"quantile argument must lie in (0, 1), got {delta}")
-    return _STANDARD_NORMAL.inv_cdf(delta)
-
-
-def noise_gram(model: ParametricLti, t: int) -> np.ndarray:
-    """Gram matrix V_t = sum_{i=1..t} A^{i-1} G Sigma_w G^T (A^T)^{i-1}.
-
-    The variance of alpha(x(t)) induced by the process noise is
-    theta_tilde^T V_t theta_tilde.
-    """
-    if t < 0:
-        raise ValueError("time index must be nonnegative")
-    n = model.n
-    V = np.zeros((n, n))
-    gsg = model.G @ model.Sigma_w @ model.G.T
-    Ak = np.eye(n)
-    for _ in range(t):
-        V += Ak @ gsg @ Ak.T
-        Ak = model.A @ Ak
-    return V
 
 
 # --- leaf constraints -------------------------------------------------------
@@ -142,29 +99,16 @@ class ChanceConstraint(Record, eq=True):
         }
 
 
-class ConstraintGroup(Record, eq=True):
-    """A conjunctive bundle of leaves; until windows yield one group per event."""
+class DecompositionResult(Record, eq=True):
+    """The leaves of one decomposition, in decomposition order."""
 
-    name: str
-    path: tuple
     leaves: tuple
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "path": _path_key(self.path),
-            "leaves": [leaf.to_json_dict() for leaf in self.leaves],
-        }
-
-
-class DecompositionResult(Record, eq=True):
-    groups: tuple
-
     def all_leaves(self) -> tuple:
-        return tuple(leaf for g in self.groups for leaf in g.leaves)
+        return self.leaves
 
     def to_json_dict(self) -> dict:
-        return {"groups": [g.to_json_dict() for g in self.groups]}
+        return {"leaves": [leaf.to_json_dict() for leaf in self.leaves]}
 
 
 class WeightError(ValueError):
@@ -179,11 +123,14 @@ class WeightScheme(Record, eq=True):
     `weights` takes that vector; every other node assigns 1/N to its N
     children.  Vectors must be finite, nonnegative and sum to one; their
     keys and lengths are checked against the nodes in decomposition.
+    `None` stands for a fresh empty dict.
     """
 
-    weights: dict = Factory(dict)
+    weights: Optional[dict] = None
 
     def __post_init__(self):
+        if self.weights is None:
+            object.__setattr__(self, "weights", {})
         for key, vector in self.weights.items():
             w = np.asarray(vector, dtype=float)
             if (w.ndim != 1 or not np.all(np.isfinite(w) & (w >= 0.0))
@@ -211,7 +158,8 @@ def _temporal_free(f: Formula) -> bool:
             and all(map(_temporal_free, _children(f))))
 
 
-def until_events(psi1: Formula, psi2: Formula, a: int, b: int, t: int):
+def until_events(psi1: Formula, psi2: Formula, a: int, b: int, t: int,
+                 operator: str = "U"):
     """First-hit events of `psi1 U[a,b] psi2` anchored at time t.
 
     Event j (for j = t+a .. t+b) holds when psi2 first becomes true at j
@@ -221,12 +169,14 @@ def until_events(psi1: Formula, psi2: Formula, a: int, b: int, t: int):
 
     Returns a list of (j, conjuncts) with conjuncts a list of
     (formula, time) pairs; empty index ranges contribute nothing.  The
-    events are pairwise disjoint.
+    events are pairwise disjoint.  The error on temporal operands names
+    `operator`, "F" for an eventually (psi1 true) and "U" otherwise.
     """
     if a > b:
         raise ValueError(f"invalid interval [{a},{b}]")
     if not (_temporal_free(psi1) and _temporal_free(psi2)):
-        raise StlError("until operands must be free of nested temporal operators")
+        raise StlError(f"{operator}[{a},{b}] operands must be free of nested "
+                       "temporal operators")
     events = []
     for j in range(t + a, t + b + 1):
         conjuncts = [(psi1, k) for k in range(t, t + a)]
@@ -247,49 +197,33 @@ def _flatten_and(f: Formula):
     return [f]
 
 
-class _Sink:
-    """The leaves of one decomposition, by group, and the weight nodes it
-    visits."""
-
-    def __init__(self, scheme: WeightScheme):
-        self.scheme = scheme
-        self.nodes: set = set()
-        self.groups: dict = {(): []}  # the root group first, then the events
-
-    def weights(self, path: tuple, count: int) -> np.ndarray:
-        self.nodes.add(_path_key(path))
-        return self.scheme.for_node(path, count)
-
-    def add(self, leaf: ChanceConstraint, group: tuple):
-        self.groups.setdefault(group, []).append(leaf)
-
-    def result(self) -> DecompositionResult:
-        unused = sorted(set(self.scheme.weights) - self.nodes)
-        if unused:
-            raise WeightError(f"weight vector at {unused[0]!r} names no "
-                              "decomposition node")
-        return DecompositionResult(tuple(
-            ConstraintGroup(str(key[-1]) if key else "root", key, tuple(leaves))
-            for key, leaves in self.groups.items() if leaves))
-
-
 def decompose(f: Formula, delta: float,
               weights: Optional[WeightScheme] = None) -> DecompositionResult:
     """Reduce Pr(xi |= f at time 0) >= 1 - delta to leaf chance constraints.
 
     The formula is normalized so negations sit on predicates, then the
     structural rules described in the module docstring apply.  All leaves
-    reference absolute time steps in [0, horizon(f)].
+    reference absolute time steps in [0, horizon(f)].  A weight key that
+    names no node the decomposition visits raises `WeightError`.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    sink = _Sink(weights if weights is not None else WeightScheme())
-    _decompose(to_nnf(f), AT_LEAST, 1.0 - delta, 0, (), (), sink)
-    return sink.result()
+    scheme = weights if weights is not None else WeightScheme()
+    visited = set()
+
+    def weigh(path: tuple, count: int) -> np.ndarray:
+        visited.add(_path_key(path))
+        return scheme.for_node(path, count)
+
+    leaves = _decompose(to_nnf(f), AT_LEAST, 1.0 - delta, 0, (), weigh)
+    unused = sorted(set(scheme.weights) - visited)
+    if unused:
+        raise WeightError(f"weight vector at {unused[0]!r} names no "
+                          "decomposition node")
+    return DecompositionResult(tuple(leaves))
 
 
-def _conjoin(conjuncts, threshold: float, path: tuple, group,
-             sink: _Sink) -> None:
+def _conjoin(conjuncts, threshold: float, path: tuple, weigh) -> list:
     """Boole's rule for a conjunction required with probability `threshold`.
 
     `conjuncts` is a list of (formula, time) pairs; their top-level
@@ -298,16 +232,19 @@ def _conjoin(conjuncts, threshold: float, path: tuple, group,
     """
     flat = [(c, k) for sub, k in conjuncts for c in _flatten_and(to_nnf(sub))]
     if not flat:
-        return
-    w = sink.weights(path, len(flat))
+        return []
+    w = weigh(path, len(flat))
     budget = 1.0 - threshold
-    for i, (c, k) in enumerate(flat):
-        _decompose(c, AT_LEAST, 1.0 - w[i] * budget, k, path + (f"c{i}",),
-                   group, sink)
+    return [leaf for i, (c, k) in enumerate(flat)
+            for leaf in _decompose(c, AT_LEAST, 1.0 - w[i] * budget, k,
+                                   path + (f"c{i}",), weigh)]
 
 
 def _decompose(f: Formula, direction: str, threshold: float, time: int,
-               path: tuple, group, sink: _Sink) -> None:
+               path: tuple, weigh) -> list:
+    """The leaves of `f` at `time`, required {at least, at most} with
+    probability `threshold`; `weigh(path, count)` gives a node's child
+    weights."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(
             f"derived threshold {threshold!r} left (0, 1) at path "
@@ -315,66 +252,58 @@ def _decompose(f: Formula, direction: str, threshold: float, time: int,
 
     if isinstance(f, TrueNode):
         if direction == AT_LEAST:
-            return
+            return []
         raise ValueError("Pr(true) <= threshold < 1 is unsatisfiable")
 
     if isinstance(f, Pred):
-        sink.add(ChanceConstraint(f.predicate, time, direction, threshold,
-                                  f.name, path), group)
-        return
+        return [ChanceConstraint(f.predicate, time, direction, threshold,
+                                 f.name, path)]
 
     if isinstance(f, Not):
         inner = f.child
         if isinstance(inner, TrueNode):
             if direction == AT_MOST:
-                return
+                return []
             raise ValueError("Pr(not true) >= threshold > 0 is unsatisfiable")
         if isinstance(inner, Pred):
             flipped = AT_MOST if direction == AT_LEAST else AT_LEAST
-            sink.add(ChanceConstraint(inner.predicate, time, flipped,
-                                      1.0 - threshold, "!" + inner.name, path),
-                     group)
-            return
+            return [ChanceConstraint(inner.predicate, time, flipped,
+                                     1.0 - threshold, "!" + inner.name, path)]
         raise StlError("negation above a non-predicate survived normalization")
 
     if isinstance(f, And):
         if direction == AT_LEAST:
-            _conjoin([(f, time)], threshold, path, group, sink)
-        else:
-            # Pr(and) <= p is implied by bounding every conjunct by p.
-            for i, part in enumerate(_flatten_and(f)):
-                _decompose(part, AT_MOST, threshold, time, path + (f"c{i}",),
-                           group, sink)
-        return
+            return _conjoin([(f, time)], threshold, path, weigh)
+        # Pr(and) <= p is implied by bounding every conjunct by p.
+        return [leaf for i, part in enumerate(_flatten_and(f))
+                for leaf in _decompose(part, AT_MOST, threshold, time,
+                                       path + (f"c{i}",), weigh)]
 
     if isinstance(f, Or):
         parts = [f.left, f.right]
-        w = sink.weights(path, len(parts))
-        for i, part in enumerate(parts):
-            _decompose(part, direction, w[i] * threshold, time,
-                       path + (f"d{i}",), group, sink)
-        return
+        w = weigh(path, len(parts))
+        return [leaf for i, part in enumerate(parts)
+                for leaf in _decompose(part, direction, w[i] * threshold,
+                                       time, path + (f"d{i}",), weigh)]
 
     if isinstance(f, (Until, Eventually)):
         if direction == AT_MOST:
             raise StlError("upper bounds on until/eventually are outside the "
                            "supported fragment")
-        left, right = ((TrueNode(), f.child) if isinstance(f, Eventually)
-                       else (f.left, f.right))
-        events = until_events(left, right, f.a, f.b, time)
-        w = sink.weights(path, len(events))
-        for idx, (j, conjuncts) in enumerate(events):
-            event_path = path + (f"e{j}",)
-            _conjoin(conjuncts, w[idx] * threshold, event_path, event_path,
-                     sink)
-        return
+        left, right, op = ((TrueNode(), f.child, "F")
+                           if isinstance(f, Eventually)
+                           else (f.left, f.right, "U"))
+        events = until_events(left, right, f.a, f.b, time, op)
+        w = weigh(path, len(events))
+        return [leaf for idx, (j, conjuncts) in enumerate(events)
+                for leaf in _conjoin(conjuncts, w[idx] * threshold,
+                                     path + (f"e{j}",), weigh)]
 
     if isinstance(f, Always):
         if direction == AT_MOST:
             raise StlError("upper bounds on always are outside the supported "
                            "fragment")
-        _conjoin([(f.child, time + i) for i in range(f.a, f.b + 1)],
-                 threshold, path, group, sink)
-        return
+        return _conjoin([(f.child, time + i) for i in range(f.a, f.b + 1)],
+                        threshold, path, weigh)
 
     raise StlError(f"unknown formula node {f!r}")

@@ -2,7 +2,12 @@
 
 `_leaf_geometry` is the one reduction of a leaf chance constraint to data
 affine in theta: the predicate gradient v0 + J theta, the initial-state
-term, the input map and the Gaussian noise margin.  At a fixed parameter a
+term, the input map and the Gaussian noise margin sigma * Phi^-1(delta),
+the product of the noise standard deviation from the Gram matrix
+`noise_gram` and the normal quantile `gaussian_quantile`.  The quantile
+comes from the standard library, so that importing the package loads numpy
+and nothing heavier: it is `statistics.NormalDist.inv_cdf` (Wichura's
+algorithm AS 241, accurate to double precision).  At a fixed parameter a
 leaf is an affine inequality f.u + b >= 0 that must hold for every
 admissible input trajectory; over the model's input box (a `Box`, defined
 in `lti`) the worst case has the closed form b + sum_k min(f_k l_k, f_k u_k)
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -43,8 +49,6 @@ from .chance import (
     DecompositionResult,
     WeightScheme,
     decompose,
-    gaussian_quantile,
-    noise_gram,
 )
 from .lti import Box, ParametricLti
 from .record import Record
@@ -210,6 +214,39 @@ class _LeafGeometry(Record):
     def margins(self, thetas) -> np.ndarray:
         mean, worst, noise = self.terms(self.gradients(thetas))
         return mean + worst + noise
+
+
+_STANDARD_NORMAL = NormalDist()
+
+
+def gaussian_quantile(delta: float) -> float:
+    """Standard normal quantile Phi^{-1}(delta) for delta in (0, 1).
+
+    Wichura's AS 241 through `statistics.NormalDist.inv_cdf`, accurate to
+    double precision over the whole open interval.
+    """
+    delta = float(delta)
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"quantile argument must lie in (0, 1), got {delta}")
+    return _STANDARD_NORMAL.inv_cdf(delta)
+
+
+def noise_gram(model: ParametricLti, t: int) -> np.ndarray:
+    """Gram matrix V_t = sum_{i=1..t} A^{i-1} G Sigma_w G^T (A^T)^{i-1}.
+
+    The variance of alpha(x(t)) induced by the process noise is
+    theta_tilde^T V_t theta_tilde.
+    """
+    if t < 0:
+        raise ValueError("time index must be nonnegative")
+    n = model.n
+    V = np.zeros((n, n))
+    gsg = model.G @ model.Sigma_w @ model.G.T
+    Ak = np.eye(n)
+    for _ in range(t):
+        V += Ak @ gsg @ Ak.T
+        Ak = model.A @ Ak
+    return V
 
 
 def _time_terms(model: ParametricLti, x0, t: int) -> dict:

@@ -282,12 +282,14 @@ class InputSampler(Record, eq=True):
     """IID excitation distribution for data collection."""
 
     kind: str
-    low: float = 0.0
-    high: float = 0.0
+    low: float = -1.0
+    high: float = 1.0
     mean: float = 0.0
     std: float = 1.0
 
     def __post_init__(self):
+        if self.kind not in ("uniform", "gaussian"):
+            raise ValueError(f"unknown input sampler kind {self.kind!r}")
         if self.low > self.high:
             raise ValueError(f"low {self.low} exceeds high {self.high}")
         if self.std < 0:
@@ -296,9 +298,7 @@ class InputSampler(Record, eq=True):
     def draw(self, gen: np.random.Generator, shape) -> np.ndarray:
         if self.kind == "uniform":
             return gen.uniform(self.low, self.high, size=shape)
-        if self.kind == "gaussian":
-            return self.mean + self.std * gen.standard_normal(shape)
-        raise ValueError(f"unknown input sampler kind {self.kind!r}")
+        return self.mean + self.std * gen.standard_normal(shape)
 
 
 def collect_data(model: ParametricLti, theta_true, input_sampler: InputSampler,

@@ -1,8 +1,9 @@
 """Immutable records whose classes generate no code.
 
 A subclass of `Record` lists its fields as class annotations, base classes'
-fields first, each with an optional default: a plain value, or a `Factory`
-whose `make` builds a fresh object for every instance.  Creating the class
+fields first, each with an optional default value.  Every instance that
+omits the field shares that value, so a mutable default is written `None`
+and `__post_init__` puts a fresh object in its place.  Creating the class
 only collects the field names and defaults; construction, `repr` and
 immutability are the shared methods below, so defining a record costs no
 per-class source generation.
@@ -20,15 +21,6 @@ from __future__ import annotations
 
 _MISSING = object()
 _setattr = object.__setattr__
-
-
-class Factory:
-    """A field default made fresh for each instance by calling `make()`."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
 
 
 class Record:
@@ -82,8 +74,6 @@ class Record:
                 if value is _MISSING:
                     raise TypeError(f"{type(self).__name__} is missing the "
                                     f"field {name!r}")
-                if isinstance(value, Factory):
-                    value = value.make()
             values.append(value)
         return values
 

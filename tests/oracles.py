@@ -31,17 +31,15 @@ import math
 import numpy as np
 
 from stlbayes.bayes import _LOG_2PI
-from stlbayes.chance import (
-    ChanceConstraint,
-    gaussian_quantile,
-    noise_gram,
-)
+from stlbayes.chance import ChanceConstraint
 from stlbayes.feasibility import (
     FEAS_TOL,
     VerificationSpec,
     _input_min,
     _leaf_geometry,
     _time_terms,
+    gaussian_quantile,
+    noise_gram,
 )
 from stlbayes.lti import Box, DataSet, ParametricLti, psd_factor
 from stlbayes.record import Record

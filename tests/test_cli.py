@@ -97,7 +97,15 @@ class TestVerify:
         assert 0.0 <= report["results"]["mc"]["value"] <= 1.0
         assert report["results"]["pwa"]["interval"][0] <= \
             report["results"]["pwa"]["interval"][1]
-        assert report["results"]["decomposition"]["groups"]
+        # The report lists the leaves of G[0,3] (mu1 & mu2) in
+        # decomposition order: eight conjuncts, each at its own path.
+        decomposition = report["results"]["decomposition"]
+        assert list(decomposition) == ["leaves"]
+        assert [leaf["path"] for leaf in decomposition["leaves"]] == \
+            [f"c{i}" for i in range(8)]
+        assert [(leaf["label"], leaf["time"])
+                for leaf in decomposition["leaves"][:2]] == [("mu1", 0),
+                                                             ("mu2", 0)]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)
@@ -136,6 +144,13 @@ class TestVerify:
         assert run(["verify", "--config", path, "--out", tmp_path / "o"]) == 2
         err = capsys.readouterr().err
         assert "formula" in err and "offset 6" in err
+
+    def test_temporal_operand_names_the_operator(self, tmp_path, capsys):
+        cfg = copy.deepcopy(BASE_CONFIG)
+        cfg["formula"] = "F[0,2] G[0,1] mu1"
+        path = write_config(tmp_path, cfg)
+        assert run(["verify", "--config", path, "--out", tmp_path / "o"]) == 2
+        assert "F[0,2] operands" in capsys.readouterr().err
 
     def test_missing_field(self, tmp_path, capsys):
         cfg = copy.deepcopy(BASE_CONFIG)

@@ -28,6 +28,19 @@ def _pred(name):
     return sb.Pred(name, case_predicates()[name])
 
 
+def _by_event(result):
+    """The leaves under each event of a root until, keyed by the event's
+    path step ("e2" for the first hit at time 2), in decomposition order."""
+    events = {}
+    for leaf in result.all_leaves():
+        events.setdefault(leaf.path[0], []).append(leaf)
+    return events
+
+
+def _paths(result):
+    return ["/".join(leaf.path) for leaf in result.all_leaves()]
+
+
 def _worst_relative_error(got, ref):
     got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
     assert np.all(got[ref == 0] == 0)
@@ -149,6 +162,17 @@ class TestUntilEvents:
         with pytest.raises(sb.StlError, match="temporal"):
             sb.until_events(sb.Always(_pred("mu1"), 0, 1), _pred("mu3"), 0, 1, 0)
 
+    @pytest.mark.parametrize("text, operator", [
+        ("F[0,2] G[0,1] mu1", "F[0,2]"),
+        ("mu1 U[1,3] G[0,1] mu3", "U[1,3]"),
+        ("G[0,1] F[2,4] G[0,1] mu1", "F[2,4]"),
+    ])
+    def test_temporal_operand_error_names_the_operator(self, text, operator):
+        f = sb.parse_stl(text, case_predicates())
+        with pytest.raises(sb.StlError) as info:
+            sb.decompose(f, 0.05)
+        assert str(info.value).startswith(f"{operator} operands")
+
 
 class TestDecompose:
     def test_single_predicate(self):
@@ -167,17 +191,18 @@ class TestDecompose:
     def test_case_study_structure(self):
         f = sb.parse_stl("(mu1 & mu2) U[2,4] (mu3 & mu4)", case_predicates())
         result = sb.decompose(f, 0.01)
-        names = [(g.name, len(g.leaves)) for g in result.groups]
-        assert names == [("e2", 6), ("e3", 10), ("e4", 14)]
+        events = _by_event(result)
+        counts = [(name, len(leaves)) for name, leaves in events.items()]
+        assert counts == [("e2", 6), ("e3", 10), ("e4", 14)]
         # First event: threshold share (1 - delta) / 3, violation budget
         # spread over six conjuncts.
         target = 0.99 / 3
-        for leaf in result.groups[0].leaves:
+        for leaf in events["e2"]:
             assert leaf.threshold == pytest.approx(1 - (1 - target) / 6)
         times = sorted({leaf.time for leaf in result.all_leaves()})
         assert times == [0, 1, 2, 3, 4]
         # Negated-conjunct disjunction shows up as complemented band leaves.
-        rays = [l for l in result.groups[1].leaves if l.direction == AT_MOST]
+        rays = [l for l in events["e3"] if l.direction == AT_MOST]
         labels = sorted(l.label for l in rays)
         assert labels == ["!mu3", "!mu4"]
         for leaf in rays:
@@ -221,9 +246,24 @@ class TestDecompose:
     def test_eventually_is_until_with_true(self):
         f = sb.Eventually(_pred("mu3"), 0, 2)
         res = sb.decompose(f, 0.1)
-        assert [g.name for g in res.groups] == ["e0", "e1", "e2"]
+        events = _by_event(res)
+        assert list(events) == ["e0", "e1", "e2"]
         # Later events pick up the not-yet clauses from the window prefix.
-        assert [len(g.leaves) for g in res.groups] == [1, 2, 3]
+        assert [len(leaves) for leaves in events.values()] == [1, 2, 3]
+
+    def test_mixed_formula_leaves_follow_the_path_order(self):
+        # An until beside another conjunct: its events' leaves come where
+        # the until sits in the tree, before the always's.
+        f = sb.parse_stl("(mu1 U[1,2] mu3) & G[0,1] mu2", case_predicates())
+        res = sb.decompose(f, 0.05)
+        assert _paths(res) == [
+            "c0/e1/c0", "c0/e1/c1",
+            "c0/e2/c0", "c0/e2/c1", "c0/e2/c2", "c0/e2/c3",
+            "c1/c0", "c1/c1"]
+        assert [(l.label, l.time) for l in res.all_leaves()] == [
+            ("mu1", 0), ("mu3", 1),
+            ("mu1", 0), ("mu1", 1), ("!mu3", 1), ("mu3", 2),
+            ("mu2", 0), ("mu2", 1)]
 
     def test_disjunction_shares(self):
         f = sb.Or(_pred("mu1"), _pred("mu2"))
@@ -239,10 +279,12 @@ class TestDecompose:
         # flattened conjuncts then split the event's violation budget (a
         # negated band counts as one conjunct split across its two rays).
         fractions = (0.5, 0.3, 0.2)
-        for group, g_w in zip(res.groups, fractions):
+        events = _by_event(res)
+        assert list(events) == ["e2", "e3", "e4"]
+        for leaves, g_w in zip(events.values(), fractions):
             target = g_w * 0.99
-            plain = [l for l in group.leaves if l.direction == AT_LEAST]
-            rays = [l for l in group.leaves if l.direction == AT_MOST]
+            plain = [l for l in leaves if l.direction == AT_LEAST]
+            rays = [l for l in leaves if l.direction == AT_MOST]
             n_conj = len(plain) + len(rays) // 2
             share = (1 - target) / n_conj
             for leaf in plain:
@@ -275,9 +317,15 @@ class TestDecompose:
 
     def test_json_export(self):
         f = sb.parse_stl("(mu1 & mu2) U[2,4] (mu3 & mu4)", case_predicates())
-        payload = sb.decompose(f, 0.01).to_json_dict()
-        assert len(payload["groups"]) == 3
-        leaf = payload["groups"][0]["leaves"][0]
+        res = sb.decompose(f, 0.01)
+        payload = res.to_json_dict()
+        assert list(payload) == ["leaves"]
+        assert len(payload["leaves"]) == 30
+        assert [leaf["path"] for leaf in payload["leaves"]] == _paths(res)
+        events = [leaf["path"].split("/")[0] for leaf in payload["leaves"]]
+        assert sorted(set(events)) == ["e2", "e3", "e4"]
+        leaf = payload["leaves"][0]
+        assert leaf["path"] == "e2/c0"
         assert {"label", "time", "direction", "threshold", "path", "space",
                 "offset", "gradient"} <= set(leaf)
 

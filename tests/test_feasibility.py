@@ -655,6 +655,28 @@ class TestPwaClassify:
         assert [_classify_one(c, spec) for c in cells] == \
             [c.label for c in cells]
 
+    @pytest.mark.parametrize("window, labels", [
+        ("1,2", {INFEASIBLE_LABEL}),
+        ("1,1", {FEASIBLE, INFEASIBLE_LABEL, UNKNOWN}),
+    ])
+    def test_mixed_until_matches_the_every_leaf_references(
+            self, window, labels, safety_model, safety_region):
+        # An until beside another conjunct: its leaves come first, in path
+        # order, and tied leaves are evaluated in that order.  The labels
+        # and the satisfaction bits are those of every leaf taken alone.
+        f = sb.parse_stl(f"(mu1 U[{window}] mu3) & G[0,1] mu2",
+                         case_predicates())
+        spec = sb.VerificationSpec(safety_model, f, 0.05)
+        steps = [leaf.path[0] for leaf in spec.leaves()]
+        assert steps == sorted(steps) and steps[-1] == "c1"
+        for per_axis in (4, 16, 64):
+            cells = sb.classify_cells(
+                sb.pwa_partition(safety_region, per_axis), spec)
+            assert np.array_equal(cells.label, _reference_labels(cells, spec))
+        assert set(cells.label) == labels
+        _assert_rowwise_satisfaction(
+            spec, np.random.default_rng(15).uniform(-2, 2, (500, 2)))
+
     def test_vertex_rows_evaluated(self, safety_spec, safety_region,
                                    monkeypatch):
         # Carrying every cell through every leaf would pass each leaf the

@@ -105,6 +105,20 @@ class TestSimulate:
         assert np.all(np.abs(emp - ybar) <= 3.0 * se + 1e-12)
 
 
+class TestInputSampler:
+    def test_unknown_kind_is_rejected_when_built(self):
+        with pytest.raises(ValueError, match="'Uniform'"):
+            sb.InputSampler("Uniform", low=-1, high=1)
+
+    def test_uniform_defaults_match_the_config(self):
+        # The config's `input.low`/`input.high` default to -1/1; so does the
+        # record, so a bare uniform sampler excites the system.
+        sampler = sb.InputSampler("uniform")
+        assert (sampler.low, sampler.high) == (-1.0, 1.0)
+        u = sampler.draw(RngStream(28).generator(), (200, 1))
+        assert np.all(np.abs(u) <= 1.0) and u.min() < -0.5 < 0.5 < u.max()
+
+
 class TestCollectData:
     def test_case_study_plan(self, model):
         data = sb.collect_data(model, [-0.5, 1.0],

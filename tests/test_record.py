@@ -8,8 +8,8 @@ import pytest
 
 import stlbayes as sb
 from stlbayes import feasibility
-from stlbayes.chance import AT_LEAST, ConstraintGroup
-from stlbayes.record import Factory, Record, replace
+from stlbayes.chance import AT_LEAST
+from stlbayes.record import Record, replace
 from stlbayes.rng import RngStream
 from stlbayes.stl import TRUE, _children, _rebuild
 
@@ -33,8 +33,7 @@ EXAMPLES = {
     sb.Eventually: (sb.Pred("p", _P), 0, 2),
     sb.Always: (sb.Pred("p", _P), 0, 2),
     sb.ChanceConstraint: (_P, 2, AT_LEAST, 0.9, "p", ("c0",)),
-    ConstraintGroup: ("root", (), (_LEAF,)),
-    sb.DecompositionResult: ((ConstraintGroup("root", (), (_LEAF,)),),),
+    sb.DecompositionResult: ((_LEAF,),),
     sb.WeightScheme: ({"": [0.25, 0.75]},),
     sb.Box: ([0.0, 0.0], [1.0, 2.0], "feasible"),
     sb.ParametricLti: ([[0.5]], [[1.0]], [[1.0]], [[1.0]], ([[1.0]],),
@@ -52,8 +51,7 @@ EXAMPLES = {
 # Records that compare and hash by value; every other one by identity.
 BY_VALUE = {RngStream, sb.TrueNode, sb.LinearPredicate, sb.OutputPredicate,
             sb.Pred, sb.Not, sb.And, sb.Or, sb.Until, sb.Eventually,
-            sb.Always, sb.ChanceConstraint, ConstraintGroup,
-            sb.DecompositionResult, sb.WeightScheme, sb.InputSampler,
+            sb.Always, sb.ChanceConstraint, sb.DecompositionResult, sb.WeightScheme, sb.InputSampler,
             sb.ConfidenceEstimate}
 
 records = pytest.mark.parametrize("cls", list(EXAMPLES),
@@ -104,15 +102,21 @@ def test_arguments_are_checked(cls):
 
 @records
 def test_defaults_fill_the_missing_fields(cls):
+    """Leaving a field out is passing its default, which `__post_init__`
+    may then normalize (a `None` weight dict becomes `{}`)."""
     required = [n for n in cls._fields if n not in cls._defaults]
     values = EXAMPLES[cls][:len(required)]
     record = cls(*values)
+    explicit = cls(*values, **cls._defaults)
     for name, default in cls._defaults.items():
-        expected = default.make() if isinstance(default, Factory) else default
-        assert getattr(record, name) == expected
+        value = getattr(record, name)
+        assert value == getattr(explicit, name)
+        assert value == default or default is None
 
 
 def test_a_default_factory_makes_one_object_per_record():
+    """A mutable field defaults to `None`, and `__post_init__` puts a fresh
+    object in its place for every record."""
     first, second = sb.WeightScheme(), sb.WeightScheme()
     assert first.weights == second.weights == {}
     assert first.weights is not second.weights
