@@ -242,14 +242,18 @@ def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
 def _cell_points(cells: Cells, integrated: np.ndarray, n: int,
                  rng: RngStream) -> np.ndarray:
     """(len(integrated), n, d) points, cell idx's uniform in its box from
-    substream ("cell", idx): `random(out=)` per cell, then one affine map
-    into every box, the points `uniform(lower, upper, (n, d))` would draw."""
-    pts = np.empty((integrated.size, n, cells.lower.shape[1]))
-    for k, idx in enumerate(integrated.tolist()):
-        rng.child("cell", idx).generator().random(out=pts[k])
-    lower = cells.lower[integrated, None]
-    pts *= cells.upper[integrated, None] - lower
-    pts += lower
+    substream ("cell", idx): every cell's `random` block from
+    `RngStream.fill_children`, then an affine map into every box, the
+    points `uniform(lower, upper, (n, d))` would draw.  The map runs one
+    coordinate at a time, so that numpy's inner loop is a cell's n points,
+    not the d coordinates of one point."""
+    pts = rng.fill_children(
+        "cell", integrated.tolist(),
+        np.empty((integrated.size, n, cells.lower.shape[1])))
+    lower, upper = cells.lower[integrated].T, cells.upper[integrated].T
+    for j, coordinate in enumerate(np.moveaxis(pts, -1, 0)):
+        coordinate *= (upper[j] - lower[j])[:, None]
+        coordinate += lower[j][:, None]
     return pts
 
 

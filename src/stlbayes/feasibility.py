@@ -4,10 +4,9 @@
 affine in theta: the predicate gradient v0 + J theta, the initial-state
 term, the input map and the Gaussian noise margin sigma * Phi^-1(delta),
 the product of the noise standard deviation from the Gram matrix
-`noise_gram` and the normal quantile `gaussian_quantile`.  The quantile
-comes from the standard library, so that importing the package loads numpy
-and nothing heavier: it is `statistics.NormalDist.inv_cdf` (Wichura's
-algorithm AS 241, accurate to double precision).  At a fixed parameter a
+`noise_gram` and the normal quantile `gaussian_quantile`, Wichura's
+algorithm AS 241 (accurate to double precision) in plain floats, so that
+importing the package loads numpy and nothing heavier.  At a fixed parameter a
 leaf is an affine inequality f.u + b >= 0 that must hold for every
 admissible input trajectory; over the model's input box (a `Box`, defined
 in `lti`) the worst case has the closed form b + sum_k min(f_k l_k, f_k u_k)
@@ -18,7 +17,9 @@ Farkas dual of the robust linear program and require the routes to agree.
 The satisfaction map theta -> {0, 1} is the conjunction of all leaf
 feasibility checks, evaluated leaf by leaf on the rows that every earlier
 leaf admitted, once per distinct leaf margin: with x0 = 0 and an input box
-symmetric about 0 the two half-space leaves of a band are mirror twins.
+symmetric about 0 the two half-space leaves of a band are mirror twins.  A
+leaf whose margin is a constant >= -FEAS_TOL (no state, input or noise
+term, as at time 0 with x0 = 0) is not evaluated.
 Over an axis-aligned parameter cell a leaf margin is an affine mean, plus a
 concave input term, plus Phi^-1(delta_i) times the convex noise standard
 deviation, so a lower bound and an upper bound on it are each extreme at a
@@ -37,8 +38,8 @@ and evaluates the leaves only on the remaining rows.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import cached_property
-from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -216,19 +217,64 @@ class _LeafGeometry(Record):
         return mean + worst + noise
 
 
-_STANDARD_NORMAL = NormalDist()
+# Wichura, "Algorithm AS 241: The Percentage Points of the Normal
+# Distribution", Applied Statistics 37 (1988) 477-484: PPND16's numerator
+# and denominator coefficients, highest power first: for |q| = |p - 0.5| <=
+# 0.425 in r = 0.180625 - q^2, the numerator times q; in the tails in
+# r = sqrt(-log(min(p, 1 - p))) minus 1.6 for r <= 5, else minus 5.
+_AS241 = (
+    ((2.5090809287301226727e+3, 3.3430575583588128105e+4,
+      6.7265770927008700853e+4, 4.5921953931549871457e+4,
+      1.3731693765509461125e+4, 1.9715909503065514427e+3,
+      1.3314166789178437745e+2, 3.3871328727963666080e+0),
+     (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+      3.9307895800092710610e+4, 2.1213794301586595867e+4,
+      5.3941960214247511077e+3, 6.8718700749205790830e+2,
+      4.2313330701600911252e+1, 1.0)),
+    ((7.7454501427834140764e-4, 2.2723844989269184583e-2,
+      2.4178072517745061177e-1, 1.2704582524523683826e+0,
+      3.6478483247632046050e+0, 5.7694972214606914055e+0,
+      4.6303378461565452959e+0, 1.4234371107496835773e+0),
+     (1.0507500716444168432e-9, 5.4759380849953449460e-4,
+      1.5198666563616457197e-2, 1.4810397642748007459e-1,
+      6.8976733498510000455e-1, 1.6763848301838038494e+0,
+      2.0531916266377588219e+0, 1.0)),
+    ((2.0103343992922881327e-7, 2.7115555687434875782e-5,
+      1.2426609473880784386e-3, 2.6532189526576123093e-2,
+      2.9656057182850489123e-1, 1.7848265399172913358e+0,
+      5.4637849111641143699e+0, 6.6579046435011037772e+0),
+     (2.0442631033899397856e-15, 1.4215117583164458887e-7,
+      1.8463183175100546818e-5, 7.8686913114561325910e-4,
+      1.4875361290850614853e-2, 1.3692988092273580531e-1,
+      5.9983220655588793769e-1, 1.0)),
+)
+
+
+def _horner(coefficients: tuple, r: float) -> float:
+    """The polynomial with `coefficients`, highest power first, at r."""
+    acc = coefficients[0]
+    for c in coefficients[1:]:
+        acc = acc * r + c
+    return acc
 
 
 def gaussian_quantile(delta: float) -> float:
     """Standard normal quantile Phi^{-1}(delta) for delta in (0, 1).
 
-    Wichura's AS 241 through `statistics.NormalDist.inv_cdf`, accurate to
-    double precision over the whole open interval.
+    Wichura's AS 241, accurate to double precision over the whole open
+    interval, with the operations of `statistics.NormalDist().inv_cdf`.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {delta}")
-    return _STANDARD_NORMAL.inv_cdf(delta)
+    q = delta - 0.5
+    if abs(q) <= 0.425:
+        (num, den), r = _AS241[0], 0.180625 - q * q
+        return _horner(num, r) * q / _horner(den, r)
+    r = math.sqrt(-math.log(delta if q <= 0.0 else 1.0 - delta))
+    (num, den), r = (_AS241[1], r - 1.6) if r <= 5.0 else (_AS241[2], r - 5.0)
+    x = _horner(num, r) / _horner(den, r)
+    return -x if q < 0.0 else x
 
 
 def noise_gram(model: ParametricLti, t: int) -> np.ndarray:
@@ -356,9 +402,16 @@ class VerificationSpec:
         # The evaluation order: the latest leaf time first, ties kept in
         # decomposition order, one leaf per distinct margin.  The indicator
         # is a conjunction and the cell label does not depend on the order,
-        # so only the work does.
+        # so only the work does.  At a time with a_t = 0, W empty or zero
+        # and V = 0 a leaf's margin is its offset at every finite theta;
+        # such a leaf with offset >= -FEAS_TOL admits every finite theta and
+        # certifies no cell infeasible, so it is left out.
+        constant = {t: not (terms["a_t"].any() or terms["W"].any()
+                            or terms["V"].any())
+                    for t, terms in at_time.items()}
         self._evaluation, self._mirrored = _distinct_margins(
-            sorted(self._geometry, key=lambda g: -g.time), at_time)
+            [g for g in sorted(self._geometry, key=lambda g: -g.time)
+             if not (constant[g.time] and g.offset >= -FEAS_TOL)], at_time)
 
     @property
     def horizon(self) -> int:
@@ -377,7 +430,9 @@ class VerificationSpec:
         certified cell takes its label and only the rest reach the leaves.
         The indicator is the same: in a feasible cell every leaf margin has
         a lower bound >= -FEAS_TOL, and an infeasible cell has a leaf whose
-        margin has an upper bound < -FEAS_TOL."""
+        margin has an upper bound < -FEAS_TOL.  A row with a non-finite
+        coordinate is 0, also when every leaf is a constant left out of the
+        evaluation order."""
         thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
         if cells is None:
             ok = np.zeros(thetas.shape[0], dtype=np.uint8)
@@ -386,6 +441,10 @@ class VerificationSpec:
             code = cells.label_codes(thetas)
             ok = (code == 1).astype(np.uint8)
             rows = np.flatnonzero(code < 0)
+        finite = np.ones(rows.size, bool)
+        for column in thetas.T:  # by column: a reduction over d is slow
+            finite &= np.isfinite(column[rows])
+        rows = rows[finite]
         for g in self._evaluation:
             if rows.size == 0:
                 break
@@ -421,12 +480,17 @@ def _mv(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", M, x)
 
 
+def _dot(tl_v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """tl_v[v, c] . x[c] for every vertex v of every cell c, (2^d, C)."""
+    return np.einsum("vcj,cj->vc", tl_v, x)
+
+
 def _grid_vertices(edges):
     """The distinct vertices of the cells on strictly increasing per-axis
     `edges`, (P, d), and the index of each cell's vertices among them,
-    (C, 2^d), the last coordinate's bit fastest.  The vertices are
-    `_mesh(edges)`, and a cell's vertex indices are the mixed-radix index of
-    its lower corner plus one offset per corner."""
+    vertex-major, (2^d, C), the last coordinate's bit fastest.  The vertices
+    are `_mesh(edges)`, and a cell's vertex indices are the mixed-radix
+    index of its lower corner plus one offset per corner."""
     sizes = [e.size for e in edges]
     strides = np.cumprod([1] + sizes[:0:-1], dtype=np.intp)[::-1]
     corner = np.zeros(1, dtype=np.intp)
@@ -434,7 +498,7 @@ def _grid_vertices(edges):
         corner = (corner[:, None] + stride * np.arange(size - 1)).reshape(-1)
     offset = np.array(list(itertools.product((0, 1), repeat=len(edges))),
                       dtype=np.intp) @ strides
-    return _mesh(edges), corner[:, None] + offset
+    return _mesh(edges), offset[:, None] + corner
 
 
 def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
@@ -465,11 +529,13 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
     other way, so on the active cells with such a tie its upper bound is
     evaluated as well.  Each pass evaluates the terms that depend on the
     vertex alone (the exact margin, as `margins` gives it, among them) once
-    per distinct vertex of those cells, and gathers them per cell.  The
-    distinct vertices are the grid's, and each cell's indices among them
-    are arithmetic on the edges (`_grid_vertices`).  The held input branch
-    and the tangent are linear in tilde, so each is one n-vector per cell,
-    and each bound at a vertex is a vertex term plus one dot product.
+    per distinct vertex of those cells, and gathers them vertex-major, one
+    row of cells per corner, so that a cell's bound over its vertices is an
+    elementwise minimum or maximum of 2^d rows.  The distinct vertices are
+    the grid's, and each cell's indices among them are arithmetic on the
+    edges (`_grid_vertices`).  The held input branch and the tangent are
+    linear in tilde, so each is one n-vector per cell, and each bound at a
+    vertex is a vertex term plus one dot product (`_dot`).
     """
     centers = cells.center
     points, vertex = _grid_vertices(cells.edges)
@@ -487,19 +553,20 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
         tangent = np.divide(g.noise_coeff * vc, sigma_c[:, None],
                             out=np.zeros_like(vc),
                             where=sigma_c[:, None] > 0.0)
-        tl_v = tl[vertex]  # (cell, vertex, n)
+        tl_v = tl[vertex]  # (vertex, cell, n)
         # The upper bound is a vertex term plus tl_v . (held + tangent) for
         # q <= 0, plus tl_v . held for q > 0.
         if g.noise_coeff <= 0.0:
             lower = (mean + worst + noise)[vertex]
             at_vertex, slack = mean, tangent
         else:
-            lower = (mean + worst)[vertex] + _mv(tl_v, tangent)
+            lower = (mean + worst)[vertex] + _dot(tl_v, tangent)
             at_vertex, slack = mean + noise, None
-        upper = at_vertex[vertex] + _mv(
+        upper = at_vertex[vertex] + _dot(
             tl_v, held if slack is None else held + slack)
-        feasible &= lower.min(axis=1) >= -FEAS_TOL
-        keep = ~(upper.max(axis=1) < -FEAS_TOL)  # not certified infeasible
+        feasible &= np.minimum.reduce(lower) >= -FEAS_TOL
+        # The cells that this leaf does not certify infeasible.
+        keep = ~(np.maximum.reduce(upper) < -FEAS_TOL)
         if mirrored:
             # A mirror twin's held branch, taken in this leaf's terms, breaks
             # a tie slope_k = 0 toward hi, not lo; elsewhere it is this one.
@@ -509,11 +576,11 @@ def classify_cells(cells: Cells, spec: VerificationSpec) -> Cells:
                                          g.hi_stack))
                 if slack is not None:
                     held += slack[tie]
-                upper = at_vertex[vertex[tie]] + _mv(tl_v[tie], held)
-                keep[tie] = ~(upper.max(axis=1) < -FEAS_TOL)
+                upper = at_vertex[vertex[:, tie]] + _dot(tl_v[:, tie], held)
+                keep[tie] = ~(np.maximum.reduce(upper) < -FEAS_TOL)
         if not keep.all():
             active, feasible = active[keep], feasible[keep]
-            centers, vertex = centers[keep], vertex[keep]
+            centers, vertex = centers[keep], vertex[:, keep]
             if active.size == 0:
                 break
             used = np.zeros(len(points), bool)

@@ -16,7 +16,9 @@ in its pipeline, or checks an identity the pipeline relies on:
   `gamma_gradient`), and the normal cdf (`gaussian_cdf`) that inverts the
   package's quantile;
 * the noise-free and the batch simulation of the state equation
-  (`mean_trajectory`, `simulate_states_batch`).
+  (`mean_trajectory`, `simulate_states_batch`);
+* the unknown cells' uniform points drawn cell by cell, one fresh generator
+  each (`cell_points`), against `confidence._cell_points`.
 
 None of it is imported by the package, so a `verify` process never compiles
 it.  The module is named `oracles`, not `reference`: the test run also
@@ -155,6 +157,22 @@ def simulate_states_batch(model: ParametricLti, x0, inputs, n_paths: int,
         states[:, t + 1, :] = (states[:, t, :] @ model.A.T
                                + model.B @ u[t] + w[:, t, :] @ model.G.T)
     return states
+
+
+# --- the unknown cells' points ----------------------------------------------
+
+def cell_points(cells, integrated: np.ndarray, n: int,
+                rng: RngStream) -> np.ndarray:
+    """(len(integrated), n, d) points, cell idx's uniform in its box: one
+    `rng.child("cell", idx).generator()` per cell, its `random` block mapped
+    into the box."""
+    pts = np.empty((integrated.size, n, cells.lower.shape[1]))
+    for k, idx in enumerate(integrated.tolist()):
+        rng.child("cell", idx).generator().random(out=pts[k])
+    lower = cells.lower[integrated, None]
+    pts *= cells.upper[integrated, None] - lower
+    pts += lower
+    return pts
 
 
 # --- the dense Gaussian likelihood -------------------------------------------

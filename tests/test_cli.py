@@ -501,10 +501,13 @@ def test_import_and_build_load_no_scipy():
 
 
 def test_cli_import_loads_no_test_oracle_and_no_dataclasses():
-    """Importing the front end compiles no test-side reference and builds
-    no dataclass: a fresh process that writes no bytecode, as the
-    benchmark's set-up probe runs, with the tests directory importable."""
-    names = ["dataclasses", "stlbayes.simplex", "oracles"]
+    """Importing the front end compiles no test-side reference, builds no
+    dataclass and loads neither `statistics` (with `fractions` and
+    `decimal`) nor `numpy.random`: a fresh process that writes no bytecode,
+    as the benchmark's set-up probe runs, with the tests directory
+    importable."""
+    names = ["dataclasses", "stlbayes.simplex", "oracles", "statistics",
+             "fractions", "decimal", "numpy.random"]
     script = ("import json, sys\n"
               "import stlbayes.cli\n"
               f"print(json.dumps([m for m in {names!r} if m in sys.modules]))\n")
@@ -535,6 +538,40 @@ def test_outputs_tool_writes_a_workload(tmp_path):
         "verify/posterior_contour.csv", "verify/report.json"]
     assert [p.name for p in tmp_path.iterdir()] == ["prior-grid64"]
     assert json.loads((out / "verify" / "report.json").read_text())
+
+
+def test_pairs_tool_counts_wins_in_each_metrics_direction():
+    """`tools/pairs.py` summarizes each declared metric over the pairs in
+    which both sides report it and counts the change's wins in the
+    metric's direction; a failed run leaves its pair out."""
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "tools"))
+    try:
+        import pairs
+    finally:
+        sys.path.remove(str(root / "tools"))
+
+    def run(**values):
+        return {"correct": True, "metrics": {
+            name: {"value": v, "unit": "-"} for name, v in values.items()}}
+
+    runs = [{"parent": run(verify_s=2.0, rate=10.0),
+             "change": run(verify_s=1.0, rate=12.0)},
+            {"parent": run(verify_s=2.0, rate=10.0),
+             "change": run(verify_s=3.0, rate=10.0)},
+            {"parent": {"returncode": 1, "correct": False},
+             "change": run(verify_s=0.5, rate=20.0)}]
+    out = pairs._compare(runs, {"verify_s": ("lower", "s"),
+                                "rate": ("higher", "1/s"),
+                                "setup_s": ("lower", "s")})
+    assert sorted(out) == ["rate", "verify_s"]
+    assert (out["verify_s"]["pairs"], out["verify_s"]["change_wins"],
+            out["verify_s"]["ties"]) == (2, 1, 0)
+    assert (out["rate"]["change_wins"], out["rate"]["ties"]) == (1, 1)
+    assert out["verify_s"]["parent"] == {"median": 2.0, "q1": 2.0,
+                                         "q3": 2.0, "runs": [2.0, 2.0]}
+    assert out["verify_s"]["relative_change_of_median"] == 0.0
+    assert out["rate"]["change"]["median"] == 11.0
 
 
 def test_weight_vector_moves_the_leaf_thresholds():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
+from oracles import cell_points
 from stlbayes import confidence
 from stlbayes.rng import RngStream
 
@@ -132,6 +133,17 @@ class TestPwaConfidence:
         monkeypatch.setattr(confidence, "_cell_points", _uniform_cell_points)
         assert sb.pwa_confidence(uniform_post, cells, 40, rng,
                                  epsilon=0.01) == est
+
+    @pytest.mark.parametrize("count", [0, 1, 26, 88])
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_cell_points_match_one_generator_per_cell(self, count, n):
+        cells = sb.pwa_partition(sb.Box([-2.0, -1.0], [1.5, 2.5]), 10)
+        integrated = np.sort(np.random.default_rng(count).choice(
+            len(cells), count, replace=False))
+        rng = RngStream(7311, ("pwa",))
+        assert np.array_equal(
+            confidence._cell_points(cells, integrated, n, rng),
+            cell_points(cells, integrated, n, rng))
 
     def test_deterministic(self, uniform_post, region):
         grid = sb.pwa_partition(region, 3)

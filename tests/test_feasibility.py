@@ -206,20 +206,44 @@ class TestSatisfactionFn:
         # decomposition order; the latest time first, ties in decomposition
         # order; the report's per-leaf order is left as it is.  Every leaf
         # has the margin bytes, at random theta, of a kept leaf at or before
-        # it.  (At time 0 the until spec's margins are constants, so some
-        # leaves that are no twins share them too.)
+        # it, or is a time-0 leaf (x0 = 0) whose margin is the constant
+        # offset 0.5, which is left out.
         thetas = np.random.default_rng(20).uniform(-3.0, 3.0, (200, 2))
-        for spec, distinct in ((safety_spec, 4), (case_spec, 15)):
+        for spec, distinct in ((safety_spec, 3), (case_spec, 12)):
             position = {id(g): i for i, g in enumerate(spec._geometry)}
             keys = [(-g.time, position[id(g)]) for g in spec._evaluation]
             assert sorted(keys) == keys and len(keys) == distinct
             kept = {position[id(g)]: g.margins(thetas).tobytes()
                     for g in spec._evaluation}
             for i, g in enumerate(spec._geometry):
-                margins = g.margins(thetas).tobytes()
-                assert any(j <= i and m == margins for j, m in kept.items())
+                margins = g.margins(thetas)
+                assert any(j <= i and m == margins.tobytes()
+                           for j, m in kept.items()) or (
+                    g.time == 0 and (margins == 0.5).all())
             assert [g.time for g in spec._geometry] == \
                 [leaf.time for leaf in spec.leaves()]
+
+    def test_constant_leaves(self, case_model):
+        # At time 0 with x0 = 0 a leaf's margin is its offset at every
+        # theta: one >= -FEAS_TOL is left out, one below it is kept and
+        # rejects every row.  Non-finite rows stay rejected without leaves.
+        thetas = np.array([[np.nan, 0.0], [0.0, np.inf], [0.3, -0.2],
+                           [-1.0, 1.5]])
+        region = sb.Box([-2.0, -2.0], [2.0, 2.0])
+        for offset, want, label in ((0.5, [0, 0, 1, 1], FEASIBLE),
+                                    (-0.5, [0, 0, 0, 0], INFEASIBLE_LABEL)):
+            preds = {"p": sb.OutputPredicate(offset, (1.0,)),
+                     "q": sb.OutputPredicate(0.5, (-1.0,))}
+            spec = sb.VerificationSpec(case_model,
+                                       sb.parse_stl("p & q", preds), 0.01)
+            assert all(g.time == 0 for g in spec._geometry)
+            assert [g.offset for g in spec._evaluation] == \
+                [offset] * (offset < 0)
+            cells = sb.classify_cells(sb.pwa_partition(region, 4), spec)
+            assert (cells.label == label).all()
+            assert np.array_equal(cells.label, _reference_labels(cells, spec))
+            for given in (None, cells):
+                assert spec.satisfaction_batch(thetas, given).tolist() == want
 
     @pytest.mark.parametrize("radius", [0.05, 0.1])
     def test_leaves_see_only_rows_still_satisfied(self, radius, case_spec,
@@ -684,11 +708,12 @@ class TestPwaClassify:
         # cells not yet certified infeasible took 63 048.  Each leaf now
         # sees each distinct vertex of those cells once: the first all
         # 65^2 of the grid, the later ones far fewer (7 488 rows over every
-        # leaf, 5 624 over one leaf per distinct margin).
+        # leaf, 5 624 over one leaf per distinct margin, 5 159 once the
+        # constant time-0 margin is left out).
         cells = sb.pwa_partition(safety_region, 64)
         seen = _rows_seen(monkeypatch, "gradients")
         sb.classify_cells(cells, safety_spec)
-        assert seen[0] == 65 ** 2 and len(seen) == 4
+        assert seen[0] == 65 ** 2 and len(seen) == 3
         assert sum(seen) <= 1.35 * 65 ** 2
 
     @pytest.mark.parametrize("make", [
@@ -704,7 +729,7 @@ class TestPwaClassify:
     def test_grid_vertices(self, make):
         cells = make()
         points, vertex = sb.feasibility._grid_vertices(cells.edges)
-        assert np.array_equal(points[vertex],
+        assert np.array_equal(points[vertex.T],  # vertex-major
                               _vertices(cells.lower, cells.upper))
         assert len(np.unique(points, axis=0)) == len(points) == \
             np.prod([e.size for e in cells.edges])
@@ -901,15 +926,28 @@ def _tie_spec():
         model, sb.parse_stl("G[0,3] (mu1 & mu2)", preds), 0.3)
 
 
+def _every_distinct_margin(spec):
+    """`_distinct_margins` over every leaf of `spec` in evaluation order,
+    the constant margins included."""
+    order = sorted(spec._geometry, key=lambda g: -g.time)
+    at_time = {t: sb.feasibility._time_terms(spec.model, spec.x0, t)
+               for t in {g.time for g in order}}
+    return sb.feasibility._distinct_margins(order, at_time)
+
+
 class TestDistinctMargins:
     @pytest.mark.parametrize("name, distinct, every", [
         ("safety_demo.json", 4, 8), ("case_study.json", 15, 30)])
     def test_bundled_specs(self, name, distinct, every):
         # x0 = 0 and an input box symmetric about 0: each band's two
-        # half-space leaves are mirror twins.
+        # half-space leaves are mirror twins.  The time-0 margins are the
+        # constant 0.5 and left out of the evaluation order.
         spec = _bundled_problem(name).spec
         assert len(spec._geometry) == len(spec.leaves()) == every
-        assert len(spec._evaluation) == distinct and all(spec._mirrored)
+        kept, mirrored = _every_distinct_margin(spec)
+        assert len(kept) == distinct and all(mirrored)
+        assert spec._evaluation == [g for g in kept if g.time > 0]
+        assert all(spec._mirrored)
 
     @pytest.mark.parametrize("change, distinct", [
         ("x0", 8), ("asymmetric-box", 7), ("offset", 8), ("q", 8)])
@@ -917,7 +955,9 @@ class TestDistinctMargins:
                                             safety_model):
         # A nonzero x0 or an asymmetric input box breaks the mirror, except
         # at time 0, where x0 = 0 and there is no input term; unequal
-        # offsets or budgets (q) break any twin.
+        # offsets or budgets (q) break any twin.  There, with x0 = 0, the
+        # margins are the constant offsets, left out of the evaluation
+        # order.
         preds, model, kw = case_predicates(), safety_model, {}
         if change == "x0":
             kw["x0"] = [0.1, 0.0]
@@ -929,10 +969,14 @@ class TestDistinctMargins:
             kw["weights"] = sb.WeightScheme({"": [0.2, 0.05] * 4})
         spec = sb.VerificationSpec(
             model, sb.parse_stl("G[0,3] (mu1 & mu2)", preds), 0.05, **kw)
-        assert len(spec._evaluation) == distinct
+        kept, mirrored = _every_distinct_margin(spec)
+        assert len(kept) == distinct
         # The merged time-0 pair, last in evaluation order, are mirrors.
-        assert spec._mirrored == \
+        assert mirrored == \
             [False] * (distinct - 1) + [change == "asymmetric-box"]
+        assert spec._evaluation == [g for g in kept
+                                    if g.time > 0 or change == "x0"]
+        assert spec._mirrored == mirrored[:len(spec._evaluation)]
 
     def test_equal_twins(self, safety_model):
         # The same leaf twice at times 1 and 2, from a nonzero x0: twins
@@ -947,23 +991,27 @@ class TestDistinctMargins:
     @pytest.mark.parametrize("name", ["safety_demo.json", "case_study.json"])
     def test_bundled_specs_agree_with_every_leaf(self, name):
         # Odd per_axis puts a cell center at theta = 0, where every
-        # slope ties.
+        # slope ties; 64 is the grid of the prior-grid64 workload.
         problem = _bundled_problem(name)
         gen = np.random.default_rng(21)
-        for per_axis in range(1, 18):
+        for per_axis in [*range(1, 18), 64]:
             _assert_every_leaf_agrees(
                 problem.spec, sb.pwa_partition(problem.region, per_axis), gen)
 
     def test_chain3_agrees_with_every_leaf(self, chain3):
+        # 32 per axis, not 64: the every-leaf reference holds each of the
+        # 64^3 cells' 8 vertices in several arrays at once.
         spec, cells = chain3
-        assert len(spec._evaluation) == 4
-        _assert_every_leaf_agrees(spec, sb.pwa_partition(
-            sb.Box(cells.lower.min(axis=0), cells.upper.max(axis=0)), 7),
-            np.random.default_rng(22))
+        assert len(spec._evaluation) == 3  # times 3, 2, 1: time 0 constant
+        region = sb.Box(cells.lower.min(axis=0), cells.upper.max(axis=0))
+        gen = np.random.default_rng(22)
+        for per_axis in [*range(1, 18), 32]:
+            _assert_every_leaf_agrees(spec, sb.pwa_partition(region, per_axis),
+                                      gen)
 
     def test_partial_branch_tie(self):
         spec = _tie_spec()
-        assert len(spec._evaluation) == 4 and all(spec._mirrored)
+        assert len(spec._evaluation) == 3 and all(spec._mirrored)
         cells = sb.pwa_partition(sb.Box([-1.0, -1.0], [1.0, 1.5]), 11)
         on_tie = cells.center[:, 0] == 0.0
         assert on_tie.sum() == 11
