@@ -4,9 +4,10 @@
 affine in theta: the predicate gradient v0 + J theta, the initial-state
 term, the input map and the Gaussian noise margin sigma * Phi^-1(delta),
 the product of the noise standard deviation from the Gram matrix
-`noise_gram` and the normal quantile `gaussian_quantile`, Wichura's
-algorithm AS 241 (accurate to double precision) in plain floats, so that
-importing the package loads numpy and nothing heavier.  At a fixed parameter a
+`noise_gram` and the normal quantile `gaussian_quantile`.  The quantile
+comes from the standard library, so that importing the package loads numpy
+and nothing heavier: it is `statistics.NormalDist.inv_cdf` (Wichura's
+algorithm AS 241, accurate to double precision).  At a fixed parameter a
 leaf is an affine inequality f.u + b >= 0 that must hold for every
 admissible input trajectory; over the model's input box (a `Box`, defined
 in `lti`) the worst case has the closed form b + sum_k min(f_k l_k, f_k u_k)
@@ -38,8 +39,8 @@ and evaluates the leaves only on the remaining rows.
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cached_property
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
@@ -217,64 +218,19 @@ class _LeafGeometry(Record):
         return mean + worst + noise
 
 
-# Wichura, "Algorithm AS 241: The Percentage Points of the Normal
-# Distribution", Applied Statistics 37 (1988) 477-484: PPND16's numerator
-# and denominator coefficients, highest power first: for |q| = |p - 0.5| <=
-# 0.425 in r = 0.180625 - q^2, the numerator times q; in the tails in
-# r = sqrt(-log(min(p, 1 - p))) minus 1.6 for r <= 5, else minus 5.
-_AS241 = (
-    ((2.5090809287301226727e+3, 3.3430575583588128105e+4,
-      6.7265770927008700853e+4, 4.5921953931549871457e+4,
-      1.3731693765509461125e+4, 1.9715909503065514427e+3,
-      1.3314166789178437745e+2, 3.3871328727963666080e+0),
-     (5.2264952788528545610e+3, 2.8729085735721942674e+4,
-      3.9307895800092710610e+4, 2.1213794301586595867e+4,
-      5.3941960214247511077e+3, 6.8718700749205790830e+2,
-      4.2313330701600911252e+1, 1.0)),
-    ((7.7454501427834140764e-4, 2.2723844989269184583e-2,
-      2.4178072517745061177e-1, 1.2704582524523683826e+0,
-      3.6478483247632046050e+0, 5.7694972214606914055e+0,
-      4.6303378461565452959e+0, 1.4234371107496835773e+0),
-     (1.0507500716444168432e-9, 5.4759380849953449460e-4,
-      1.5198666563616457197e-2, 1.4810397642748007459e-1,
-      6.8976733498510000455e-1, 1.6763848301838038494e+0,
-      2.0531916266377588219e+0, 1.0)),
-    ((2.0103343992922881327e-7, 2.7115555687434875782e-5,
-      1.2426609473880784386e-3, 2.6532189526576123093e-2,
-      2.9656057182850489123e-1, 1.7848265399172913358e+0,
-      5.4637849111641143699e+0, 6.6579046435011037772e+0),
-     (2.0442631033899397856e-15, 1.4215117583164458887e-7,
-      1.8463183175100546818e-5, 7.8686913114561325910e-4,
-      1.4875361290850614853e-2, 1.3692988092273580531e-1,
-      5.9983220655588793769e-1, 1.0)),
-)
-
-
-def _horner(coefficients: tuple, r: float) -> float:
-    """The polynomial with `coefficients`, highest power first, at r."""
-    acc = coefficients[0]
-    for c in coefficients[1:]:
-        acc = acc * r + c
-    return acc
+_STANDARD_NORMAL = NormalDist()
 
 
 def gaussian_quantile(delta: float) -> float:
     """Standard normal quantile Phi^{-1}(delta) for delta in (0, 1).
 
-    Wichura's AS 241, accurate to double precision over the whole open
-    interval, with the operations of `statistics.NormalDist().inv_cdf`.
+    Wichura's AS 241 through `statistics.NormalDist.inv_cdf`, accurate to
+    double precision over the whole open interval.
     """
     delta = float(delta)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {delta}")
-    q = delta - 0.5
-    if abs(q) <= 0.425:
-        (num, den), r = _AS241[0], 0.180625 - q * q
-        return _horner(num, r) * q / _horner(den, r)
-    r = math.sqrt(-math.log(delta if q <= 0.0 else 1.0 - delta))
-    (num, den), r = (_AS241[1], r - 1.6) if r <= 5.0 else (_AS241[2], r - 5.0)
-    x = _horner(num, r) / _horner(den, r)
-    return -x if q < 0.0 else x
+    return _STANDARD_NORMAL.inv_cdf(delta)
 
 
 def noise_gram(model: ParametricLti, t: int) -> np.ndarray:

@@ -1,13 +1,8 @@
-import json
-from pathlib import Path
-from statistics import NormalDist
-
 import mpmath
 import numpy as np
 import pytest
 
 import stlbayes as sb
-from stlbayes import cli, feasibility
 from stlbayes.chance import AT_LEAST, AT_MOST, WeightError
 from stlbayes.rng import RngStream
 
@@ -22,7 +17,6 @@ from oracles import (
 )
 
 mpmath.mp.dps = 40
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -83,23 +77,6 @@ class TestGaussianQuantile:
                for p in probabilities]
         got = [sb.gaussian_quantile(p) for p in probabilities]
         assert _worst_relative_error(got, ref) < 1e-14
-
-    def test_bits_of_the_standard_library(self, monkeypatch):
-        # AS 241 with the operations of `NormalDist().inv_cdf`, used here
-        # as a test-side oracle: uniform arguments, both tails down to
-        # 1e-300 and every leaf budget of both bundled configs.
-        inv_cdf = NormalDist().inv_cdf
-        tails = [10.0 ** -k for k in range(1, 301)]
-        sweep = [*np.random.default_rng(24).uniform(0.0, 1.0, 100_000),
-                 *tails, *(1.0 - t for t in tails if 1.0 - t < 1.0)]
-        budgets, quantile = [], feasibility.gaussian_quantile
-        monkeypatch.setattr(feasibility, "gaussian_quantile",
-                            lambda d: budgets.append(d) or quantile(d))
-        for name in ("safety_demo.json", "case_study.json"):
-            cli._problem(json.loads((CONFIG_DIR / name).read_text()), "both")
-        assert len(budgets) == 38  # 8 and 30 leaves
-        for p in sweep + budgets:
-            assert quantile(p) == inv_cdf(p), p
 
 
 class TestGamma:

@@ -3,16 +3,16 @@
 Usage, from anywhere:
 
     python3 tools/pairs.py --parent DIR [--workload NAME]... [--pairs N]
-        [--seed FIRST] [--seconds S] [--trace 0|1] OUTFILE
+        [--seed FIRST] [--trace 0|1] OUTFILE
 
-(defaults: every workload, 10 pairs, seed 1, BENCHMARK.json's
-`run_seconds`, trace 0).
+(defaults: every workload, 10 pairs, seed 1, trace 0).
 
 For each workload in `bench/workloads.py` (or each one named with
 `--workload`, which may repeat), pair k runs
 
     python3 bench/run.py --workload W --seed FIRST+k --seconds S --trace T
 
+with S the `run_seconds` of this checkout's BENCHMARK.json on both sides,
 once in the parent checkout DIR and once in this checkout, one run at a
 time, this checkout first in even pairs and the parent first in odd ones.
 Each run starts from the root of its own checkout, with
@@ -98,9 +98,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1,
                         help="the first pair's seed")
-    parser.add_argument("--seconds", type=float,
-                        help="run length (default: BENCHMARK.json's "
-                        "run_seconds)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("outfile", type=Path, metavar="OUTFILE")
     args = parser.parse_args(argv)
@@ -113,7 +110,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     declared = {m["name"]: (m["better"], m["unit"])
                 for m in benchmark["end_to_end"] + benchmark["per_layer"]}
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
 
     record = {"parent": str(parent), "change": str(ROOT),
               "seconds": seconds, "trace": args.trace, "workloads": {}}
