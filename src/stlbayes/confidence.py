@@ -171,10 +171,25 @@ def _gl45(d: int) -> tuple:
     return rule
 
 
+def _into_boxes(unit: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """`out` (boxes, k, d) set to lower + (upper - lower) * unit per box,
+    for `unit` points (boxes, k, d) or (k, d) shared by every box; `out`
+    may be `unit`.  The map runs one coordinate at a time, so that numpy's
+    inner loop is a box's k points, not the d coordinates of one point."""
+    for j, coordinate in enumerate(np.moveaxis(out, -1, 0)):
+        np.multiply(unit[..., j], (upper[:, j] - lower[:, j])[:, None],
+                    out=coordinate)
+        coordinate += lower[:, j, None]
+    return out
+
+
 def _rule_nodes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The GL4 then the GL5 tensor nodes of every box, box by box."""
-    return (lower[:, None] + (upper - lower)[:, None] * _gl45(lower.shape[1])[0]
-            ).reshape(-1, lower.shape[1])
+    m, d = lower.shape
+    unit = _gl45(d)[0]
+    return _into_boxes(unit, lower, upper,
+                       np.empty((m, unit.shape[0], d))).reshape(-1, d)
 
 
 def _rule_boxes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -241,20 +256,20 @@ def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
 
 def _cell_points(cells: Cells, integrated: np.ndarray, n: int,
                  rng: RngStream) -> np.ndarray:
-    """(len(integrated), n, d) points, cell idx's uniform in its box from
-    substream ("cell", idx): every cell's `random` block from
-    `RngStream.fill_children`, then an affine map into every box, the
-    points `uniform(lower, upper, (n, d))` would draw.  The map runs one
-    coordinate at a time, so that numpy's inner loop is a cell's n points,
-    not the d coordinates of one point."""
-    pts = rng.fill_children(
-        "cell", integrated.tolist(),
-        np.empty((integrated.size, n, cells.lower.shape[1])))
-    lower, upper = cells.lower[integrated].T, cells.upper[integrated].T
-    for j, coordinate in enumerate(np.moveaxis(pts, -1, 0)):
-        coordinate *= (upper[j] - lower[j])[:, None]
-        coordinate += lower[j][:, None]
-    return pts
+    """(len(integrated), n, d) points, cell idx's uniform in its box: the
+    `random` block of stream ("cell",) advanced by idx * 2^64, mapped into
+    the box as `uniform(lower, upper, (n, d))` maps it.  A cell's points
+    depend on the stream and its index alone, not on the other cells."""
+    pts = np.empty((integrated.size, n, cells.lower.shape[1]))
+    gen = rng.child("cell").generator()
+    bits = gen.bit_generator
+    start = bits.state
+    for k, idx in enumerate(integrated.tolist()):
+        bits.state = start
+        bits.advance(idx << 64)
+        gen.random(out=pts[k])
+    return _into_boxes(pts, cells.lower[integrated], cells.upper[integrated],
+                       pts)
 
 
 def _feasible_boxes(prior: Box, cells: Cells) -> tuple:
@@ -293,8 +308,8 @@ def pwa_confidence(post: PosteriorDensity, cells: Cells,
     estimate rather than a bound (a far-tail box accepted as negligible may
     miss up to its share of RULE_TOL).  Unknown cells do not enter the
     point estimate; each draws `per_cell_samples` uniform points from its
-    own named substream, so its mass is independent of evaluation order,
-    and their masses widen the attached interval
+    own block of the stream (`_cell_points`), so its mass does not depend
+    on the other cells' labels, and their masses widen the attached interval
     [value, value + unknown mass].  `samples` counts the densities
     evaluated, rule nodes and draws.  `per_cell` has one entry per cell
     that carries mass, the feasible and unknown ones in partition order;

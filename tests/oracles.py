@@ -37,7 +37,6 @@ from stlbayes.chance import ChanceConstraint
 from stlbayes.feasibility import (
     FEAS_TOL,
     VerificationSpec,
-    _input_min,
     _leaf_geometry,
     _time_terms,
     gaussian_quantile,
@@ -164,11 +163,13 @@ def simulate_states_batch(model: ParametricLti, x0, inputs, n_paths: int,
 def cell_points(cells, integrated: np.ndarray, n: int,
                 rng: RngStream) -> np.ndarray:
     """(len(integrated), n, d) points, cell idx's uniform in its box: one
-    `rng.child("cell", idx).generator()` per cell, its `random` block mapped
-    into the box."""
+    fresh `rng.child("cell").generator()` per cell, advanced by idx * 2^64,
+    its `random` block mapped into the box."""
     pts = np.empty((integrated.size, n, cells.lower.shape[1]))
     for k, idx in enumerate(integrated.tolist()):
-        rng.child("cell", idx).generator().random(out=pts[k])
+        gen = rng.child("cell").generator()
+        gen.bit_generator.advance(idx << 64)
+        gen.random(out=pts[k])
     lower = cells.lower[integrated, None]
     pts *= cells.upper[integrated, None] - lower
     pts += lower
@@ -358,12 +359,14 @@ def satisfaction_fn(theta, spec: VerificationSpec) -> int:
 
 
 def worst_case_margin(c: AffineInputConstraint, box: Box) -> float:
-    """min over admissible stacked inputs of f.u + b (closed form)."""
+    """min over admissible stacked inputs of f.u + b in closed form: each
+    input at the bound its coefficient's sign picks.  Written apart from
+    `feasibility._input_min`, which criterion 3 checks beside it."""
     if box.lower.size != c.m:
         raise ValueError(f"box has {box.lower.size} input coordinates, "
                          f"constraint has {c.m}")
     lo, hi = box.stacked(c.time)
-    return c.b + float(_input_min(c.f, lo, hi))
+    return c.b + float(c.f @ np.where(c.f > 0, lo, hi))
 
 
 # --- the Farkas route --------------------------------------------------------

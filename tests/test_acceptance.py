@@ -18,7 +18,7 @@ import numpy as np
 
 import stlbayes as sb
 from stlbayes.cli import cmd_verify
-from stlbayes.feasibility import FEASIBLE, UNKNOWN
+from stlbayes.feasibility import FEASIBLE, UNKNOWN, _input_min
 from stlbayes.rng import RngStream
 
 from conftest import random_formula
@@ -165,7 +165,7 @@ def test_criterion_2_table_reproduction(case_spec):
 def test_criterion_3_farkas_oracle_equivalence():
     start = time.perf_counter()
     gen = np.random.default_rng(103)
-    disagreements = 0
+    disagreements = [0, 0]
     total = 0
     for _ in range(1000):
         m = int(gen.integers(1, 5))
@@ -177,17 +177,20 @@ def test_criterion_3_farkas_oracle_equivalence():
         box = sb.Box(-gen.uniform(0.05, 2, size=m),
                           gen.uniform(0.05, 2, size=m))
         c = AffineInputConstraint(f=f, b=b, time=t, m=m)
-        margin = worst_case_margin(c, box)
         feasible, _ = farkas_feasible(c, box)
         total += 1
-        if margin > 1e-9 and not feasible:
-            disagreements += 1
-        if margin < -1e-9 and feasible:
-            disagreements += 1
+        # The closed-form oracle, then the package's own worst case.
+        for k, margin in enumerate((
+                worst_case_margin(c, box),
+                b + float(_input_min(f, *box.stacked(t))))):
+            if margin > 1e-9 and not feasible or margin < -1e-9 and feasible:
+                disagreements[k] += 1
     elapsed = time.perf_counter() - start
     criterion(3, "robust-LP dual agrees with the closed-form box oracle", [
-        ("agreement on 1000 randomized constraints", disagreements == 0,
-         f"{total - disagreements}/{total}"),
+        ("agreement on 1000 randomized constraints", disagreements[0] == 0,
+         f"{total - disagreements[0]}/{total}"),
+        ("agreement with the package's feasibility._input_min",
+         disagreements[1] == 0, f"{total - disagreements[1]}/{total}"),
         ("runtime < 10 s", elapsed < 10.0, f"{elapsed:.2f}s"),
     ])
 

@@ -519,6 +519,36 @@ def test_cli_import_loads_no_test_oracle_and_no_dataclasses():
     assert json.loads(done.stdout.splitlines()[-1]) == []
 
 
+@pytest.mark.parametrize("name", ["safety_demo.json", "case_study.json"])
+def test_pipeline_streams_are_pairwise_distinct(name, tmp_path, monkeypatch):
+    """The streams of one `verify` and one `table1` on a bundled config
+    start with distinct draws, path by path: no two paths name the same
+    stream, as a trailing 0 label on a short path would (see `rng`)."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    # Fewer draws and estimates; the paths do not depend on their sizes.
+    cfg["mc"]["samples"] = 500
+    cfg["pwa"]["per_cell_samples"] = 20
+    cfg["posterior_mc_samples"] = 256
+    data = cfg["data"]
+    cfg["table1"] = {"theta_true_list": [data["theta_true"], [1.0, 0.5]],
+                     "repetitions": 2, "n_exp": data["n_exp"],
+                     "input": data["input"]}
+    paths, generator = set(), RngStream.generator
+
+    def recording(stream):
+        paths.add(stream)
+        return generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", recording)
+    cli.cmd_verify(cfg, tmp_path)
+    cli.cmd_table1(cfg, tmp_path)
+    monkeypatch.undo()
+    assert RngStream(cfg["seed"], ("pwa", "cell")) in paths
+    assert RngStream(cfg["seed"], ("table1", 1, 1, "pwa", "cell")) in paths
+    first = {generator(s).bit_generator.random_raw() for s in paths}
+    assert len(first) == len(paths)
+
+
 def test_outputs_tool_writes_a_workload(tmp_path):
     """`tools/outputs.py` writes every file of both commands of a workload
     at a seed, from this checkout's package."""

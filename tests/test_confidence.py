@@ -93,8 +93,9 @@ def _uniform_cell_points(cells, integrated, n, rng):
     d = cells.lower.shape[1]
     pts = np.empty((integrated.size, n, d))
     for k, idx in enumerate(integrated.tolist()):
-        pts[k] = rng.child("cell", idx).generator().uniform(
-            cells.lower[idx], cells.upper[idx], (n, d))
+        gen = rng.child("cell").generator()
+        gen.bit_generator.advance(idx << 64)
+        pts[k] = gen.uniform(cells.lower[idx], cells.upper[idx], (n, d))
     return pts
 
 
@@ -145,6 +146,15 @@ class TestPwaConfidence:
             confidence._cell_points(cells, integrated, n, rng),
             cell_points(cells, integrated, n, rng))
 
+    def test_cell_points_do_not_depend_on_the_other_cells(self):
+        cells = sb.pwa_partition(sb.Box([-2.0, -1.0], [1.5, 2.5]), 10)
+        integrated = np.array([3, 17, 42, 99])
+        rng = RngStream(7311, ("pwa",))
+        among = confidence._cell_points(cells, integrated, 50, rng)
+        for k, idx in enumerate(integrated):
+            alone = confidence._cell_points(cells, np.array([idx]), 50, rng)
+            assert np.array_equal(alone[0], among[k])
+
     def test_deterministic(self, uniform_post, region):
         grid = sb.pwa_partition(region, 3)
         cells = sb.Cells(grid.edges, ["feasible"] * 9)
@@ -179,8 +189,9 @@ class TestPwaConfidence:
                 mass, se = next(rule)
                 value += mass
             else:  # unknown
-                pts = rng.child("cell", idx).generator().uniform(
-                    cell.lower, cell.upper, (50, 2))
+                gen = rng.child("cell").generator()
+                gen.bit_generator.advance(idx << 64)
+                pts = gen.uniform(cell.lower, cell.upper, (50, 2))
                 dens = post.density(pts)
                 mass = cell.volume * float(dens.mean())
                 se = np.sqrt(cell.volume ** 2 * float(dens.var(ddof=1)) / 50)
@@ -245,6 +256,17 @@ def _reference_masses(post, lower, upper, k):
 
 class TestRuleMasses:
     """Feasible cells are integrated by adaptive tensor Gauss-Legendre 4/5."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nodes_match_the_broadcast_form(self, d):
+        gen = np.random.default_rng(d)
+        lower = gen.uniform(-2.0, 1.0, (330, d))
+        upper = lower + gen.uniform(0.0, 1.0, (330, d))
+        want = (lower[:, None] + (upper - lower)[:, None]
+                * confidence._gl45(d)[0]).reshape(-1, d)
+        got = confidence._rule_nodes(lower, upper)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n_exp,refined", [(8, False), (400, True)])
     def test_mass_within_the_reported_error(self, safety_spec, safety_region,
