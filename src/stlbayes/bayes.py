@@ -248,9 +248,7 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
                 out[rows] += batch(thetas[rows])
         return out
 
-    gen = rng.generator()
-    samples = gen.uniform(prior.lower, prior.upper,
-                          (int(mc_samples), prior.lower.shape[0]))
+    samples = prior.uniform(rng.generator(), mc_samples)
     logs, *scored = np.split(
         log_un(np.vstack([samples, *prefetch])),
         np.cumsum([mc_samples] + [len(rows) for rows in prefetch[:-1]]))

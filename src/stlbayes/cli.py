@@ -15,7 +15,6 @@ config error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -41,7 +40,14 @@ from .feasibility import (
     pwa_partition,
     restrict_region,
 )
-from .lti import Box, InputSampler, ParametricLti, collect_data, laguerre_model
+from .lti import (
+    Box,
+    InputSampler,
+    ParametricLti,
+    _write_csv,
+    collect_data,
+    laguerre_model,
+)
 from .rng import RngStream
 from .stl import (
     GRAMMAR_WORDS,
@@ -367,23 +373,6 @@ def _estimate(problem: SimpleNamespace, data, stream: RngStream,
 def _write_json(path: Path, payload: dict) -> None:
     # No indent: json.dumps then uses its C encoder.
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-
-
-_CSV_BLOCK_LINES = 4096
-
-
-def _write_csv(path: Path, header: list, columns) -> None:
-    # Every field is a header, a label or a repr'd float, none of which the
-    # csv module would quote, so each line is the fields joined by "," and
-    # ended by "\r\n", the bytes csv.writer gives.  The lines of the
-    # equal-length `columns` are joined in blocks of _CSV_BLOCK_LINES, so the
-    # file is never held whole in memory.
-    lines = map(",".join, zip(*columns))
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        while block := list(itertools.islice(lines, _CSV_BLOCK_LINES)):
-            fh.write("\r\n".join(block))
-            fh.write("\r\n")
 
 
 def _reprs(values: np.ndarray) -> list:

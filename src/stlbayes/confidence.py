@@ -21,6 +21,7 @@ import numpy as np
 
 from .bayes import PosteriorDensity
 from .feasibility import FEASIBLE, UNKNOWN, Box, Cells, _mesh
+from .lti import _into_boxes
 from .record import Record
 from .rng import RngStream
 
@@ -80,12 +81,11 @@ def _chebyshev_fields(var_est: float, epsilon: Optional[float]):
 def mc_draws(sat, region: Box, n: int, rng: RngStream,
              cells: Optional[Cells] = None) -> tuple:
     """The uniform draws of `mc_confidence` that satisfy the property:
-    (indicator over all n draws, the satisfying draws' rows)."""
+    (indicator over all n draws, the satisfying draws' rows).  The draws
+    are `region.uniform`, the doubles of `Generator.uniform`."""
     if n < 1:
         raise ValueError("sample count must be positive")
-    gen = rng.generator()
-    thetas = gen.uniform(region.lower, region.upper,
-                         (int(n), region.lower.shape[0]))
+    thetas = region.uniform(rng.generator(), n)
     hit = sat.satisfaction_batch(thetas, cells) > 0
     return hit, thetas[hit]
 
@@ -169,19 +169,6 @@ def _gl45(d: int) -> tuple:
     for array in rule:
         array.setflags(write=False)
     return rule
-
-
-def _into_boxes(unit: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """`out` (boxes, k, d) set to lower + (upper - lower) * unit per box,
-    for `unit` points (boxes, k, d) or (k, d) shared by every box; `out`
-    may be `unit`.  The map runs one coordinate at a time, so that numpy's
-    inner loop is a box's k points, not the d coordinates of one point."""
-    for j, coordinate in enumerate(np.moveaxis(out, -1, 0)):
-        np.multiply(unit[..., j], (upper[:, j] - lower[:, j])[:, None],
-                    out=coordinate)
-        coordinate += lower[:, j, None]
-    return out
 
 
 def _rule_nodes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:

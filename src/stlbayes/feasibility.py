@@ -118,21 +118,52 @@ class Cells(Box):
         codes[self.label == INFEASIBLE_LABEL] = 0
         return codes.reshape([e.size - 1 for e in self.edges])
 
+    @cached_property
+    def _hull(self) -> tuple:
+        """(lowest, highest) edge per axis of the cells not certified
+        infeasible; +inf and -inf when every cell is."""
+        kept = self.label != INFEASIBLE_LABEL
+        if not kept.any():
+            d = self.lower.shape[1]
+            return np.full(d, np.inf), np.full(d, -np.inf)
+        return self.lower[kept].min(axis=0), self.upper[kept].max(axis=0)
+
     def label_codes(self, thetas: np.ndarray) -> np.ndarray:
         """Per row of `thetas` (N, d): 1 in a feasible cell, 0 in an
         infeasible one, -1 in an unknown cell or in no cell.  A row on a
         shared edge may take either cell's code: labels hold on closed
         cells.
 
-        Each coordinate is located by an arithmetic index into its edges;
-        where the exact edges do not contain it, the index moves by one
-        edge toward it, and a row still not contained gets -1."""
+        A row inside the grid and strictly outside the hull of the cells
+        not certified infeasible (`_hull`) lies only in infeasible cells,
+        and gets 0 without being located.  Each coordinate of the other
+        rows is located by an arithmetic index into its edges; where the
+        exact edges do not contain it, the index moves by one edge toward
+        it, and a row still not contained gets -1."""
         if thetas.shape[1] != self.lower.shape[1]:
             raise ValueError(f"thetas have {thetas.shape[1]} coordinates, "
                              f"cells have {self.lower.shape[1]}")
-        flat = np.zeros(thetas.shape[0], dtype=np.intp)
-        found = np.ones(thetas.shape[0], dtype=bool)
-        for x, e in zip(thetas.T, self.edges):
+        # By contiguous columns: numpy compares a strided column several
+        # times slower.
+        columns = thetas.T.copy()
+        in_grid = np.ones(thetas.shape[0], dtype=bool)
+        off_hull = np.zeros(thetas.shape[0], dtype=bool)
+        for x, e, lo, hi in zip(columns, self.edges, *self._hull):
+            in_grid &= e[0] <= x  # False for NaN
+            in_grid &= x <= e[-1]
+            off_hull |= x < lo
+            off_hull |= x > hi
+        rows = np.flatnonzero(~(in_grid & off_hull))
+        out = np.zeros(thetas.shape[0], dtype=np.int8)
+        out[rows] = self._locate(columns[:, rows])
+        return out
+
+    def _locate(self, columns: np.ndarray) -> np.ndarray:
+        """`label_codes` of the rows whose coordinates are `columns` (d, N),
+        by the arithmetic index and the edge check."""
+        flat = np.zeros(columns.shape[1], dtype=np.intp)
+        found = np.ones(columns.shape[1], dtype=bool)
+        for x, e in zip(columns, self.edges):
             n, lo, hi = e.size - 1, e[:-1], e[1:]
             t = x - e[0]
             t *= n / (e[-1] - e[0])
@@ -158,7 +189,15 @@ class Cells(Box):
 
 def _input_min(f: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """min of f . u over the stacked input box lo <= u <= hi, per row of f."""
-    return np.minimum(f * lo, f * hi).sum(axis=-1)
+    worst = np.minimum(f * lo, f * hi)
+    if worst.shape[-1] >= 8:
+        return worst.sum(axis=-1)
+    # numpy adds fewer than 8 terms one by one from 0.0, so column adds
+    # give the same bits without its per-row reduction.
+    out = np.zeros(worst.shape[:-1])
+    for j in range(worst.shape[-1]):
+        out += worst[..., j]
+    return out
 
 
 # --- per-leaf geometry ------------------------------------------------------

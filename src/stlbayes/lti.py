@@ -13,7 +13,7 @@ search region and, as `Cells`, a partition of PWA cells.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 from pathlib import Path
 from typing import Optional
@@ -89,6 +89,27 @@ class Box(Record):
     def stacked(self, t: int):
         """Bounds of the inputs u(0) .. u(t-1), stacked."""
         return np.tile(self.lower, t), np.tile(self.upper, t)
+
+    def uniform(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """(n, d) rows uniform in the box: `gen.random` mapped in place by
+        `_into_boxes`, the same doubles as `gen.uniform(lower, upper, (n,
+        d))`, which takes numpy's slower broadcast path for array bounds."""
+        rows = gen.random((int(n), self.lower.shape[0]))
+        _into_boxes(rows, self.lower[None], self.upper[None], rows[None])
+        return rows
+
+
+def _into_boxes(unit: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """`out` (boxes, k, d) set to lower + (upper - lower) * unit per box,
+    for `unit` points (boxes, k, d) or (k, d) shared by every box; `out`
+    may be `unit`.  The map runs one coordinate at a time, so that numpy's
+    inner loop is a box's k points, not the d coordinates of one point."""
+    for j, coordinate in enumerate(np.moveaxis(out, -1, 0)):
+        np.multiply(unit[..., j], (upper[:, j] - lower[:, j])[:, None],
+                    out=coordinate)
+        coordinate += lower[:, j, None]
+    return out
 
 
 class ParametricLti(Record):
@@ -251,16 +272,12 @@ class DataSet(Record):
         return self.inputs.shape[0]
 
     def to_csv(self, path) -> None:
-        path = Path(path)
         m, p = self.inputs.shape[1], self.outputs.shape[1]
         header = ["t"] + [f"u_{i+1}" for i in range(m)] + [f"y_{i+1}" for i in range(p)]
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            # Python floats, so each field is the plain shortest repr.
-            rows = zip(self.inputs.tolist(), self.outputs.tolist())
-            for t, (u, y) in enumerate(rows):
-                writer.writerow([t] + u + y)
+        columns = np.hstack([self.inputs, self.outputs]).T.tolist()
+        _write_csv(Path(path), header,
+                   [map(str, range(self.n_exp))]
+                   + [map(repr, column) for column in columns])
 
     def to_json(self, path) -> None:
         payload = {
@@ -276,6 +293,24 @@ class DataSet(Record):
         return DataSet(inputs=np.asarray(payload["inputs"], dtype=float),
                        outputs=np.asarray(payload["outputs"], dtype=float),
                        x0=np.asarray(payload["x0"], dtype=float))
+
+
+_CSV_BLOCK_LINES = 4096
+
+
+def _write_csv(path: Path, header: list, columns) -> None:
+    """Write `header` and one line per row of the equal-length `columns` of
+    text fields, the bytes `csv.writer` gives for them."""
+    # Every field is a header, a label or a repr'd number, none of which the
+    # csv module would quote, so each line is the fields joined by "," and
+    # ended by "\r\n".  The lines are joined in blocks of _CSV_BLOCK_LINES,
+    # so the file is never held whole in memory.
+    lines = map(",".join, zip(*columns))
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        while block := list(itertools.islice(lines, _CSV_BLOCK_LINES)):
+            fh.write("\r\n".join(block))
+            fh.write("\r\n")
 
 
 class InputSampler(Record, eq=True):

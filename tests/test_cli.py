@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stlbayes import cli, feasibility
+from stlbayes import cli, feasibility, lti
 from stlbayes.cli import main
 from stlbayes.confidence import chebyshev_sample_size
 from stlbayes.rng import RngStream
@@ -502,10 +502,11 @@ def test_import_and_build_load_no_scipy():
 
 def test_cli_import_loads_no_test_oracle_and_no_dataclasses():
     """Importing the front end compiles no test-side reference, builds no
-    dataclass and does not load `numpy.random`: a fresh process that writes
-    no bytecode, as the benchmark's set-up probe runs, with the tests
-    directory importable."""
-    names = ["dataclasses", "stlbayes.simplex", "oracles", "numpy.random"]
+    dataclass and loads neither `numpy.random` nor `csv`: a fresh process
+    that writes no bytecode, as the benchmark's set-up probe runs, with the
+    tests directory importable."""
+    names = ["dataclasses", "stlbayes.simplex", "oracles", "numpy.random",
+             "csv"]
     script = ("import json, sys\n"
               "import stlbayes.cli\n"
               f"print(json.dumps([m for m in {names!r} if m in sys.modules]))\n")
@@ -720,16 +721,16 @@ def test_cells_from_edges_match_the_bounds(tmp_path, monkeypatch, lower,
 
 
 def test_empty_outputs_are_one_header_line(tmp_path):
-    cli._write_csv(tmp_path / "rows.csv", ["a", "b"], [[], []])
+    lti._write_csv(tmp_path / "rows.csv", ["a", "b"], [[], []])
     assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n"
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1, cli._CSV_BLOCK_LINES])
+@pytest.mark.parametrize("extra", [-1, 0, 1, lti._CSV_BLOCK_LINES])
 def test_csv_blocks_keep_every_line(tmp_path, extra):
     # Line counts just below, at and past a block boundary, and two blocks.
-    n = cli._CSV_BLOCK_LINES + extra
+    n = lti._CSV_BLOCK_LINES + extra
     columns = [[repr(0.5 * i) for i in range(n)], [str(i) for i in range(n)]]
-    cli._write_csv(tmp_path / "rows.csv", ["x", "i"], columns)
+    lti._write_csv(tmp_path / "rows.csv", ["x", "i"], columns)
     assert (tmp_path / "rows.csv").read_bytes() == _csv_module_bytes(
         [["x", "i"], *zip(*columns)])
 

@@ -14,6 +14,7 @@ from stlbayes.feasibility import (
     FEASIBLE,
     INFEASIBLE_LABEL,
     UNKNOWN,
+    _input_min,
     _LeafGeometry,
 )
 
@@ -1029,6 +1030,23 @@ class TestDistinctMargins:
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
+@pytest.mark.parametrize("k", range(10))
+def test_input_min_bits_match_the_numpy_sum(k):
+    """Column adds below 8 columns give the bits of `.sum(axis=-1)`, a
+    negative zero and widely spread magnitudes included."""
+    gen = np.random.default_rng(60 + k)
+    for shape in [(20_000, k), (4, 300, k)]:
+        f = gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 9, shape)
+        f[:50] = -0.0
+        lo = -gen.uniform(0.0, 2.0, k)
+        hi = gen.uniform(0.0, 2.0, k)
+        lo[: k // 3] = 0.0
+        got = _input_min(f, lo, hi)
+        want = np.minimum(f * lo, f * hi).sum(axis=-1)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _bundled_problem(name: str, per_axis=None):
     """The spec, region and classified cells `cmd_verify` builds from a
     bundled config under method both, at its own or the given per_axis."""
@@ -1171,3 +1189,139 @@ class TestSatisfactionFromCells:
     def test_grid_is_derived_once(self):
         cells = _bundled_problem("safety_demo.json").cells
         assert cells._codes is cells._codes
+
+
+def _face_rows(lower, upper, gen, per_value=16):
+    """Rows with one coordinate on a face of the box [lower, upper] or one
+    ulp either side, the others uniform over the box widened by half its
+    span, so that some lie outside it."""
+    span = upper - lower
+    rows = []
+    for j in range(lower.size):
+        faces = np.array([lower[j], upper[j]])
+        values = np.concatenate([faces, np.nextafter(faces, -np.inf),
+                                 np.nextafter(faces, np.inf)])
+        block = gen.uniform(lower - 0.5 * span, upper + 0.5 * span,
+                            size=(values.size * per_value, lower.size))
+        block[:, j] = np.repeat(values, per_value)
+        rows.append(block)
+    return np.vstack(rows)
+
+
+def _located(monkeypatch) -> list:
+    """Patch `Cells._locate` to record the rows (N, d) of each call."""
+    seen, original = [], sb.Cells._locate
+
+    def recording(cells, columns):
+        seen.append(columns.T.copy())
+        return original(cells, columns)
+
+    monkeypatch.setattr(sb.Cells, "_locate", recording)
+    return seen
+
+
+class TestHullOfUndecidedCells:
+    """`label_codes` locates only the rows inside the hull of the cells not
+    certified infeasible, or outside the grid; every code is the one the
+    locator alone gives."""
+
+    @staticmethod
+    def _grid(labels):
+        edges = [np.linspace(-2.0, 2.0, 7), np.linspace(-1.0, 3.0, 6)]
+        return sb.Cells(edges, np.asarray(labels).reshape(-1))
+
+    def _assert_codes_of_the_locator(self, cells, thetas):
+        assert np.array_equal(cells.label_codes(thetas),
+                              cells._locate(thetas.T))
+
+    def test_hull_bounds(self):
+        cells = _bundled_problem("case_study.json").cells
+        kept = cells.label != INFEASIBLE_LABEL
+        lo, hi = cells._hull
+        assert np.array_equal(lo, cells.lower[kept].min(axis=0))
+        assert np.array_equal(hi, cells.upper[kept].max(axis=0))
+        assert cells._hull is cells._hull
+
+    def test_empty_hull(self, monkeypatch):
+        cells = self._grid(np.full((6, 5), INFEASIBLE_LABEL))
+        assert np.isposinf(cells._hull[0]).all()
+        assert np.isneginf(cells._hull[1]).all()
+        gen = np.random.default_rng(50)
+        grid_lo, grid_hi = cells.lower.min(axis=0), cells.upper.max(axis=0)
+        thetas = np.vstack([_face_rows(grid_lo, grid_hi, gen),
+                            _edge_rows(cells, gen, per_edge=2)])
+        thetas[:5, 1] = np.nan
+        inside = np.all((thetas >= grid_lo) & (thetas <= grid_hi), axis=1)
+        assert inside.any() and not inside.all()
+        seen = _located(monkeypatch)
+        codes = cells.label_codes(thetas)
+        assert (codes[inside] == 0).all() and (codes[~inside] == -1).all()
+        assert len(seen) == 1 and len(seen[0]) == np.count_nonzero(~inside)
+        self._assert_codes_of_the_locator(cells, thetas)
+
+    def test_full_hull(self, monkeypatch):
+        labels = np.resize([FEASIBLE, UNKNOWN, FEASIBLE], 30).reshape(6, 5)
+        cells = self._grid(labels)
+        grid_lo, grid_hi = cells.lower.min(axis=0), cells.upper.max(axis=0)
+        assert np.array_equal(cells._hull[0], grid_lo)
+        assert np.array_equal(cells._hull[1], grid_hi)
+        gen = np.random.default_rng(51)
+        thetas = np.vstack([_face_rows(grid_lo, grid_hi, gen),
+                            _edge_rows(cells, gen, per_edge=2)])
+        seen = _located(monkeypatch)
+        self._assert_codes_of_the_locator(cells, thetas)
+        assert len(seen[0]) == len(thetas)
+
+    def test_rows_on_the_hull_faces_and_one_ulp_outside(self):
+        labels = np.full((6, 5), INFEASIBLE_LABEL)
+        labels[2:4, 1:4] = [[FEASIBLE, UNKNOWN, FEASIBLE],
+                            [UNKNOWN, FEASIBLE, UNKNOWN]]
+        cells = self._grid(labels)
+        lo, hi = cells._hull
+        assert lo.tolist() == [cells.edges[0][2], cells.edges[1][1]]
+        assert hi.tolist() == [cells.edges[0][4], cells.edges[1][4]]
+        gen = np.random.default_rng(52)
+        thetas = np.vstack([_face_rows(lo, hi, gen),
+                            _edge_rows(cells, gen, per_edge=2)])
+        self._assert_codes_of_the_locator(cells, thetas)
+        # One ulp outside a face, inside the grid: only infeasible cells.
+        grid_lo, grid_hi = cells.lower.min(axis=0), cells.upper.max(axis=0)
+        outside = (np.any((thetas < lo) | (thetas > hi), axis=1)
+                   & np.all((thetas >= grid_lo) & (thetas <= grid_hi), axis=1))
+        assert outside.any()
+        assert (cells.label_codes(thetas)[outside] == 0).all()
+        # On a face, a row lies in a cell of the hull and is located.
+        on_face = np.any(thetas == lo, axis=1) & np.all(
+            (thetas >= lo) & (thetas <= hi), axis=1)
+        assert on_face.any() and (cells.label_codes(thetas)[on_face]
+                                  != 0).any()
+
+    @pytest.mark.parametrize("name, per_axis", [
+        ("case_study.json", None), ("safety_demo.json", None),
+        ("safety_demo.json", 64)])
+    def test_bundled_partitions(self, name, per_axis):
+        cells = _bundled_problem(name, per_axis).cells
+        gen = np.random.default_rng(53)
+        grid_lo, grid_hi = cells.lower.min(axis=0), cells.upper.max(axis=0)
+        thetas = np.vstack([_face_rows(*cells._hull, gen),
+                            _face_rows(grid_lo, grid_hi, gen),
+                            _edge_rows(cells, gen, per_edge=2)])
+        self._assert_codes_of_the_locator(cells, thetas)
+
+    def test_locator_sees_hull_and_off_grid_rows_only(self, monkeypatch):
+        problem = _bundled_problem("case_study.json")
+        cells, region = problem.cells, problem.region
+        span = region.upper - region.lower
+        gen = np.random.default_rng(54)
+        thetas = np.vstack([
+            region.uniform(gen, 20_000),
+            gen.uniform(region.lower - span, region.upper + span, (500, 2))])
+        lo, hi = cells._hull
+        in_hull = np.all((thetas >= lo) & (thetas <= hi), axis=1)
+        off_grid = ~np.all((thetas >= cells.lower.min(axis=0))
+                           & (thetas <= cells.upper.max(axis=0)), axis=1)
+        seen = _located(monkeypatch)
+        cells.label_codes(thetas)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], thetas[in_hull | off_grid])
+        assert in_hull.sum() < 0.1 * len(thetas)

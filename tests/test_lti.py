@@ -1,7 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 import stlbayes as sb
+from stlbayes import lti
 from stlbayes.rng import RngStream
 
 from oracles import mean_trajectory, simulate_states_batch
@@ -190,6 +194,41 @@ class TestCollectData:
         fields = np.array([[float(f) for f in r[1:]] for r in rows])
         assert np.array_equal(fields[:, :2], data.inputs)
         assert np.array_equal(fields[:, 2:], data.outputs)
+
+    @pytest.mark.parametrize("n", [1, lti._CSV_BLOCK_LINES + 3])
+    def test_csv_bytes_are_the_csv_modules(self, tmp_path, n):
+        """The block writer gives csv.writer's bytes for the rows [t] + u +
+        y of Python floats, a negative zero, exponents and two blocks
+        included."""
+        special = [-0.0, 1e-05, 2.5e-300, 7e22, 5e-324, 0.1]
+        values = np.resize(special, (n, 3))
+        values[1:] += np.random.default_rng(28).standard_normal((n - 1, 3))
+        data = sb.DataSet(inputs=values[:, :2], outputs=values[:, 2:],
+                          x0=[0.0, 0.0])
+        data.to_csv(tmp_path / "d.csv")
+        buffer = io.StringIO(newline="")
+        writer = csv.writer(buffer)
+        writer.writerow(["t", "u_1", "u_2", "y_1"])
+        for t, (u, y) in enumerate(zip(data.inputs.tolist(),
+                                       data.outputs.tolist())):
+            writer.writerow([t] + u + y)
+        assert (tmp_path / "d.csv").read_bytes() == buffer.getvalue().encode()
+
+
+class TestUniformRows:
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    @pytest.mark.parametrize("lower, upper", [
+        ([-0.3], [2.5]),
+        ([-2.0, 1e-05], [-0.0, 3.0]),
+        ([-1.0, 0.5, -1e20], [1.0, 0.5, 1e20]),  # a zero-width axis
+    ], ids=["d=1", "d=2", "d=3"])
+    def test_same_doubles_as_generator_uniform(self, lower, upper, n):
+        box = sb.Box(lower, upper)
+        rows = box.uniform(np.random.default_rng(40), n)
+        expected = np.random.default_rng(40).uniform(
+            box.lower, box.upper, (n, len(lower)))
+        assert rows.shape == expected.shape
+        assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
 
 
 class TestValidation:
