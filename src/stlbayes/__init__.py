@@ -13,7 +13,9 @@ from .confidence import (
     ConfidenceEstimate,
     chebyshev_sample_size,
     mc_confidence,
+    mc_draws,
     pwa_confidence,
+    pwa_draws,
 )
 from .feasibility import (
     Cells,

@@ -5,11 +5,13 @@ value is read through `_field`, and the library constructors that check
 values run inside `_at`, so a config error names the field's dotted path.
 `_problem` checks the whole config, rejects every field that no setting
 reads, and builds the model, spec, region, prior and PWA cells before any
-numeric work; `_estimate` runs posterior, MC and PWA on them, once for
+numeric work; `_estimate` draws the MC and PWA rows, scores them in the
+posterior's likelihood pass and hands them to the estimators, once for
 `verify` and once per parameter and repetition for `table1`.  All
-randomness flows from one seed through named substreams, so a report can be
-reproduced exactly from the config it embeds.  Exit codes: 0 success, 2
-config error, 3 numeric failure.
+randomness flows from one seed through named substreams, and `--seed` and
+`--method` are written into the config, so a report can be reproduced
+exactly from the config it embeds.  Exit codes: 0 success, 2 config error,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def _build_table1(cfg: dict, d: int) -> SimpleNamespace:
                            sampler=_build_sampler(cfg, "table1.input"))
 
 
-def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
+def _problem(cfg: dict) -> SimpleNamespace:
     """Check every config field, then build what all estimates share.
 
     A malformed field, or one that no setting reads, raises ConfigError
@@ -278,8 +280,8 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     shrinks to the hull of the cells of `pwa.per_axis` that are not
     certified infeasible (see `restrict_region`), or is kept and flagged
     `region_empty` if every cell is; `cells` are then that restriction's,
-    not classified again, also under method mc, whose satisfaction then
-    reads their labels.
+    not classified again, also under method mc, whose draws then read
+    their labels for satisfaction.
     `mc_samples` None means pilot sizing, and only then is `pilot_samples`
     set; `cells` (None under method mc without the restriction), `data` and
     `table1` may be None.
@@ -288,11 +290,10 @@ def _problem(cfg: dict, method: str | None) -> SimpleNamespace:
     model = _build_model(cfg)
     spec = _build_spec(cfg, model)
     prior = _build_prior(cfg, model.d)
-    configured = _field(cfg, "method", _METHODS, "mc")  # also under --method
     problem = SimpleNamespace(
         seed=_field(cfg, "seed", _integer), model=model, spec=spec,
         prior=prior, region=_build_region(cfg, prior),
-        method=_METHODS(method) if method else configured,
+        method=_field(cfg, "method", _METHODS, "mc"),
         mc_samples=_field(cfg, "mc.samples", _count, None),
         epsilon=_field(cfg, "mc.epsilon", _positive, None),
         floor=None, pilot_samples=None,
@@ -330,16 +331,19 @@ def _estimate(problem: SimpleNamespace, data, stream: RngStream,
     Given `problem.cells` (method both, or a restricted region), MC reads
     satisfaction from the certified cells.  The MC draws, the PWA rule's
     first round and unknown-cell points, and the rows of `contour` are made
-    first, so that the normalizer's likelihood pass scores them too; only
-    pilot sizing and the rule's later rounds evaluate densities again.
+    first, so that the normalizer's likelihood pass scores them too.  Only
+    pilot sizing, whose pilot and sized draws need the posterior, and the
+    rule's later rounds evaluate densities again.
     """
-    mc = pwa = None
-    if problem.method in ("mc", "both") and problem.mc_samples is not None:
-        mc = mc_draws(problem.spec, problem.region, problem.mc_samples,
-                      stream.child("mc"), problem.cells)
-    if problem.method in ("pwa", "both"):
-        pwa = pwa_draws(problem.prior, problem.cells,
-                        problem.per_cell_samples, stream.child("pwa"))
+    def draw_mc(n, *path):
+        return mc_draws(problem.spec, problem.region, n, stream.child(*path),
+                        problem.cells)
+
+    run_mc, run_pwa = problem.method != "pwa", problem.method != "mc"
+    mc = (draw_mc(problem.mc_samples, "mc")
+          if run_mc and problem.mc_samples is not None else None)
+    pwa = (pwa_draws(problem.prior, problem.cells, problem.per_cell_samples,
+                     stream.child("pwa")) if run_pwa else None)
     # The satisfying MC draws, the rule's first nodes and the unknown
     # cells' points, and the contour grid.
     rows = ((() if mc is None else mc[1:]) + (pwa or ())
@@ -348,25 +352,19 @@ def _estimate(problem: SimpleNamespace, data, stream: RngStream,
                      problem.posterior_samples, stream.child("posterior"),
                      prefetch=rows)
     estimates = {}
-    if problem.method in ("mc", "both"):
-        n, volume = problem.mc_samples, problem.region.volume
-        if n is None:  # Chebyshev sizing from a pilot run's variance
-            pilot = mc_confidence(post, problem.spec, problem.region,
-                                  problem.pilot_samples,
-                                  stream.child("mc_size", "pilot"),
-                                  cells=problem.cells)
-            n = chebyshev_sample_size(
-                problem.epsilon, problem.floor, pilot.variance_estimate
-                * problem.pilot_samples / volume ** 2, volume)
-        estimates["mc"] = mc_confidence(post, problem.spec, problem.region, n,
-                                        stream.child("mc"),
-                                        epsilon=problem.epsilon,
-                                        cells=problem.cells, draws=mc)
-    if problem.method in ("pwa", "both"):
-        estimates["pwa"] = pwa_confidence(post, problem.cells,
-                                          problem.per_cell_samples,
-                                          stream.child("pwa"),
-                                          epsilon=problem.epsilon, draws=pwa)
+    if run_mc:
+        if mc is None:  # Chebyshev sizing from a pilot run's variance
+            n, volume = problem.pilot_samples, problem.region.volume
+            pilot = mc_confidence(post, problem.region,
+                                  draw_mc(n, "mc_size", "pilot"))
+            mc = draw_mc(chebyshev_sample_size(
+                problem.epsilon, problem.floor,
+                pilot.variance_estimate * n / volume ** 2, volume), "mc")
+        estimates["mc"] = mc_confidence(post, problem.region, mc,
+                                        problem.epsilon)
+    if run_pwa:
+        estimates["pwa"] = pwa_confidence(post, problem.cells, pwa,
+                                          problem.epsilon)
     return post, estimates
 
 
@@ -417,9 +415,9 @@ def _write_cells(path: Path, cells: Cells) -> None:
     _write_csv(path, header, [*bounds, cells.label.tolist()])
 
 
-def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
+def cmd_verify(cfg: dict, out_dir: Path) -> dict:
     """Full pipeline: decompose, restrict, infer, estimate confidence."""
-    problem = _problem(cfg, method)
+    problem = _problem(cfg)
     root = RngStream(problem.seed)
     dataset, data = None, problem.data
     if data is not None:
@@ -454,10 +452,10 @@ def cmd_verify(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
     return report
 
 
-def cmd_table1(cfg: dict, out_dir: Path, method: str | None = None) -> dict:
+def cmd_table1(cfg: dict, out_dir: Path) -> dict:
     """Repeated data collection and confidence estimation per true parameter."""
     _field(cfg, "table1", _object)  # before _problem's numeric work
-    problem = _problem(cfg, method)
+    problem = _problem(cfg)
     table1, reps = problem.table1, problem.table1.reps
     root = RngStream(problem.seed)
     names = [name for name in ("mc", "pwa") if problem.method in (name, "both")]
@@ -544,15 +542,17 @@ def main(argv=None) -> int:
         return 2
     if args.seed is not None:
         cfg["seed"] = int(args.seed)
+    if getattr(args, "method", None) is not None:
+        cfg["method"] = args.method
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         if args.command == "verify":
-            cmd_verify(cfg, out_dir, method=args.method)
+            cmd_verify(cfg, out_dir)
         elif args.command == "table1":
-            cmd_table1(cfg, out_dir, method=args.method)
+            cmd_table1(cfg, out_dir)
         else:
             cmd_simulate(cfg, out_dir)
     except (ConfigError, StlError) as exc:

@@ -50,21 +50,10 @@ class ConfidenceEstimate(Record, eq=True):
     per_cell: Optional[tuple] = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "value": self.value,
-            "raw_value": self.raw_value,
-            "method": self.method,
-            "samples": self.samples,
-            "variance_estimate": self.variance_estimate,
-            "std_error": self.std_error,
-            "chebyshev_epsilon": self.chebyshev_epsilon,
-            "chebyshev_probability": self.chebyshev_probability,
-        }
-        if self.interval is not None:
-            out["interval"] = list(self.interval)
-        if self.per_cell is not None:
-            out["per_cell"] = [dict(c) for c in self.per_cell]
-        return out
+        """The fields that are set, tuples as lists."""
+        return {name: list(value) if isinstance(value, tuple) else value
+                for name, value in zip(self._fields, self._values())
+                if value is not None}
 
 
 def _chebyshev_fields(var_est: float, epsilon: Optional[float]):
@@ -80,9 +69,15 @@ def _chebyshev_fields(var_est: float, epsilon: Optional[float]):
 
 def mc_draws(sat, region: Box, n: int, rng: RngStream,
              cells: Optional[Cells] = None) -> tuple:
-    """The uniform draws of `mc_confidence` that satisfy the property:
-    (indicator over all n draws, the satisfying draws' rows).  The draws
-    are `region.uniform`, the doubles of `Generator.uniform`."""
+    """The n uniform draws of `mc_confidence` and which satisfy the
+    property: (indicator over all n draws, the satisfying draws' rows).
+
+    The draws are `region.uniform`, the doubles of `Generator.uniform`.
+    The indicator is one `sat.satisfaction_batch(thetas, cells)` call
+    (`sat` is a `VerificationSpec`): with `cells`, a partition labelled by
+    `classify_cells`, draws in certified cells take the cell's label and
+    only the others are checked leaf by leaf, with the same indicator
+    either way."""
     if n < 1:
         raise ValueError("sample count must be positive")
     thetas = region.uniform(rng.generator(), n)
@@ -90,25 +85,18 @@ def mc_draws(sat, region: Box, n: int, rng: RngStream,
     return hit, thetas[hit]
 
 
-def mc_confidence(post: PosteriorDensity, sat, region: Box, n: int,
-                  rng: RngStream, epsilon: Optional[float] = None,
-                  cells: Optional[Cells] = None,
-                  draws: Optional[tuple] = None) -> ConfidenceEstimate:
+def mc_confidence(post: PosteriorDensity, region: Box, draws: tuple,
+                  epsilon: Optional[float] = None) -> ConfidenceEstimate:
     """Uniform Monte Carlo estimate of the confidence over a region.
 
-    Q = (V / N) sum_i sat(theta_i) * posterior(theta_i); the density is only
+    Q = (V / N) sum_i sat(theta_i) * posterior(theta_i) over the N draws
+    `draws = mc_draws(sat, region, N, rng, cells)`; the density is only
     evaluated where the satisfaction indicator fires, which never touches
     the sample stream, so results are reproducible bit for bit from the rng
-    stream value regardless of how many densities get evaluated.  The
-    indicator is one `sat.satisfaction_batch(thetas, cells)` call (`sat` is
-    a `VerificationSpec`): with `cells`, a partition labelled by
-    `classify_cells`, samples in certified cells take the cell's label and
-    only the others are checked leaf by leaf, with the same indicator
-    either way.  `draws`, if given, is `mc_draws(sat, region, n, rng,
-    cells)` made ahead, so that the posterior could score its rows.
+    stream value regardless of how many densities get evaluated.
     """
-    hit, rows = (mc_draws(sat, region, n, rng, cells) if draws is None
-                 else draws)
+    hit, rows = draws
+    n = hit.size
     volume = region.volume
     k = np.zeros(n)
     if hit.any():
@@ -186,8 +174,7 @@ def _rule_boxes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
-                 upper: np.ndarray, first: Optional[np.ndarray] = None
-                 ) -> tuple:
+                 upper: np.ndarray, points: np.ndarray) -> tuple:
     """Posterior mass and error estimate of each box, by adaptive tensor
     Gauss-Legendre 4/5, and the number of densities evaluated.
 
@@ -198,10 +185,10 @@ def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
     that is not negligible (a peak or a tail the nodes do not resolve, whose
     small error estimate would otherwise be trusted).  Every round is one
     density call over the boxes still open; the last of RULE_ROUNDS rounds
-    accepts them all.  `first`, if given, is the first round's nodes,
-    `_rule_nodes` of the boxes `_rule_boxes` picks, made ahead so that the
-    posterior could score them.  Boxes should lie inside the prior box,
-    where the density is smooth.
+    accepts them all.  `points` are the first round's nodes, `_rule_nodes`
+    of the boxes `_rule_boxes` picks, made ahead so that the posterior
+    could score them.  Boxes should lie inside the prior box, where the
+    density is smooth.
 
     The error is an estimate, not a bound: a box whose nodes see only the
     far tail of a peak beyond its edge is accepted as negligible, and may
@@ -217,7 +204,6 @@ def _rule_masses(post: PosteriorDensity, lower: np.ndarray,
     _, w4, w5 = _gl45(d)
     n4 = w4.size
     halves = _mesh([[False, True]] * d)
-    points = _rule_nodes(lower, upper) if first is None else first
     for last in [False] * (RULE_ROUNDS - 1) + [True]:
         if owner.size == 0:
             break
@@ -281,10 +267,8 @@ def pwa_draws(prior: Box, cells: Cells, per_cell_samples: int,
             pts.reshape(-1, cells.lower.shape[1]))
 
 
-def pwa_confidence(post: PosteriorDensity, cells: Cells,
-                   per_cell_samples: int, rng: RngStream,
-                   epsilon: Optional[float] = None,
-                   draws: Optional[tuple] = None) -> ConfidenceEstimate:
+def pwa_confidence(post: PosteriorDensity, cells: Cells, draws: tuple,
+                   epsilon: Optional[float] = None) -> ConfidenceEstimate:
     """Posterior mass of the feasible-labeled cells, bracketed by the mass
     of the unknown ones.
 
@@ -293,20 +277,17 @@ def pwa_confidence(post: PosteriorDensity, cells: Cells,
     `value` is the sum of the rule masses and `std_error` the sum of their
     error estimates |GL5 - GL4|, not a sampling standard error, and an
     estimate rather than a bound (a far-tail box accepted as negligible may
-    miss up to its share of RULE_TOL).  Unknown cells do not enter the
-    point estimate; each draws `per_cell_samples` uniform points from its
-    own block of the stream (`_cell_points`), so its mass does not depend
-    on the other cells' labels, and their masses widen the attached interval
-    [value, value + unknown mass].  `samples` counts the densities
-    evaluated, rule nodes and draws.  `per_cell` has one entry per cell
-    that carries mass, the feasible and unknown ones in partition order;
-    infeasible cells have mass 0 and are left out.  `draws`, if given, is
-    `pwa_draws(post.prior, cells, per_cell_samples, rng)` made ahead, so
-    that the posterior could score its rows.
+    miss up to its share of RULE_TOL).  `draws` is `pwa_draws(post.prior,
+    cells, per_cell_samples, rng)`: the rule's first-round nodes, and the
+    uniform points of each unknown cell, from its own block of the stream
+    (`_cell_points`), so its mass does not depend on the other cells'
+    labels.  Unknown cells do not enter the point estimate; their masses
+    widen the attached interval [value, value + unknown mass].  `samples`
+    counts the densities evaluated, rule nodes and draws.  `per_cell` has
+    one entry per cell that carries mass, the feasible and unknown ones in
+    partition order; infeasible cells have mass 0 and are left out.
     """
-    first, pts = (pwa_draws(post.prior, cells, per_cell_samples, rng)
-                  if draws is None else draws)
-    n = int(per_cell_samples)
+    first, pts = draws
     feasible, unknown = cells.label == FEASIBLE, cells.label == UNKNOWN
     drawn = np.flatnonzero(unknown)
     mass, se = np.zeros(len(cells)), np.zeros(len(cells))
@@ -314,8 +295,8 @@ def pwa_confidence(post: PosteriorDensity, cells: Cells,
         post, *_feasible_boxes(post.prior, cells), first)
     if drawn.size:
         # One density call for every unknown cell's points, split by cell.
-        dens = post.density(pts).reshape(-1, n)
-        vol = cells.volume[drawn]
+        dens = post.density(pts).reshape(drawn.size, -1)
+        n, vol = dens.shape[1], cells.volume[drawn]
         mass[drawn] = vol * dens.mean(axis=1)
         if n > 1:
             se[drawn] = np.sqrt(vol * vol * dens.var(ddof=1, axis=1) / n)
@@ -335,7 +316,7 @@ def pwa_confidence(post: PosteriorDensity, cells: Cells,
         value=float(min(max(value, 0.0), 1.0)),
         raw_value=value,
         method="pwa",
-        samples=evaluations + n * drawn.size,
+        samples=evaluations + len(pts),
         variance_estimate=var_est,
         std_error=error,
         chebyshev_epsilon=eps,

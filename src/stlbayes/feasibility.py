@@ -610,11 +610,9 @@ def restrict_region(spec: VerificationSpec, region: Box,
     tol = 1e-2 * (region.upper - region.lower)
     first = cells = classify_cells(pwa_partition(region, per_axis), spec)
     while True:
-        keep = cells.label != INFEASIBLE_LABEL
-        if not keep.any():
+        lower, upper = cells._hull
+        if (lower > upper).any():  # every cell certified infeasible
             return None, first
-        lower = cells.lower[keep].min(axis=0)
-        upper = cells.upper[keep].max(axis=0)
         if not ((lower - region.lower > tol)
                 | (region.upper - upper > tol)).any():
             return region, cells

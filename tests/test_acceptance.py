@@ -103,10 +103,12 @@ def criterion(number: int, description: str, checks):
 def test_criterion_1_prior_confidence(case_spec):
     start = time.perf_counter()
     post = sb.posterior(None, case_spec.model, CASE_PRIOR, 1000, RngStream(1))
-    mc = sb.mc_confidence(post, case_spec, CASE_REGION, 27947,
-                          RngStream(101, ("c1", "mc")), epsilon=0.005)
+    mc = sb.mc_confidence(post, CASE_REGION, sb.mc_draws(
+        case_spec, CASE_REGION, 27947, RngStream(101, ("c1", "mc"))),
+        epsilon=0.005)
     cells = sb.classify_cells(sb.pwa_partition(CASE_REGION, 5), case_spec)
-    pwa = sb.pwa_confidence(post, cells, 500, RngStream(101, ("c1", "pwa")))
+    pwa = sb.pwa_confidence(post, cells, sb.pwa_draws(
+        CASE_PRIOR, cells, 500, RngStream(101, ("c1", "pwa"))))
     elapsed = time.perf_counter() - start
     combined = 3 * (mc.std_error + pwa.std_error)
     # Prior mass of the disc that holds the exact feasible set: an upper
@@ -139,8 +141,8 @@ def test_criterion_2_table_reproduction(case_spec):
                                    case_spec.x0, stream.child("data"))
             post = sb.posterior(data, model, CASE_PRIOR, 4096,
                                 stream.child("posterior"))
-            est = sb.mc_confidence(post, case_spec, CASE_REGION, 27947,
-                                   stream.child("mc"))
+            est = sb.mc_confidence(post, CASE_REGION, sb.mc_draws(
+                case_spec, CASE_REGION, 27947, stream.child("mc")))
             values.append(est.value)
         means.append(float(np.mean(values)))
     elapsed = time.perf_counter() - start

@@ -115,14 +115,22 @@ class TestVerify:
         assert (out1 / "report.json").read_bytes() == \
             (out2 / "report.json").read_bytes()
 
-    def test_report_embeds_reproducible_config(self, tmp_path):
-        cfg = write_config(tmp_path, BASE_CONFIG)
+    @pytest.mark.parametrize(
+        "flags", [[], ["--seed", 999], ["--method", "mc"], ["--method", "pwa"]],
+        ids=["no-flag", "seed", "method-mc", "method-pwa"])
+    @pytest.mark.parametrize("command", ["verify", "table1"])
+    def test_report_embeds_reproducible_config(self, tmp_path, command,
+                                               flags):
+        """A report, also one written with --seed or --method, is written
+        again byte for byte from the config it embeds."""
+        cfg = write_config(tmp_path, dict(BASE_CONFIG, table1=TABLE1)
+                           if command == "table1" else BASE_CONFIG)
         out1 = tmp_path / "a"
-        assert run(["verify", "--config", cfg, "--out", out1]) == 0
+        assert run([command, "--config", cfg, "--out", out1, *flags]) == 0
         embedded = json.loads((out1 / "report.json").read_text())["config"]
         cfg2 = write_config(tmp_path, embedded, name="embedded.json")
         out2 = tmp_path / "b"
-        assert run(["verify", "--config", cfg2, "--out", out2]) == 0
+        assert run([command, "--config", cfg2, "--out", out2]) == 0
         assert (out1 / "report.json").read_bytes() == \
             (out2 / "report.json").read_bytes()
 
@@ -348,13 +356,18 @@ class TestTable1Pipeline:
 
     def test_mc_sizing_uses_the_pilot(self, tmp_path, monkeypatch):
         calls = []
-        real = cli.mc_confidence
+        real_draws, real = cli.mc_draws, cli.mc_confidence
 
-        def spy(post, sat, region, n, rng, **kwargs):
-            est = real(post, sat, region, n, rng, **kwargs)
-            calls.append((n, rng.path, region.volume, est))
+        def spy_draws(sat, region, n, rng, cells=None):
+            calls.append((n, rng.path, region.volume))
+            return real_draws(sat, region, n, rng, cells)
+
+        def spy(post, region, draws, epsilon=None):
+            est = real(post, region, draws, epsilon)
+            calls[-1] += (est,)  # the estimate on the last draws
             return est
 
+        monkeypatch.setattr(cli, "mc_draws", spy_draws)
         monkeypatch.setattr(cli, "mc_confidence", spy)
         cfg = copy.deepcopy(BASE_CONFIG)
         cfg["method"] = "mc"
@@ -377,20 +390,21 @@ class TestTable1Pipeline:
 
 def _mc_by_method(cfg: dict, tmp_path: Path, monkeypatch) -> tuple:
     """`results.mc` of `cmd_verify` under methods mc and both, with the
-    `cells` each `mc_confidence` call received."""
-    real, seen = cli.mc_confidence, {}
+    `cells` each `mc_draws` call received."""
+    real, seen = cli.mc_draws, {}
 
-    def spy(*args, **kwargs):
-        seen[method].append(kwargs.get("cells"))
-        return real(*args, **kwargs)
+    def spy(sat, region, n, rng, cells=None):
+        seen[method].append(cells)
+        return real(sat, region, n, rng, cells)
 
-    monkeypatch.setattr(cli, "mc_confidence", spy)
+    monkeypatch.setattr(cli, "mc_draws", spy)
     results = {}
     for method in ("mc", "both"):
         seen[method] = []
         out = tmp_path / method
         out.mkdir()
-        results[method] = cli.cmd_verify(cfg, out, method)["results"]["mc"]
+        results[method] = cli.cmd_verify(dict(cfg, method=method),
+                                         out)["results"]["mc"]
     return results, seen
 
 
@@ -425,9 +439,10 @@ class TestMcFromCellLabels:
     def test_restricted_mc_reads_the_restriction_cells(self, tmp_path,
                                                        monkeypatch):
         """Under method mc with restrict_region, the restriction's cells
-        reach `mc_confidence`: the same estimate, fewer rows at the leaves,
-        and still no feasible_cells.csv."""
-        problem = cli._problem(dict(BASE_CONFIG, restrict_region=True), "mc")
+        reach `mc_draws`: the same estimate, fewer rows at the leaves, and
+        still no feasible_cells.csv."""
+        cfg = dict(BASE_CONFIG, restrict_region=True, method="mc")
+        problem = cli._problem(cfg)
         assert problem.cells is not None
         rows = []
         real = feasibility._LeafGeometry.margins
@@ -452,7 +467,7 @@ class TestMcFromCellLabels:
         assert 0 < leaf_rows[0] < leaf_rows[1]
         out = tmp_path / "o"
         out.mkdir()
-        cli.cmd_verify(dict(BASE_CONFIG, restrict_region=True), out, "mc")
+        cli.cmd_verify(cfg, out)
         assert not (out / "feasible_cells.csv").exists()
 
 
@@ -470,7 +485,7 @@ class TestReport:
 def test_bundled_config_builds_a_problem(config):
     """Every bundled config passes the loader, for verify and for table1."""
     cfg = json.loads(config.read_text())
-    problem = cli._problem(cfg, None)
+    problem = cli._problem(cfg)
     assert problem.spec.leaves() and problem.region.volume > 0
     assert (problem.cells is None) == (problem.method == "mc")
     assert (problem.data is None) == ("data" not in cfg)
@@ -488,7 +503,7 @@ def test_import_and_build_load_no_scipy():
         "from pathlib import Path\n"
         "from stlbayes import cli\n"
         "for path in sorted(Path(sys.argv[1]).glob('*.json')):\n"
-        "    cli._problem(json.loads(path.read_text()), None)\n"
+        "    cli._problem(json.loads(path.read_text()))\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
         "                        if m == 'scipy' or m.startswith('scipy.'))))\n")
     src = Path(cli.__file__).resolve().parent.parent
@@ -604,9 +619,9 @@ def test_pairs_tool_counts_wins_in_each_metrics_direction():
 
 
 def test_weight_vector_moves_the_leaf_thresholds():
-    cfg = dict(BASE_CONFIG, formula="mu1 & mu2",
+    cfg = dict(BASE_CONFIG, formula="mu1 & mu2", method="mc",
                weights={"weights": {"": [0.9, 0.1]}})
-    leaves = cli._problem(cfg, "mc").spec.leaves()
+    leaves = cli._problem(cfg).spec.leaves()
     delta = BASE_CONFIG["delta"]
     assert [leaf.threshold for leaf in leaves] == pytest.approx(
         [1 - 0.9 * delta, 1 - 0.1 * delta])
@@ -615,7 +630,8 @@ def test_weight_vector_moves_the_leaf_thresholds():
 def test_restriction_without_hits_keeps_the_region():
     cfg = json.loads((CONFIG_DIR / "case_study.json").read_text())
     cfg["restrict_region"] = True
-    problem = cli._problem(cfg, "mc")
+    cfg["method"] = "mc"
+    problem = cli._problem(cfg)
     assert problem.region_empty
     assert problem.region.lower.tolist() == cfg["theta_region"]["lower"]
     assert problem.region.upper.tolist() == cfg["theta_region"]["upper"]
@@ -956,7 +972,7 @@ class TestSharedLikelihoodPass:
     @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
                              ids=lambda p: p.name)
     def test_merged_densities_match_separate_calls(self, config, monkeypatch):
-        problem = cli._problem(json.loads(config.read_text()), None)
+        problem = cli._problem(json.loads(config.read_text()))
         root = RngStream(problem.seed)
         data = problem.data
         dataset = cli.collect_data(problem.model, data.theta_true,
@@ -984,14 +1000,16 @@ class TestSharedLikelihoodPass:
         assert merged.log_z == plain.log_z
         for r in rows:
             assert np.array_equal(merged.density(r), plain.density(r))
-        # The estimators on the posterior without the pass, drawing for
-        # themselves, give the same estimates.
+        # The estimators on the posterior without the pass, on draws made
+        # again, give the same estimates.
         assert estimates["mc"] == cli.mc_confidence(
-            plain, problem.spec, problem.region, problem.mc_samples,
-            root.child("mc"), epsilon=problem.epsilon, cells=problem.cells)
+            plain, problem.region, cli.mc_draws(
+                problem.spec, problem.region, problem.mc_samples,
+                root.child("mc"), problem.cells), problem.epsilon)
         assert estimates["pwa"] == cli.pwa_confidence(
-            plain, problem.cells, problem.per_cell_samples, root.child("pwa"),
-            epsilon=problem.epsilon)
+            plain, problem.cells, cli.pwa_draws(
+                problem.prior, problem.cells, problem.per_cell_samples,
+                root.child("pwa")), problem.epsilon)
 
 
 def test_contour_skip_is_reported_beyond_two_parameters(tmp_path):

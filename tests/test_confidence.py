@@ -33,6 +33,18 @@ class _BoxSat:
         return ok.astype(np.uint8)
 
 
+def _mc(post, sat, region, n, rng, epsilon=None):
+    """`mc_confidence` on the draws of `mc_draws`."""
+    return sb.mc_confidence(post, region, sb.mc_draws(sat, region, n, rng),
+                            epsilon)
+
+
+def _pwa(post, cells, n, rng, epsilon=None):
+    """`pwa_confidence` on the draws of `pwa_draws`."""
+    return sb.pwa_confidence(post, cells,
+                             sb.pwa_draws(post.prior, cells, n, rng), epsilon)
+
+
 @pytest.fixture(scope="module")
 def uniform_post():
     prior = sb.Box([-2, -2], [2, 2])
@@ -47,42 +59,40 @@ def region():
 
 class TestMcConfidence:
     def test_empty_feasible_set(self, uniform_post, region):
-        est = sb.mc_confidence(uniform_post, _ConstSat(0), region, 500,
-                               RngStream(2))
+        est = _mc(uniform_post, _ConstSat(0), region, 500, RngStream(2))
         assert est.value == 0.0
         assert est.variance_estimate == 0.0
         assert est.chebyshev_probability == 1.0
 
     def test_full_mass(self, uniform_post, region):
-        est = sb.mc_confidence(uniform_post, _ConstSat(1), region, 500,
-                               RngStream(3))
+        est = _mc(uniform_post, _ConstSat(1), region, 500, RngStream(3))
         assert est.value == pytest.approx(1.0)
         assert est.variance_estimate == pytest.approx(0.0, abs=1e-20)
 
     def test_volume_fraction(self, uniform_post, region):
         sat = _BoxSat([-1, -1], [1, 1])
-        est = sb.mc_confidence(uniform_post, sat, region, 20000, RngStream(4))
+        est = _mc(uniform_post, sat, region, 20000, RngStream(4))
         # Posterior is uniform: the confidence is the volume fraction 1/4.
         assert abs(est.raw_value - 0.25) <= 3 * est.std_error
 
     def test_bitwise_determinism(self, uniform_post, region):
-        a = sb.mc_confidence(uniform_post, _BoxSat([-1, 0], [2, 2]), region,
-                             4096, RngStream(5, ("mc",)))
-        b = sb.mc_confidence(uniform_post, _BoxSat([-1, 0], [2, 2]), region,
-                             4096, RngStream(5, ("mc",)))
+        a = _mc(uniform_post, _BoxSat([-1, 0], [2, 2]), region,
+                4096, RngStream(5, ("mc",)))
+        b = _mc(uniform_post, _BoxSat([-1, 0], [2, 2]), region,
+                4096, RngStream(5, ("mc",)))
         assert a == b
 
     def test_explicit_epsilon(self, uniform_post, region):
-        est = sb.mc_confidence(uniform_post, _BoxSat([-1, -1], [0, 0]), region,
-                               2000, RngStream(6), epsilon=0.05)
+        est = _mc(uniform_post, _BoxSat([-1, -1], [0, 0]), region,
+                  2000, RngStream(6), epsilon=0.05)
         assert est.chebyshev_epsilon == 0.05
         assert est.chebyshev_probability == pytest.approx(
             1 - est.variance_estimate / 0.05 ** 2)
 
     def test_tiny_epsilon_gives_a_zero_bound(self, uniform_post, region):
         # Var / eps^2 far above 1: Chebyshev's bound max(0, 1 - Var/eps^2).
-        est = sb.mc_confidence(uniform_post, _BoxSat([-1, -1], [0, 0]), region,
-                               2000, RngStream(6), epsilon=1e-6)
+        est = _mc(uniform_post, _BoxSat([-1, -1], [0, 0]), region,
+                  2000, RngStream(6), epsilon=1e-6)
         assert est.variance_estimate > 1e-12
         assert est.chebyshev_probability == 0.0
 
@@ -103,20 +113,20 @@ class TestPwaConfidence:
     def test_no_feasible_cells(self, uniform_post, region):
         cells = sb.pwa_partition(region, 3)
         labeled = sb.Cells(cells.edges, ["infeasible"] * 9)
-        est = sb.pwa_confidence(uniform_post, labeled, 100, RngStream(8))
+        est = _pwa(uniform_post, labeled, 100, RngStream(8))
         assert est.value == 0.0
         assert est.interval == (0.0, 0.0)
 
     def test_uniform_mass_adds_up(self, uniform_post, region):
         cells = sb.pwa_partition(region, 4)
         labeled = sb.Cells(cells.edges, ["feasible"] * 16)
-        est = sb.pwa_confidence(uniform_post, labeled, 200, RngStream(9))
+        est = _pwa(uniform_post, labeled, 200, RngStream(9))
         assert est.value == pytest.approx(1.0)
 
     def test_unknown_cells_widen_interval(self, uniform_post, region):
         cells = sb.pwa_partition(region, 2)
         labeled = sb.Cells(cells.edges, ["feasible"] + ["unknown"] * 3)
-        est = sb.pwa_confidence(uniform_post, labeled, 400, RngStream(10))
+        est = _pwa(uniform_post, labeled, 400, RngStream(10))
         assert est.value == pytest.approx(0.25)
         assert est.interval[0] == pytest.approx(0.25)
         assert est.interval[1] == pytest.approx(1.0)
@@ -130,10 +140,9 @@ class TestPwaConfidence:
         assert np.array_equal(
             confidence._cell_points(cells, integrated, 40, rng),
             _uniform_cell_points(cells, integrated, 40, rng))
-        est = sb.pwa_confidence(uniform_post, cells, 40, rng, epsilon=0.01)
+        est = _pwa(uniform_post, cells, 40, rng, epsilon=0.01)
         monkeypatch.setattr(confidence, "_cell_points", _uniform_cell_points)
-        assert sb.pwa_confidence(uniform_post, cells, 40, rng,
-                                 epsilon=0.01) == est
+        assert _pwa(uniform_post, cells, 40, rng, epsilon=0.01) == est
 
     @pytest.mark.parametrize("count", [0, 1, 26, 88])
     @pytest.mark.parametrize("n", [300, 500])
@@ -158,8 +167,8 @@ class TestPwaConfidence:
     def test_deterministic(self, uniform_post, region):
         grid = sb.pwa_partition(region, 3)
         cells = sb.Cells(grid.edges, ["feasible"] * 9)
-        a = sb.pwa_confidence(uniform_post, cells, 128, RngStream(11))
-        b = sb.pwa_confidence(uniform_post, cells, 128, RngStream(11))
+        a = _pwa(uniform_post, cells, 128, RngStream(11))
+        b = _pwa(uniform_post, cells, 128, RngStream(11))
         assert a == b
 
 
@@ -174,10 +183,11 @@ class TestPwaConfidence:
         cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
                                   safety_spec)
         rng = RngStream(21, ("pwa",))
-        est = sb.pwa_confidence(post, cells, 50, rng)
+        est = _pwa(post, cells, 50, rng)
         feasible = cells.label == "feasible"
+        lower, upper = cells.lower[feasible], cells.upper[feasible]
         masses, errors, evaluations = confidence._rule_masses(
-            post, cells.lower[feasible], cells.upper[feasible])
+            post, lower, upper, confidence._rule_nodes(lower, upper))
         rule = iter(zip(masses.tolist(), errors.tolist()))
         records = iter(est.per_cell)  # the cells not certified infeasible
         value = 0.0
@@ -217,7 +227,7 @@ class TestPwaConfidence:
                                   safety_spec)
         assert set(cells.label.tolist()) == {"feasible", "infeasible",
                                              "unknown"}
-        est = sb.pwa_confidence(post, cells, 30, RngStream(21))
+        est = _pwa(post, cells, 30, RngStream(21))
         kept = cells.label != "infeasible"
         assert [(c["lower"], c["upper"], c["label"]) for c in est.per_cell] \
             == list(zip(cells.lower[kept].tolist(),
@@ -279,7 +289,7 @@ class TestRuleMasses:
         cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
                                   safety_spec)
         feasible = cells.label == "feasible"
-        est = sb.pwa_confidence(post, cells, 20, RngStream(21))
+        est = _pwa(post, cells, 20, RngStream(21))
         reference = _reference_masses(post, cells.lower[feasible],
                                       cells.upper[feasible], 4)
         # per_cell lists the cells not certified infeasible, in order.
@@ -310,7 +320,7 @@ class TestRuleMasses:
         lower = np.maximum(cells.lower, prior.lower)
         upper = np.minimum(cells.upper, prior.upper)
         flat = sb.posterior(None, safety_spec.model, prior, 1, RngStream(0))
-        est = sb.pwa_confidence(flat, cells, 10, RngStream(1))
+        est = _pwa(flat, cells, 10, RngStream(1))
         share = np.prod(upper - lower, axis=1) / prior.volume
         assert [c["mass"] for c in est.per_cell] == pytest.approx(
             share.tolist(), abs=1e-15)
@@ -320,7 +330,7 @@ class TestRuleMasses:
                                8, [0, 0], RngStream(2))
         post = sb.posterior(data, safety_spec.model, prior, 1024,
                             RngStream(3))
-        est = sb.pwa_confidence(post, cells, 10, RngStream(1))
+        est = _pwa(post, cells, 10, RngStream(1))
         reference = _reference_masses(post, lower, upper, 4)
         errors = np.array([c["std_error"] for c in est.per_cell])
         masses = np.array([c["mass"] for c in est.per_cell])
@@ -332,7 +342,7 @@ class TestRuleMasses:
                             RngStream(0))
         cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
                                   safety_spec)
-        est = sb.pwa_confidence(flat, cells, 10, RngStream(1))
+        est = _pwa(flat, cells, 10, RngStream(1))
         share = np.count_nonzero(cells.label == "feasible") / 256
         assert share > 0
         assert est.raw_value == pytest.approx(share, abs=1e-15)
@@ -351,7 +361,8 @@ class TestRuleMasses:
             "grid = sb.pwa_partition(prior, 2)\n"
             "labels = ['feasible', 'unknown', 'infeasible', 'feasible']\n"
             "cells = sb.Cells(grid.edges, labels)\n"
-            "est = sb.pwa_confidence(post, cells, 10, RngStream(1))\n"
+            "draws = sb.pwa_draws(prior, cells, 10, RngStream(1))\n"
+            "est = sb.pwa_confidence(post, cells, draws)\n"
             "assert est.value > 0\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.startswith('numpy.polynomial')))\n")
@@ -371,17 +382,16 @@ class TestUnderApproximation:
                                sb.InputSampler("uniform", low=-2, high=2),
                                8, [0, 0], RngStream(12))
         post = sb.posterior(data, model, prior, 8192, RngStream(13))
-        mc = sb.mc_confidence(post, safety_spec, safety_region, 20000,
-                              RngStream(14))
+        mc = _mc(post, safety_spec, safety_region, 20000, RngStream(14))
         cells = sb.classify_cells(sb.pwa_partition(safety_region, 16),
                                   safety_spec)
-        pwa = sb.pwa_confidence(post, cells, 300, RngStream(15))
+        pwa = _pwa(post, cells, 300, RngStream(15))
         combined = 3 * (mc.std_error + pwa.std_error)
         assert pwa.value <= mc.value + combined
         # Refining the partition narrows the undecided bracket.
         finer = sb.classify_cells(sb.pwa_partition(safety_region, 32),
                                   safety_spec)
-        pwa2 = sb.pwa_confidence(post, finer, 300, RngStream(16))
+        pwa2 = _pwa(post, finer, 300, RngStream(16))
         assert (pwa2.interval[1] - pwa2.interval[0]) < \
             (pwa.interval[1] - pwa.interval[0])
 
@@ -392,8 +402,8 @@ class TestUnderApproximation:
         values = []
         for delta in (0.02, 0.1, 0.3):
             spec = sb.VerificationSpec(safety_model, safety_formula, delta)
-            est = sb.mc_confidence(post, spec, safety_region, 20000,
-                                   RngStream(18, ("delta",)))
+            est = _mc(post, spec, safety_region, 20000,
+                      RngStream(18, ("delta",)))
             values.append((est.value, est.std_error))
         for (lo, lo_se), (hi, hi_se) in zip(values, values[1:]):
             assert hi >= lo - 3 * (lo_se + hi_se)

@@ -1053,7 +1053,8 @@ def _bundled_problem(name: str, per_axis=None):
     cfg = json.loads((CONFIG_DIR / name).read_text())
     if per_axis is not None:
         cfg["pwa"]["per_axis"] = per_axis
-    return cli._problem(cfg, "both")
+    cfg["method"] = "both"
+    return cli._problem(cfg)
 
 
 def _assert_same_indicator(spec, thetas, cells):

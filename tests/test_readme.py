@@ -26,4 +26,4 @@ def test_config_schema_is_a_valid_config():
     text = re.search(r"```jsonc\n(.*?)```", section, re.S).group(1)
     lines = [line.split("//", 1)[0] for line in text.splitlines()
              if "<node path>" not in line]
-    cli._problem(json.loads("\n".join(lines)), None)
+    cli._problem(json.loads("\n".join(lines)))
