@@ -7,7 +7,8 @@ values run inside `_at`, so a config error names the field's dotted path.
 reads, and builds the model, spec, region, prior and PWA cells before any
 numeric work; `_estimate` draws the MC and PWA rows, scores them in the
 posterior's likelihood pass and hands them to the estimators, once for
-`verify` and once per parameter and repetition for `table1`.  All
+`verify` and once per repetition for `table1`, whose pass scores every
+parameter's record against the same rows.  All
 randomness flows from one seed through named substreams, and `--seed` and
 `--method` are written into the config, so a report can be reproduced
 exactly from the config it embeds.  Exit codes: 0 success, 2 config error,
@@ -26,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .bayes import posterior
+from .bayes import likelihood_pass, posterior
 from .chance import WeightError, WeightScheme
 from .confidence import (
     chebyshev_sample_size,
@@ -322,50 +323,59 @@ def _problem(cfg: dict) -> SimpleNamespace:
     return problem
 
 
-def _estimate(problem: SimpleNamespace, data, stream: RngStream,
-              contour=None):
-    """Posterior from `data`, then the confidences `problem.method` asks for.
+def _estimate(problem: SimpleNamespace, records: list, stream: RngStream,
+              contour=None) -> list:
+    """Posteriors from `records`, then the confidences `problem.method` asks
+    for: one (posterior, {"mc": ..., "pwa": ...}) pair per record.
 
-    Returns the posterior and the ConfidenceEstimates by method name, "mc"
-    and "pwa".  Draws from the substreams posterior, mc_size, mc and pwa.
-    Given `problem.cells` (method both, or a restricted region), MC reads
-    satisfaction from the certified cells.  The MC draws, the PWA rule's
-    first round and unknown-cell points, and the rows of `contour` are made
-    first, so that the normalizer's likelihood pass scores them too.  Only
-    pilot sizing, whose pilot and sized draws need the posterior, and the
-    rule's later rounds evaluate densities again.
+    `records` are DataSets of one length, or [None] for the prior alone.
+    Draws from the substreams posterior, mc_size, mc and pwa, the same
+    draws for every record.  Given `problem.cells` (method both, or a
+    restricted region), MC reads satisfaction from the certified cells.
+    The MC draws (under pilot sizing, the pilot's), the PWA rule's first
+    round and unknown-cell points, and the rows of `contour` are made
+    first, so that one likelihood pass scores them with the normalizer's
+    samples for every record.  Only the run that a pilot sizes, whose size
+    needs the posterior, and the rule's later rounds evaluate densities
+    again.
     """
     def draw_mc(n, *path):
         return mc_draws(problem.spec, problem.region, n, stream.child(*path),
                         problem.cells)
 
     run_mc, run_pwa = problem.method != "pwa", problem.method != "mc"
-    mc = (draw_mc(problem.mc_samples, "mc")
-          if run_mc and problem.mc_samples is not None else None)
+    sized = problem.mc_samples is None  # Chebyshev sizing from a pilot run
+    mc = (draw_mc(problem.pilot_samples, "mc_size", "pilot") if sized
+          else draw_mc(problem.mc_samples, "mc")) if run_mc else None
     pwa = (pwa_draws(problem.prior, problem.cells, problem.per_cell_samples,
                      stream.child("pwa")) if run_pwa else None)
-    # The satisfying MC draws, the rule's first nodes and the unknown
-    # cells' points, and the contour grid.
+    # The satisfying MC (or pilot) draws, the rule's first nodes and the
+    # unknown cells' points, and the contour grid.
     rows = ((() if mc is None else mc[1:]) + (pwa or ())
             + (() if contour is None else (contour,)))
-    post = posterior(data, problem.model, problem.prior,
-                     problem.posterior_samples, stream.child("posterior"),
-                     prefetch=rows)
-    estimates = {}
-    if run_mc:
-        if mc is None:  # Chebyshev sizing from a pilot run's variance
-            n, volume = problem.pilot_samples, problem.region.volume
-            pilot = mc_confidence(post, problem.region,
-                                  draw_mc(n, "mc_size", "pilot"))
-            mc = draw_mc(chebyshev_sample_size(
-                problem.epsilon, problem.floor,
-                pilot.variance_estimate * n / volume ** 2, volume), "mc")
-        estimates["mc"] = mc_confidence(post, problem.region, mc,
-                                        problem.epsilon)
-    if run_pwa:
-        estimates["pwa"] = pwa_confidence(post, problem.cells, pwa,
-                                          problem.epsilon)
-    return post, estimates
+    args = (problem.model, problem.prior, problem.posterior_samples,
+            stream.child("posterior"))
+    results = []
+    # One record scores its rows in its posterior's own pass.
+    for data, scores in zip(records, [None] if len(records) == 1
+                            else likelihood_pass(records, *args, rows)):
+        post = posterior(data, *args, prefetch=rows, scores=scores)
+        estimates = {}
+        if run_mc:
+            draws = mc
+            if sized:
+                n, volume = problem.pilot_samples, problem.region.volume
+                pilot = mc_confidence(post, problem.region, mc)
+                draws = draw_mc(chebyshev_sample_size(
+                    problem.epsilon, problem.floor,
+                    pilot.variance_estimate * n / volume ** 2, volume), "mc")
+            estimates["mc"] = mc_confidence(post, problem.region, draws,
+                                            problem.epsilon)
+        if run_pwa:
+            estimates["pwa"] = pwa_confidence(post, problem.cells, pwa,
+                                              problem.epsilon)
+        results.append((post, estimates))
+    return results
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -426,7 +436,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> dict:
         dataset.to_csv(out_dir / "dataset.csv")
     region = problem.region
     contour = _contour_points(region, problem.contour_grid)
-    post, estimates = _estimate(problem, dataset, root, contour)
+    post, estimates = _estimate(problem, [dataset], root, contour)[0]
     results = {
         "region": {"lower": region.lower.tolist(),
                    "upper": region.upper.tolist(),
@@ -462,19 +472,24 @@ def cmd_table1(cfg: dict, out_dir: Path) -> dict:
     header = ["theta_true"]
     for name in names:
         header += [f"{name}_mean", f"{name}_variance"]
+    # Repetition r scores every parameter's record against the draws of
+    # estimate (0, r), so a repetition's parameters share their draws and
+    # the repetitions stay independent.
+    values = [{name: [] for name in names} for _ in table1.thetas]
+    for rep in range(reps):
+        data = [collect_data(problem.model, theta_true, table1.sampler,
+                             table1.n_exp, problem.spec.x0,
+                             root.child("table1", ti, rep, "data"))
+                for ti, theta_true in enumerate(table1.thetas)]
+        for vals, (_, estimates) in zip(values, _estimate(
+                problem, data, root.child("table1", 0, rep))):
+            for name, est in estimates.items():
+                vals[name].append(est.value)
     rows, records = [], []
-    for ti, theta_true in enumerate(table1.thetas):
-        values: dict = {name: [] for name in names}
-        for rep in range(reps):
-            stream = root.child("table1", ti, rep)
-            data = collect_data(problem.model, theta_true, table1.sampler,
-                                table1.n_exp, problem.spec.x0,
-                                stream.child("data"))
-            for name, est in _estimate(problem, data, stream)[1].items():
-                values[name].append(est.value)
+    for theta_true, found in zip(table1.thetas, values):
         row = {"theta_true": list(map(float, theta_true)), "repetitions": reps}
         record = [" ".join(map(repr, row["theta_true"]))]
-        for name, vals in values.items():
+        for name, vals in found.items():
             row[name] = {
                 "mean": float(np.mean(vals)),
                 "variance": float(np.var(vals, ddof=1)) if reps > 1 else 0.0,

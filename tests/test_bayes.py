@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
-from stlbayes.bayes import _LOG_2PI, _BatchLikelihood
+from stlbayes.bayes import _LOG_2PI, _BatchLikelihood, likelihood_pass
 from stlbayes.rng import RngStream
 
 from oracles import (
@@ -191,23 +191,24 @@ def _einsum_scalar_loglik(batch, thetas):
     a fresh array for every intermediate.
     """
     model = batch.model
-    nb, n, n_exp = thetas.shape[0], model.n, batch.y.shape[0]
+    y, drive, x0 = batch.y[..., 0], batch.drive[..., 0], batch.x0[..., 0]
+    nb, n, n_exp = thetas.shape[0], model.n, y.shape[0]
     C = model.C0[:, :, None] + np.einsum("dpn,bd->pnb", batch.c_basis,
                                          thetas)
-    x = np.repeat(batch.x0[:, None], nb, axis=1)
+    x = np.repeat(x0[:, None], nb, axis=1)
     P = np.zeros((n * n, nb))
     total = np.zeros(nb)
     for t in range(n_exp):
         CP = np.einsum("pib,ijb->pjb", C, P.reshape(n, n, nb))
         S = np.einsum("pjb,qjb->pqb", CP, C) + model.Sigma_e[:, :, None]
         s = S[0, 0]
-        v = batch.y[t][:, None] - np.einsum("pnb,nb->pb", C, x)
+        v = y[t][:, None] - np.einsum("pnb,nb->pb", C, x)
         total += np.log(s) + v[0] * v[0] / s
         gain = CP[0] / s
         x += gain * v[0]
         P -= (gain[:, None] * CP[0][None]).reshape(n * n, nb)
         if t + 1 < n_exp:
-            x = model.A @ x + batch.drive[t][:, None]
+            x = model.A @ x + drive[t][:, None]
             P = batch.AA @ P + batch.Q
     return -0.5 * (total + n_exp * _LOG_2PI)
 
@@ -559,3 +560,54 @@ class TestSharedPass:
         assert not any(np.shares_memory(t, mixed) for t in seen[2:])
         assert gathered[1234] == -np.inf
         assert np.array_equal(np.delete(gathered, 1234), inside)
+
+
+class TestRecordAxis:
+    """A batch of K records of one length: the work that does not depend on
+    the record runs once, and each record keeps the bits of a batch on it
+    alone."""
+
+    @pytest.mark.parametrize("nb", [1, 300])
+    @pytest.mark.parametrize("n_exp", [1, 8, 50])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("general", [False, True], ids=["laguerre", "p2"])
+    def test_each_record_has_the_bits_of_its_own_batch(self, model, general,
+                                                       k, n_exp, nb):
+        if general:
+            model = _random_model(7, n=3, p=2, q=2, d=2)
+            assert model.Sigma_e[0, 1] != 0.0
+        records = [_record(model, 110 + i, n_exp) for i in range(k)]
+        thetas = np.random.default_rng(210).uniform(-2, 2, (nb, model.d))
+        scores = _BatchLikelihood(model, records)(thetas)
+        assert scores.shape == (k, nb)
+        for data, row in zip(records, scores):
+            assert np.array_equal(row, _BatchLikelihood(model, data)(thetas))
+
+    def test_records_of_other_lengths_raise(self, model):
+        with pytest.raises(ValueError):
+            _BatchLikelihood(model, [_record(model, 120, 8),
+                                     _record(model, 121, 9)])
+
+    def test_pass_rows_are_each_posteriors_scores(self, model, filter_calls):
+        """One filter call scores the normalizer's samples and the prefetch
+        rows for three records; each record's row gives the posterior of a
+        pass on it alone."""
+        prior = sb.Box([-10, -10], [10, 10])
+        records = [sb.collect_data(model, theta,
+                                   sb.InputSampler("uniform", low=-2, high=2),
+                                   8, [0, 0], RngStream(90).child(i))
+                   for i, theta in enumerate([[0.3, 0.3], [1, 0.5], [-2, 1]])]
+        rows = (np.random.default_rng(91).uniform(-3, 3, (300, 2)),)
+        scores = likelihood_pass(records, model, prior, 4096, RngStream(92),
+                                 rows)
+        assert scores.shape == (3, 4396) and filter_calls == [4396]
+        for data, row in zip(records, scores):
+            shared = sb.posterior(data, model, prior, 4096, RngStream(92),
+                                  prefetch=rows, scores=row)
+            alone = sb.posterior(data, model, prior, 4096, RngStream(92),
+                                 prefetch=rows)
+            assert shared.log_z == alone.log_z
+            assert shared.z_std_error == alone.z_std_error
+            assert np.array_equal(shared.density(rows[0]),
+                                  alone.density(rows[0]))
+        assert filter_calls == [4396] * 4

@@ -461,7 +461,7 @@ class TestMcFromCellLabels:
         for cells in (problem.cells, None):
             rows.clear()
             problem.cells = cells
-            estimates.append(cli._estimate(problem, dataset, root)[1])
+            estimates.append(cli._estimate(problem, [dataset], root)[0][1])
             leaf_rows.append(sum(rows))
         assert estimates[0] == estimates[1]
         assert 0 < leaf_rows[0] < leaf_rows[1]
@@ -560,7 +560,11 @@ def test_pipeline_streams_are_pairwise_distinct(name, tmp_path, monkeypatch):
     cli.cmd_table1(cfg, tmp_path)
     monkeypatch.undo()
     assert RngStream(cfg["seed"], ("pwa", "cell")) in paths
-    assert RngStream(cfg["seed"], ("table1", 1, 1, "pwa", "cell")) in paths
+    # The last repetition draws once for both parameters, on the streams
+    # of its first parameter's estimate, and a record for each.
+    assert RngStream(cfg["seed"], ("table1", 0, 1, "pwa", "cell")) in paths
+    assert RngStream(cfg["seed"], ("table1", 1, 1, "data", "inputs")) in paths
+    assert RngStream(cfg["seed"], ("table1", 1, 1, "pwa", "cell")) not in paths
     first = {generator(s).bit_generator.random_raw() for s in paths}
     assert len(first) == len(paths)
 
@@ -986,7 +990,7 @@ class TestSharedLikelihoodPass:
 
         monkeypatch.setattr(cli, "posterior", spy)
         contour = cli._contour_points(problem.region, problem.contour_grid)
-        _, estimates = cli._estimate(problem, dataset, root, contour)
+        [(_, estimates)] = cli._estimate(problem, [dataset], root, contour)
         [(args, kwargs, merged)] = seen
         # MC's rows, the rule's first round, the unknown cells' points and
         # the contour; under case_study no MC draw satisfies the property
@@ -1011,6 +1015,92 @@ class TestSharedLikelihoodPass:
                 problem.prior, problem.cells, problem.per_cell_samples,
                 root.child("pwa")), problem.epsilon)
 
+
+    def test_pilot_draws_ride_in_the_pass(self, tmp_path, monkeypatch,
+                                          filter_calls):
+        """Under pilot sizing the pilot's satisfying draws are scored in the
+        normalizer's pass; only the run the pilot sizes is scored after."""
+        drawn, real_draws = {}, cli.mc_draws
+        prefetched, real_post = [], cli.posterior
+
+        def spy_draws(sat, region, n, rng, cells=None):
+            drawn[rng.path[-1]] = real_draws(sat, region, n, rng, cells)
+            return drawn[rng.path[-1]]
+
+        def spy_post(*args, **kwargs):
+            prefetched.extend(kwargs["prefetch"])
+            return real_post(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "mc_draws", spy_draws)
+        monkeypatch.setattr(cli, "posterior", spy_post)
+        cfg = json.loads((CONFIG_DIR / "safety_demo.json").read_text())
+        cfg["mc"] = {"epsilon": 0.05, "floor": 0.9, "pilot_samples": 2000}
+        cli.cmd_verify(cfg, tmp_path)
+        assert prefetched[0] is drawn["pilot"][1]
+        # Every row lies inside the prior box.
+        assert sum(filter_calls[:-1]) == cfg["posterior_mc_samples"] + sum(
+            map(len, prefetched))
+        assert filter_calls[-1] == len(drawn["mc"][1])
+
+
+def _shared_table() -> dict:
+    """safety_demo at smaller sizes, with 2 parameters x 2 repetitions."""
+    cfg = json.loads((CONFIG_DIR / "safety_demo.json").read_text())
+    cfg.update(mc={"samples": 3000}, posterior_mc_samples=2048,
+               pwa={"per_axis": 8, "per_cell_samples": 50})
+    cfg["table1"] = {"theta_true_list": [[0.3, 0.3], [1.0, 0.5]],
+                     "repetitions": 2, "n_exp": 8,
+                     "input": cfg["data"]["input"]}
+    return cfg
+
+
+class TestSharedRepetitions:
+    """table1 scores each repetition's records in one pass, against draws
+    that the repetition's parameters share."""
+
+    def test_values_are_per_record_estimates(self, tmp_path):
+        """Each value is the estimate of its record alone, on the draws of
+        its repetition's first parameter."""
+        cfg = _shared_table()
+        rows = cli.cmd_table1(copy.deepcopy(cfg), tmp_path)["results"]["rows"]
+        problem = cli._problem(cfg)
+        root, table1 = RngStream(cfg["seed"]), problem.table1
+        assert all(0.0 < v < 1.0 for row in rows for v in row["mc"]["values"])
+        for ti, theta in enumerate(table1.thetas):
+            for rep in range(table1.reps):
+                data = cli.collect_data(
+                    problem.model, theta, table1.sampler, table1.n_exp,
+                    problem.spec.x0, root.child("table1", ti, rep, "data"))
+                [(_, estimates)] = cli._estimate(
+                    problem, [data], root.child("table1", 0, rep))
+                for name in ("mc", "pwa"):
+                    assert rows[ti][name]["values"][rep] == \
+                        estimates[name].value
+
+    def test_parameters_share_draws_and_repetitions_do_not(self, tmp_path,
+                                                           monkeypatch):
+        seen, real = [], cli.posterior
+
+        def spy(data, model, prior, n, rng, **kwargs):
+            seen.append((data, rng, kwargs["prefetch"]))
+            return real(data, model, prior, n, rng, **kwargs)
+
+        monkeypatch.setattr(cli, "posterior", spy)
+        cfg = _shared_table()
+        cli.cmd_table1(cfg, tmp_path)
+        # Repetition by repetition, parameter by parameter.
+        assert [rng.path for _, rng, _ in seen] == [
+            ("table1", 0, rep, "posterior") for rep in (0, 0, 1, 1)]
+        for first, second in (seen[:2], seen[2:]):
+            assert not np.array_equal(first[0].outputs, second[0].outputs)
+            assert all(a is b for a, b in zip(first[2], second[2]))
+        # The satisfying MC draws and the unknown cells' points; the rule's
+        # first nodes are fixed by the cells.
+        rows0, rows1 = seen[0][2], seen[2][2]
+        for k in (0, 2):
+            assert len(rows0[k]) and len(rows1[k])
+            assert not np.array_equal(rows0[k][:100], rows1[k][:100])
+        assert np.array_equal(rows0[1], rows1[1])
 
 def test_contour_skip_is_reported_beyond_two_parameters(tmp_path):
     """The order-3 Laguerre chain: no contour, and the report says why; a
