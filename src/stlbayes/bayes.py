@@ -249,10 +249,12 @@ def likelihood_pass(data, model: ParametricLti, prior: Box, mc_samples: int,
     the rows of every array in `prefetch`: (m,) for one record `data`, or
     (K, m) for a sequence of K records of one length.
 
-    The samples are `mc_samples` uniform draws of `rng` over the box
-    `prior`.  All records share one filter pass, whose work that does not
-    depend on the record runs once (see `_BatchLikelihood`); record k's row
-    has the bits of a pass on it alone, and is the `scores` that
+    This is the only place that builds a pass's rows and scores them; every
+    posterior with data reads its normalizer from one.  The samples are
+    `mc_samples` uniform draws of `rng` over the box `prior`.  All records
+    share one filter pass, whose work that does not depend on the record
+    runs once (see `_BatchLikelihood`); record k's row has the bits of a
+    pass on it alone, and is the `scores` that
     `posterior(data[k], model, prior, mc_samples, rng, prefetch)` takes.
     """
     return _log_unnormalized(prior, _BatchLikelihood(model, data), np.vstack(
@@ -273,13 +275,13 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
 
     Given data, the likelihood runs once over the normalizer's samples and
     the rows of every (m, d) array in `prefetch`, which the returned
-    density then reads (see `PosteriorDensity`); `scores`, the record's
-    row of a `likelihood_pass` with the same arguments, stands for that
-    pass.  On some models a row's log likelihood can change in its last
-    bit with the batch it is in, so the rows should depend only on the
-    caller's config and seed.  When every row lies inside the prior, the
-    chunks are slices of the rows and of the result, so nothing is
-    gathered or scattered.
+    density then reads (see `PosteriorDensity`): `scores` is the record's
+    row of a `likelihood_pass` with the same arguments, and without it
+    `posterior` runs that pass on `data` itself.  On some models a row's
+    log likelihood can change in its last bit with the batch it is in, so
+    the rows should depend only on the caller's config and seed.  When
+    every row lies inside the prior, the chunks are slices of the rows and
+    of the result, so nothing is gathered or scattered.
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be positive")
@@ -294,8 +296,7 @@ def posterior(data: Optional[DataSet], model: ParametricLti, prior: Box,
             prior=prior, log_unnormalized=log_un, log_z=0.0, z=1.0,
             z_std_error=0.0, z_rel_error=0.0, mc_samples=0)
     if scores is None:
-        scores = log_un(np.vstack([prior.uniform(rng.generator(), mc_samples),
-                                   *prefetch]))
+        scores = likelihood_pass(data, model, prior, mc_samples, rng, prefetch)
     logs, *scored = np.split(
         scores,
         np.cumsum([mc_samples] + [len(rows) for rows in prefetch[:-1]]))

@@ -5,10 +5,10 @@ value is read through `_field`, and the library constructors that check
 values run inside `_at`, so a config error names the field's dotted path.
 `_problem` checks the whole config, rejects every field that no setting
 reads, and builds the model, spec, region, prior and PWA cells before any
-numeric work; `_estimate` draws the MC and PWA rows, scores them in the
-posterior's likelihood pass and hands them to the estimators, once for
-`verify` and once per repetition for `table1`, whose pass scores every
-parameter's record against the same rows.  All
+numeric work; `_estimate` draws the MC and PWA rows, scores them in one
+`likelihood_pass` with the normalizer's samples and hands them to the
+estimators, once for `verify` and once per repetition for `table1`, whose
+pass scores every parameter's record against the same rows.  All
 randomness flows from one seed through named substreams, and `--seed` and
 `--method` are written into the config, so a report can be reproduced
 exactly from the config it embeds.  Exit codes: 0 success, 2 config error,
@@ -39,6 +39,7 @@ from .confidence import (
 from .feasibility import (
     Cells,
     VerificationSpec,
+    _mesh,
     classify_cells,
     pwa_partition,
     restrict_region,
@@ -334,10 +335,10 @@ def _estimate(problem: SimpleNamespace, records: list, stream: RngStream,
     restricted region), MC reads satisfaction from the certified cells.
     The MC draws (under pilot sizing, the pilot's), the PWA rule's first
     round and unknown-cell points, and the rows of `contour` are made
-    first, so that one likelihood pass scores them with the normalizer's
-    samples for every record.  Only the run that a pilot sizes, whose size
-    needs the posterior, and the rule's later rounds evaluate densities
-    again.
+    first, so that one `likelihood_pass` scores them with the normalizer's
+    samples for every record, one or several, and each record's posterior
+    reads its row.  Only the run that a pilot sizes, whose size needs the
+    posterior, and the rule's later rounds evaluate densities again.
     """
     def draw_mc(n, *path):
         return mc_draws(problem.spec, problem.region, n, stream.child(*path),
@@ -356,8 +357,8 @@ def _estimate(problem: SimpleNamespace, records: list, stream: RngStream,
     args = (problem.model, problem.prior, problem.posterior_samples,
             stream.child("posterior"))
     results = []
-    # One record scores its rows in its posterior's own pass.
-    for data, scores in zip(records, [None] if len(records) == 1
+    # The prior alone has no likelihood to score: its Z is 1 exactly.
+    for data, scores in zip(records, [None] if records[0] is None
                             else likelihood_pass(records, *args, rows)):
         post = posterior(data, *args, prefetch=rows, scores=scores)
         estimates = {}
@@ -400,9 +401,8 @@ def _contour_points(region: Box, grid: int):
     None unless the region has 2 dimensions."""
     if region.lower.shape[0] != 2:
         return None
-    xs = np.linspace(region.lower[0], region.upper[0], grid)
-    ys = np.linspace(region.lower[1], region.upper[1], grid)
-    return np.column_stack([np.repeat(xs, grid), np.tile(ys, grid)])
+    return _mesh([np.linspace(lo, hi, grid)
+                  for lo, hi in zip(region.lower, region.upper)])
 
 
 def _write_contour(path: Path, post, points: np.ndarray) -> None:

@@ -1,5 +1,7 @@
+import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from oracles import (
     log_likelihood,
     simulate_states_batch,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -560,6 +564,37 @@ class TestSharedPass:
         assert not any(np.shares_memory(t, mixed) for t in seen[2:])
         assert gathered[1234] == -np.inf
         assert np.array_equal(np.delete(gathered, 1234), inside)
+
+
+@pytest.mark.parametrize("config", ["safety_demo.json", "case_study.json"])
+def test_posterior_runs_the_pass_of_its_record(config):
+    """Without `scores`, `posterior` gives the bits of the posterior that
+    reads its record's row of a one-record `likelihood_pass`."""
+    from stlbayes import cli
+
+    problem = cli._problem(json.loads((CONFIG_DIR / config).read_text()))
+    root, data = RngStream(problem.seed), problem.data
+    record = sb.collect_data(problem.model, data.theta_true, data.sampler,
+                             data.n_exp, problem.spec.x0, root.child("data"))
+    # Inside the prior (the contour) and partly outside it.
+    rows = (cli._contour_points(problem.region, 21),
+            np.random.default_rng(93).uniform(-3, 3, (200, 2)))
+    args = (problem.model, problem.prior, problem.posterior_samples,
+            root.child("posterior"))
+    alone = sb.posterior(record, *args, prefetch=rows)
+    [scores] = likelihood_pass([record], *args, rows)
+    shared = sb.posterior(record, *args, prefetch=rows, scores=scores)
+    for name in alone._fields:
+        if name not in ("log_unnormalized", "prefetched"):
+            assert getattr(shared, name) == getattr(alone, name), name
+    for (rows_a, logs_a), (rows_s, logs_s), r in zip(
+            alone.prefetched, shared.prefetched, rows):
+        assert rows_a is r and rows_s is r
+        assert np.array_equal(logs_s, logs_a)
+        assert np.array_equal(shared.log_density(r), alone.log_density(r))
+    draws = problem.prior.uniform(np.random.default_rng(94), 500)
+    assert np.array_equal(shared.log_unnormalized(draws),
+                          alone.log_unnormalized(draws))
 
 
 class TestRecordAxis:

@@ -715,6 +715,16 @@ def test_csv_files_match_the_csv_module(tmp_path):
     assert (tmp_path / "table1.csv").read_bytes().count(b"-0.0 0.3,") == 1
 
 
+@pytest.mark.parametrize("grid", [1, 3, 61])
+def test_contour_points_are_the_mesh_of_their_axes(grid):
+    """theta_1 outer and theta_2 inner: row i * grid + j is (x_i, y_j)."""
+    region = cli.Box([-0.5, 0.25], [0.5, 1.0])
+    xs, ys = np.linspace(-0.5, 0.5, grid), np.linspace(0.25, 1.0, grid)
+    points = cli._contour_points(region, grid)
+    assert np.array_equal(points, feasibility._mesh([xs, ys]))
+    assert np.array_equal(points, [(x, y) for x in xs for y in ys])
+
+
 @pytest.mark.parametrize("lower, upper, per_axis", [
     ([-1.0], [2.5], 7), ([-1.0, -1.0], [-0.0, 1.0], 64),
     ([-1.0, 0.0, 0.5], [1.0, 1e-05, 3.0], 5),
@@ -972,6 +982,29 @@ class TestSharedLikelihoodPass:
         # 4096 normalizer samples, 500 unknown-cell points and a 61 x 61
         # contour: two near-equal chunks.
         assert filter_calls == [4159, 4158]
+
+    def test_every_estimate_takes_one_likelihood_pass(self, tmp_path,
+                                                      monkeypatch,
+                                                      filter_calls):
+        """verify and a one-parameter table reach the filter through
+        `likelihood_pass`, once per estimate, as one record of a pass."""
+        passes, real = [], cli.likelihood_pass
+
+        def spy(records, *args):
+            passes.append(len(records))
+            return real(records, *args)
+
+        monkeypatch.setattr(cli, "likelihood_pass", spy)
+        cfg = json.loads((CONFIG_DIR / "safety_demo.json").read_text())
+        cli.cmd_verify(copy.deepcopy(cfg), tmp_path)
+        # 8192 normalizer samples, the MC, rule and unknown-cell rows and a
+        # 61 x 61 contour: three near-equal chunks.
+        assert passes == [1] and filter_calls == [7365, 7364, 7364]
+        passes.clear()
+        cfg["table1"] = {"theta_true_list": [[0.3, 0.3]], "repetitions": 2,
+                         "n_exp": 8, "input": cfg["data"]["input"]}
+        cli.cmd_table1(cfg, tmp_path)
+        assert passes == [1, 1]
 
     @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.json")),
                              ids=lambda p: p.name)
