@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import stlbayes as sb
+from stlbayes import cli
 from stlbayes.bayes import _LOG_2PI, _BatchLikelihood, likelihood_pass
 from stlbayes.rng import RngStream
 
@@ -570,8 +571,6 @@ class TestSharedPass:
 def test_posterior_runs_the_pass_of_its_record(config):
     """Without `scores`, `posterior` gives the bits of the posterior that
     reads its record's row of a one-record `likelihood_pass`."""
-    from stlbayes import cli
-
     problem = cli._problem(json.loads((CONFIG_DIR / config).read_text()))
     root, data = RngStream(problem.seed), problem.data
     record = sb.collect_data(problem.model, data.theta_true, data.sampler,
